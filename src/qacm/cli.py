@@ -61,10 +61,6 @@ def seeded_line_values(seed: int, count: int):
     return pool[:count]
 
 
-def line_points(seed: int, count: int):
-    return [((1, r), 1) for r in seeded_line_values(seed, count)]
-
-
 def _seedpoint_strings(values):
     return [["0", "1", str(r)] for r in values]
 
@@ -390,6 +386,11 @@ def _add_common(p, with_seed=False):
 
 _CONFIG_DEFAULTS = {"format": "json", "out": None, "timestamp": True,
                     "seed": 0, "cmax": 6, "margin": 8, "tmin": None, "tmax": None}
+_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_STR = (lambda v: v is None or isinstance(v, str), "a string or null")
+_CONFIG_TYPES = {"format": _STR, "out": _STR,
+                 "timestamp": (lambda v: isinstance(v, bool), "a boolean"),
+                 "seed": _INT, "cmax": _INT, "margin": _INT, "tmin": _INT, "tmax": _INT}
 
 
 def _apply_config(args):
@@ -398,9 +399,15 @@ def _apply_config(args):
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_conf = json.load(fh)
+        if not isinstance(file_conf, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(file_conf) - set(_CONFIG_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_conf.items():
+            ok, kind = _CONFIG_TYPES[key]
+            if not ok(value):
+                raise ValueError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
     for key, default in _CONFIG_DEFAULTS.items():
         if not hasattr(args, key):
             continue

@@ -1,19 +1,27 @@
 """Exact linear algebra over the rationals.
 
-Matrices carry ``fractions.Fraction`` entries and every result is exact.
-Rank and kernel are computed by fraction-free elimination on rows scaled to
-primitive integer vectors, stored sparsely (most cohomology-level matrices
-here are monomial maps with a handful of nonzeros per column).  Pivoting is
-deterministic: smallest unprocessed column, then the row with the fewest
-nonzeros, then the smallest row index, so identical inputs always produce
-identical bases.
+A matrix is stored in one form from the moment it is built until it is
+eliminated: sparse rows of Python ints over one common denominator.  Row i is
+a dict ``{col: nonzero int}`` and entry (i, j) is ``data[i].get(j, 0) / den``;
+the denominator is kept canonical (positive, coprime to the entries as a
+whole), so equal matrices compare equal.  Most cohomology-level matrices here
+are monomial maps with a handful of nonzeros per column, and builders write
+this form directly.
+
+Rank and kernel are computed by fraction-free elimination on the stored rows
+(scaling rows changes neither), with unpivoted rows indexed by their leading
+column.  Pivoting is deterministic: smallest unprocessed column, then the row
+with the fewest nonzeros, then the smallest row index, so identical inputs
+always produce identical bases.  The public accessors (``entry``, ``row``,
+``column``, ``apply``) return ``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 QQ = Fraction
 
@@ -26,212 +34,227 @@ def _fr(x) -> Fraction:
     raise TypeError(f"matrix entries must be rational, got {type(x).__name__}")
 
 
+def integer_coefficients(values) -> tuple:
+    """``(den, nums)`` with ``values[i] == nums[i] / den`` and ``den`` the least
+    common denominator of the (int or Fraction) values."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 @dataclass(frozen=True)
 class RatMatrix:
-    """Dense immutable matrix of rationals; ``data`` is a tuple of row tuples."""
+    """Immutable sparse matrix of rationals: ``data`` is a tuple of row dicts
+    ``{col: nonzero int}`` over the common denominator ``den``.  Build it with
+    ``make`` (which reduces ``den``) or the static constructors.  Row dicts
+    are never mutated once built, so elimination reads them in place."""
 
     rows: int
     cols: int
     data: tuple
+    den: int = 1
+
+    @staticmethod
+    def make(rows: int, cols: int, data, den: int = 1) -> "RatMatrix":
+        """Matrix from int row dicts over a positive ``den``, reduced to the
+        canonical denominator."""
+        if den != 1:
+            g = gcd(den, *(v for r in data for v in r.values()))
+            if g > 1:
+                data = [{j: v // g for j, v in r.items()} for r in data]
+                den //= g
+        return RatMatrix(rows, cols, tuple(data), den)
+
+    @staticmethod
+    def from_dicts(rows: int, cols: int, data) -> "RatMatrix":
+        """Matrix from row dicts ``{col: rational}``; zero values are dropped."""
+        data = [{j: _fr(x) for j, x in r.items()} for r in data]
+        den, nums = integer_coefficients([x for r in data for x in r.values()])
+        nums = iter(nums)
+        return RatMatrix.make(rows, cols, [{j: v for j, v in zip(r, nums) if v} for r in data], den)
 
     @staticmethod
     def from_rows(rows) -> "RatMatrix":
-        data = tuple(tuple(_fr(x) for x in row) for row in rows)
-        n = len(data)
-        m = len(data[0]) if n else 0
-        if any(len(r) != m for r in data):
+        rows = [dict(enumerate(row)) for row in rows]
+        m = len(rows[0]) if rows else 0
+        if any(len(r) != m for r in rows):
             raise ValueError("ragged rows")
-        return RatMatrix(n, m, data)
+        return RatMatrix.from_dicts(len(rows), m, rows)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RatMatrix":
-        z = QQ(0)
-        return RatMatrix(rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return RatMatrix(rows, cols, tuple({} for _ in range(rows)))
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix(n, n, tuple(tuple(QQ(1 if i == j else 0) for j in range(n)) for i in range(n)))
+        return RatMatrix(n, n, tuple({i: 1} for i in range(n)))
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.den,
+                     tuple(frozenset(r.items()) for r in self.data)))
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
+        return Fraction(self.data[i].get(j, 0), self.den)
 
     def row(self, i: int) -> tuple:
-        return self.data[i]
+        r = self.data[i]
+        return tuple(Fraction(r.get(j, 0), self.den) for j in range(self.cols))
 
     def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
+        return tuple(Fraction(r.get(j, 0), self.den) for r in self.data)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, tuple(zip(*self.data)) if self.rows and self.cols
-                         else tuple(() for _ in range(self.cols)) if self.cols else ())
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.data):
+            for j, v in r.items():
+                out[j][i] = v
+        return RatMatrix(self.cols, self.rows, tuple(out), self.den)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = QQ(0)
-        one = QQ(1)
+        odata = other.data
         out = []
         for r in self.data:
-            acc = [zero] * other.cols
-            for j, a in enumerate(r):
-                if not a:
-                    continue
-                orow = other.data[j]
-                if a == one:
-                    for t, b in enumerate(orow):
-                        if b:
-                            acc[t] += b
-                else:
-                    for t, b in enumerate(orow):
-                        if b:
-                            acc[t] += a * b
-            out.append(tuple(acc))
-        return RatMatrix(self.rows, other.cols, tuple(out))
+            acc = {}
+            for j, a in r.items():
+                for t, b in odata[j].items():
+                    acc[t] = acc.get(t, 0) + a * b
+            out.append({t: v for t, v in acc.items() if v})
+        return RatMatrix.make(self.rows, other.cols, out, self.den * other.den)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in +")
-        return RatMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.data, other.data)))
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = []
+        for ra, rb in zip(self.data, other.data):
+            acc = {j: v * fa for j, v in ra.items()}
+            for j, v in rb.items():
+                acc[j] = acc.get(j, 0) + v * fb
+            out.append({j: v for j, v in acc.items() if v})
+        return RatMatrix.make(self.rows, self.cols, out, den)
 
     def __neg__(self) -> "RatMatrix":
-        return self.scale(QQ(-1))
+        return RatMatrix(self.rows, self.cols,
+                         tuple({j: -v for j, v in r.items()} for r in self.data), self.den)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
 
     def scale(self, s) -> "RatMatrix":
         s = _fr(s)
-        return RatMatrix(self.rows, self.cols, tuple(tuple(s * x for x in r) for r in self.data))
+        if s == 0:
+            return RatMatrix.zero(self.rows, self.cols)
+        p = s.numerator
+        return RatMatrix.make(self.rows, self.cols,
+                              [{j: v * p for j, v in r.items()} for r in self.data],
+                              self.den * s.denominator)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not any(self.data)
 
     def apply(self, vec) -> tuple:
         """Matrix times a column vector given as a sequence."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * _fr(b) for a, b in zip(r, vec)) for r in self.data)
+        vec = [_fr(b) for b in vec]
+        return tuple(sum((v * vec[j] for j, v in r.items()), QQ(0)) / self.den
+                     for r in self.data)
+
+
+def _stack(mats, down: bool, right: bool) -> RatMatrix:
+    """The matrices placed one after another, each moved down and/or right."""
+    den = lcm(*(m.den for m in mats))
+    out = [{} for _ in range(sum(m.rows for m in mats) if down else mats[0].rows)]
+    r0 = c0 = 0
+    for m in mats:
+        f = den // m.den
+        for i, r in enumerate(m.data, r0):
+            if r:
+                out[i].update(r if (c0, f) == (0, 1) else ((c0 + j, v * f) for j, v in r.items()))
+        r0 += m.rows if down else 0
+        c0 += m.cols if right else 0
+    return RatMatrix.make(len(out), c0 if right else mats[0].cols, out, den)
 
 
 def hstack(*mats: RatMatrix) -> RatMatrix:
-    mats = [m for m in mats]
     if not mats:
         raise ValueError("hstack of nothing")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
+    if any(m.rows != mats[0].rows for m in mats):
         raise ValueError("hstack: row count mismatch")
-    data = tuple(tuple(x for m in mats for x in m.data[i]) for i in range(rows))
-    return RatMatrix(rows, sum(m.cols for m in mats), data)
+    return _stack(mats, False, True)
 
 
 def vstack(*mats: RatMatrix) -> RatMatrix:
-    mats = [m for m in mats]
     if not mats:
         raise ValueError("vstack of nothing")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
+    if any(m.cols != mats[0].cols for m in mats):
         raise ValueError("vstack: column count mismatch")
-    data = tuple(r for m in mats for r in m.data)
-    return RatMatrix(sum(m.rows for m in mats), cols, data)
+    return _stack(mats, True, False)
 
 
 def block_diag(*mats: RatMatrix) -> RatMatrix:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[QQ(0)] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            row = out[r0 + i]
-            mrow = m.data[i]
-            for j in range(m.cols):
-                row[c0 + j] = mrow[j]
-        r0 += m.rows
-        c0 += m.cols
-    return RatMatrix(rows, cols, tuple(tuple(r) for r in out))
+    return _stack(mats, True, True)
 
 
 # ---------------------------------------------------------------------------
 # sparse fraction-free elimination
 
 
-def _int_rows(m: RatMatrix):
-    """Rows as sparse primitive-integer dicts {col: int}; scaling rows does not
-    change rank or kernel."""
-    out = []
-    for r in m.data:
-        den = 1
-        for x in r:
-            xd = x.denominator
-            if xd != 1:
-                den = den * xd // gcd(den, xd)
-        if den == 1:
-            ints = {j: x.numerator for j, x in enumerate(r) if x}
-        else:
-            ints = {j: int(x * den) for j, x in enumerate(r) if x}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            ints = {j: v // g for j, v in ints.items()}
-        out.append(ints)
-    return out
-
-
 def _strip(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {j: v // g for j, v in row.items()}
-    return row
+    """A nonzero int row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: v // g for j, v in row.items()}
 
 
 def _eliminate(rows, cols: int):
-    """Forward elimination (r := p*r - f*piv on each affected row); returns the
-    pivot list [(pivot_col, pivot_row_dict)] in increasing column order.
+    """Forward elimination (r := p*r - f*piv on each affected row) of the int
+    row dicts ``rows``, which are left unchanged; returns the pivot list
+    [(pivot_col, pivot_row_dict)] in increasing column order.
 
     Invariant: rows still unpivoted have zero entries in every processed
-    column, so each pivot row only involves its pivot column and later ones.
+    column, so the rows with a nonzero in the current column are exactly the
+    unpivoted rows led by it; ``lead`` indexes them by leading column.
     """
-    remaining = list(range(len(rows)))
+    rows = list(rows)
+    lead = {}
+    for i, r in enumerate(rows):
+        if r:
+            lead.setdefault(min(r), []).append(i)
     pivots = []
     for col in range(cols):
-        cand = [i for i in remaining if rows[i].get(col)]
-        if not cand:
+        if not lead:
+            break
+        cand = lead.pop(col, None)
+        if cand is None:
             continue
         i0 = min(cand, key=lambda i: (len(rows[i]), i))
         piv = rows[i0]
         p = piv[col]
-        remaining = [i for i in remaining if i != i0]
         for i in cand:
             if i == i0:
                 continue
             r = rows[i]
             f = r[col]
-            new = {}
-            for j, v in r.items():
-                new[j] = v * p
+            new = dict(r) if p == 1 else {j: v * p for j, v in r.items()}
             for j, v in piv.items():
                 w = new.get(j, 0) - f * v
                 if w:
                     new[j] = w
                 else:
-                    new.pop(j, None)
-            rows[i] = _strip(new)
+                    del new[j]
+            if new:
+                new = _strip(new)
+                rows[i] = new
+                lead.setdefault(min(new), []).append(i)
         pivots.append((col, piv))
     return pivots
 
 
 def rank(m: RatMatrix) -> int:
     """Exact rank; deterministic."""
-    return len(_eliminate(_int_rows(m), m.cols))
+    return len(_eliminate(m.data, m.cols))
 
 
 @dataclass(frozen=True)
@@ -258,36 +281,34 @@ def kernel_basis(m: RatMatrix) -> Subspace:
     Basis vectors are primitive integer vectors (first nonzero positive), one
     per free column in increasing column order.
     """
-    rows = _int_rows(m)
-    pivots = _eliminate(rows, m.cols)
+    pivots = _eliminate(m.data, m.cols)
     pivot_cols = [c for c, _ in pivots]
     pivot_set = set(pivot_cols)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
-    for fcol in free:
-        v = {fcol: QQ(1)}
-        for col, prow in reversed(pivots):
-            s = QQ(0)
-            for j, a in prow.items():
-                if j != col and j in v:
-                    s += a * v[j]
+    out = [{} for _ in range(m.cols)]
+    j = 0
+    for fcol in range(m.cols):
+        if fcol in pivot_set:
+            continue
+        # back-substitute in integers: v is the kernel vector with v[fcol] = 1,
+        # scaled to stay integral; pivot rows at or after fcol cannot reach it
+        v = {fcol: 1}
+        for k in range(bisect_left(pivot_cols, fcol) - 1, -1, -1):
+            col, prow = pivots[k]
+            s = sum(a * v[c] for c, a in prow.items() if c in v)
             if s:
-                v[col] = -s / prow[col]
-        den = 1
-        for x in v.values():
-            den = den * x.denominator // gcd(den, x.denominator)
-        iv = {j: int(x * den) for j, x in v.items()}
-        g = 0
-        for x in iv.values():
-            g = gcd(g, x)
-        if g > 1:
-            iv = {j: x // g for j, x in iv.items()}
-        lead = min(iv)
-        if iv[lead] < 0:
-            iv = {j: -x for j, x in iv.items()}
-        vectors.append(iv)
-    data = tuple(tuple(QQ(vec.get(i, 0)) for vec in vectors) for i in range(m.cols))
-    return Subspace(m.cols, RatMatrix(m.cols, len(vectors), data))
+                p = prow[col]
+                g = gcd(s, p)
+                f = p // g
+                if f != 1:
+                    v = {i: x * f for i, x in v.items()}
+                v[col] = -s // g
+        g = gcd(*v.values())
+        if v[min(v)] < 0:
+            g = -g
+        for i, x in v.items():
+            out[i][j] = x // g
+        j += 1
+    return Subspace(m.cols, RatMatrix(m.cols, j, tuple(out)))
 
 
 def kernel_dim(m: RatMatrix) -> int:

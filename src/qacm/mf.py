@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import QQ, RatMatrix, hstack, rank, vstack
-from .monomials import Form, h0_exponents
+from .monomials import Form, h0_exponents, monomial_multiplication_matrix
 
 X4, Y4, Z4, W4 = (Form.variable(4, n) for n in ("x", "y", "z", "w"))
 Q_DEFAULT = X4 * Y4
@@ -219,17 +219,9 @@ SAMPLE_POINTS = (
 
 
 def _p3_mult_matrix(f: Form, d_from: int, d_to: int) -> RatMatrix:
-    src = h0_exponents(4, d_from)
-    tgt = h0_exponents(4, d_to)
-    tindex = {e: i for i, e in enumerate(tgt)}
-    out = [[QQ(0)] * len(src) for _ in range(len(tgt))]
-    if not f.is_zero:
-        if f.degree != d_to - d_from:
-            raise ValueError("degree bookkeeping error")
-        for col, m in enumerate(src):
-            for e, c in f.terms:
-                out[tindex[tuple(a + b for a, b in zip(m, e))]][col] += c
-    return RatMatrix(len(tgt), len(src), tuple(tuple(r) for r in out))
+    if not f.is_zero and f.degree != d_to - d_from:
+        raise ValueError("degree bookkeeping error")
+    return monomial_multiplication_matrix(f, h0_exponents(4, d_from), h0_exponents(4, d_to))
 
 
 def cokernel_hilbert(a, t: int) -> int:

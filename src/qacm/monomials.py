@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add
 
-from .linalg import QQ, RatMatrix
+from .linalg import QQ, RatMatrix, integer_coefficients
 
 VAR_NAMES = {2: ("v", "w"), 3: ("u", "v", "w"), 4: ("x", "y", "z", "w")}
 
@@ -376,27 +377,34 @@ def basis(space: str, i: int, d: int) -> GradedPiece:
     return piece
 
 
-def multiplication_matrix(f: Form, frm: GradedPiece) -> RatMatrix:
-    """Matrix of multiplication by ``f``: H^i(O(d)) -> H^i(O(d + deg f)),
-    rows indexed by the target basis, columns by the source basis.  On dual
+def monomial_multiplication_matrix(f: Form, src: tuple, tgt: tuple, top: bool = False) -> RatMatrix:
+    """Matrix of multiplication by ``f`` from the monomials ``src`` to the
+    monomials ``tgt`` (rows by target, columns by source).  On dual (``top``)
     bases a product monomial with any exponent >= 0 contracts to zero."""
+    out = [{} for _ in tgt]
+    if f.is_zero or not src or not tgt:
+        return RatMatrix(len(tgt), len(src), tuple(out))
+    tindex = {e: i for i, e in enumerate(tgt)}
+    den, nums = integer_coefficients([c for _, c in f.terms])
+    terms = [(e, c) for (e, _), c in zip(f.terms, nums)]
+    # distinct exponents of f give distinct products, so no entry is hit twice
+    for col, m in enumerate(src):
+        for e, c in terms:
+            prod = tuple(map(add, m, e))
+            if not top or max(prod) < 0:
+                out[tindex[prod]][col] = c
+    return RatMatrix.make(len(tgt), len(src), out, den)
+
+
+def multiplication_matrix(f: Form, frm: GradedPiece) -> RatMatrix:
+    """Multiplication by ``f``: H^i(O(d)) -> H^i(O(d + deg f)) on monomial
+    bases, contracting on dual ones."""
     nv = _SPACE_NVARS[frm.space]
     if not f.is_zero and f.num_vars != nv:
         raise ValueError("variable-count mismatch between form and graded piece")
-    shift = f.degree if not f.is_zero else 0
-    target = basis(frm.space, frm.i, frm.d + shift)
-    out = [[QQ(0)] * frm.dim for _ in range(target.dim)]
-    if f.is_zero or frm.dim == 0 or target.dim == 0:
-        return RatMatrix(target.dim, frm.dim, tuple(tuple(r) for r in out))
-    top = frm.i == space_dim(frm.space)
-    tindex = target.index()
-    for col, m in enumerate(frm.basis):
-        for e, c in f.terms:
-            prod = tuple(a + b for a, b in zip(m, e))
-            if top and any(x >= 0 for x in prod):
-                continue
-            out[tindex[prod]][col] += c
-    return RatMatrix(target.dim, frm.dim, tuple(tuple(r) for r in out))
+    target = basis(frm.space, frm.i, frm.d + (f.degree or 0))
+    return monomial_multiplication_matrix(f, frm.basis, target.basis,
+                                          frm.i == space_dim(frm.space))
 
 
 @lru_cache(maxsize=None)
@@ -405,12 +413,12 @@ def restriction_matrix(d: int) -> RatMatrix:
     u-exponent die); surjective for d >= 0, empty for d < 0."""
     src = basis(P2, 0, d)
     tgt = basis(P1, 0, d)
-    out = [[QQ(0)] * src.dim for _ in range(tgt.dim)]
+    out = [{} for _ in range(tgt.dim)]
     tindex = tgt.index()
     for col, (a, b, c) in enumerate(src.basis):
         if a == 0:
-            out[tindex[(b, c)]][col] = QQ(1)
-    return RatMatrix(tgt.dim, src.dim, tuple(tuple(r) for r in out))
+            out[tindex[(b, c)]][col] = 1
+    return RatMatrix(tgt.dim, src.dim, tuple(out))
 
 
 def euler_char_p2(d: int) -> int:

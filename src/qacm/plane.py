@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .errors import InternalCheckError
@@ -65,12 +66,6 @@ class CISubscheme:
         """Z is cut out by u and a binary form in (v, w)."""
         return (self.f1 == U and not any(e[0] for e, _ in self.f2.terms)) or \
                (self.f2 == U and not any(e[0] for e, _ in self.f1.terms))
-
-    def collinear_binary_form(self) -> Form:
-        if not self.is_collinear():
-            raise ValueError("subscheme is not collinear on u = 0")
-        g = self.f2 if self.f1 == U else self.f1
-        return form_on_line(g)
 
 
 def _ideal_piece_matrix(f1: Form, f2: Form, d: int) -> RatMatrix:
@@ -275,22 +270,34 @@ def _mult_block(f: Form, piece: GradedPiece, d_to: int) -> RatMatrix:
     return multiplication_matrix(f, piece)
 
 
+def _relation_matrix(space: str, i: int, targets, b, rel, t: int) -> RatMatrix:
+    """H^i-level matrix of a relation column ``rel``: H^i(O(b+t)) -> sum H^i(O(a+t))."""
+    if b is None:
+        return RatMatrix.zero(sum(cohomology_dim(space, i, a + t) for a in targets), 0)
+    src = basis(space, i, b + t)
+    return vstack(*[_mult_block(f, src, a + t) for f, a in zip(rel, targets)])
+
+
 def relation_h0_matrix(sheaf, t: int) -> RatMatrix:
     """H0-level matrix of the relation at twist t: H0(O(b+t)) -> sum H0(O(a_i+t))."""
     pres = sheaf.presentation()
-    if pres.relation_twist is None:
-        return RatMatrix.zero(sum(cohomology_dim(P2, 0, a + t) for a in pres.target_twists), 0)
-    src = basis(P2, 0, pres.relation_twist + t)
-    return vstack(*[_mult_block(f, src, a + t) for f, a in zip(pres.relation, pres.target_twists)])
+    return _relation_matrix(P2, 0, pres.target_twists, pres.relation_twist, pres.relation, t)
 
 
 def relation_h2_matrix(sheaf, t: int) -> RatMatrix:
     """H2-level (dual monomial) matrix of the relation at twist t."""
     pres = sheaf.presentation()
-    if pres.relation_twist is None:
-        return RatMatrix.zero(sum(cohomology_dim(P2, 2, a + t) for a in pres.target_twists), 0)
-    src = basis(P2, 2, pres.relation_twist + t)
-    return vstack(*[_mult_block(f, src, a + t) for f, a in zip(pres.relation, pres.target_twists)])
+    return _relation_matrix(P2, 2, pres.target_twists, pres.relation_twist, pres.relation, t)
+
+
+@lru_cache(maxsize=4)
+def relation_h2_kernel(sheaf, t: int) -> tuple:
+    """``(relation_h2_matrix(sheaf, t), its kernel)``, computed once per
+    (sheaf, t): h1 and h2 of the sheaf and both h1 routes of a kernel sheaf
+    (the fast one at t + 1, the full one at t) share them.  Plane sheaves are
+    frozen, so they key this bounded memo."""
+    m = relation_h2_matrix(sheaf, t)
+    return m, kernel_basis(m)
 
 
 def euler_char(sheaf, t: int) -> int:
@@ -311,16 +318,16 @@ def cohomology(sheaf, i: int, t: int) -> int:
     if i == 0:
         total = sum(cohomology_dim(P2, 0, a + t) for a in pres.target_twists)
         return total - rank(relation_h0_matrix(sheaf, t))
-    m2 = relation_h2_matrix(sheaf, t)
+    m2, ker = relation_h2_kernel(sheaf, t)
     if i == 1:
-        h1 = kernel_dim(m2)
+        h1 = ker.dim
         if isinstance(sheaf, CIIdealSheaf) and sheaf.ci.is_collinear():
             d = sheaf.m + t
             if d >= -1 and h1 != max(0, sheaf.ci.degree - d - 1):
                 raise InternalCheckError("collinear ideal-sheaf h1 disagrees with its closed form")
         return h1
     total = sum(cohomology_dim(P2, 2, a + t) for a in pres.target_twists)
-    return total - rank(m2)
+    return total - (m2.cols - ker.dim)
 
 
 @dataclass(frozen=True)
@@ -338,9 +345,6 @@ class CohRow:
 @dataclass(frozen=True)
 class CohTable:
     rows: tuple
-
-    def h1_column(self):
-        return tuple(r.h1 for r in self.rows)
 
     def as_dicts(self):
         return [dict(t=r.t, h0=r.h0, h1=r.h1, h2=r.h2, chi=r.chi) for r in self.rows]
@@ -378,26 +382,23 @@ def _point_condition_rows(point, mult: int, d: int):
     rows = []
     mons = basis(P2, 0, d).basis
     for j in range(mult):
-        row = []
-        for (a, b, c) in mons:
+        row = {}
+        for col, (a, b, c) in enumerate(mons):
             if a != 0:
-                row.append(QQ(0))
                 continue
             if w0 != 0:
                 # d^j/dv^j of v^b w0^c at v = v0
-                if b < j:
-                    row.append(QQ(0))
-                else:
-                    coef = QQ(1)
+                if b >= j:
+                    coef = 1
                     for s in range(j):
                         coef *= (b - s)
-                    row.append(coef * v0 ** (b - j) * w0 ** c)
-            else:
+                    row[col] = coef * v0 ** (b - j) * w0 ** c
+            elif c == j:
                 # point [0:1:0]: the condition is on the w^j coefficient
-                coef = QQ(1)
+                coef = 1
                 for s in range(j):
                     coef *= (c - s)
-                row.append(coef * v0 ** b if c == j else QQ(0))
+                row[col] = coef * v0 ** b
         rows.append(row)
     return rows
 
@@ -411,9 +412,7 @@ def h0_ideal_of_points(points, d: int) -> int:
     for point, mult in points:
         rows.extend(_point_condition_rows(point, mult, d))
     n = cohomology_dim(P2, 0, d)
-    if not rows:
-        return n
-    return n - rank(RatMatrix.from_rows(rows))
+    return n - rank(RatMatrix.from_dicts(len(rows), n, rows))
 
 
 def cb_condition_check(c: int, k: int, ci: CISubscheme) -> bool:
@@ -467,11 +466,7 @@ def _line_presentation(sheaf):
 
 def _line_relation_matrix(sheaf, t: int, i: int) -> RatMatrix:
     """H^i-level (i = 0 or 1) matrix of the restricted relation on L."""
-    targets, b, rel = _line_presentation(sheaf)
-    if b is None:
-        return RatMatrix.zero(sum(cohomology_dim(P1, i, a + t) for a in targets), 0)
-    src = basis(P1, i, b + t)
-    return vstack(*[_mult_block(f, src, a + t) for f, a in zip(rel, targets)])
+    return _relation_matrix(P1, i, *_line_presentation(sheaf), t)
 
 
 def line_h0_dim(sheaf, t: int) -> int:
@@ -481,14 +476,6 @@ def line_h0_dim(sheaf, t: int) -> int:
     if b is None:
         return total
     return total - rank(_line_relation_matrix(sheaf, t, 0)) + kernel_dim(_line_relation_matrix(sheaf, t, 1))
-
-
-def line_h1_dim(sheaf, t: int) -> int:
-    targets, b, rel = _line_presentation(sheaf)
-    total = sum(cohomology_dim(P1, 1, a + t) for a in targets)
-    if b is None:
-        return total
-    return total - rank(_line_relation_matrix(sheaf, t, 1))
 
 
 def _splitting_degrees(sheaf) -> tuple:
@@ -521,33 +508,28 @@ def _hom_row_candidates(sheaf, e: int):
     sum r_i * rel_i = 0: the sheaf maps F|_L -> O_L(e).  Returned in the
     deterministic order produced by kernel extraction."""
     targets, b, rel = _line_presentation(sheaf)
-    cols = []
     col_meta = []
     for i, a in enumerate(targets):
         for m in basis(P1, 0, e - a).basis:
             col_meta.append((i, m))
     if b is None:
-        vectors = [[QQ(1) if k == j else QQ(0) for k in range(len(col_meta))]
-                   for j in range(len(col_meta))]
+        vectors = [{j: 1} for j in range(len(col_meta))]
     else:
-        con_dim = cohomology_dim(P1, 0, e - b)
-        rows = [[QQ(0)] * len(col_meta) for _ in range(con_dim)]
         tgt = basis(P1, 0, e - b)
+        rows = [{} for _ in range(tgt.dim)]
         tindex = tgt.index()
         for col, (i, m) in enumerate(col_meta):
-            if rel[i].is_zero:
-                continue
-            prod = Form.monomial(2, m) * rel[i]
-            for exp, cf in prod.terms:
-                rows[tindex[exp]][col] = rows[tindex[exp]][col] + cf
-        ker = kernel_basis(RatMatrix.from_rows(rows) if con_dim else RatMatrix.zero(0, len(col_meta)))
-        vectors = [ker.basis.column(j) for j in range(ker.dim)]
+            # distinct terms of rel[i] give distinct products: no entry is hit twice
+            for exp, cf in (Form.monomial(2, m) * rel[i]).terms:
+                rows[tindex[exp]][col] = cf
+        ker = kernel_basis(RatMatrix.from_dicts(tgt.dim, len(col_meta), rows))
+        vectors = ker.basis.transpose().data
     out = []
     for vec in vectors:
         parts = [dict() for _ in targets]
-        for val, (i, m) in zip(vec, col_meta):
-            if val:
-                parts[i][m] = val
+        for k, val in vec.items():
+            i, m = col_meta[k]
+            parts[i][m] = val
         out.append(tuple(Form.from_dict(2, p) if p else Form.zero(2) for p in parts))
     return out
 
@@ -602,19 +584,10 @@ def trivialize_on_line(sheaf) -> Trivialization:
 def trivialized_restriction_matrix(sheaf, triv: Trivialization, t: int) -> RatMatrix:
     """Matrix of H0(F(t)) -> H0(O_L(c1+t)) + H0(O_L(c2+t)) on presentation
     coordinates (sections of the free cover); the relation's image maps to 0."""
-    pres = sheaf.presentation()
-    blocks = []
-    for e, row in zip(triv.degrees, triv.rows):
-        row_blocks = []
-        for a, r in zip(pres.target_twists, row):
-            restr = restriction_matrix(a + t)
-            target_dim = cohomology_dim(P1, 0, e + t)
-            if r.is_zero:
-                row_blocks.append(RatMatrix.zero(target_dim, restr.cols))
-            else:
-                row_blocks.append(_mult_block(r, basis(P1, 0, a + t), e + t) @ restr)
-        blocks.append(hstack(*row_blocks))
-    return vstack(*blocks)
+    twists = sheaf.presentation().target_twists
+    return vstack(*[hstack(*[_mult_block(r, basis(P1, 0, a + t), e + t) @ restriction_matrix(a + t)
+                             for a, r in zip(twists, row)])
+                    for e, row in zip(triv.degrees, triv.rows)])
 
 
 @dataclass(frozen=True)
@@ -637,7 +610,7 @@ def h1_restriction_kernel_dim(sheaf, t: int) -> int:
     if pres.relation_twist is None:
         return 0
     b = pres.relation_twist
-    ker = kernel_basis(relation_h2_matrix(sheaf, t - 1))
+    _, ker = relation_h2_kernel(sheaf, t - 1)
     if ker.dim == 0:
         return 0
     u_mult = multiplication_matrix(U, basis(P2, 2, b + t - 1))
@@ -739,8 +712,8 @@ def ideals_match(a: CISubscheme, b: CISubscheme, up_to: int) -> bool:
 def ideal_contains(ci: CISubscheme, f: Form) -> bool:
     d = f.degree
     m = ideal_piece_matrix(ci, d)
-    vec = [QQ(0)] * cohomology_dim(P2, 0, d)
+    vec = [{} for _ in range(m.rows)]
     idx = basis(P2, 0, d).index()
     for e, c in f.terms:
-        vec[idx[e]] = c
-    return rank(hstack(m, RatMatrix.from_rows([[v] for v in vec]))) == rank(m)
+        vec[idx[e]] = {0: c}
+    return rank(hstack(m, RatMatrix.from_dicts(m.rows, 1, vec))) == rank(m)

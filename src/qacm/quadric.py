@@ -37,7 +37,7 @@ from .plane import (CohRow, CohTable, SplitBundle, Trivialization, chern,
                     ci_from_forms, ci_from_line_points, cohomology as
                     plane_cohomology, euler_char as plane_euler_char,
                     h1_restriction_kernel_dim, make_extension_bundle,
-                    make_split_bundle, relation_h0_matrix, relation_h2_matrix,
+                    make_split_bundle, relation_h0_matrix, relation_h2_kernel,
                     trivialize_on_line, trivialized_restriction_matrix)
 
 U_FORM = Form.variable(3, "u")
@@ -136,19 +136,10 @@ def _gluing_matrix(k: KernelSheaf, t: int) -> RatMatrix:
     hi = cohomology_dim(P1, 0, k.c + t)
     lo = cohomology_dim(P1, 0, t)
     e = k.e
-    if e.kind == "identity":
-        return RatMatrix.identity(hi + lo)
-    top = RatMatrix.identity(hi).scale(e.alpha)
-    bot = RatMatrix.identity(lo).scale(e.delta)
-    if e.kind == "diagonal":
-        return block_diag(top, bot)
-    if e.beta.is_zero:
-        beta_block = RatMatrix.zero(hi, lo)
-    else:
-        beta_block = multiplication_matrix(e.beta, basis(P1, 0, t))
-    upper = hstack(top, beta_block)
-    lower = hstack(RatMatrix.zero(lo, hi), bot)
-    return vstack(upper, lower)
+    beta = (RatMatrix.zero(hi, lo) if e.beta is None or e.beta.is_zero
+            else multiplication_matrix(e.beta, basis(P1, 0, t)))
+    return vstack(hstack(RatMatrix.identity(hi).scale(e.alpha), beta),
+                  hstack(RatMatrix.zero(lo, hi), RatMatrix.identity(lo).scale(e.delta)))
 
 
 def _assembled_matrix(k: KernelSheaf, t: int) -> RatMatrix:
@@ -190,21 +181,23 @@ def _u_lift_matrix(b_twist: int, t: int) -> RatMatrix:
     src = dual_exponents(3, b_twist + t)
     tgt = dual_exponents(3, b_twist + t - 1)
     tindex = {e: i for i, e in enumerate(tgt)}
-    out = [[QQ(0)] * len(src) for _ in range(len(tgt))]
+    out = [{} for _ in tgt]
     for col, (a, b, c) in enumerate(src):
-        out[tindex[(a - 1, b, c)]][col] = QQ(1)
-    return RatMatrix(len(tgt), len(src), tuple(tuple(r) for r in out))
+        out[tindex[(a - 1, b, c)]][col] = 1
+    return RatMatrix(len(tgt), len(src), tuple(out))
 
 
 def _line_dual_inclusion(b_twist: int, t: int) -> RatMatrix:
     """Inclusion of H1(O_L(b+t)) into H2(O_{P2}(b+t-1)) as the dual monomials
     with u-exponent exactly -1."""
     tgt = dual_exponents(3, b_twist + t - 1)
-    cols = [i for i, e in enumerate(tgt) if e[0] == -1]
-    out = [[QQ(0)] * len(cols) for _ in range(len(tgt))]
-    for j, i in enumerate(cols):
-        out[i][j] = QQ(1)
-    return RatMatrix(len(tgt), len(cols), tuple(tuple(r) for r in out))
+    out = [{} for _ in tgt]
+    j = 0
+    for i, e in enumerate(tgt):
+        if e[0] == -1:
+            out[i][j] = 1
+            j += 1
+    return RatMatrix(len(tgt), j, tuple(out))
 
 
 def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int) -> int:
@@ -215,14 +208,13 @@ def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int) -> int:
     if pres.relation_twist is None:
         return 0
     b = pres.relation_twist
-    ker = kernel_basis(relation_h2_matrix(k.other, t))
+    _, ker = relation_h2_kernel(k.other, t)
     if ker.dim == 0:
         return 0
-    lift = _u_lift_matrix(b, t)
-    a_mat = relation_h2_matrix(k.other, t - 1) @ (lift @ ker.basis)
-    d_mat = relation_h2_matrix(k.other, t - 1) @ _line_dual_inclusion(b, t)
-    combined = hstack(a_mat, d_mat)
-    return kernel_dim(combined) - kernel_dim(d_mat)
+    rel_prev, _ = relation_h2_kernel(k.other, t - 1)
+    a_mat = rel_prev @ (_u_lift_matrix(b, t) @ ker.basis)
+    d_mat = rel_prev @ _line_dual_inclusion(b, t)
+    return kernel_dim(hstack(a_mat, d_mat)) - kernel_dim(d_mat)
 
 
 def h1(k: KernelSheaf, t: int) -> int:

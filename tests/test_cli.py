@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 import qacm.quadric
 from qacm.cli import classify_pairs, main, seeded_line_values
 from qacm.errors import InternalCheckError
@@ -104,6 +106,26 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     conf.write_text(json.dumps({"bogus": 1}))
     code, _, err = run(capsys, ["classify", "--config", str(conf)])
     assert code == 2 and "unknown config keys" in err
+
+
+@pytest.mark.parametrize("conf, message", [
+    ({"cmax": "6"}, "'cmax' must be an integer"),
+    ({"seed": 1.5}, "'seed' must be an integer"),
+    ({"margin": True}, "'margin' must be an integer"),
+    ({"tmin": None}, "'tmin' must be an integer"),
+    ({"timestamp": 0}, "'timestamp' must be a boolean"),
+    ({"format": 3}, "'format' must be a string or null"),
+    ({"out": ["a"]}, "'out' must be a string or null"),
+    ([1, 2], "must hold a JSON object"),
+    ("cmax", "must hold a JSON object"),
+    (None, "must hold a JSON object"),
+])
+def test_config_rejects_bad_values(tmp_path, capsys, conf, message):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    code, out, err = run(capsys, ["classify", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_classify_pairs_enumeration():

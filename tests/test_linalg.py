@@ -83,6 +83,15 @@ def test_rational_entries():
     assert m @ k.basis == RatMatrix.zero(2, 1)
 
 
+def test_equality_is_canonical():
+    half = M([[Fraction(1, 2), 1], [0, Fraction(2, 3)]])
+    same = half.scale(6).scale(Fraction(1, 6))
+    assert same == half and hash(same) == hash(half)
+    assert (half - half) == RatMatrix.zero(2, 2)
+    assert M([[Fraction(2, 4), 1]]) == M([[1, 2]]).scale(Fraction(1, 2))
+    assert half.entry(0, 0) == Fraction(1, 2) and half.row(1) == (QQ(0), Fraction(2, 3))
+
+
 def test_stacking():
     a = M([[1, 2]])
     b = M([[3, 4]])
@@ -99,7 +108,7 @@ def matrices(draw, max_dim=5):
     r = draw(st.integers(0, max_dim))
     c = draw(st.integers(0, max_dim))
     data = tuple(tuple(draw(entry) for _ in range(c)) for _ in range(r))
-    return RatMatrix(r, c, data)
+    return RatMatrix.from_rows(data) if r else RatMatrix.zero(0, c)
 
 
 @given(matrices())

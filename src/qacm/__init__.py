@@ -1,23 +1,4 @@
 """qacm: exact cohomology tables and aCM/Ulrich scans for rank-2 sheaves on
 the reducible quadric surface X = {xy = 0} in P3."""
 
-from .linalg import QQ, RatMatrix, Subspace, image_dim_of_composite, kernel_basis, rank
-from .monomials import (Form, GradedPiece, P1, P2, basis, cohomology_dim,
-                        multiplication_matrix, restriction_matrix)
-from .plane import (CIIdealSheaf, CISubscheme, CohTable, ExtensionBundle,
-                    SplitBundle, cb_condition_check, chern, ci_from_forms,
-                    ci_from_line_points, coh_table, cohomology, euler_char,
-                    make_ci_ideal, make_extension_bundle, make_split_bundle,
-                    recover_subscheme, restrict_to_line, trivialize_on_line)
-from .quadric import (ACMReport, GluingData, KernelSheaf, RankOneSheaf,
-                      UlrichResult, acm_check, collinear_extension_kernel,
-                      diagonal_gluing, gluing_variation_report,
-                      global_generation_surjective, identity_gluing,
-                      make_kernel_sheaf, point_extension_kernel,
-                      rank_one_cohomology, restriction_invariants,
-                      split_pair_kernel, ulrich_check, upper_gluing)
-from .mf import (MFPair, cokernel_hilbert, partner_from_adjugate, rank_at_point,
-                 ulrich_example_matrix, ulrich_linear_check, verify_mf)
-from .descriptor import DescriptorParseError, build, parse, parse_and_build, to_text
-
 __version__ = "0.1.0"

@@ -22,17 +22,16 @@ from dataclasses import dataclass
 
 from . import mf as mfmod
 from .descriptor import (DescriptorParseError, parse, parse_and_build,
-                         parse_ambient_form, to_text)
+                         parse_ambient_form, parse_gluing, to_text)
 from .errors import InternalCheckError
 from .plane import (CohTable, cb_condition_check, coh_table as plane_table,
                     cohomology as plane_cohomology, ideals_match,
                     recover_subscheme)
 from .quadric import (KernelSheaf, RankOneSheaf, acm_check, coh_table as
-                      kernel_table, collinear_extension_kernel, diagonal_gluing,
-                      gluing_variation_report, identity_gluing,
-                      point_extension_kernel, rank_one_table,
-                      restriction_invariants, split_pair_kernel, ulrich_check,
-                      upper_gluing)
+                      kernel_table, collinear_extension_kernel,
+                      gluing_variation_report, point_extension_kernel,
+                      rank_one_table, restriction_invariants, split_pair_kernel,
+                      ulrich_check)
 
 
 @dataclass
@@ -49,6 +48,11 @@ class ScanConfig:
             raise ValueError("c_max must be >= 1")
         if self.window_margin < 4:
             raise ValueError("window margin must be >= 4")
+        # the report lists c_max seeded points: refuse before the scan, not after
+        try:
+            seeded_line_values(self.point_seed, self.c_max)
+        except ValueError as exc:
+            raise ValueError(f"c_max too large: {exc}") from None
 
 
 def seeded_line_values(seed: int, count: int):
@@ -57,7 +61,7 @@ def seeded_line_values(seed: int, count: int):
     pool = list(range(1, 98))
     random.Random(seed).shuffle(pool)
     if count > len(pool):
-        raise ValueError("too many points requested")
+        raise ValueError(f"{count} points requested, but the seeded pool on L has {len(pool)}")
     return pool[:count]
 
 
@@ -90,10 +94,6 @@ def _emit(payload: dict, fmt: str, out_path, csv_rows=None, csv_header=None) -> 
         sys.stdout.write(text)
 
 
-def _table_dicts(table: CohTable):
-    return table.as_dicts()
-
-
 def _table_csv(table: CohTable):
     header = ["t", "h0", "h1", "h2", "chi"]
     rows = [[r.t, r.h0, r.h1, r.h2, r.chi] for r in table.rows]
@@ -122,7 +122,7 @@ def cmd_cohomology(args) -> int:
     payload = {
         "descriptor": to_text(node),
         "window": [tmin, tmax],
-        "rows": _table_dicts(table),
+        "rows": table.as_dicts(),
         "flags": {"kind": kind, "cross_checked": kind == "kernel"},
         "seedpoints": [],
     }
@@ -298,15 +298,28 @@ def cmd_mf_example(args) -> int:
     return 0
 
 
+def _pair_matrix(data: dict, key: str):
+    rows = data[key]
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            and all(isinstance(s, str) for row in rows for s in row)):
+        raise ValueError(f"invalid pair file: {key!r} must be a list of rows of form strings")
+    return mfmod.form_matrix([[parse_ambient_form(s) for s in row] for row in rows])
+
+
 def cmd_mf_verify(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("invalid pair file: expected a JSON object with keys q, A, B")
+        if not isinstance(data["q"], str):
+            raise ValueError("invalid pair file: 'q' must be a form string")
         q = parse_ambient_form(data["q"])
-        a = mfmod.form_matrix([[parse_ambient_form(s) for s in row] for row in data["A"]])
-        b = mfmod.form_matrix([[parse_ambient_form(s) for s in row] for row in data["B"]])
+        a, b = _pair_matrix(data, "A"), _pair_matrix(data, "B")
     except (OSError, KeyError, json.JSONDecodeError) as exc:
         raise ValueError(f"invalid pair file: {exc}") from exc
+    if len(a) != len(b):
+        raise ValueError(f"invalid pair file: A is {len(a)}x{len(a)} but B is {len(b)}x{len(b)}")
     ok = mfmod.verify_mf(mfmod.MFPair(a, b, q))
     payload = {"file": args.file, "ok": ok}
     _emit(payload, "json", args.out)
@@ -330,34 +343,18 @@ def cmd_mf_hilbert(args) -> int:
 # gluing report
 
 
-def _parse_gluing_text(text: str):
-    text = text.strip()
-    if text == "id":
-        return identity_gluing()
-    from .descriptor import _Parser
-    p = _Parser(text)
-    node = p.parse_gluing()
-    if p.peek()[0] != "EOF":
-        raise ValueError(f"trailing input in gluing {text!r}")
-    if node.kind == "identity":
-        return identity_gluing()
-    if node.kind == "diagonal":
-        return diagonal_gluing(node.alpha, node.delta)
-    return upper_gluing(node.alpha, node.delta, node.beta)
-
-
 def cmd_gluing_report(args) -> int:
     obj = parse_and_build(args.sheaf)
     if not isinstance(obj, KernelSheaf):
         raise ValueError("gluing-report needs a kernel-sheaf descriptor")
-    gluings = [_parse_gluing_text(g) for g in args.e]
+    gluings = [parse_gluing(g) for g in args.e]
     rows = gluing_variation_report(obj, gluings, args.tmin, args.tmax)
     payload = {
         "descriptor": to_text(parse(args.sheaf)),
         "gluings": [{
             "e": row.gluing,
             "equal_to_identity": row.equal_to_identity,
-            "rows": _table_dicts(row.table),
+            "rows": row.table.as_dicts(),
         } for row in rows],
     }
     if args.timestamp:
@@ -415,7 +412,10 @@ def _apply_config(args):
             setattr(args, key, file_conf.get(key, default))
     env_seed = os.environ.get("QACM_SEED")
     if env_seed is not None and hasattr(args, "seed"):
-        args.seed = int(env_seed)
+        try:
+            args.seed = int(env_seed)
+        except ValueError:
+            raise ValueError(f"QACM_SEED must be an integer, got {env_seed!r}") from None
     return args
 
 

@@ -33,8 +33,6 @@ from .plane import ci_from_forms, ci_from_line_points, make_ci_ideal, \
 from .quadric import GluingData, RankOneSheaf, diagonal_gluing, identity_gluing, \
     make_kernel_sheaf, upper_gluing
 
-MAX_DEPTH = 32
-
 
 class DescriptorParseError(Exception):
     def __init__(self, message: str, line: int, col: int, expected=()):
@@ -171,6 +169,11 @@ class _Parser:
     def error(self, message, expected=()):
         kind, text, (line, col) = self.peek()
         raise DescriptorParseError(message, line, col, expected)
+
+    def expect_end(self):
+        kind, text, _ = self.peek()
+        if kind != "EOF":
+            self.error(f"trailing input {text!r}")
 
     def expect_punct(self, ch):
         kind, text, _ = self.peek()
@@ -320,9 +323,7 @@ class _Parser:
         self.expect_name(key)
         self.expect_punct("=")
 
-    def parse_sheaf(self, depth: int = 0):
-        if depth > MAX_DEPTH:
-            self.error("nesting too deep")
+    def parse_sheaf(self):
         kind, text, _ = self.peek()
         if kind != "NAME":
             self.error(f"got {text!r}" if text else "unexpected end of input",
@@ -374,12 +375,10 @@ class _Parser:
             self.advance()
             self.expect_punct("(")
             self._parse_keyed("F1")
-            f1 = self.parse_sheaf(depth + 1)
-            self._check_kernel_child(f1)
+            f1 = self._parse_kernel_child()
             self.expect_punct(",")
             self._parse_keyed("F2")
-            f2 = self.parse_sheaf(depth + 1)
-            self._check_kernel_child(f2)
+            f2 = self._parse_kernel_child()
             self.expect_punct(",")
             self._parse_keyed("e")
             e = self.parse_gluing()
@@ -404,9 +403,13 @@ class _Parser:
             return DRankOne(side, a, b)
         self.error(f"got {text!r}", expected=("O", "I", "G", "K", "R1"))
 
-    def _check_kernel_child(self, node):
-        if not isinstance(node, (DLBSum, DIdeal, DExt)):
+    def _parse_kernel_child(self):
+        """A plane sheaf; refusing K and R1 before descending bounds the
+        nesting depth at one."""
+        kind, text, _ = self.peek()
+        if kind == "NAME" and text in ("K", "R1"):
             self.error("kernel components must be sheaves on a single plane")
+        return self.parse_sheaf()
 
 
 def parse(text: str):
@@ -415,9 +418,7 @@ def parse(text: str):
         raise DescriptorParseError("input must be a string", 1, 1)
     p = _Parser(text)
     node = p.parse_sheaf()
-    kind, tok, (line, col) = p.peek()
-    if kind != "EOF":
-        raise DescriptorParseError(f"trailing input {tok!r}", line, col)
+    p.expect_end()
     return node
 
 
@@ -509,12 +510,18 @@ def parse_and_build(text: str):
     return build(parse(text))
 
 
+def parse_gluing(text: str) -> GluingData:
+    """Parse and build a lone gluing: "id", "diag(a,d)" or "upper(a,d,form)"."""
+    p = _Parser(text)
+    node = p.parse_gluing()
+    p.expect_end()
+    return _build_gluing(node)
+
+
 def parse_ambient_form(text: str) -> Form:
     """Standalone parser for forms in (x, y, z, w), used by the matrix-
     factorization file interface."""
     p = _Parser(text)
     f = p.parse_form(4)
-    kind, tok, (line, col) = p.peek()
-    if kind != "EOF":
-        raise DescriptorParseError(f"trailing input {tok!r}", line, col)
+    p.expect_end()
     return f

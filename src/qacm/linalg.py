@@ -314,9 +314,3 @@ def kernel_basis(m: RatMatrix) -> Subspace:
 def kernel_dim(m: RatMatrix) -> int:
     return m.cols - rank(m)
 
-
-def image_dim_of_composite(a: RatMatrix, restricted_to: Subspace) -> int:
-    """dim(a restricted to the given subspace of its source)."""
-    if restricted_to.ambient_dim != a.cols:
-        raise ValueError("dimension mismatch: subspace ambient dim != matrix cols")
-    return rank(a @ restricted_to.basis)

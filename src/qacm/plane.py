@@ -29,8 +29,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import InternalCheckError
-from .linalg import (QQ, RatMatrix, hstack, image_dim_of_composite,
-                     kernel_basis, kernel_dim, rank, vstack)
+from .linalg import QQ, RatMatrix, hstack, kernel_basis, kernel_dim, rank, vstack
 from .monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_zero_free,
                         cohomology_dim, euler_char_p2, multiplication_matrix,
                         restriction_matrix, restrict_to_line as form_on_line)
@@ -453,10 +452,6 @@ class Trivialization:
     def c(self) -> int:
         return self.degrees[0] - self.degrees[-1]
 
-    @property
-    def shift(self) -> int:
-        return -self.degrees[-1]
-
 
 def _line_presentation(sheaf):
     pres = sheaf.presentation()
@@ -590,19 +585,6 @@ def trivialized_restriction_matrix(sheaf, triv: Trivialization, t: int) -> RatMa
                     for e, row in zip(triv.degrees, triv.rows)])
 
 
-@dataclass(frozen=True)
-class LineRestriction:
-    """Restriction data of F(t) to L: explicit H0/H1 models of F|_L(t) in
-    trivialized coordinates, the H0-level restriction matrix (on sections of
-    the free cover of F), and the dimension of ker(H1(F(t)) -> H1(F|_L(t)))."""
-
-    t: int
-    h0_pieces: tuple
-    h1_pieces: tuple
-    matrix: RatMatrix
-    h1_kernel_dim: int
-
-
 def h1_restriction_kernel_dim(sheaf, t: int) -> int:
     """dim ker(H1(F(t)) -> H1(F|_L(t))) = dim of the image of multiplication
     by u: H1(F(t-1)) -> H1(F(t)), computed on the H2-level kernel model."""
@@ -614,39 +596,7 @@ def h1_restriction_kernel_dim(sheaf, t: int) -> int:
     if ker.dim == 0:
         return 0
     u_mult = multiplication_matrix(U, basis(P2, 2, b + t - 1))
-    return image_dim_of_composite(u_mult, ker)
-
-
-def _trivialize_rank1_ideal(sheaf: CIIdealSheaf) -> Trivialization:
-    """I_Z(m)|_L for Z disjoint from L is the line bundle O_L(m); one hom row."""
-    fl1, fl2 = form_on_line(sheaf.ci.f1), form_on_line(sheaf.ci.f2)
-    if not binary_forms_common_zero_free([fl1, fl2]):
-        raise ValueError("restriction has torsion along L and no torsion-aware model")
-    (m,) = _splitting_degrees(sheaf)
-    for row in _hom_row_candidates(sheaf, m):
-        if _rows_surjective([row]):
-            for t in range(-m - 4, 5):
-                if cohomology_dim(P1, 0, m + t) != line_h0_dim(sheaf, t):
-                    raise InternalCheckError(
-                        "trivialized model disagrees with presentation dimensions")
-            return Trivialization((m,), (row,))
-    raise InternalCheckError("no trivializing row for a line-bundle restriction")
-
-
-def restrict_to_line(sheaf, t: int) -> LineRestriction:
-    if isinstance(sheaf, CIIdealSheaf):
-        triv = _trivialize_rank1_ideal(sheaf)
-    elif isinstance(sheaf, SplitBundle) and sheaf.rank != 2:
-        rows = tuple(tuple(Form.constant(2, 1) if i == j else Form.zero(2)
-                           for j in range(sheaf.rank)) for i in range(sheaf.rank))
-        triv = Trivialization(sheaf.twists, rows)
-    else:
-        triv = trivialize_on_line(sheaf)
-    h0_pieces = tuple(basis(P1, 0, e + t) for e in triv.degrees)
-    h1_pieces = tuple(basis(P1, 1, e + t) for e in triv.degrees)
-    return LineRestriction(t, h0_pieces, h1_pieces,
-                           trivialized_restriction_matrix(sheaf, triv, t),
-                           h1_restriction_kernel_dim(sheaf, t))
+    return rank(u_mult @ ker.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -695,25 +645,11 @@ def recover_subscheme(g: ExtensionBundle) -> CISubscheme:
     return ci_from_forms(minors[0], minors[1])
 
 
-def ideal_piece_matrix(ci: CISubscheme, d: int) -> RatMatrix:
-    return _ideal_piece_matrix(ci.f1, ci.f2, d)
-
-
 def ideals_match(a: CISubscheme, b: CISubscheme, up_to: int) -> bool:
     """Equality of the graded pieces of the two ideals in all degrees <= up_to."""
     for d in range(0, up_to + 1):
-        ma, mb = ideal_piece_matrix(a, d), ideal_piece_matrix(b, d)
+        ma, mb = _ideal_piece_matrix(a.f1, a.f2, d), _ideal_piece_matrix(b.f1, b.f2, d)
         ra, rb = rank(ma), rank(mb)
         if ra != rb or rank(hstack(ma, mb)) != ra:
             return False
     return True
-
-
-def ideal_contains(ci: CISubscheme, f: Form) -> bool:
-    d = f.degree
-    m = ideal_piece_matrix(ci, d)
-    vec = [{} for _ in range(m.rows)]
-    idx = basis(P2, 0, d).index()
-    for e, c in f.terms:
-        vec[idx[e]] = {0: c}
-    return rank(hstack(m, RatMatrix.from_dicts(m.rows, 1, vec))) == rank(m)

@@ -9,14 +9,20 @@ rank-2 bundle on the other plane whose restriction to L also splits as
 O_L(c) + O_L, and the two restrictions are glued by an isomorphism e of
 O_L(c) + O_L (identity, diagonal, or upper triangular).
 
-Cohomology of K(t) comes from the long exact sequence.  h1 is computed two
-independent ways and cross-checked at every twist:
+Cohomology of K(t) comes from the long exact sequence, one row (h0, h1, h2)
+per twist (``coh_row``).  h1 is computed two independent ways and
+cross-checked at every twist:
 
 * fast path: h1(K(t)) equals the dimension of the image of multiplication
   by u on H1(F_other(t-1)) -> H1(F_other(t)) (the kernel of the H1-level
   restriction of the non-split side), computed on the dual-monomial model;
 * full path: coker of the assembled H0-level matrix plus the kernel of the
   H1-level restriction computed by a zig-zag through the presentation.
+
+h2 comes from the H1-level restriction as well: the cokernel of
+H1(F_other(t)) -> H1(O_L(c+t) + O_L(t)) plus h2 of the two components.  It
+does not use the Euler characteristic, so the check chi = h0 - h1 + h2 of
+every row compares two routes and can fail.
 
 Rank-one sheaves (extension of a line bundle on one plane by a line bundle
 on the other) are handled by closed dimension formulas: the connecting maps
@@ -40,7 +46,6 @@ from .plane import (CohRow, CohTable, SplitBundle, Trivialization, chern,
                     make_split_bundle, relation_h0_matrix, relation_h2_kernel,
                     trivialize_on_line, trivialized_restriction_matrix)
 
-U_FORM = Form.variable(3, "u")
 AMBIENT_LINEAR = tuple(Form.variable(4, n) for n in ("x", "y", "z", "w"))
 
 
@@ -98,11 +103,7 @@ class KernelSheaf:
     c: int
     triv_split: Trivialization
     triv_other: Trivialization
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def split_side(self) -> int:
-        return self.split.side
+    _cache: dict = field(default_factory=dict, repr=False)   # t -> CohRow
 
 
 def make_kernel_sheaf(f_split: SplitBundle, f_other, e: GluingData = None) -> KernelSheaf:
@@ -145,34 +146,9 @@ def _gluing_matrix(k: KernelSheaf, t: int) -> RatMatrix:
 def _assembled_matrix(k: KernelSheaf, t: int) -> RatMatrix:
     """H0-level matrix of (e o restriction of F_split, -restriction of F_other)
     on sections of the two free covers, into the trivialized model of F|_L(t)."""
-    key = ("U", t)
-    if key not in k._cache:
-        r_s = trivialized_restriction_matrix(k.split, k.triv_split, t)
-        r_o = trivialized_restriction_matrix(k.other, k.triv_other, t)
-        k._cache[key] = hstack(_gluing_matrix(k, t) @ r_s, -r_o)
-    return k._cache[key]
-
-
-def _other_relation_rank_h0(k: KernelSheaf, t: int) -> int:
-    key = ("relrank", t)
-    if key not in k._cache:
-        k._cache[key] = rank(relation_h0_matrix(k.other, t))
-    return k._cache[key]
-
-
-def _assembled_rank(k: KernelSheaf, t: int) -> int:
-    key = ("Urank", t)
-    if key not in k._cache:
-        k._cache[key] = rank(_assembled_matrix(k, t))
-    return k._cache[key]
-
-
-def h0(k: KernelSheaf, t: int) -> int:
-    key = ("h0", t)
-    if key not in k._cache:
-        u = _assembled_matrix(k, t)
-        k._cache[key] = (u.cols - _assembled_rank(k, t)) - _other_relation_rank_h0(k, t)
-    return k._cache[key]
+    r_s = trivialized_restriction_matrix(k.split, k.triv_split, t)
+    r_o = trivialized_restriction_matrix(k.other, k.triv_other, t)
+    return hstack(_gluing_matrix(k, t) @ r_s, -r_o)
 
 
 def _u_lift_matrix(b_twist: int, t: int) -> RatMatrix:
@@ -217,63 +193,58 @@ def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int) -> int:
     return kernel_dim(hstack(a_mat, d_mat)) - kernel_dim(d_mat)
 
 
-def h1(k: KernelSheaf, t: int) -> int:
-    """h1(K(t)); the fast multiplication-image path and the full long-exact-
-    sequence bookkeeping must agree, else an internal error is raised."""
-    key = ("h1", t)
-    if key not in k._cache:
-        fast = h1_restriction_kernel_dim(k.other, t)
-        u = _assembled_matrix(k, t)
-        coker = u.rows - _assembled_rank(k, t)
-        full = coker + _h1_kernel_of_line_map_full(k, t)
-        if fast != full:
-            raise InternalCheckError(
-                f"LES inconsistency at twist {t}: fast path {fast}, full path {full}")
-        k._cache[key] = fast
-    return k._cache[key]
-
-
 def euler_char(k: KernelSheaf, t: int) -> int:
     line = euler_char_p1(k.c + t) + euler_char_p1(t)
     return plane_euler_char(k.split, t) + plane_euler_char(k.other, t) - line
 
 
-def h2(k: KernelSheaf, t: int) -> int:
-    return euler_char(k, t) - h0(k, t) + h1(k, t)
+def coh_row(k: KernelSheaf, t: int) -> CohRow:
+    """(h0, h1, h2) of K(t), computed once per twist and kept in ``k._cache``.
 
-
-def h2_direct(k: KernelSheaf, t: int) -> int:
-    """Independent route for h2(K(t)): coker of the H1-level restriction plus
-    the top cohomology of the two components."""
+    h1 comes from the fast and the full route, which must agree; h2 is the
+    cokernel of the H1-level restriction plus the top cohomology of the two
+    components, so chi = h0 - h1 + h2 is checked against the Euler
+    characteristic of the sequence.  A disagreement raises InternalCheckError.
+    """
+    row = k._cache.get(t)
+    if row is not None:
+        return row
+    u = _assembled_matrix(k, t)
+    u_rank = rank(u)
+    h0 = u.cols - u_rank - rank(relation_h0_matrix(k.other, t))
+    fast = h1_restriction_kernel_dim(k.other, t)
+    line_kernel = _h1_kernel_of_line_map_full(k, t)
+    full = (u.rows - u_rank) + line_kernel
+    if fast != full:
+        raise InternalCheckError(
+            f"LES inconsistency at twist {t}: fast path {fast}, full path {full}")
     h1_line = cohomology_dim(P1, 1, k.c + t) + cohomology_dim(P1, 1, t)
-    h1_other = plane_cohomology(k.other, 1, t)
-    rank_v = h1_other - _h1_kernel_of_line_map_full(k, t)
-    return (h1_line - rank_v) + plane_cohomology(k.split, 2, t) + plane_cohomology(k.other, 2, t)
+    h1_image = plane_cohomology(k.other, 1, t) - line_kernel
+    h2 = (h1_line - h1_image) + plane_cohomology(k.split, 2, t) + plane_cohomology(k.other, 2, t)
+    row = CohRow(t, h0, fast, h2)
+    chi = euler_char(k, t)
+    if row.chi != chi:
+        raise InternalCheckError(
+            f"chi mismatch in kernel-sheaf table at twist {t}: "
+            f"h0 - h1 + h2 = {row.chi}, Euler characteristic {chi}")
+    k._cache[t] = row
+    return row
 
 
-def cohomology(k: KernelSheaf, i: int, t: int) -> int:
-    if i == 0:
-        return h0(k, t)
-    if i == 1:
-        return h1(k, t)
-    if i == 2:
-        return h2(k, t)
-    raise ValueError("cohomology index must be 0, 1 or 2")
+def h0(k: KernelSheaf, t: int) -> int:
+    return coh_row(k, t).h0
 
 
-def verify_h2(k: KernelSheaf, t: int) -> None:
-    if h2(k, t) != h2_direct(k, t):
-        raise InternalCheckError(f"LES inconsistency in h2 at twist {t}")
+def h1(k: KernelSheaf, t: int) -> int:
+    return coh_row(k, t).h1
+
+
+def h2(k: KernelSheaf, t: int) -> int:
+    return coh_row(k, t).h2
 
 
 def coh_table(k: KernelSheaf, tmin: int, tmax: int) -> CohTable:
-    rows = []
-    for t in range(tmin, tmax + 1):
-        row = CohRow(t, h0(k, t), h1(k, t), h2(k, t))
-        if row.chi != euler_char(k, t):
-            raise InternalCheckError("chi mismatch in kernel-sheaf table")
-        rows.append(row)
-    return CohTable(tuple(rows))
+    return CohTable(tuple(coh_row(k, t) for t in range(tmin, tmax + 1)))
 
 
 # ---------------------------------------------------------------------------

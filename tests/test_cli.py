@@ -194,6 +194,20 @@ def test_mf_verify_invalid_file(tmp_path, capsys):
     assert code == 2 and "invalid pair file" in err
 
 
+@pytest.mark.parametrize("pair, message", [
+    ({"q": "x*y", "A": 5, "B": [["y"]]}, "'A' must be a list of rows"),
+    ([1, 2], "expected a JSON object"),
+    ({"q": 5, "A": [["x"]], "B": [["y"]]}, "'q' must be a form string"),
+    ({"q": "x*y", "A": [["x", "0"], ["0", "y"]], "B": [["y"]]}, "A is 2x2 but B is 1x1"),
+])
+def test_mf_verify_malformed_pair_exit_2(tmp_path, capsys, pair, message):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    code, out, err = run(capsys, ["mf", "verify", "--file", str(path)])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_gluing_report(capsys):
     desc = "K(F1=O(2)+O(0)@H1,F2=G(c=2,k=1,Z=points([0:1:5]),h=auto)@H2,e=id)"
     code, out, _ = run(capsys, ["gluing-report", "--sheaf", desc,
@@ -226,6 +240,23 @@ def test_scan_config_validation(capsys):
     assert code == 2 and "c_max" in err
     code, _, err = run(capsys, ["classify", "--cmax", "2", "--margin", "1"])
     assert code == 2 and "margin" in err
+
+
+def test_cmax_beyond_point_pool_rejected_before_scan(monkeypatch, capsys):
+    def no_scan(config):
+        raise AssertionError("the scan must not start")
+    monkeypatch.setattr("qacm.cli.run_classify", no_scan)
+    for command in ("classify", "ulrich-scan"):
+        code, out, err = run(capsys, [command, "--cmax", "98"])
+        assert code == 2 and out == ""
+        assert "c_max too large" in err and "97" in err
+
+
+def test_env_seed_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("QACM_SEED", "abc")
+    code, out, err = run(capsys, ["classify", "--cmax", "2"])
+    assert code == 2 and out == ""
+    assert "QACM_SEED" in err and "'abc'" in err
 
 
 def test_classify_csv_json_numeric_parity(tmp_path):

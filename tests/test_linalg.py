@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qacm.linalg import (QQ, RatMatrix, Subspace, block_diag, hstack,
-                         image_dim_of_composite, kernel_basis, rank, vstack)
+                         kernel_basis, rank, vstack)
 
 
 def M(rows):
@@ -38,28 +38,6 @@ def test_kernel_proportional():
     k = kernel_basis(M([[1, 2], [2, 4]]))
     assert k.dim == 1
     assert k.basis.column(0) == (QQ(2), QQ(-1))
-
-
-def test_image_dim_identity():
-    s = Subspace(2, M([[1, 0], [0, 1]]))
-    assert image_dim_of_composite(RatMatrix.identity(2), s) == 2
-
-
-def test_image_dim_zero_map():
-    s = Subspace(2, M([[1], [1]]))
-    assert image_dim_of_composite(RatMatrix.zero(2, 2), s) == 0
-
-
-def test_image_dim_projection_kills_subspace():
-    a = M([[1, 0], [0, 0]])
-    s = Subspace(2, M([[0], [1]]))
-    assert image_dim_of_composite(a, s) == 0
-
-
-def test_image_dim_dimension_mismatch():
-    s = Subspace(3, M([[1], [0], [0]]))
-    with pytest.raises(ValueError):
-        image_dim_of_composite(RatMatrix.identity(2), s)
 
 
 def test_subspace_rejects_dependent_basis():

@@ -1,5 +1,7 @@
 import pytest
 
+import qacm.quadric
+from qacm.errors import InternalCheckError
 from qacm.monomials import Form
 from qacm.plane import ci_from_forms, euler_char as plane_euler_char, \
     make_extension_bundle, make_split_bundle
@@ -10,8 +12,7 @@ from qacm.quadric import (RankOneSheaf, acm_check, coh_table,
                           identity_gluing, make_kernel_sheaf,
                           point_extension_kernel, rank_one_cohomology,
                           rank_one_table, restriction_invariants,
-                          split_pair_kernel, ulrich_check, upper_gluing,
-                          verify_h2)
+                          split_pair_kernel, ulrich_check, upper_gluing)
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 
@@ -126,10 +127,36 @@ def test_chi_additivity():
         assert h0(k, t) - h1(k, t) + h2(k, t) == euler_char(k, t)
 
 
-def test_h2_direct_cross_check():
+def test_chi_check_fails_when_h2_route_is_perturbed(monkeypatch):
+    """h2 has its own route (H1-level restriction plus top cohomology), so
+    an error in it breaks chi = h0 - h1 + h2 and the table refuses it."""
     k = collinear_kernel(3, 1)
-    for t in range(-11, 6):
-        verify_h2(k, t)
+    real = qacm.quadric.plane_cohomology
+
+    def off_by_one(sheaf, i, t):
+        return real(sheaf, i, t) + (1 if i == 2 and sheaf is k.split else 0)
+
+    monkeypatch.setattr(qacm.quadric, "plane_cohomology", off_by_one)
+    with pytest.raises(InternalCheckError, match="chi mismatch"):
+        coh_table(k, -3, 0)
+
+
+def test_each_twist_is_assembled_once(monkeypatch):
+    """acm_check then ulrich_check build the assembled matrix once per twist
+    of the window: the two checks share one cohomology row per twist."""
+    calls = []
+    real = qacm.quadric._assembled_matrix
+
+    def counted(k, t):
+        calls.append(t)
+        return real(k, t)
+
+    monkeypatch.setattr(qacm.quadric, "_assembled_matrix", counted)
+    k = collinear_kernel(3, 1)
+    lo, hi = acm_check(k).window
+    ulrich_check(k)
+    assert hi - lo + 1 == 19
+    assert sorted(calls) == list(range(lo, hi + 1))
 
 
 def test_acm_invariant_under_twist():
@@ -141,7 +168,7 @@ def test_acm_invariant_under_twist():
 
 
 def test_les_cross_check_runs_at_every_twist():
-    # h1() raises InternalCheckError if the two routes disagree; a full table
+    # coh_row raises InternalCheckError if the two routes disagree; a full table
     # exercises both routes at each twist.
     table = coh_table(collinear_kernel(2, 1), -9, 5)
     assert all(r.h1 == 0 for r in table.rows)

@@ -27,8 +27,8 @@ from .errors import InternalCheckError
 from .plane import (CohTable, cb_condition_check, coh_table as plane_table,
                     cohomology as plane_cohomology, ideals_match,
                     recover_subscheme)
-from .quadric import (KernelSheaf, RankOneSheaf, acm_check, coh_table as
-                      kernel_table, collinear_extension_kernel,
+from .quadric import (KernelSheaf, RankOneSheaf, acm_check, check_twist_window,
+                      coh_table as kernel_table, collinear_extension_kernel,
                       gluing_variation_report, point_extension_kernel,
                       rank_one_table, restriction_invariants, split_pair_kernel,
                       ulrich_check)
@@ -108,8 +108,6 @@ def cmd_cohomology(args) -> int:
     node = parse(args.sheaf)
     obj = parse_and_build(args.sheaf)
     tmin, tmax = args.tmin, args.tmax
-    if tmin > tmax:
-        raise ValueError("tmin must be <= tmax")
     if isinstance(obj, KernelSheaf):
         table = kernel_table(obj, tmin, tmax)
         kind = "kernel"
@@ -482,6 +480,7 @@ def main(argv=None) -> int:
             args.tmin = -1
         if getattr(args, "tmax", None) is None and args.func is cmd_mf_hilbert:
             args.tmax = 2
+        check_twist_window(getattr(args, "tmin", None), getattr(args, "tmax", None))
         return args.func(args)
     except DescriptorParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

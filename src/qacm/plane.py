@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import InternalCheckError
@@ -131,9 +131,29 @@ class Presentation:
     def rank(self) -> int:
         return len(self.target_twists) - (0 if self.relation_twist is None else 1)
 
+    def on_line(self) -> "Presentation":
+        """The restriction to L: the same twists, the relation with u := 0."""
+        return Presentation(self.target_twists, self.relation_twist,
+                            tuple(form_on_line(f) for f in self.relation))
+
+
+class _Presented:
+    """A plane sheaf's presentation and its restriction to L, each built once
+    per instance: the sheaves are frozen and a ``Presentation`` holds only
+    frozen forms, so every caller can share them.  Equality and hashing stay
+    those of the dataclass fields."""
+
+    @cached_property
+    def presentation(self) -> Presentation:
+        return self._presentation()
+
+    @cached_property
+    def line_presentation(self) -> Presentation:
+        return self.presentation.on_line()
+
 
 @dataclass(frozen=True)
-class SplitBundle:
+class SplitBundle(_Presented):
     side: int
     twists: tuple
 
@@ -141,12 +161,12 @@ class SplitBundle:
     def rank(self) -> int:
         return len(self.twists)
 
-    def presentation(self) -> Presentation:
+    def _presentation(self) -> Presentation:
         return Presentation(self.twists, None, ())
 
 
 @dataclass(frozen=True)
-class CIIdealSheaf:
+class CIIdealSheaf(_Presented):
     """I_Z(m) with Koszul presentation 0 -> O(m-d1-d2) -> O(m-d1)+O(m-d2)."""
 
     side: int
@@ -157,14 +177,14 @@ class CIIdealSheaf:
     def rank(self) -> int:
         return 1
 
-    def presentation(self) -> Presentation:
+    def _presentation(self) -> Presentation:
         d1, d2 = self.ci.degrees
         return Presentation((self.m - d1, self.m - d2), self.m - d1 - d2,
                             (-self.ci.f2, self.ci.f1))
 
 
 @dataclass(frozen=True)
-class ExtensionBundle:
+class ExtensionBundle(_Presented):
     """Rank-2 bundle from 0 -> O(k) -> G -> I_Z(c-k) -> 0 with extension
     class realized by the form h of degree 2k - c + d1 + d2."""
 
@@ -178,7 +198,7 @@ class ExtensionBundle:
     def rank(self) -> int:
         return 2
 
-    def presentation(self) -> Presentation:
+    def _presentation(self) -> Presentation:
         c, k = self.c, self.k
         d1, d2 = self.ci.degrees
         return Presentation((c - k - d1, c - k - d2, k), c - k - d1 - d2,
@@ -202,17 +222,27 @@ def make_ci_ideal(f1: Form, f2: Form, m: int, side: int = 2, points=None) -> CII
 
 
 def no_common_zero(forms) -> bool:
-    """True iff the plane forms have no common zero on P2.  Exact: three (or
-    more) forms with empty zero locus contain a regular sequence, so the
-    quotient vanishes in degree sum(deg) - 2; a common zero keeps every
-    graded piece of the quotient positive."""
-    forms = [f for f in forms]
-    if any(f.is_zero for f in forms):
-        forms = [f for f in forms if not f.is_zero]
-    if not forms:
-        return False
+    """True iff the plane forms have no common zero on P2.
+
+    If one of the forms is ``u`` (a collinear Z = V(u, g) and its extension
+    class), every common zero lies on L = {u = 0}, and a point [0 : v : w]
+    is a common zero iff every restriction f|_L vanishes there.  The answer
+    is then "the restrictions of the other forms have a constant gcd"; if
+    they all restrict to zero the gcd is zero and the answer is False.
+
+    Otherwise the test is a rank: three (or more) forms with empty zero locus
+    contain a regular sequence, so the quotient vanishes in degree
+    sum(deg) - 2; a common zero of two or more forms keeps every graded piece
+    of the quotient positive from that degree on.  A single nonconstant form
+    always has zeros.  Both routes are exact."""
+    forms = list(forms)
+    if U in forms:
+        return binary_forms_common_zero_free([form_on_line(f) for f in forms if f != U])
+    forms = [f for f in forms if not f.is_zero]
     if any(f.degree == 0 for f in forms):
         return True
+    if len(forms) < 2:
+        return False            # no form, or one curve
     d = sum(f.degree for f in forms) - 2
     blocks = [multiplication_matrix(f, basis(P2, 0, d - f.degree)) for f in forms]
     return rank(hstack(*blocks)) == cohomology_dim(P2, 0, d)
@@ -269,24 +299,22 @@ def _mult_block(f: Form, piece: GradedPiece, d_to: int) -> RatMatrix:
     return multiplication_matrix(f, piece)
 
 
-def _relation_matrix(space: str, i: int, targets, b, rel, t: int) -> RatMatrix:
-    """H^i-level matrix of a relation column ``rel``: H^i(O(b+t)) -> sum H^i(O(a+t))."""
-    if b is None:
-        return RatMatrix.zero(sum(cohomology_dim(space, i, a + t) for a in targets), 0)
-    src = basis(space, i, b + t)
-    return vstack(*[_mult_block(f, src, a + t) for f, a in zip(rel, targets)])
+def _relation_matrix(space: str, i: int, pres: Presentation, t: int) -> RatMatrix:
+    """H^i-level matrix of the relation of ``pres``: H^i(O(b+t)) -> sum H^i(O(a+t))."""
+    if pres.relation_twist is None:
+        return RatMatrix.zero(sum(cohomology_dim(space, i, a + t) for a in pres.target_twists), 0)
+    src = basis(space, i, pres.relation_twist + t)
+    return vstack(*[_mult_block(f, src, a + t) for f, a in zip(pres.relation, pres.target_twists)])
 
 
 def relation_h0_matrix(sheaf, t: int) -> RatMatrix:
     """H0-level matrix of the relation at twist t: H0(O(b+t)) -> sum H0(O(a_i+t))."""
-    pres = sheaf.presentation()
-    return _relation_matrix(P2, 0, pres.target_twists, pres.relation_twist, pres.relation, t)
+    return _relation_matrix(P2, 0, sheaf.presentation, t)
 
 
 def relation_h2_matrix(sheaf, t: int) -> RatMatrix:
     """H2-level (dual monomial) matrix of the relation at twist t."""
-    pres = sheaf.presentation()
-    return _relation_matrix(P2, 2, pres.target_twists, pres.relation_twist, pres.relation, t)
+    return _relation_matrix(P2, 2, sheaf.presentation, t)
 
 
 @lru_cache(maxsize=4)
@@ -300,7 +328,7 @@ def relation_h2_kernel(sheaf, t: int) -> tuple:
 
 
 def euler_char(sheaf, t: int) -> int:
-    pres = sheaf.presentation()
+    pres = sheaf.presentation
     chi = sum(euler_char_p2(a + t) for a in pres.target_twists)
     if pres.relation_twist is not None:
         chi -= euler_char_p2(pres.relation_twist + t)
@@ -311,7 +339,7 @@ def cohomology(sheaf, i: int, t: int) -> int:
     """Exact h^i(F(t)) for a presented plane sheaf."""
     if i not in (0, 1, 2):
         raise ValueError("cohomology index must be 0, 1 or 2")
-    pres = sheaf.presentation()
+    pres = sheaf.presentation
     if isinstance(sheaf, SplitBundle):
         return sum(cohomology_dim(P2, i, a + t) for a in sheaf.twists)
     if i == 0:
@@ -453,29 +481,24 @@ class Trivialization:
         return self.degrees[0] - self.degrees[-1]
 
 
-def _line_presentation(sheaf):
-    pres = sheaf.presentation()
-    rel = tuple(form_on_line(f) for f in pres.relation)
-    return pres.target_twists, pres.relation_twist, rel
-
-
 def _line_relation_matrix(sheaf, t: int, i: int) -> RatMatrix:
     """H^i-level (i = 0 or 1) matrix of the restricted relation on L."""
-    return _relation_matrix(P1, i, *_line_presentation(sheaf), t)
+    return _relation_matrix(P1, i, sheaf.line_presentation, t)
 
 
 def line_h0_dim(sheaf, t: int) -> int:
     """h0(F|_L(t)) from the restricted presentation (hypercohomology on P1)."""
-    targets, b, rel = _line_presentation(sheaf)
-    total = sum(cohomology_dim(P1, 0, a + t) for a in targets)
-    if b is None:
+    pres = sheaf.line_presentation
+    total = sum(cohomology_dim(P1, 0, a + t) for a in pres.target_twists)
+    if pres.relation_twist is None:
         return total
     return total - rank(_line_relation_matrix(sheaf, t, 0)) + kernel_dim(_line_relation_matrix(sheaf, t, 1))
 
 
 def _splitting_degrees(sheaf) -> tuple:
     """Splitting type of F|_L by successive differences of h0(F|_L(s))."""
-    targets, b, rel = _line_presentation(sheaf)
+    pres = sheaf.line_presentation
+    targets, b = pres.target_twists, pres.relation_twist
     r = sheaf.rank
     deg = sum(targets) - (b if b is not None else 0)
     bound = sum(abs(a) for a in targets) + (abs(b) if b is not None else 0) + abs(deg) + 4
@@ -502,7 +525,8 @@ def _hom_row_candidates(sheaf, e: int):
     """All rows (r_1, ..., r_n) of binary forms, deg r_i = e - a_i, with
     sum r_i * rel_i = 0: the sheaf maps F|_L -> O_L(e).  Returned in the
     deterministic order produced by kernel extraction."""
-    targets, b, rel = _line_presentation(sheaf)
+    pres = sheaf.line_presentation
+    targets, b, rel = pres.target_twists, pres.relation_twist, pres.relation
     col_meta = []
     for i, a in enumerate(targets):
         for m in basis(P1, 0, e - a).basis:
@@ -579,7 +603,7 @@ def trivialize_on_line(sheaf) -> Trivialization:
 def trivialized_restriction_matrix(sheaf, triv: Trivialization, t: int) -> RatMatrix:
     """Matrix of H0(F(t)) -> H0(O_L(c1+t)) + H0(O_L(c2+t)) on presentation
     coordinates (sections of the free cover); the relation's image maps to 0."""
-    twists = sheaf.presentation().target_twists
+    twists = sheaf.presentation.target_twists
     return vstack(*[hstack(*[_mult_block(r, basis(P1, 0, a + t), e + t) @ restriction_matrix(a + t)
                              for a, r in zip(twists, row)])
                     for e, row in zip(triv.degrees, triv.rows)])
@@ -588,7 +612,7 @@ def trivialized_restriction_matrix(sheaf, triv: Trivialization, t: int) -> RatMa
 def h1_restriction_kernel_dim(sheaf, t: int) -> int:
     """dim ker(H1(F(t)) -> H1(F|_L(t))) = dim of the image of multiplication
     by u: H1(F(t-1)) -> H1(F(t)), computed on the H2-level kernel model."""
-    pres = sheaf.presentation()
+    pres = sheaf.presentation
     if pres.relation_twist is None:
         return 0
     b = pres.relation_twist
@@ -628,7 +652,7 @@ def recover_subscheme(g: ExtensionBundle) -> CISubscheme:
         raise ValueError("recovery needs an extension bundle")
     if g.c > 2 * g.k:
         raise ValueError("section not unique")
-    pres = g.presentation()
+    pres = g.presentation
     t = -g.k
     dims = [cohomology_dim(P2, 0, a + t) for a in pres.target_twists]
     if sum(dims) != 1 or cohomology(g, 0, t) != 1:

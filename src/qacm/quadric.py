@@ -180,7 +180,7 @@ def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int) -> int:
     """dim ker(H1(F_other(t)) -> H1(F_other|_L(t))) by the zig-zag through the
     presentation: lift along u, push through the relation at t-1, and kill the
     image of the restricted relation.  Independent of the fast path."""
-    pres = k.other.presentation()
+    pres = k.other.presentation
     if pres.relation_twist is None:
         return 0
     b = pres.relation_twist
@@ -260,7 +260,7 @@ class ACMReport:
 
 
 def acm_window(k: KernelSheaf, margin: int = 8) -> tuple:
-    pres = k.other.presentation()
+    pres = k.other.presentation
     k_bound = max(0, *pres.target_twists)
     return (-k.c - k_bound - margin, 6)
 
@@ -271,7 +271,7 @@ def acm_check(k: KernelSheaf, margin: int = 8) -> ACMReport:
     lo, hi = acm_window(k, margin)
     table = coh_table(k, lo, hi)
     is_acm = all(r.h1 == 0 for r in table.rows)
-    pres = k.other.presentation()
+    pres = k.other.presentation
     if pres.relation_twist is None:
         reason = ("both components are split, so their middle cohomology vanishes "
                   "and the H0-level restriction is onto at every twist")
@@ -324,12 +324,21 @@ class GluingVariationRow:
     equal_to_identity: bool
 
 
+def check_twist_window(tmin, tmax) -> None:
+    """Refuse an inverted twist window; a bound that is None is not checked."""
+    if tmin is not None and tmax is not None and tmin > tmax:
+        raise ValueError(f"tmin must be <= tmax, got tmin = {tmin} > tmax = {tmax}")
+
+
 def gluing_variation_report(k: KernelSheaf, gluings, tmin: int = None, tmax: int = None):
     """Cohomology tables of the same (F_split, F_other) pair under different
     gluings.  Diagonal gluings must match the identity (scalar automorphisms
-    lift to the split side); upper rows are reported without assertion."""
-    if tmin is None or tmax is None:
-        tmin, tmax = acm_window(k)
+    lift to the split side); upper rows are reported without assertion.  A
+    missing bound of the twist window is taken from ``acm_window``."""
+    lo, hi = acm_window(k)
+    tmin = lo if tmin is None else tmin
+    tmax = hi if tmax is None else tmax
+    check_twist_window(tmin, tmax)
     base = coh_table(make_kernel_sheaf(k.split, k.other, identity_gluing()), tmin, tmax)
     rows = []
     for g in gluings:
@@ -350,7 +359,7 @@ def _plane_linear_mult(sheaf, side: int, linear: Form, t: int) -> RatMatrix:
     """Multiplication by the restriction of an ambient linear form on the
     sections of the free cover of a plane sheaf: twist t -> t + 1."""
     f3 = restrict_to_plane(linear, side)
-    pres = sheaf.presentation()
+    pres = sheaf.presentation
     blocks = []
     for a in pres.target_twists:
         src = basis(P2, 0, a + t)

@@ -219,6 +219,42 @@ def test_gluing_report(capsys):
     assert all(g["equal_to_identity"] for g in payload["gluings"][:2])
 
 
+GLUING_DESC = "K(F1=O(2)+O(0)@H1,F2=G(c=2,k=1,Z=points([0:1:5]),h=auto)@H2,e=id)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--sheaf", "O(1)+O(0)@H1", "--tmin", "2", "--tmax", "1"],
+    ["mf", "hilbert", "--tmin", "3", "--tmax", "1"],
+    ["mf", "hilbert", "--tmin", "3"],                    # default tmax is 2
+    ["gluing-report", "--sheaf", GLUING_DESC, "--e", "id", "--tmin", "2", "--tmax", "1"],
+    ["gluing-report", "--sheaf", GLUING_DESC, "--e", "id", "--tmin", "7"],     # window ends at 6
+    ["gluing-report", "--sheaf", GLUING_DESC, "--e", "id", "--tmax", "-12"],   # starts at -11
+])
+def test_inverted_twist_window_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv + ["--no-timestamp"])
+    assert code == 2 and out == ""
+    assert "tmin must be <= tmax" in err
+
+
+def test_inverted_twist_window_from_config_exit_2(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"tmin": 3, "tmax": 1}))
+    code, out, err = run(capsys, ["mf", "hilbert", "--config", str(conf)])
+    assert code == 2 and out == "" and "tmin must be <= tmax" in err
+
+
+@pytest.mark.parametrize("bounds, window", [
+    (["--tmin", "3"], (3, 6)),
+    (["--tmax", "-9"], (-11, -9)),
+])
+def test_gluing_report_fills_only_the_missing_bound(capsys, bounds, window):
+    code, out, _ = run(capsys, ["gluing-report", "--sheaf", GLUING_DESC, "--e", "id",
+                                "--no-timestamp"] + bounds)
+    assert code == 0
+    ts = [r["t"] for r in json.loads(out)["gluings"][0]["rows"]]
+    assert ts == list(range(window[0], window[1] + 1))
+
+
 def test_gluing_report_needs_kernel(capsys):
     code, _, err = run(capsys, ["gluing-report", "--sheaf", "O(1)+O(0)@H1", "--e", "id"])
     assert code == 2 and "kernel" in err

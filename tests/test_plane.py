@@ -6,14 +6,17 @@ package uses, so the two are genuinely independent."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qacm.monomials import Form, P2, cohomology_dim, h0_exponents
-from qacm.plane import (cb_condition_check, chern, ci_from_forms,
-                        ci_from_line_points, coh_table, cohomology, euler_char,
-                        h0_ideal_of_points, h1_restriction_kernel_dim,
+from qacm.plane import (ExtensionBundle, Presentation, cb_condition_check, chern,
+                        ci_from_forms, ci_from_line_points, coh_table, cohomology,
+                        euler_char, h0_ideal_of_points, h1_restriction_kernel_dim,
                         ideals_match, make_ci_ideal, make_extension_bundle,
-                        make_split_bundle, recover_subscheme,
+                        make_split_bundle, no_common_zero, recover_subscheme,
                         trivialize_on_line, trivialized_restriction_matrix)
+from qacm.quadric import acm_check, collinear_extension_kernel
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 QQ = Fraction
@@ -283,6 +286,67 @@ def test_chern_needs_rank_two():
 
 
 # ---------------------------------------------------------------------------
+# local freeness: the collinear gcd shortcut against the rank route
+
+
+_LINE_POINTS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, 3)]
+
+
+@st.composite
+def _plane_form(draw, d):
+    """A plane form of degree d with small integer coefficients (may be zero)."""
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=cohomology_dim(P2, 0, d),
+                           max_size=cohomology_dim(P2, 0, d)))
+    return Form.from_dict(3, dict(zip(h0_exponents(3, d), coeffs)))
+
+
+@st.composite
+def _collinear_case(draw):
+    """A collinear Z = V(u, g) on L and a candidate extension class h: random,
+    a multiple of u, a multiple of a linear factor of g, or a mix of these."""
+    pts = draw(st.lists(st.sampled_from(_LINE_POINTS), min_size=1, max_size=3, unique=True))
+    mults = draw(st.lists(st.integers(1, 2), min_size=len(pts), max_size=len(pts)))
+    ci = ci_from_line_points(list(zip(pts, mults)))
+    d = draw(st.integers(0, 3))
+    h = draw(_plane_form(d))
+    if d >= 1:
+        if draw(st.booleans()):
+            h = h + u * draw(_plane_form(d - 1))
+        if draw(st.booleans()):
+            pv, pw = draw(st.sampled_from(pts))
+            factor = pw * v - pv * w             # vanishes at [0 : pv : pw] in Z
+            h = draw(st.sampled_from([Form.zero(3), h])) + factor * draw(_plane_form(d - 1))
+    return ci, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(_collinear_case())
+@example((ci_from_line_points([((1, 0), 2)]), w * w))          # shares the root [0:1:0]
+@example((ci_from_line_points([((1, 0), 1), ((1, 2), 1)]), u * v))  # a multiple of u
+@example((ci_from_line_points([((0, 1), 1)]), Form.constant(3, 3)))
+def test_collinear_gcd_shortcut_agrees_with_rank_route(case):
+    """With u among the forms, no_common_zero decides on L by a gcd; 2u is not
+    u, so the same question with 2u goes through the rank test."""
+    ci, h = case
+    assert ci.f1 == u
+    assert no_common_zero([ci.f1, ci.f2, h]) == no_common_zero([2 * u, ci.f2, h])
+
+
+@pytest.mark.parametrize("others", [[], [u * v], [Form.zero(3), u * w * w]])
+def test_forms_vanishing_on_line_have_common_zero(others):
+    """Forms that all vanish on L: every restriction is zero, so the gcd is
+    zero and the shortcut must answer False, as the rank route does."""
+    assert not no_common_zero([u] + others)
+    assert not no_common_zero([2 * u] + others)
+
+
+def test_single_nonconstant_form_has_zeros():
+    assert not no_common_zero([v + w, Form.zero(3)])
+    assert not no_common_zero([v * w])
+    assert no_common_zero([Form.constant(3, 2), v])
+
+
+# ---------------------------------------------------------------------------
 # restriction to L and trivialization
 
 
@@ -302,6 +366,33 @@ def test_trivialize_split_needs_normalization():
     triv = trivialize_on_line(make_split_bundle(1, (5, 2)))
     assert triv.degrees == (5, 2)
     assert triv.c == 3
+
+
+def test_each_presentation_is_built_once(monkeypatch):
+    """The presentation of a plane sheaf and its restriction to L are built
+    once per sheaf instance, however many routes read them."""
+    built, restricted = [], []
+    build, on_line = ExtensionBundle._presentation, Presentation.on_line
+
+    def counting_build(self):
+        built.append(self)
+        return build(self)
+
+    def counting_on_line(self):
+        restricted.append(self)
+        return on_line(self)
+
+    monkeypatch.setattr(ExtensionBundle, "_presentation", counting_build)
+    monkeypatch.setattr(Presentation, "on_line", counting_on_line)
+    k = collinear_extension_kernel(3, 1, [((1, 1), 1), ((1, 2), 1)])
+    g = k.other
+    trivialize_on_line(g)
+    coh_table(g, -6, 2)
+    acm_check(k)
+    assert len(built) == 1 and built[0] is g
+    assert sum(p is g.presentation for p in restricted) == 1
+    # the list keeps every presentation alive, so distinct ids are distinct objects
+    assert len({id(p) for p in restricted}) == len(restricted)
 
 
 def test_trivialize_rejects_rank_one():

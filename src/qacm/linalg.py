@@ -8,12 +8,26 @@ whole), so equal matrices compare equal.  Most cohomology-level matrices here
 are monomial maps with a handful of nonzeros per column, and builders write
 this form directly.
 
-Rank and kernel are computed by fraction-free elimination on the stored rows
-(scaling rows changes neither), with unpivoted rows indexed by their leading
-column.  Pivoting is deterministic: smallest unprocessed column, then the row
-with the fewest nonzeros, then the smallest row index, so identical inputs
-always produce identical bases.  The public accessors (``entry``, ``row``,
-``column``, ``apply``) return ``fractions.Fraction`` values.
+Rank and kernel are computed in two stages on the stored rows, which are
+never changed.  First a singleton peel (the first step of structured Gaussian
+elimination): a row with one nonzero, at column j, forces coordinate j of
+every kernel vector to zero, so j is a pivot column; j is dropped from every
+row and the peel repeats until no singleton is left.  The dual multiplication
+block of a monomial relation form has one nonzero per row, so on H2-level
+relation matrices most rows go this way.  Then fraction-free elimination of
+the remaining core (scaling rows changes neither rank nor kernel), with
+unpivoted rows indexed by their leading column.  Pivoting is deterministic:
+smallest unprocessed column, then the row with the fewest nonzeros, then the
+smallest row index.
+
+``kernel_basis`` returns the reduced-echelon basis: one primitive integer
+vector per non-pivot column, with 1 there and 0 in the other non-pivot
+columns, first nonzero positive.  That basis depends only on which columns
+are pivots (column j is one exactly when it is not a combination of the
+columns before it), and a peeled column always is one, so the peel changes
+no basis, and identical inputs always produce identical bases.  The public
+accessors (``entry``, ``row``, ``column``, ``apply``) return
+``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
@@ -208,15 +222,56 @@ def _strip(row: dict) -> dict:
     return row if g == 1 else {j: v // g for j, v in row.items()}
 
 
+def _peel(rows, cols: int):
+    """Singleton peel ahead of the pivot loop.  A row with one nonzero, at
+    column j, forces coordinate j of every kernel vector to zero, so j is a
+    pivot column whatever the other rows hold: drop j from every row and repeat
+    until no row is a singleton.  Returns the set of peeled columns and the
+    remaining (core) rows without their peeled entries; rows that had none are
+    passed on as they are, and no input row is changed.
+
+    ``left[i]`` counts row i's entries in unpeeled columns and a work stack
+    holds the rows whose count has fallen to 1.  A count only falls, so each
+    row is a singleton once and the peel is linear in the nonzeros.
+    """
+    stack = [i for i, r in enumerate(rows) if len(r) == 1]
+    if not stack:
+        return set(), rows
+    left = list(map(len, rows))
+    where = [[] for _ in range(cols)]
+    for i, r in enumerate(rows):
+        for j in r:
+            where[j].append(i)
+    peeled = set()
+    while stack:
+        i = stack.pop()
+        if left[i] != 1:
+            continue
+        for j in rows[i]:
+            if j not in peeled:
+                break
+        peeled.add(j)
+        for k in where[j]:
+            left[k] -= 1
+            if left[k] == 1:
+                stack.append(k)
+    core = [r if n == len(r) else {j: v for j, v in r.items() if j not in peeled}
+            for r, n in zip(rows, left) if n]
+    return peeled, core
+
+
 def _eliminate(rows, cols: int):
-    """Forward elimination (r := p*r - f*piv on each affected row) of the int
-    row dicts ``rows``, which are left unchanged; returns the pivot list
-    [(pivot_col, pivot_row_dict)] in increasing column order.
+    """Peel the singleton rows of the int row dicts ``rows`` (``_peel``), then
+    run forward elimination (r := p*r - f*piv on each affected row) on the
+    core; ``rows`` are left unchanged.  Returns the set of peeled columns and
+    the core pivot list [(pivot_col, pivot_row_dict)] in increasing column
+    order; both kinds of column are pivot columns.
 
     Invariant: rows still unpivoted have zero entries in every processed
     column, so the rows with a nonzero in the current column are exactly the
     unpivoted rows led by it; ``lead`` indexes them by leading column.
     """
+    peeled, rows = _peel(rows, cols)
     rows = list(rows)
     lead = {}
     for i, r in enumerate(rows):
@@ -249,12 +304,13 @@ def _eliminate(rows, cols: int):
                 rows[i] = new
                 lead.setdefault(min(new), []).append(i)
         pivots.append((col, piv))
-    return pivots
+    return peeled, pivots
 
 
 def rank(m: RatMatrix) -> int:
     """Exact rank; deterministic."""
-    return len(_eliminate(m.data, m.cols))
+    peeled, pivots = _eliminate(m.data, m.cols)
+    return len(peeled) + len(pivots)
 
 
 @dataclass(frozen=True)
@@ -281,16 +337,17 @@ def kernel_basis(m: RatMatrix) -> Subspace:
     Basis vectors are primitive integer vectors (first nonzero positive), one
     per free column in increasing column order.
     """
-    pivots = _eliminate(m.data, m.cols)
+    peeled, pivots = _eliminate(m.data, m.cols)
     pivot_cols = [c for c, _ in pivots]
-    pivot_set = set(pivot_cols)
+    pivot_set = peeled.union(pivot_cols)
     out = [{} for _ in range(m.cols)]
     j = 0
     for fcol in range(m.cols):
         if fcol in pivot_set:
             continue
         # back-substitute in integers: v is the kernel vector with v[fcol] = 1,
-        # scaled to stay integral; pivot rows at or after fcol cannot reach it
+        # scaled to stay integral.  Only core pivots enter: peeled coordinates
+        # are zero, and pivot rows at or after fcol cannot reach it
         v = {fcol: 1}
         for k in range(bisect_left(pivot_cols, fcol) - 1, -1, -1):
             col, prow = pivots[k]

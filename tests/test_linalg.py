@@ -45,6 +45,19 @@ def test_subspace_rejects_dependent_basis():
         Subspace(2, M([[1, 2], [2, 4]]))
 
 
+# the peel settles the first row of each dependent basis but not the rest
+@pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 1], [0, 1, 1]], [[1, 0], [0, 0]]])
+def test_subspace_rejects_partly_peeled_dependent_basis(rows):
+    with pytest.raises(ValueError):
+        Subspace(len(rows), M(rows))
+
+
+def test_subspace_accepts_kernel_basis():
+    k = kernel_basis(M([[1, 2, 0, 1], [0, 0, 1, 3], [2, 4, 1, 5]]))
+    assert k.dim == 2
+    Subspace(4, k.basis)
+
+
 def test_empty_matrices():
     e = RatMatrix.zero(0, 3)
     assert rank(e) == 0
@@ -87,6 +100,24 @@ def matrices(draw, max_dim=5):
     c = draw(st.integers(0, max_dim))
     data = tuple(tuple(draw(entry) for _ in range(c)) for _ in range(r))
     return RatMatrix.from_rows(data) if r else RatMatrix.zero(0, c)
+
+
+@st.composite
+def peelable(draw):
+    """A matrix under a block of singleton rows, so the peel drops columns
+    from the other rows."""
+    m = draw(matrices())
+    cols = draw(st.lists(st.integers(0, m.cols - 1), unique=True)) if m.cols else []
+    return vstack(RatMatrix.from_dicts(len(cols), m.cols, [{j: 1} for j in cols]), m)
+
+
+@given(peelable())
+@settings(max_examples=120, deadline=None)
+def test_elimination_leaves_input_rows_alone(m):
+    before = [dict(r) for r in m.data]
+    rank(m)
+    kernel_basis(m)
+    assert [dict(r) for r in m.data] == before
 
 
 @given(matrices())

@@ -53,6 +53,11 @@ class ScanConfig:
             seeded_line_values(self.point_seed, self.c_max)
         except ValueError as exc:
             raise ValueError(f"c_max too large: {exc}") from None
+        # the deepest scan window is the split pair's at c = c_max (acm_window)
+        try:
+            check_twist_window(-2 * self.c_max - self.window_margin, 6)
+        except ValueError as exc:
+            raise ValueError(f"margin {self.window_margin} at c_max {self.c_max}: {exc}") from None
 
 
 def seeded_line_values(seed: int, count: int):
@@ -325,6 +330,9 @@ def cmd_mf_verify(args) -> int:
 
 
 def cmd_mf_hilbert(args) -> int:
+    if args.tmax > mfmod.MAX_HILBERT_TWIST:
+        raise ValueError(f"twist {args.tmax} is beyond the mf hilbert limit "
+                         f"t <= {mfmod.MAX_HILBERT_TWIST}")
     a = mfmod.ulrich_example_matrix(args.component)
     rows = [(t, mfmod.cokernel_hilbert(a, t)) for t in range(args.tmin, args.tmax + 1)]
     payload = {
@@ -482,10 +490,7 @@ def main(argv=None) -> int:
             args.tmax = 2
         check_twist_window(getattr(args, "tmin", None), getattr(args, "tmax", None))
         return args.func(args)
-    except DescriptorParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (DescriptorParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:

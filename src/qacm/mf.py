@@ -24,6 +24,9 @@ from .monomials import Form, h0_exponents, monomial_multiplication_matrix
 
 X4, Y4, Z4, W4 = (Form.variable(4, n) for n in ("x", "y", "z", "w"))
 Q_DEFAULT = X4 * Y4
+# Largest twist of `qacm mf hilbert`: cokernel_hilbert's matrix has n h0(O_P3(t))
+# rows, so cost grows as t^3 (0.45 s, 55 MB at t = 40, n = 4, 2-vCPU Xeon).
+MAX_HILBERT_TWIST = 40
 
 
 def form_matrix(rows) -> tuple:

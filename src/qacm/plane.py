@@ -31,7 +31,8 @@ from math import gcd
 from .errors import InternalCheckError
 from .linalg import QQ, RatMatrix, hstack, kernel_basis, kernel_dim, rank, vstack
 from .monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_zero_free,
-                        cohomology_dim, euler_char_p2, multiplication_matrix,
+                        cohomology_dim, dual_exponents, euler_char_p2,
+                        monomial_multiplication_matrix, multiplication_matrix,
                         restriction_matrix, restrict_to_line as form_on_line)
 
 U = Form.variable(3, "u")
@@ -317,14 +318,44 @@ def relation_h2_matrix(sheaf, t: int) -> RatMatrix:
     return _relation_matrix(P2, 2, sheaf.presentation, t)
 
 
+def dual_prefix(d: int, depth) -> tuple:
+    """The dual monomials of H2(O(d)) of u-exponent -1, ..., -depth, which
+    reverse-lex order lists first, in basis order; None means all of them."""
+    if depth is None:
+        return dual_exponents(3, d)
+    return tuple((-j,) + e for j in range(1, depth + 1) for e in dual_exponents(2, d + j))
+
+
+def relation_h2_prefix_matrix(pres: Presentation, t: int, src: tuple, depth) -> RatMatrix:
+    """The H2-level relation at twist t on the dual monomials ``src`` of degree
+    b + t, into the depth prefix of each target summand, which holds every product."""
+    return vstack(*[monomial_multiplication_matrix(f, src, dual_prefix(a + t, depth), True)
+                    for f, a in zip(pres.relation, pres.target_twists)])
+
+
 @lru_cache(maxsize=4)
 def relation_h2_kernel(sheaf, t: int) -> tuple:
-    """``(relation_h2_matrix(sheaf, t), its kernel)``, computed once per
-    (sheaf, t): h1 and h2 of the sheaf and both h1 routes of a kernel sheaf
-    (the fast one at t + 1, the full one at t) share them.  Plane sheaves are
-    frozen, so they key this bounded memo."""
-    m = relation_h2_matrix(sheaf, t)
-    return m, kernel_basis(m)
+    """``(depth, kernel)``: the kernel of ``relation_h2_matrix(sheaf, t)``,
+    whose vectors vanish off ``dual_prefix(b + t, depth)``, by rows on that prefix;
+    computed once per (sheaf, t) for h1, h2 and both h1 routes of a kernel
+    sheaf.  depth is None (the whole basis) unless a relation form is c*u:
+
+    * Exact.  If form i is c*u, a dual monomial (a, v, w) with a <= -2 maps
+      to c*(a+1, v, w) in summand i, a row no other monomial reaches; the
+      singleton row makes the column a pivot, zero in every kernel vector.  On
+      the u-exponent -1 columns each form acts by its restriction to L (u
+      contracts them to zero) into u-exponent -1 rows: the block is the
+      H1-level relation on L at t + 1, i.e. 0 -> F(-1) -> F -> F|_L -> 0.
+    * Bit-identical.  The reduced-echelon basis of ``kernel_basis`` depends
+      only on the pivot columns, j being one when it is no combination of
+      the columns before it.  The columns before a prefix column lie in the
+      prefix, so it is a pivot of the block exactly when it is one of the
+      whole matrix, and every later column is a pivot.  The block kernel,
+      padded with zeros, is the whole kernel vector for vector.
+    """
+    if any([e for e, _ in f.terms] == [(1, 0, 0)] for f in sheaf.presentation.relation):
+        return 1, kernel_basis(_line_relation_matrix(sheaf, t + 1, 1))
+    return None, kernel_basis(relation_h2_matrix(sheaf, t))
 
 
 def euler_char(sheaf, t: int) -> int:
@@ -345,7 +376,7 @@ def cohomology(sheaf, i: int, t: int) -> int:
     if i == 0:
         total = sum(cohomology_dim(P2, 0, a + t) for a in pres.target_twists)
         return total - rank(relation_h0_matrix(sheaf, t))
-    m2, ker = relation_h2_kernel(sheaf, t)
+    _, ker = relation_h2_kernel(sheaf, t)
     if i == 1:
         h1 = ker.dim
         if isinstance(sheaf, CIIdealSheaf) and sheaf.ci.is_collinear():
@@ -354,7 +385,7 @@ def cohomology(sheaf, i: int, t: int) -> int:
                 raise InternalCheckError("collinear ideal-sheaf h1 disagrees with its closed form")
         return h1
     total = sum(cohomology_dim(P2, 2, a + t) for a in pres.target_twists)
-    return total - (m2.cols - ker.dim)
+    return total - (cohomology_dim(P2, 2, pres.relation_twist + t) - ker.dim)
 
 
 @dataclass(frozen=True)
@@ -534,14 +565,8 @@ def _hom_row_candidates(sheaf, e: int):
     if b is None:
         vectors = [{j: 1} for j in range(len(col_meta))]
     else:
-        tgt = basis(P1, 0, e - b)
-        rows = [{} for _ in range(tgt.dim)]
-        tindex = tgt.index()
-        for col, (i, m) in enumerate(col_meta):
-            # distinct terms of rel[i] give distinct products: no entry is hit twice
-            for exp, cf in (Form.monomial(2, m) * rel[i]).terms:
-                rows[tindex[exp]][col] = cf
-        ker = kernel_basis(RatMatrix.from_dicts(tgt.dim, len(col_meta), rows))
+        ker = kernel_basis(hstack(*[_mult_block(f, basis(P1, 0, e - a), e - b)
+                                    for f, a in zip(rel, targets)]))
         vectors = ker.basis.transpose().data
     out = []
     for vec in vectors:
@@ -553,17 +578,11 @@ def _hom_row_candidates(sheaf, e: int):
     return out
 
 
-def _rows_surjective(row_list) -> bool:
-    """The combined map sum O(a_i) -> sum O(e_j) given by the rows is onto as
-    a sheaf map iff the maximal minors have no common zero on L."""
-    if len(row_list) == 1:
-        return binary_forms_common_zero_free(list(row_list[0]))
-    n = len(row_list[0])
-    minors = []
-    for i, j in itertools.combinations(range(n), 2):
-        r, s = row_list[0], row_list[1]
-        minors.append(r[i] * s[j] - r[j] * s[i])
-    return binary_forms_common_zero_free(minors)
+def _rows_surjective(r, s) -> bool:
+    """The combined map sum O(a_i) -> O(e_1) + O(e_2) given by the two rows
+    is onto as a sheaf map iff its 2x2 minors have no common zero on L."""
+    return binary_forms_common_zero_free([r[i] * s[j] - r[j] * s[i]
+                                          for i, j in itertools.combinations(range(len(r)), 2)])
 
 
 def trivialize_on_line(sheaf) -> Trivialization:
@@ -582,12 +601,12 @@ def trivialize_on_line(sheaf) -> Trivialization:
             raise InternalCheckError("expected a unique projection to the low factor")
         lo = lo_candidates[0]
         for hi in hi_candidates:
-            if _rows_surjective([hi, lo]):
+            if _rows_surjective(hi, lo):
                 chosen = (hi, lo)
                 break
     else:
         for hi, lo in itertools.combinations(hi_candidates, 2):
-            if _rows_surjective([hi, lo]):
+            if _rows_surjective(hi, lo):
                 chosen = (hi, lo)
                 break
     if chosen is None:
@@ -611,15 +630,15 @@ def trivialized_restriction_matrix(sheaf, triv: Trivialization, t: int) -> RatMa
 
 def h1_restriction_kernel_dim(sheaf, t: int) -> int:
     """dim ker(H1(F(t)) -> H1(F|_L(t))) = dim of the image of multiplication
-    by u: H1(F(t-1)) -> H1(F(t)), computed on the H2-level kernel model."""
-    pres = sheaf.presentation
-    if pres.relation_twist is None:
+    by u: H1(F(t-1)) -> H1(F(t)), on the H2-level kernel and its prefixes."""
+    b = sheaf.presentation.relation_twist
+    if b is None:
         return 0
-    b = pres.relation_twist
-    _, ker = relation_h2_kernel(sheaf, t - 1)
+    depth, ker = relation_h2_kernel(sheaf, t - 1)
     if ker.dim == 0:
         return 0
-    u_mult = multiplication_matrix(U, basis(P2, 2, b + t - 1))
+    u_mult = monomial_multiplication_matrix(U, dual_prefix(b + t - 1, depth),
+                                            dual_prefix(b + t, depth), True)
     return rank(u_mult @ ker.basis)
 
 

@@ -4,8 +4,9 @@ import json
 import pytest
 
 import qacm.quadric
-from qacm.cli import classify_pairs, main, seeded_line_values
+from qacm.cli import ScanConfig, classify_pairs, main, seeded_line_values
 from qacm.errors import InternalCheckError
+from qacm.quadric import check_twist_window
 
 
 def run(capsys, argv):
@@ -253,6 +254,62 @@ def test_gluing_report_fills_only_the_missing_bound(capsys, bounds, window):
     assert code == 0
     ts = [r["t"] for r in json.loads(out)["gluings"][0]["rows"]]
     assert ts == list(range(window[0], window[1] + 1))
+
+
+BIG_PAIR = "K(F1=O(300)+O(0)@H1,F2=O(300)+O(0)@H2,e=id)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cohomology", "--sheaf", "O(1)+O(0)@H1", "--tmin", "-1000000", "--tmax", "0"],
+     "twist -1000000 is beyond the limit |t| <= 250"),
+    (["cohomology", "--sheaf", "O(1)+O(0)@H1", "--tmin", "0", "--tmax", "251"],
+     "twist 251 is beyond the limit |t| <= 250"),
+    (["cohomology", "--sheaf", "O(1)+O(0)@H1", "--tmin", "-250", "--tmax", "10"],
+     "window [-250, 10] has 261 twists, over the limit of 260"),
+    (["gluing-report", "--sheaf", BIG_PAIR, "--e", "id"],          # window from acm_window
+     "twist -608 is beyond the limit |t| <= 250"),
+    (["classify", "--cmax", "2", "--margin", "300"],
+     "margin 300 at c_max 2: twist -304 is beyond the limit |t| <= 250"),
+    (["ulrich-scan", "--cmax", "97", "--margin", "57"],
+     "margin 57 at c_max 97: twist -251 is beyond the limit |t| <= 250"),
+    (["mf", "hilbert", "--tmax", "41"], "twist 41 is beyond the mf hilbert limit t <= 40"),
+])
+def test_work_limits_from_flags_exit_2(monkeypatch, capsys, argv, message):
+    def no_scan(config):
+        raise AssertionError("the scan must not start")
+    monkeypatch.setattr("qacm.cli.run_classify", no_scan)
+    code, out, err = run(capsys, argv + ["--no-timestamp"])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, conf, message", [
+    (["classify"], {"margin": 300}, "margin 300 at c_max 6: twist -312 is beyond"),
+    (["classify"], {"cmax": 97, "margin": 57}, "twist -251 is beyond the limit"),
+    (["mf", "hilbert"], {"tmax": 41}, "limit t <= 40"),
+    (["mf", "hilbert"], {"tmin": -251, "tmax": 0}, "twist -251 is beyond"),
+    (["gluing-report", "--sheaf", GLUING_DESC, "--e", "id"], {"tmin": -300},
+     "twist -300 is beyond"),
+    (["gluing-report", "--sheaf", GLUING_DESC, "--e", "id"], {"tmin": -250, "tmax": 20},
+     "over the limit of 260"),
+])
+def test_work_limits_from_config_exit_2(monkeypatch, tmp_path, capsys, argv, conf, message):
+    def no_scan(config):
+        raise AssertionError("the scan must not start")
+    monkeypatch.setattr("qacm.cli.run_classify", no_scan)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    code, out, err = run(capsys, argv + ["--config", str(path)])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_work_limits_admit_the_largest_scan_and_window():
+    """classify --cmax 97 at the default margin scans down to t = -202."""
+    ScanConfig(c_max=97)
+    ScanConfig(c_max=97, window_margin=56)
+    check_twist_window(-250, 9)
+    check_twist_window(240, 250)
 
 
 def test_gluing_report_needs_kernel(capsys):

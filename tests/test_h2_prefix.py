@@ -1,0 +1,190 @@
+"""The H2-level relation kernel on its u-exponent -1 prefix.
+
+``relation_h2_kernel`` computes the kernel of the dual-monomial relation
+matrix on a prefix of its columns when a relation form is a multiple of u.
+These tests hold it to the whole-matrix kernel vector for vector, check that
+a deep twist builds nothing of size O(t^2), and compare h1 of the collinear
+extension bundles with a closed form that shares no matrix code with it.
+"""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qacm.monomials
+import qacm.plane
+import qacm.quadric
+from qacm.cli import classify_pairs, seeded_line_values
+from qacm.linalg import RatMatrix, kernel_basis, vstack
+from qacm.monomials import P2, Form, cohomology_dim, h0_exponents
+from qacm.plane import (CIIdealSheaf, CISubscheme, ExtensionBundle, ci_from_forms,
+                        ci_from_line_points, cohomology, dual_prefix, euler_char,
+                        h1_restriction_kernel_dim, make_extension_bundle,
+                        relation_h2_kernel, relation_h2_matrix)
+from qacm.quadric import _h1_kernel_of_line_map_full, acm_window
+
+u, v, w = (Form.variable(3, n) for n in "uvw")
+
+
+# ---------------------------------------------------------------------------
+# the prefix kernel is the whole-matrix kernel
+
+
+@st.composite
+def _form(draw, d, with_u=True, w_term=False):
+    """A plane form of degree d with small integer coefficients; it may be
+    zero unless ``w_term`` asks for a nonzero coefficient of w^d."""
+    mons = [m for m in h0_exponents(3, d) if with_u or m[0] == 0]
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(mons), max_size=len(mons)))
+    if w_term:
+        coeffs[-1] = draw(st.sampled_from([1, -1, 2]))
+    return Form.from_dict(3, dict(zip(mons, coeffs)))
+
+
+@st.composite
+def _u_presentations(draw):
+    """Sheaves whose relation holds s*u, s in {1, -1, 2, -1/2}: I_Z(m) or an
+    extension bundle over Z = V(s*u, g), with h u-homogeneous or not."""
+    g = draw(_form(draw(st.integers(1, 3)), with_u=False, w_term=True))
+    f_u = u * draw(st.sampled_from([1, -1, 2, Fraction(-1, 2)]))
+    ci = CISubscheme(*draw(st.sampled_from([(f_u, g), (g, f_u)])))
+    if draw(st.booleans()):
+        return CIIdealSheaf(2, ci, draw(st.integers(-2, 4)))
+    k = draw(st.integers(0, 3))
+    deg_h = k + 1                      # 2k - c + deg f1 + deg f2 with c = k + deg g
+    h = draw(_form(deg_h))
+    if draw(st.booleans()):
+        h = u * draw(_form(deg_h - 1)) + draw(_form(deg_h, with_u=False))
+    return ExtensionBundle(2, k + ci.degree, k, ci, h)
+
+
+@st.composite
+def _u_free_presentations(draw):
+    """Sheaves whose relation holds no scalar multiple of u: the forms may
+    contain u (u + v, u^2), but never as u alone."""
+    f1 = draw(st.sampled_from([v, v + w, u + v, v - 2 * u, u * u + v * w]))
+    f2 = draw(_form(draw(st.integers(1, 3)), w_term=True))
+    return CIIdealSheaf(2, CISubscheme(f1, f2), draw(st.integers(-2, 4)))
+
+
+def _assert_prefix_kernel_is_whole_kernel(sheaf, t, depth_expected):
+    depth, ker = relation_h2_kernel(sheaf, t)
+    assert depth == depth_expected
+    b = sheaf.presentation.relation_twist
+    n = cohomology_dim(P2, 2, b + t)
+    n_prefix = len(dual_prefix(b + t, depth))
+    assert ker.basis.rows == n_prefix
+    whole = kernel_basis(relation_h2_matrix(sheaf, t)).basis
+    assert whole == vstack(ker.basis, RatMatrix.zero(n - n_prefix, ker.dim))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_u_presentations(), st.integers(-9, 1))
+def test_u_prefix_kernel_equals_whole_kernel(sheaf, t):
+    _assert_prefix_kernel_is_whole_kernel(sheaf, t, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_u_free_presentations(), st.integers(-9, 1))
+def test_u_free_kernel_is_the_whole_kernel(sheaf, t):
+    _assert_prefix_kernel_is_whole_kernel(sheaf, t, None)
+
+
+@pytest.mark.parametrize("c, k", [(3, 1), (4, 2), (6, 2)])
+def test_scan_sheaf_prefix_kernel_equals_whole_kernel(c, k):
+    g = make_extension_bundle(c, k, ci_from_line_points(
+        [((1, r), 1) for r in seeded_line_values(3, c - k)]), h="auto")
+    for t in range(-c - 12, 2):
+        _assert_prefix_kernel_is_whole_kernel(g, t, 1)
+
+
+# ---------------------------------------------------------------------------
+# deep twists build no O(t^2) object
+
+
+def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
+    """At t = -300 the u-path must neither build the whole relation matrix
+    nor any dual basis of H2(P2) at that depth.  The bundle has h|_L = 0, so
+    the kernel is the 20-dimensional kernel of g on H1(P1) at every depth and
+    both h1 routes run to the end."""
+    g = v ** 20 - w ** 20
+    sheaf = ExtensionBundle(2, 21, 1, ci_from_forms(u, g), u * v)
+    t = -300
+
+    def forbidden(*args):
+        raise AssertionError("relation_h2_matrix called on the u-path")
+
+    def guard(fn, deep):
+        def guarded(*args):
+            if deep(*args):
+                raise AssertionError(f"dual basis of P2 built at {args}")
+            return fn(*args)
+        return guarded
+
+    dual3 = lambda nv, d: nv == 3 and d < -200                  # noqa: E731
+    basis_p2 = lambda space, i, d: (space, i) == (P2, 2) and d < -200   # noqa: E731
+    monkeypatch.setattr(qacm.plane, "relation_h2_matrix", forbidden)
+    for mod in (qacm.monomials, qacm.plane):
+        monkeypatch.setattr(mod, "dual_exponents", guard(mod.dual_exponents, dual3))
+    for mod in (qacm.monomials, qacm.plane, qacm.quadric):
+        monkeypatch.setattr(mod, "basis", guard(mod.basis, basis_p2))
+    relation_h2_kernel.cache_clear()
+
+    depth, ker = relation_h2_kernel(sheaf, t)
+    assert (depth, ker.dim) == (1, 20)
+    assert cohomology(sheaf, 1, t) == 20
+    assert cohomology(sheaf, 0, t) == 0
+    assert cohomology(sheaf, 2, t) == euler_char(sheaf, t) + 20
+    fast = h1_restriction_kernel_dim(sheaf, t)
+    full = _h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t)
+    assert fast == full == 0
+    relation_h2_kernel.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the closed-form Koszul oracle
+
+
+def h0_p1(d: int) -> int:
+    return max(0, d + 1)
+
+
+def koszul_h1(c: int, k: int, t: int) -> int:
+    """h1(G(t)) for the collinear extension bundle G(c, k).
+
+    G has the presentation 0 -> O(-1) -> O(c-k-1) + O(0) + O(k) -> G -> 0
+    with relation (-g, u, h), deg g = c - k, deg h = k + 1.  Plane line
+    bundles have no h1, so h1(G(t)) is the kernel of the relation on H2,
+    which is multiplication by (g, h|_L) from H1(O_L(t)) to
+    H1(O_L(t + c - k)) + H1(O_L(t + k + 1)) (u|_L = 0 drops out).  When
+    g and h|_L are coprime, 0 -> O(t) -> O(t+p) + O(t+q) -> O(t+p+q) -> 0
+    (p = c - k, q = k + 1, the Koszul complex of a regular sequence on P1) is
+    exact, so that kernel is the image of the connecting map from
+    H0(O(t+p+q)), and its dimension is
+    h0(t+c+1) - h0(t+c-k) - h0(t+k+1) + h0(t)."""
+    return h0_p1(t + c + 1) - h0_p1(t + c - k) - h0_p1(t + k + 1) + h0_p1(t)
+
+
+def test_koszul_oracle_on_the_c16_scan():
+    checks = 0
+    for c, k in classify_pairs(16):
+        pts = [((1, r), 1) for r in seeded_line_values(0, c - k)]
+        g = make_extension_bundle(c, k, ci_from_line_points(pts), h="auto")
+        lo, hi = acm_window(SimpleNamespace(c=c, other=g))
+        for t in range(lo, hi + 1):
+            assert cohomology(g, 1, t) == koszul_h1(c, k, t), (c, k, t)
+            checks += 1
+    assert len(classify_pairs(16)) == 79 and checks == 2612
+
+
+def test_koszul_oracle_fails_when_g_and_h_share_a_root():
+    """h = g is not coprime to g: the kernel of (g, g) is the kernel of g,
+    of dimension deg g = 2 at every t <= -3, while the formula gives 0 once
+    t <= -5."""
+    g2 = ci_from_line_points([((1, 1), 1), ((1, 2), 1)])
+    sheaf = ExtensionBundle(2, 3, 1, g2, g2.f2)
+    for t in range(-30, -4):
+        assert cohomology(sheaf, 1, t) == 2 != koszul_h1(3, 1, t)

@@ -33,7 +33,7 @@ from .linalg import QQ, RatMatrix, hstack, kernel_basis, kernel_dim, rank, vstac
 from .monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_zero_free,
                         cohomology_dim, dual_exponents, euler_char_p2,
                         monomial_multiplication_matrix, multiplication_matrix,
-                        restriction_matrix, restrict_to_line as form_on_line)
+                        restrict_to_line as form_on_line)
 
 U = Form.variable(3, "u")
 V = Form.variable(3, "v")
@@ -252,12 +252,15 @@ def no_common_zero(forms) -> bool:
 def _auto_extension_form(ci: CISubscheme, deg_h: int) -> Form:
     """Deterministic first h of degree deg_h with (f1, f2, h) common-zero
     free: support sizes 1..3 over the monomial basis in order, coefficients
-    from (1, -1, 2, -2)."""
+    from (1, -1, 2, -2).  For Z = V(u, g) a support of monomials that all contain
+    u is skipped: h|_L = 0 and gcd(g, 0) = g, so ``no_common_zero`` rejects it."""
     if deg_h == 0:
         return Form.constant(3, 1)
     mons = basis(P2, 0, deg_h).basis
     for support in range(1, 4):
         for pos in itertools.combinations(range(len(mons)), support):
+            if all(mons[p][0] for p in pos) and U in (ci.f1, ci.f2):
+                continue
             for coefs in itertools.product((1, -1, 2, -2), repeat=support):
                 h = Form.from_dict(3, {mons[p]: c for p, c in zip(pos, coefs)})
                 if no_common_zero([ci.f1, ci.f2, h]):
@@ -527,18 +530,21 @@ def line_h0_dim(sheaf, t: int) -> int:
 
 
 def _splitting_degrees(sheaf) -> tuple:
-    """Splitting type of F|_L by successive differences of h0(F|_L(s))."""
+    """Splitting type of F|_L by successive differences of h0(F|_L(s)) over
+    start = -(deg - min a_i) - 1 < s <= -min a_i.  F|_L = O_L(c1) + O_L(c2) (c1 >= c2)
+    is a quotient of sum O_L(a_i), so c2 >= min a_i, c1 <= deg - min a_i and h0 is 0
+    at the start; torsion along L has sections at every twist and is refused there."""
     pres = sheaf.line_presentation
     targets, b = pres.target_twists, pres.relation_twist
     r = sheaf.rank
     deg = sum(targets) - (b if b is not None else 0)
-    bound = sum(abs(a) for a in targets) + (abs(b) if b is not None else 0) + abs(deg) + 4
+    start = -(deg - min(targets)) - 1
     degrees = []
-    prev = line_h0_dim(sheaf, -bound - 1)
+    prev = line_h0_dim(sheaf, start)
     if prev != 0:
         raise ValueError("restriction to the line is not a vector bundle")
     threshold = 1
-    for s in range(-bound, bound + 1):
+    for s in range(start + 1, 1 - min(targets)):
         cur = line_h0_dim(sheaf, s)
         delta = cur - prev
         while delta >= threshold and len(degrees) < r:
@@ -617,15 +623,6 @@ def trivialize_on_line(sheaf) -> Trivialization:
         if model != line_h0_dim(sheaf, t):
             raise InternalCheckError("trivialized model disagrees with presentation dimensions")
     return triv
-
-
-def trivialized_restriction_matrix(sheaf, triv: Trivialization, t: int) -> RatMatrix:
-    """Matrix of H0(F(t)) -> H0(O_L(c1+t)) + H0(O_L(c2+t)) on presentation
-    coordinates (sections of the free cover); the relation's image maps to 0."""
-    twists = sheaf.presentation.target_twists
-    return vstack(*[hstack(*[_mult_block(r, basis(P1, 0, a + t), e + t) @ restriction_matrix(a + t)
-                             for a, r in zip(twists, row)])
-                    for e, row in zip(triv.degrees, triv.rows)])
 
 
 def h1_restriction_kernel_dim(sheaf, t: int) -> int:

@@ -38,14 +38,13 @@ from .errors import InternalCheckError
 from .linalg import (QQ, RatMatrix, block_diag, hstack, kernel_basis, kernel_dim,
                      rank, vstack)
 from .monomials import (P1, P2, Form, basis, cohomology_dim, euler_char_p1,
-                        multiplication_matrix, restrict_to_plane)
-from .plane import (CohRow, CohTable, SplitBundle, Trivialization, chern,
+                        multiplication_matrix, restrict_to_plane, restriction_matrix)
+from .plane import (CohRow, CohTable, SplitBundle, _mult_block, chern,
                     ci_from_forms, ci_from_line_points, cohomology as
                     plane_cohomology, dual_prefix, euler_char as plane_euler_char,
                     h1_restriction_kernel_dim, make_extension_bundle,
                     make_split_bundle, relation_h0_matrix, relation_h2_kernel,
-                    relation_h2_prefix_matrix, trivialize_on_line,
-                    trivialized_restriction_matrix)
+                    relation_h2_prefix_matrix, trivialize_on_line)
 
 AMBIENT_LINEAR = tuple(Form.variable(4, n) for n in ("x", "y", "z", "w"))
 
@@ -102,8 +101,8 @@ class KernelSheaf:
     other: object
     e: GluingData
     c: int
-    triv_split: Trivialization
-    triv_other: Trivialization
+    twists: tuple       # of the summands of the two free covers, split side first
+    line_map: tuple     # rows (hi, lo) of binary forms, one per summand
     _cache: dict = field(default_factory=dict, repr=False)   # t -> CohRow
 
 
@@ -128,25 +127,28 @@ def make_kernel_sheaf(f_split: SplitBundle, f_other, e: GluingData = None) -> Ke
             f"other side gives {triv_other.degrees}")
     if e.kind == "upper" and not e.beta.is_zero and e.beta.degree != c:
         raise ValueError(f"upper gluing form must have degree {c}")
-    return KernelSheaf(f_split, f_other, e, c, triv_split, triv_other)
-
-
-def _gluing_matrix(k: KernelSheaf, t: int) -> RatMatrix:
-    hi = cohomology_dim(P1, 0, k.c + t)
-    lo = cohomology_dim(P1, 0, t)
-    e = k.e
-    beta = (RatMatrix.zero(hi, lo) if e.beta is None or e.beta.is_zero
-            else multiplication_matrix(e.beta, basis(P1, 0, t)))
-    return vstack(hstack(RatMatrix.identity(hi).scale(e.alpha), beta),
-                  hstack(RatMatrix.zero(lo, hi), RatMatrix.identity(lo).scale(e.delta)))
+    (s_hi, s_lo), (o_hi, o_lo) = triv_split.rows, triv_other.rows
+    beta = e.beta if e.beta is not None else Form.zero(2)
+    line_map = (tuple(r * e.alpha + beta * q for r, q in zip(s_hi, s_lo)) + tuple(-r for r in o_hi),
+                tuple(q * e.delta for q in s_lo) + tuple(-q for q in o_lo))
+    return KernelSheaf(f_split, f_other, e, c, f_split.twists + f_other.presentation.target_twists,
+                       line_map)
 
 
 def _assembled_matrix(k: KernelSheaf, t: int) -> RatMatrix:
-    """H0-level matrix of (e o restriction of F_split, -restriction of F_other)
-    on sections of the two free covers, into the trivialized model of F|_L(t)."""
-    r_s = trivialized_restriction_matrix(k.split, k.triv_split, t)
-    r_o = trivialized_restriction_matrix(k.other, k.triv_other, t)
-    return hstack(_gluing_matrix(k, t) @ r_s, -r_o)
+    """H0-level map of K(t) on L: ``k.line_map``, Phi = [e o tau_split | -tau_other],
+    on the sections H0(O_L(a + t)) of each summand, into H0(O_L(c + t)) + H0(O_L(t)).
+    Exact: composed with ``_restriction(k, t)`` it is the gluing matrix times the
+    trivialized restrictions entry for entry, as M_beta M_r = M_(beta r) on monomial
+    bases; and the restriction u := 0 is a surjective selection, so rank(Phi R) = rank(Phi)."""
+    return vstack(*[hstack(*[_mult_block(f, basis(P1, 0, a + t), d + t)
+                             for f, a in zip(row, k.twists)])
+                    for d, row in zip((k.c, 0), k.line_map)])
+
+
+def _restriction(k: KernelSheaf, t: int) -> RatMatrix:
+    """H0(O(a + t)) -> H0(O_L(a + t)) on every summand of the two free covers."""
+    return block_diag(*[restriction_matrix(a + t) for a in k.twists])
 
 
 def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int) -> int:
@@ -189,7 +191,8 @@ def coh_row(k: KernelSheaf, t: int) -> CohRow:
         return row
     u = _assembled_matrix(k, t)
     u_rank = rank(u)
-    h0 = u.cols - u_rank - rank(relation_h0_matrix(k.other, t))
+    sections = sum(cohomology_dim(P2, 0, a + t) for a in k.twists)
+    h0 = sections - u_rank - rank(relation_h0_matrix(k.other, t))
     fast = h1_restriction_kernel_dim(k.other, t)
     line_kernel = _h1_kernel_of_line_map_full(k, t)
     full = (u.rows - u_rank) + line_kernel
@@ -365,8 +368,8 @@ def _plane_linear_mult(sheaf, side: int, linear: Form, t: int) -> RatMatrix:
 def global_generation_surjective(k: KernelSheaf) -> bool:
     """Is H0(K) (x) H0(O_X(1)) -> H0(K(1)) onto?  Guaranteed when K is
     0-regular.  Computed on explicit section representatives."""
-    u0 = _assembled_matrix(k, 0)
-    u1 = _assembled_matrix(k, 1)
+    u0 = _assembled_matrix(k, 0) @ _restriction(k, 0)
+    u1 = _assembled_matrix(k, 1) @ _restriction(k, 1)
     v0 = kernel_basis(u0)
     target_dim = u1.cols - rank(u1)
     columns = []

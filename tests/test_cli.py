@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -364,6 +365,26 @@ def test_classify_csv_json_numeric_parity(tmp_path):
     for jr, cr in zip(jrows, crows):
         assert str(jr["acm"]) == cr["acm"] and str(jr["ulrich"]) == cr["ulrich"]
         assert ";".join(map(str, jr["chern_h2"])) == cr["chern_h2"]
+
+
+@pytest.mark.parametrize("sheaf, gluings, digest", [
+    ("K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)@H2,e=id)",
+     ["id", "diag(2,3)", "upper(1,1,v^3)", "upper(2,-1,v^3-w^3)"],
+     "cb01c03b78f422928f7f706097dca036f183182cf5cbbb4d8154e9db4ca52fa3"),
+    ("K(F1=O(5)+O(0)@H1,F2=G(c=5,k=2,Z=points([0:1:1];[0:1:2];[0:1:3]),h=auto)@H2,e=id)",
+     ["upper(1,2,v^5-w^5)"],
+     "8bde4083bbb590384d33c00d93af2aaefe99958e878f2ed29e3af22134f0c339"),
+], ids=["readme-sheaf", "c5-k2"])
+def test_upper_gluing_reports_are_pinned(capsys, sheaf, gluings, digest):
+    """Reports of gluings with beta != 0, which no benchmark workload runs, pinned
+    by sha256.  Their tables equal the identity's, so the beta * r_lo term of the
+    H0-level map is checked entry by entry in tests/test_h0_line.py."""
+    argv = ["gluing-report", "--sheaf", sheaf, "--no-timestamp"]
+    for g in gluings:
+        argv += ["--e", g]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_gluing_report_invalid_gluing_text(capsys):

@@ -15,7 +15,7 @@ from qacm.plane import (ExtensionBundle, Presentation, cb_condition_check, chern
                         euler_char, h0_ideal_of_points, h1_restriction_kernel_dim,
                         ideals_match, make_ci_ideal, make_extension_bundle,
                         make_split_bundle, no_common_zero, recover_subscheme,
-                        trivialize_on_line, trivialized_restriction_matrix)
+                        trivialize_on_line)
 from qacm.quadric import acm_check, collinear_extension_kernel
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
@@ -398,15 +398,6 @@ def test_each_presentation_is_built_once(monkeypatch):
 def test_trivialize_rejects_rank_one():
     with pytest.raises(ValueError):
         trivialize_on_line(make_ci_ideal(v, w, 0))
-
-
-def test_split_restriction_is_two_restriction_blocks():
-    from qacm.linalg import block_diag
-    from qacm.monomials import restriction_matrix
-    s = make_split_bundle(1, (3, 0))
-    m = trivialized_restriction_matrix(s, trivialize_on_line(s), 0)
-    assert m == block_diag(restriction_matrix(3), restriction_matrix(0))
-    assert h1_restriction_kernel_dim(s, 0) == 0
 
 
 @pytest.mark.parametrize("t", range(-8, 5))

@@ -1,0 +1,122 @@
+"""The two searches on L that skip work keep the answers of the plain loops.
+
+``_auto_extension_form`` skips, for a collinear Z = V(u, g), every support
+of monomials that all contain u; ``_splitting_degrees`` scans h0(F|_L(s))
+only over (-(deg - min a_i) - 1, -min a_i].  The plain loops are kept here as
+references: the full support search and the scan over the loose bound."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import assume, strategies as st
+
+from qacm.monomials import Form, h0_exponents
+from qacm.plane import (U, CISubscheme, ExtensionBundle, _auto_extension_form,
+                        _splitting_degrees, ci_from_forms, ci_from_line_points,
+                        line_h0_dim, make_extension_bundle, make_split_bundle,
+                        no_common_zero)
+
+u, v, w = (Form.variable(3, n) for n in "uvw")
+
+
+def reference_extension_form(ci, deg_h: int) -> Form:
+    """The first h in the search order, trying every support."""
+    if deg_h == 0:
+        return Form.constant(3, 1)
+    mons = h0_exponents(3, deg_h)
+    for support in range(1, 4):
+        for pos in itertools.combinations(range(len(mons)), support):
+            for coefs in itertools.product((1, -1, 2, -2), repeat=support):
+                h = Form.from_dict(3, {mons[p]: c for p, c in zip(pos, coefs)})
+                if no_common_zero([ci.f1, ci.f2, h]):
+                    return h
+    raise ValueError("no extension class of the required degree is locally free")
+
+
+def reference_splitting_degrees(sheaf) -> tuple:
+    """The scan of h0(F|_L(s)) over [-bound - 1, bound]."""
+    pres = sheaf.line_presentation
+    targets, b = pres.target_twists, pres.relation_twist
+    deg = sum(targets) - (b if b is not None else 0)
+    bound = sum(abs(a) for a in targets) + (abs(b) if b is not None else 0) + abs(deg) + 4
+    degrees = []
+    prev = line_h0_dim(sheaf, -bound - 1)
+    if prev != 0:
+        raise ValueError("restriction to the line is not a vector bundle")
+    threshold = 1
+    for s in range(-bound, bound + 1):
+        cur = line_h0_dim(sheaf, s)
+        while cur - prev >= threshold and len(degrees) < sheaf.rank:
+            degrees.append(-s)
+            threshold += 1
+        prev = cur
+        if len(degrees) == sheaf.rank:
+            break
+    if len(degrees) != sheaf.rank or sum(degrees) != deg:
+        raise ValueError("restriction to the line has torsion (not locally free along L)")
+    return tuple(degrees)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+line_points = st.lists(st.tuples(st.sampled_from([(1, 1), (1, 2), (1, -3), (2, 5), (1, 0), (0, 1)]),
+                                 st.integers(1, 2)),
+                       min_size=1, max_size=3, unique_by=lambda p: p[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=line_points, swap=st.booleans(), deg_h=st.integers(0, 4))
+def test_auto_extension_form_matches_the_full_search(pts, swap, deg_h):
+    ci = ci_from_line_points(pts)
+    if swap:
+        ci = CISubscheme(ci.f2, ci.f1, ci.points)
+    assert U in (ci.f1, ci.f2)
+    assert _outcome(_auto_extension_form, ci, deg_h) == _outcome(reference_extension_form, ci, deg_h)
+
+
+NON_COLLINEAR = [(v, w), (u + v, w), (v - u, w * w - u * u), (v * v + u * w, w - u),
+                 (u * u + v * w, v - w)]
+
+
+@st.composite
+def extension_bundles(draw):
+    """Extension bundles on non-collinear Z or with h mixing u-free and u-divisible terms."""
+    f1, f2 = draw(st.sampled_from(NON_COLLINEAR + [(u, v * w), (u, v * v - w * w)]))
+    ci = ci_from_forms(f1, f2)
+    k = draw(st.integers(0, 3))
+    c = k + ci.degree
+    deg_h = 2 * k - c + sum(ci.degrees)
+    assume(deg_h >= 0)
+    mons = h0_exponents(3, deg_h)
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(mons), max_size=len(mons)))
+    h = Form.from_dict(3, dict(zip(mons, coeffs)))
+    assume(not h.is_zero and no_common_zero([f1, f2, h]))
+    return make_extension_bundle(c, k, ci, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=extension_bundles())
+def test_splitting_scan_matches_the_loose_bound_scan(g):
+    assert _splitting_degrees(g) == reference_splitting_degrees(g)
+
+
+@pytest.mark.parametrize("sheaf", [
+    make_split_bundle(1, (5, 2)), make_split_bundle(2, (0, 0)), make_split_bundle(1, (2, -3)),
+    make_extension_bundle(3, 1, ci_from_forms(u, v * w), h=u * v + v * v - w * w),
+    make_extension_bundle(1, 0, ci_from_forms(v, w), h=u),
+    # h = v^2 meets Z = V(u, v) on L: the restriction has torsion at [0:0:1]
+    ExtensionBundle(2, 2, 1, ci_from_forms(u, v), v * v),
+], ids=["split52", "split00", "split2m3", "mixed-u-h", "point-off-L", "torsion"])
+def test_splitting_scan_examples(sheaf):
+    assert _outcome(_splitting_degrees, sheaf) == _outcome(reference_splitting_degrees, sheaf)
+
+
+def test_torsion_along_the_line_is_refused():
+    with pytest.raises(ValueError, match="not a vector bundle"):
+        _splitting_degrees(ExtensionBundle(2, 2, 1, ci_from_forms(u, v), v * v))

@@ -48,13 +48,6 @@ def _fr(x) -> Fraction:
     raise TypeError(f"matrix entries must be rational, got {type(x).__name__}")
 
 
-def integer_coefficients(values) -> tuple:
-    """``(den, nums)`` with ``values[i] == nums[i] / den`` and ``den`` the least
-    common denominator of the (int or Fraction) values."""
-    den = lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
-
-
 @dataclass(frozen=True)
 class RatMatrix:
     """Immutable sparse matrix of rationals: ``data`` is a tuple of row dicts
@@ -82,9 +75,9 @@ class RatMatrix:
     def from_dicts(rows: int, cols: int, data) -> "RatMatrix":
         """Matrix from row dicts ``{col: rational}``; zero values are dropped."""
         data = [{j: _fr(x) for j, x in r.items()} for r in data]
-        den, nums = integer_coefficients([x for r in data for x in r.values()])
-        nums = iter(nums)
-        return RatMatrix.make(rows, cols, [{j: v for j, v in zip(r, nums) if v} for r in data], den)
+        den = lcm(*(x.denominator for r in data for x in r.values()))
+        return RatMatrix.make(rows, cols, [{j: x.numerator * (den // x.denominator)
+                                            for j, x in r.items() if x} for r in data], den)
 
     @staticmethod
     def from_rows(rows) -> "RatMatrix":

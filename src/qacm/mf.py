@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import QQ, RatMatrix, hstack, rank, vstack
-from .monomials import Form, h0_exponents, monomial_multiplication_matrix
+from .linalg import QQ, RatMatrix, rank
+from .monomials import Form, GradedPiece, h0_exponents, multiplication_matrix
 
 X4, Y4, Z4, W4 = (Form.variable(4, n) for n in ("x", "y", "z", "w"))
 Q_DEFAULT = X4 * Y4
@@ -221,26 +221,17 @@ SAMPLE_POINTS = (
 )
 
 
-def _p3_mult_matrix(f: Form, d_from: int, d_to: int) -> RatMatrix:
-    if not f.is_zero and f.degree != d_to - d_from:
-        raise ValueError("degree bookkeeping error")
-    return monomial_multiplication_matrix(f, h0_exponents(4, d_from), h0_exponents(4, d_to))
-
-
 def cokernel_hilbert(a, t: int) -> int:
     """h0(coker(A)(t)) for a linear square matrix A: O(-1)^n -> O^n on P3,
     exactly n * h0(O_P3(t)) - rank of the H0-level matrix at twist t."""
     a = form_matrix(a)
     if not is_linear_matrix(a):
         raise ValueError("entries must be homogeneous linear")
-    n = len(a)
-    dim_t = len(h0_exponents(4, t))
     if t < 0:
         return 0
-    blocks = []
-    for i in range(n):
-        blocks.append(hstack(*[_p3_mult_matrix(a[i][j], t - 1, t) for j in range(n)]))
-    return n * dim_t - rank(vstack(*blocks))
+    n = len(a)
+    src, tgt = (GradedPiece("P3", 0, d, h0_exponents(4, d)) for d in (t - 1, t))
+    return n * tgt.dim - rank(multiplication_matrix(a, [src] * n, [tgt] * n))
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from operator import add
 
-from .linalg import QQ, RatMatrix, integer_coefficients
+from .linalg import QQ, RatMatrix
 
 VAR_NAMES = {2: ("v", "w"), 3: ("u", "v", "w"), 4: ("x", "y", "z", "w")}
 
@@ -322,7 +322,8 @@ def dual_exponents(num_vars: int, d: int) -> tuple:
 
 @dataclass(frozen=True)
 class GradedPiece:
-    """A cohomology group H^i(space, O(d)) with its ordered monomial basis."""
+    """A cohomology group H^i(space, O(d)) with its ordered monomial basis, or
+    the span of a prefix of that basis."""
 
     space: str
     i: int
@@ -332,9 +333,6 @@ class GradedPiece:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def index(self) -> dict:
-        return {e: k for k, e in enumerate(self.basis)}
 
 
 def space_dim(space: str) -> int:
@@ -377,34 +375,50 @@ def basis(space: str, i: int, d: int) -> GradedPiece:
     return piece
 
 
-def monomial_multiplication_matrix(f: Form, src: tuple, tgt: tuple, top: bool = False) -> RatMatrix:
-    """Matrix of multiplication by ``f`` from the monomials ``src`` to the
-    monomials ``tgt`` (rows by target, columns by source).  On dual (``top``)
-    bases a product monomial with any exponent >= 0 contracts to zero."""
-    out = [{} for _ in tgt]
-    if f.is_zero or not src or not tgt:
-        return RatMatrix(len(tgt), len(src), tuple(out))
-    tindex = {e: i for i, e in enumerate(tgt)}
-    den, nums = integer_coefficients([c for _, c in f.terms])
-    terms = [(e, c) for (e, _), c in zip(f.terms, nums)]
-    # distinct exponents of f give distinct products, so no entry is hit twice
-    for col, m in enumerate(src):
-        for e, c in terms:
-            prod = tuple(map(add, m, e))
-            if not top or max(prod) < 0:
-                out[tindex[prod]][col] = c
-    return RatMatrix.make(len(tgt), len(src), out, den)
+def multiplication_matrix(grid, srcs, tgts, top: bool = False) -> RatMatrix:
+    """The map sum_j srcs[j] -> sum_i tgts[i] whose block (i, j) is
+    multiplication by the form ``grid[i][j]``, on monomial bases: rows by
+    target, columns by source, blocks in order.  A piece is a ``GradedPiece``
+    (its basis may be a prefix of the whole one).  The grid, and each of its
+    rows, may stop early: the forms left out are zero.  On dual (``top``)
+    bases a product monomial with any exponent >= 0 contracts to zero.
 
-
-def multiplication_matrix(f: Form, frm: GradedPiece) -> RatMatrix:
-    """Multiplication by ``f``: H^i(O(d)) -> H^i(O(d + deg f)) on monomial
-    bases, contracting on dual ones."""
-    nv = _SPACE_NVARS[frm.space]
-    if not f.is_zero and f.num_vars != nv:
-        raise ValueError("variable-count mismatch between form and graded piece")
-    target = basis(frm.space, frm.i, frm.d + (f.degree or 0))
-    return monomial_multiplication_matrix(f, frm.basis, target.basis,
-                                          frm.i == space_dim(frm.space))
+    Every product is written straight into one list of int rows over the
+    common denominator of all coefficients; zero forms and empty pieces write
+    nothing.  A nonzero form must bridge the degrees of its block."""
+    roff, coff = [0], [0]
+    for p in tgts:
+        roff.append(roff[-1] + len(p.basis))
+    for p in srcs:
+        coff.append(coff[-1] + len(p.basis))
+    out = [{} for _ in range(roff[-1])]
+    blocks, den = [], 1
+    for i, row in enumerate(grid):
+        tgt, trows = tgts[i], None
+        for j, f in enumerate(row):
+            if not f.terms:
+                continue
+            src = srcs[j]
+            exp = f.terms[0][0]
+            if sum(exp) != tgt.d - src.d:
+                raise ValueError(f"degree bookkeeping error: a form of degree {sum(exp)} "
+                                 f"maps degree {src.d} to {tgt.d}")
+            if src.basis and tgt.basis:
+                if len(exp) != len(src.basis[0]):
+                    raise ValueError("variable-count mismatch between form and graded piece")
+                if trows is None:       # target monomial -> its row of ``out``
+                    trows = dict(zip(tgt.basis, out[roff[i]:roff[i + 1]]))
+                blocks.append((f.terms, trows, src.basis, coff[j]))
+                den = lcm(den, *(c.denominator for _, c in f.terms))
+    for terms, trows, monomials, c0 in blocks:
+        terms = [(e, c.numerator * (den // c.denominator)) for e, c in terms]
+        # distinct exponents of f give distinct products, so no entry is hit twice
+        for col, m in enumerate(monomials, c0):
+            for e, c in terms:
+                prod = tuple(map(add, m, e))
+                if not top or max(prod) < 0:
+                    trows[prod][col] = c
+    return RatMatrix.make(roff[-1], coff[-1], out, den)
 
 
 @lru_cache(maxsize=None)
@@ -414,7 +428,7 @@ def restriction_matrix(d: int) -> RatMatrix:
     src = basis(P2, 0, d)
     tgt = basis(P1, 0, d)
     out = [{} for _ in range(tgt.dim)]
-    tindex = tgt.index()
+    tindex = {e: k for k, e in enumerate(tgt.basis)}
     for col, (a, b, c) in enumerate(src.basis):
         if a == 0:
             out[tindex[(b, c)]][col] = 1

@@ -25,15 +25,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 from .errors import InternalCheckError
-from .linalg import QQ, RatMatrix, hstack, kernel_basis, kernel_dim, rank, vstack
+from .linalg import QQ, RatMatrix, kernel_basis, kernel_dim, rank
 from .monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_zero_free,
-                        cohomology_dim, dual_exponents, euler_char_p2,
-                        monomial_multiplication_matrix, multiplication_matrix,
-                        restrict_to_line as form_on_line)
+                        cohomology_dim, dual_exponents, euler_char_p2, multiplication_matrix,
+                        restrict_to_line as form_on_line, space_dim)
 
 U = Form.variable(3, "u")
 V = Form.variable(3, "v")
@@ -68,16 +67,11 @@ class CISubscheme:
                (self.f2 == U and not any(e[0] for e, _ in self.f1.terms))
 
 
-def _ideal_piece_matrix(f1: Form, f2: Form, d: int) -> RatMatrix:
-    """Columns spanning the degree-d piece of the ideal (f1, f2) inside the
-    monomial coordinates of H0(P2, O(d))."""
-    blocks = []
-    for f in (f1, f2):
-        if d - f.degree >= 0:
-            blocks.append(multiplication_matrix(f, basis(P2, 0, d - f.degree)))
-        else:
-            blocks.append(RatMatrix.zero(cohomology_dim(P2, 0, d), 0))
-    return hstack(*blocks)
+def _ideal_piece_matrix(forms, d: int) -> RatMatrix:
+    """Columns spanning the degree-d piece of the ideal generated by the
+    nonzero ``forms`` inside the monomial coordinates of H0(P2, O(d))."""
+    return multiplication_matrix([forms], [basis(P2, 0, d - f.degree) for f in forms],
+                                 [basis(P2, 0, d)])
 
 
 def ci_from_forms(f1: Form, f2: Form, points=None) -> CISubscheme:
@@ -89,7 +83,7 @@ def ci_from_forms(f1: Form, f2: Form, points=None) -> CISubscheme:
     d1, d2 = f1.degree, f2.degree
     for d in (d1 + d2 - 1, d1 + d2):
         expected = cohomology_dim(P2, 0, d) - d1 * d2
-        if rank(_ideal_piece_matrix(f1, f2, d)) != expected:
+        if rank(_ideal_piece_matrix((f1, f2), d)) != expected:
             raise ValueError("Z not zero-dimensional")
     return CISubscheme(f1, f2, points)
 
@@ -141,8 +135,13 @@ class Presentation:
 class _Presented:
     """A plane sheaf's presentation and its restriction to L, each built once
     per instance: the sheaves are frozen and a ``Presentation`` holds only
-    frozen forms, so every caller can share them.  Equality and hashing stay
+    frozen forms, so every caller can share them.  ``h2_kernels`` keeps the
+    ``relation_h2_kernel`` of the last few twists.  Equality and hashing stay
     those of the dataclass fields."""
+
+    @cached_property
+    def h2_kernels(self) -> dict:
+        return {}
 
     @cached_property
     def presentation(self) -> Presentation:
@@ -245,8 +244,7 @@ def no_common_zero(forms) -> bool:
     if len(forms) < 2:
         return False            # no form, or one curve
     d = sum(f.degree for f in forms) - 2
-    blocks = [multiplication_matrix(f, basis(P2, 0, d - f.degree)) for f in forms]
-    return rank(hstack(*blocks)) == cohomology_dim(P2, 0, d)
+    return rank(_ideal_piece_matrix(forms, d)) == cohomology_dim(P2, 0, d)
 
 
 def _auto_extension_form(ci: CISubscheme, deg_h: int) -> Form:
@@ -293,22 +291,14 @@ def make_extension_bundle(c: int, k: int, ci: CISubscheme, h="auto", side: int =
 # cohomology from the presentation
 
 
-def _mult_block(f: Form, piece: GradedPiece, d_to: int) -> RatMatrix:
-    """multiplication_matrix with an explicit target degree, so zero entries
-    of a presentation column still produce correctly shaped blocks."""
-    if f.is_zero or piece.d + (f.degree or 0) != d_to:
-        if not f.is_zero:
-            raise ValueError("degree bookkeeping error in presentation")
-        return RatMatrix.zero(cohomology_dim(piece.space, piece.i, d_to), piece.dim)
-    return multiplication_matrix(f, piece)
-
-
 def _relation_matrix(space: str, i: int, pres: Presentation, t: int) -> RatMatrix:
-    """H^i-level matrix of the relation of ``pres``: H^i(O(b+t)) -> sum H^i(O(a+t))."""
-    if pres.relation_twist is None:
-        return RatMatrix.zero(sum(cohomology_dim(space, i, a + t) for a in pres.target_twists), 0)
-    src = basis(space, i, pres.relation_twist + t)
-    return vstack(*[_mult_block(f, src, a + t) for f, a in zip(pres.relation, pres.target_twists)])
+    """H^i-level matrix of the relation of ``pres``: H^i(O(b+t)) -> sum H^i(O(a+t));
+    without a relation it has no columns."""
+    b = pres.relation_twist
+    return multiplication_matrix([(f,) for f in pres.relation],
+                                 [] if b is None else [basis(space, i, b + t)],
+                                 [basis(space, i, a + t) for a in pres.target_twists],
+                                 i == space_dim(space))
 
 
 def relation_h0_matrix(sheaf, t: int) -> RatMatrix:
@@ -321,27 +311,41 @@ def relation_h2_matrix(sheaf, t: int) -> RatMatrix:
     return _relation_matrix(P2, 2, sheaf.presentation, t)
 
 
-def dual_prefix(d: int, depth) -> tuple:
-    """The dual monomials of H2(O(d)) of u-exponent -1, ..., -depth, which
+def dual_prefix(d: int, depth) -> GradedPiece:
+    """H2(O(d)) on its dual monomials of u-exponent -1, ..., -depth, which
     reverse-lex order lists first, in basis order; None means all of them."""
     if depth is None:
-        return dual_exponents(3, d)
-    return tuple((-j,) + e for j in range(1, depth + 1) for e in dual_exponents(2, d + j))
+        return basis(P2, 2, d)
+    return GradedPiece(P2, 2, d, tuple((-j,) + e for j in range(1, depth + 1)
+                                       for e in dual_exponents(2, d + j)))
 
 
-def relation_h2_prefix_matrix(pres: Presentation, t: int, src: tuple, depth) -> RatMatrix:
-    """The H2-level relation at twist t on the dual monomials ``src`` of degree
+def relation_h2_prefix_matrix(pres: Presentation, t: int, src: GradedPiece, depth) -> RatMatrix:
+    """The H2-level relation at twist t on ``src``, dual monomials of degree
     b + t, into the depth prefix of each target summand, which holds every product."""
-    return vstack(*[monomial_multiplication_matrix(f, src, dual_prefix(a + t, depth), True)
-                    for f, a in zip(pres.relation, pres.target_twists)])
+    return multiplication_matrix([(f,) for f in pres.relation], [src],
+                                 [dual_prefix(a + t, depth) for a in pres.target_twists], True)
 
 
-@lru_cache(maxsize=4)
+H2_KERNELS_KEPT = 4      # twists whose relation_h2_kernel each sheaf keeps
+
+
 def relation_h2_kernel(sheaf, t: int) -> tuple:
+    """``_relation_h2_kernel(sheaf, t)``, computed once per (sheaf, t) for h1, h2
+    and both h1 routes of a kernel sheaf and kept in ``sheaf.h2_kernels`` for
+    the last ``H2_KERNELS_KEPT`` twists computed."""
+    kept = sheaf.h2_kernels
+    if t not in kept:
+        kept[t] = _relation_h2_kernel(sheaf, t)
+        if len(kept) > H2_KERNELS_KEPT:
+            del kept[next(iter(kept))]
+    return kept[t]
+
+
+def _relation_h2_kernel(sheaf, t: int) -> tuple:
     """``(depth, kernel)``: the kernel of ``relation_h2_matrix(sheaf, t)``,
-    whose vectors vanish off ``dual_prefix(b + t, depth)``, by rows on that prefix;
-    computed once per (sheaf, t) for h1, h2 and both h1 routes of a kernel
-    sheaf.  depth is None (the whole basis) unless a relation form is c*u:
+    whose vectors vanish off ``dual_prefix(b + t, depth)``, by rows on that prefix.
+    depth is None (the whole basis) unless a relation form is c*u:
 
     * Exact.  If form i is c*u, a dual monomial (a, v, w) with a <= -2 maps
       to c*(a+1, v, w) in summand i, a row no other monomial reaches; the
@@ -571,8 +575,8 @@ def _hom_row_candidates(sheaf, e: int):
     if b is None:
         vectors = [{j: 1} for j in range(len(col_meta))]
     else:
-        ker = kernel_basis(hstack(*[_mult_block(f, basis(P1, 0, e - a), e - b)
-                                    for f, a in zip(rel, targets)]))
+        ker = kernel_basis(multiplication_matrix([rel], [basis(P1, 0, e - a) for a in targets],
+                                                 [basis(P1, 0, e - b)]))
         vectors = ker.basis.transpose().data
     out = []
     for vec in vectors:
@@ -634,8 +638,8 @@ def h1_restriction_kernel_dim(sheaf, t: int) -> int:
     depth, ker = relation_h2_kernel(sheaf, t - 1)
     if ker.dim == 0:
         return 0
-    u_mult = monomial_multiplication_matrix(U, dual_prefix(b + t - 1, depth),
-                                            dual_prefix(b + t, depth), True)
+    u_mult = multiplication_matrix([[U]], [dual_prefix(b + t - 1, depth)],
+                                   [dual_prefix(b + t, depth)], True)
     return rank(u_mult @ ker.basis)
 
 
@@ -647,18 +651,9 @@ def _normalize_form(f: Form) -> Form:
     """Scale to primitive integer coefficients with positive leading term."""
     if f.is_zero:
         return f
-    den = 1
-    for _, c in f.terms:
-        den = den * c.denominator // gcd(den, c.denominator)
-    nums = [int(c * den) for _, c in f.terms]
-    g = 0
-    for x in nums:
-        g = gcd(g, x)
-    lead = f.terms[0][1]
-    scale = QQ(den, g if g else 1)
-    if lead < 0:
-        scale = -scale
-    return f * scale
+    den = lcm(*(c.denominator for _, c in f.terms))
+    scale = QQ(den, gcd(*(int(c * den) for _, c in f.terms)))
+    return f * (-scale if f.terms[0][1] < 0 else scale)
 
 
 def recover_subscheme(g: ExtensionBundle) -> CISubscheme:
@@ -688,8 +683,7 @@ def recover_subscheme(g: ExtensionBundle) -> CISubscheme:
 def ideals_match(a: CISubscheme, b: CISubscheme, up_to: int) -> bool:
     """Equality of the graded pieces of the two ideals in all degrees <= up_to."""
     for d in range(0, up_to + 1):
-        ma, mb = _ideal_piece_matrix(a.f1, a.f2, d), _ideal_piece_matrix(b.f1, b.f2, d)
-        ra, rb = rank(ma), rank(mb)
-        if ra != rb or rank(hstack(ma, mb)) != ra:
+        ra, rb = rank(_ideal_piece_matrix((a.f1, a.f2), d)), rank(_ideal_piece_matrix((b.f1, b.f2), d))
+        if ra != rb or rank(_ideal_piece_matrix((a.f1, a.f2, b.f1, b.f2), d)) != ra:
             return False
     return True

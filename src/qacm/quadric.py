@@ -35,11 +35,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InternalCheckError
-from .linalg import (QQ, RatMatrix, block_diag, hstack, kernel_basis, kernel_dim,
-                     rank, vstack)
-from .monomials import (P1, P2, Form, basis, cohomology_dim, euler_char_p1,
+from .linalg import QQ, RatMatrix, block_diag, hstack, kernel_basis, kernel_dim, rank
+from .monomials import (P1, P2, Form, GradedPiece, basis, cohomology_dim, euler_char_p1,
                         multiplication_matrix, restrict_to_plane, restriction_matrix)
-from .plane import (CohRow, CohTable, SplitBundle, _mult_block, chern,
+from .plane import (CohRow, CohTable, SplitBundle, chern,
                     ci_from_forms, ci_from_line_points, cohomology as
                     plane_cohomology, dual_prefix, euler_char as plane_euler_char,
                     h1_restriction_kernel_dim, make_extension_bundle,
@@ -141,9 +140,8 @@ def _assembled_matrix(k: KernelSheaf, t: int) -> RatMatrix:
     Exact: composed with ``_restriction(k, t)`` it is the gluing matrix times the
     trivialized restrictions entry for entry, as M_beta M_r = M_(beta r) on monomial
     bases; and the restriction u := 0 is a surjective selection, so rank(Phi R) = rank(Phi)."""
-    return vstack(*[hstack(*[_mult_block(f, basis(P1, 0, a + t), d + t)
-                             for f, a in zip(row, k.twists)])
-                    for d, row in zip((k.c, 0), k.line_map)])
+    return multiplication_matrix(k.line_map, [basis(P1, 0, a + t) for a in k.twists],
+                                 [basis(P1, 0, k.c + t), basis(P1, 0, t)])
 
 
 def _restriction(k: KernelSheaf, t: int) -> RatMatrix:
@@ -167,7 +165,8 @@ def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int) -> int:
     if ker.dim == 0:
         return 0
     rows = None if depth is None else depth + 1
-    lifted = tuple((a - 1, v, w) for a, v, w in dual_prefix(b + t, depth))
+    lifted = GradedPiece(P2, 2, b + t - 1,
+                         tuple((a - 1, v, w) for a, v, w in dual_prefix(b + t, depth).basis))
     a_mat = relation_h2_prefix_matrix(pres, t - 1, lifted, rows) @ ker.basis
     d_mat = relation_h2_prefix_matrix(pres, t - 1, dual_prefix(b + t - 1, 1), rows)
     return kernel_dim(hstack(a_mat, d_mat)) - kernel_dim(d_mat)
@@ -185,6 +184,10 @@ def coh_row(k: KernelSheaf, t: int) -> CohRow:
     cokernel of the H1-level restriction plus the top cohomology of the two
     components, so chi = h0 - h1 + h2 is checked against the Euler
     characteristic of the sequence.  A disagreement raises InternalCheckError.
+    When a relation form of the other side is c*u (the collinear and point
+    extension sheaves), the fast route is 0 by construction: its kernel lives
+    on u-exponent -1, which u contracts to zero.  There the check holds the
+    full route to 0.
     """
     row = k._cache.get(t)
     if row is not None:
@@ -350,19 +353,19 @@ def gluing_variation_report(k: KernelSheaf, gluings, tmin: int = None, tmax: int
 # global generation of 0-regular kernel sheaves
 
 
-def _plane_linear_mult(sheaf, side: int, linear: Form, t: int) -> RatMatrix:
-    """Multiplication by the restriction of an ambient linear form on the
-    sections of the free cover of a plane sheaf: twist t -> t + 1."""
-    f3 = restrict_to_plane(linear, side)
-    pres = sheaf.presentation
-    blocks = []
-    for a in pres.target_twists:
-        src = basis(P2, 0, a + t)
-        if f3.is_zero:
-            blocks.append(RatMatrix.zero(cohomology_dim(P2, 0, a + t + 1), src.dim))
-        else:
-            blocks.append(multiplication_matrix(f3, src))
-    return block_diag(*blocks)
+def _cover_sections(k: KernelSheaf, t: int) -> list:
+    """H0(O(a + t)) of every summand of the two free covers, split side first."""
+    return [basis(P2, 0, a + t) for a in k.twists]
+
+
+def _linear_mult(k: KernelSheaf, linear: Form) -> RatMatrix:
+    """Multiplication by the restriction of an ambient linear form to each
+    plane on the sections of the two free covers: twist 0 -> 1."""
+    n = len(k.split.twists)
+    on_plane = [restrict_to_plane(linear, k.split.side)] * n + \
+        [restrict_to_plane(linear, k.other.side)] * (len(k.twists) - n)
+    return multiplication_matrix([(Form.zero(3),) * i + (f,) for i, f in enumerate(on_plane)],
+                                 _cover_sections(k, 0), _cover_sections(k, 1))
 
 
 def global_generation_surjective(k: KernelSheaf) -> bool:
@@ -374,15 +377,16 @@ def global_generation_surjective(k: KernelSheaf) -> bool:
     target_dim = u1.cols - rank(u1)
     columns = []
     for linear in AMBIENT_LINEAR:
-        m = block_diag(_plane_linear_mult(k.split, k.split.side, linear, 0),
-                       _plane_linear_mult(k.other, k.other.side, linear, 0))
-        prod = m @ v0.basis
+        prod = _linear_mult(k, linear) @ v0.basis
         if not (u1 @ prod).is_zero():
             raise InternalCheckError("multiplication did not preserve kernel sections")
         columns.append(prod)
-    rel1 = relation_h0_matrix(k.other, 1)
-    split_dim1 = sum(cohomology_dim(P2, 0, a + 1) for a in k.split.twists)
-    embedded = vstack(RatMatrix.zero(split_dim1, rel1.cols), rel1)
+    # the relation of the other side at twist 1, into the sections of both covers
+    pres = k.other.presentation
+    embedded = multiplication_matrix(
+        [()] * len(k.split.twists) + [(f,) for f in pres.relation],
+        [] if pres.relation_twist is None else [basis(P2, 0, pres.relation_twist + 1)],
+        _cover_sections(k, 1))
     total = hstack(*columns, embedded)
     return rank(total) == target_dim
 

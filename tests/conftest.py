@@ -1,6 +1,14 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from qacm.cli import ScanConfig, run_classify
+
+# CI selects "ci" with HYPOTHESIS_PROFILE=ci, so that a failure seen only there
+# prints the blob that reproduces it (@reproduce_failure); local runs keep the default.
+settings.register_profile("ci", print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

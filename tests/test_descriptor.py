@@ -1,9 +1,13 @@
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qacm.cli import main
 from qacm.descriptor import (DCIForms, DCIPoints, DExt, DGluing, DIdeal,
                              DKernel, DLBSum, DRankOne, DescriptorParseError,
                              build, parse, parse_ambient_form, parse_and_build,
@@ -213,3 +217,34 @@ def test_parse_is_total_on_grammar_alphabet(text):
         parse(text)
     except DescriptorParseError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# parse -> build -> twists, to exit codes
+
+
+def _cohomology_exit(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["cohomology", "--sheaf", text, "--tmin", "-3", "--tmax", "2"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(descriptors)
+@settings(max_examples=100, deadline=None)
+def test_cohomology_of_any_descriptor_ends_in_an_exit_code(node):
+    """Every printable descriptor is parsed, built and tabled over [-3, 2]:
+    the run ends in 0 (with a JSON report), 2 (input error) or 3 (a failed
+    cross-check), and never in a traceback."""
+    code, out, err = _cohomology_exit(to_text(node))
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert json.loads(out)["descriptor"] == to_text(node)
+
+
+@pytest.mark.parametrize("text", ["I(points([1:0:0]))(1)@H1",
+                                  "G(c=2,k=1,Z=points([0:1:2];[1:1:0]),h=auto)@H2"])
+def test_cohomology_of_a_point_off_the_line_exits_2(text):
+    code, out, err = _cohomology_exit(text)
+    assert (code, out) == (2, "") and "u = 0" in err

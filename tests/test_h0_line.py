@@ -28,7 +28,7 @@ def _line_block(f: Form, a: int, e: int, t: int) -> RatMatrix:
     src = basis(P1, 0, a + t)
     if f.is_zero:
         return RatMatrix.zero(cohomology_dim(P1, 0, e + t), src.dim)
-    return multiplication_matrix(f, src)
+    return multiplication_matrix([[f]], [src], [basis(P1, 0, e + t)])
 
 
 def _restricted(sheaf, t: int) -> RatMatrix:
@@ -45,7 +45,7 @@ def oracle_matrix(k, t: int) -> RatMatrix:
     hi, lo = cohomology_dim(P1, 0, k.c + t), cohomology_dim(P1, 0, t)
     beta = k.e.beta
     m_beta = (RatMatrix.zero(hi, lo) if beta is None or beta.is_zero
-              else multiplication_matrix(beta, basis(P1, 0, t)))
+              else multiplication_matrix([[beta]], [basis(P1, 0, t)], [basis(P1, 0, k.c + t)]))
     g = vstack(hstack(RatMatrix.identity(hi).scale(k.e.alpha), m_beta),
                hstack(RatMatrix.zero(lo, hi), RatMatrix.identity(lo).scale(k.e.delta)))
     return hstack(g @ _restricted(k.split, t), -_restricted(k.other, t))

@@ -24,7 +24,7 @@ from qacm.plane import (CIIdealSheaf, CISubscheme, ExtensionBundle, ci_from_form
                         ci_from_line_points, cohomology, dual_prefix, euler_char,
                         h1_restriction_kernel_dim, make_extension_bundle,
                         relation_h2_kernel, relation_h2_matrix)
-from qacm.quadric import _h1_kernel_of_line_map_full, acm_window
+from qacm.quadric import _h1_kernel_of_line_map_full, acm_window, coh_row, collinear_extension_kernel
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 
@@ -75,7 +75,7 @@ def _assert_prefix_kernel_is_whole_kernel(sheaf, t, depth_expected):
     assert depth == depth_expected
     b = sheaf.presentation.relation_twist
     n = cohomology_dim(P2, 2, b + t)
-    n_prefix = len(dual_prefix(b + t, depth))
+    n_prefix = dual_prefix(b + t, depth).dim
     assert ker.basis.rows == n_prefix
     whole = kernel_basis(relation_h2_matrix(sheaf, t)).basis
     assert whole == vstack(ker.basis, RatMatrix.zero(n - n_prefix, ker.dim))
@@ -131,7 +131,7 @@ def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
         monkeypatch.setattr(mod, "dual_exponents", guard(mod.dual_exponents, dual3))
     for mod in (qacm.monomials, qacm.plane, qacm.quadric):
         monkeypatch.setattr(mod, "basis", guard(mod.basis, basis_p2))
-    relation_h2_kernel.cache_clear()
+    sheaf.h2_kernels.clear()          # every kernel below is computed under the guards
 
     depth, ker = relation_h2_kernel(sheaf, t)
     assert (depth, ker.dim) == (1, 20)
@@ -141,7 +141,26 @@ def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
     fast = h1_restriction_kernel_dim(sheaf, t)
     full = _h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t)
     assert fast == full == 0
-    relation_h2_kernel.cache_clear()
+
+
+def test_coh_row_computes_each_kernel_once(monkeypatch):
+    """A window of coh_row asks for the H2 kernel of the other side at t - 1
+    (fast h1 route) and at t (full route, h1, h2) at every twist t; the sheaf's
+    memo computes each (sheaf, t) once."""
+    k = collinear_extension_kernel(4, 2, [((1, r), 1) for r in seeded_line_values(3, 2)])
+    calls = []
+    compute = qacm.plane._relation_h2_kernel
+
+    def counted(sheaf, t):
+        calls.append((sheaf, t))
+        return compute(sheaf, t)
+
+    monkeypatch.setattr(qacm.plane, "_relation_h2_kernel", counted)
+    lo, hi = acm_window(k)
+    for t in range(lo, hi + 1):
+        coh_row(k, t)
+    assert [t for _, t in calls] == list(range(lo - 1, hi + 1))
+    assert all(sheaf is k.other for sheaf, _ in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qacm.linalg import QQ, rank
-from qacm.monomials import (P1, P2, Form, basis, binary_forms_common_zero_free,
+from qacm.linalg import QQ, RatMatrix, hstack, rank, vstack
+from qacm.monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_zero_free,
                             binary_gcd, cohomology_dim, h0_exponents,
                             multiplication_matrix, restrict_to_plane,
                             restriction_matrix)
@@ -60,7 +60,7 @@ def test_basis_sizes_match_dims():
 # --- multiplication ----------------------------------------------------------
 
 def test_mult_embedding():
-    m = multiplication_matrix(u, basis(P2, 0, 1))
+    m = multiplication_matrix([[u]], [basis(P2, 0, 1)], [basis(P2, 0, 2)])
     # columns follow the source basis H0(O(1)), rows the target H0(O(2))
     assert (m.rows, m.cols) == (6, 3)
     assert rank(m) == 3
@@ -68,7 +68,7 @@ def test_mult_embedding():
 
 def test_mult_contraction_rule():
     src = basis(P2, 2, -4)
-    m = multiplication_matrix(u, src)
+    m = multiplication_matrix([[u]], [src], [basis(P2, 2, -3)], top=True)
     cols = {src.basis[j]: m.column(j) for j in range(src.dim)}
     # u * u^-1 v^-2 w^-1 has a nonnegative exponent: dies
     assert all(x == 0 for x in cols[(-1, -2, -1)])
@@ -78,13 +78,82 @@ def test_mult_contraction_rule():
 
 
 def test_mult_zero_form():
-    m = multiplication_matrix(Form.zero(3), basis(P2, 0, 1))
+    m = multiplication_matrix([[Form.zero(3)]], [basis(P2, 0, 1)], [basis(P2, 0, 1)])
     assert m.is_zero()
 
 
 def test_mult_variable_mismatch():
     with pytest.raises(ValueError):
-        multiplication_matrix(Form.variable(2, "v"), basis(P2, 0, 1))
+        multiplication_matrix([[Form.variable(2, "v")]], [basis(P2, 0, 1)], [basis(P2, 0, 2)])
+
+
+def test_mult_degree_bookkeeping_error():
+    with pytest.raises(ValueError, match="degree bookkeeping error"):
+        multiplication_matrix([[v]], [basis(P2, 0, 1)], [basis(P2, 0, 1)])
+    # an empty block is checked as well
+    with pytest.raises(ValueError, match="degree bookkeeping error"):
+        multiplication_matrix([[v]], [basis(P2, 0, -2)], [basis(P2, 0, -2)])
+
+
+# --- one builder against blocks and stacks -------------------------------------
+
+
+def _reference_block(f, src, tgt, top):
+    """Multiplication by f from src to tgt, entry by entry in Fractions."""
+    index = {m: i for i, m in enumerate(tgt.basis)}
+    rows = [{} for _ in tgt.basis]
+    for j, m in enumerate(src.basis):
+        for e, c in f.terms:
+            prod = tuple(a + b for a, b in zip(m, e))
+            if not top or max(prod) < 0:
+                rows[index[prod]][j] = c
+    return RatMatrix.from_dicts(len(tgt.basis), len(src.basis), rows)
+
+
+def _reference(grid, srcs, tgts, top):
+    return vstack(*[hstack(*[_reference_block(f, src, tgt, top) for f, src in zip(row, srcs)])
+                    for row, tgt in zip(grid, tgts)])
+
+
+def _piece(space, i, d):
+    if space == "P3":
+        return GradedPiece(space, 0, d, h0_exponents(4, d))
+    return basis(space, i, d)
+
+
+# (space, cohomology index, variables, degrees of the pieces); the degrees
+# include empty pieces: negative ones at H0, -1 and -2 at the top
+_SPACES = [(P1, 0, 2, range(-2, 5)), (P1, 1, 2, range(-6, 0)),
+           (P2, 0, 3, range(-2, 4)), (P2, 2, 3, range(-7, -1)), ("P3", 0, 4, range(-1, 3))]
+_coefficients = st.one_of(st.integers(-3, 3),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@st.composite
+def _grids(draw):
+    space, i, nv, degrees = draw(st.sampled_from(_SPACES))
+    src_d = draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=5))
+    tgt_d = draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=3))
+    grid = []
+    for e in tgt_d:
+        row = []
+        for d in src_d:
+            mons = h0_exponents(nv, e - d) if draw(st.integers(0, 4)) else ()
+            cs = draw(st.lists(_coefficients, min_size=len(mons), max_size=len(mons)))
+            row.append(Form.from_dict(nv, dict(zip(mons, cs))) if mons else Form.zero(nv))
+        grid.append(row)
+    top = i > 0
+    return grid, [_piece(space, i, d) for d in src_d], [_piece(space, i, e) for e in tgt_d], top
+
+
+@given(_grids())
+@settings(max_examples=150, deadline=None)
+def test_builder_equals_blocks_and_stacks(case):
+    """One pass over a grid of forms gives the matrix of the blocks built one
+    by one and stacked: zero forms and empty pieces, dual bases with
+    contraction, and Fraction coefficients over different denominators."""
+    grid, srcs, tgts, top = case
+    assert multiplication_matrix(grid, srcs, tgts, top) == _reference(grid, srcs, tgts, top)
 
 
 # --- restriction -------------------------------------------------------------
@@ -124,8 +193,10 @@ def forms3(degree, allow_zero=False):
 def test_multiplication_composes(f, g, where):
     space, i, d = where
     piece = basis(space, i, d)
-    lhs = multiplication_matrix(f * g, piece)
-    rhs = multiplication_matrix(f, basis(space, i, d + g.degree)) @ multiplication_matrix(g, piece)
+    top = i == 2
+    mid, tgt = basis(space, i, d + g.degree), basis(space, i, d + g.degree + f.degree)
+    lhs = multiplication_matrix([[f * g]], [piece], [tgt], top)
+    rhs = multiplication_matrix([[f]], [mid], [tgt], top) @ multiplication_matrix([[g]], [piece], [mid], top)
     assert lhs == rhs
 
 

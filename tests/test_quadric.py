@@ -1,11 +1,13 @@
 import pytest
 
 import qacm.quadric
+from qacm.cli import main, seeded_line_values
+from qacm.descriptor import parse_and_build
 from qacm.errors import InternalCheckError
 from qacm.monomials import Form
 from qacm.plane import ci_from_forms, euler_char as plane_euler_char, \
     make_extension_bundle, make_split_bundle
-from qacm.quadric import (RankOneSheaf, acm_check, coh_table,
+from qacm.quadric import (RankOneSheaf, acm_check, coh_row, coh_table,
                           collinear_extension_kernel,
                           diagonal_gluing, euler_char, gluing_variation_report,
                           global_generation_surjective, h0, h1, h2,
@@ -172,6 +174,28 @@ def test_les_cross_check_runs_at_every_twist():
     # exercises both routes at each twist.
     table = coh_table(collinear_kernel(2, 1), -9, 5)
     assert all(r.h1 == 0 for r in table.rows)
+
+
+SCAN_SHEAF = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:{}];[0:1:{}]),h=auto)@H2,e=id)".format(
+    *seeded_line_values(0, 2))
+
+
+def test_les_cross_check_fails_when_the_full_route_is_perturbed(monkeypatch, capsys):
+    """On the collinear family the fast h1 route is 0 by construction, so the
+    LES check holds the full route to 0: one more there must be refused, by
+    coh_row and by ``qacm cohomology`` with exit 3."""
+    k = parse_and_build(SCAN_SHEAF)
+    t = -3
+    assert acm_check(k).is_acm and k._cache[t].h1 == 0
+    real = qacm.quadric._h1_kernel_of_line_map_full
+    monkeypatch.setattr(qacm.quadric, "_h1_kernel_of_line_map_full",
+                        lambda k, t: real(k, t) + 1)
+    k._cache.clear()
+    with pytest.raises(InternalCheckError, match="LES inconsistency"):
+        coh_row(k, t)
+    code = main(["cohomology", "--sheaf", SCAN_SHEAF, "--tmin", str(t), "--tmax", str(t),
+                 "--no-timestamp"])
+    assert code == 3 and "LES inconsistency" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, lcm
-from operator import add
+from operator import add, le, sub
 
 from .linalg import QQ, RatMatrix
 
@@ -91,6 +91,22 @@ class Form:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    @cached_property
+    def _mult_terms(self) -> tuple:
+        """The form as ``multiplication_matrix`` reads it: (den, terms), den
+        the common denominator of the coefficients.  With s_k the sum of the
+        last k exponents of a term e in n variables, each term is (its
+        coefficient times den, s_1, s_2, (s_k + k - 1 for k = 2..n-1),
+        (-1 - s_k for k = 2..n-1), (-1 - e_i for i < n - 2))."""
+        den = lcm(*(c.denominator for _, c in self.terms))
+        terms = []
+        for e, c in self.terms:
+            sums = _suffix_sums(e)
+            terms.append((c.numerator * (den // c.denominator), sums[0], sums[1],
+                          tuple(s + k for k, s in enumerate(sums[1:-1], 1)),
+                          tuple(-1 - s for s in sums[1:-1]), tuple(-1 - x for x in e[:-2])))
+        return den, tuple(terms)
 
     @property
     def degree(self):
@@ -320,10 +336,21 @@ def dual_exponents(num_vars: int, d: int) -> tuple:
     return tuple(sorted((tuple(-1 - e for e in exp) for exp in base), reverse=True))
 
 
+def _suffix_sums(e) -> list:
+    """[s_1, ..., s_n]: s_k is the sum of the last k exponents of e."""
+    out, s = [], 0
+    for x in reversed(e):
+        s += x
+        out.append(s)
+    return out
+
+
 @dataclass(frozen=True)
 class GradedPiece:
     """A cohomology group H^i(space, O(d)) with its ordered monomial basis, or
-    the span of a prefix of that basis."""
+    the span of a part of that basis.  As the target of ``multiplication_matrix``
+    a piece must be a prefix of its standard basis (``h0_exponents`` or
+    ``dual_exponents``); as a source it may be any list of monomials of degree d."""
 
     space: str
     i: int
@@ -333,6 +360,22 @@ class GradedPiece:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def _runs(self) -> tuple:
+        """The basis cut, in order, into maximal runs of monomials that agree in
+        all but their last two exponents.  A run is (head, s_2, (s_2, ..., s_(n-1)),
+        first column, [last exponent of each monomial]), with head the shared
+        exponents and s_k the sum of the last k exponents, shared by the run for k >= 2."""
+        runs = []
+        for col, m in enumerate(self.basis):
+            head = m[:-2]
+            if runs and runs[-1][0] == head:
+                runs[-1][4].append(m[-1])
+            else:
+                sums = _suffix_sums(m)
+                runs.append((head, sums[1], tuple(sums[1:-1]), col, [m[-1]]))
+        return tuple(runs)
 
 
 def space_dim(space: str) -> int:
@@ -378,14 +421,23 @@ def basis(space: str, i: int, d: int) -> GradedPiece:
 def multiplication_matrix(grid, srcs, tgts, top: bool = False) -> RatMatrix:
     """The map sum_j srcs[j] -> sum_i tgts[i] whose block (i, j) is
     multiplication by the form ``grid[i][j]``, on monomial bases: rows by
-    target, columns by source, blocks in order.  A piece is a ``GradedPiece``
-    (its basis may be a prefix of the whole one).  The grid, and each of its
-    rows, may stop early: the forms left out are zero.  On dual (``top``)
-    bases a product monomial with any exponent >= 0 contracts to zero.
+    target, columns by source, blocks in order.  A piece is a ``GradedPiece``;
+    each target is a prefix of its standard basis, so a product's row is its
+    rank there, computed from its exponents.  The grid, and each of its rows,
+    may stop early: the forms left out are zero.  On dual (``top``) bases a
+    product monomial with any exponent >= 0 contracts to zero.
+
+    The rank rule, with s_k the sum of the last k of the n exponents of p:
+    rank(p) = sum_(k=1..n-1) C(s_k + k - 1, k) in H0, and, on the top piece
+    of degree d, rank(p) = C(-d - 1, n - 1) - 1 - rank(-1 - p), the second
+    rank taken in H0.  The suffix sums of a product m * e are those of m plus
+    those of e, and the source monomials of one run (``GradedPiece._runs``)
+    share s_k for k >= 2, so along a run row = base + last exponent of m.
 
     Every product is written straight into one list of int rows over the
     common denominator of all coefficients; zero forms and empty pieces write
-    nothing.  A nonzero form must bridge the degrees of its block."""
+    nothing.  A nonzero form must bridge the degrees of its block, and each
+    product must lie in its target piece."""
     roff, coff = [0], [0]
     for p in tgts:
         roff.append(roff[-1] + len(p.basis))
@@ -394,7 +446,7 @@ def multiplication_matrix(grid, srcs, tgts, top: bool = False) -> RatMatrix:
     out = [{} for _ in range(roff[-1])]
     blocks, den = [], 1
     for i, row in enumerate(grid):
-        tgt, trows = tgts[i], None
+        tgt = tgts[i]
         for j, f in enumerate(row):
             if not f.terms:
                 continue
@@ -406,18 +458,40 @@ def multiplication_matrix(grid, srcs, tgts, top: bool = False) -> RatMatrix:
             if src.basis and tgt.basis:
                 if len(exp) != len(src.basis[0]):
                     raise ValueError("variable-count mismatch between form and graded piece")
-                if trows is None:       # target monomial -> its row of ``out``
-                    trows = dict(zip(tgt.basis, out[roff[i]:roff[i + 1]]))
-                blocks.append((f.terms, trows, src.basis, coff[j]))
-                den = lcm(den, *(c.denominator for _, c in f.terms))
-    for terms, trows, monomials, c0 in blocks:
-        terms = [(e, c.numerator * (den // c.denominator)) for e, c in terms]
+                fden, terms = f._mult_terms
+                blocks.append((fden, terms, i, src._runs, coff[j]))
+                den = lcm(den, fden)
+    for fden, terms, i, runs, c0 in blocks:
+        scale = den // fden
+        rows = out[roff[i]:roff[i + 1]]     # a row past the target piece raises IndexError
         # distinct exponents of f give distinct products, so no entry is hit twice
-        for col, m in enumerate(monomials, c0):
-            for e, c in terms:
-                prod = tuple(map(add, m, e))
-                if not top or max(prod) < 0:
-                    trows[prod][col] = c
+        n = len(tgts[i].basis[0])
+        ks = range(2, n)
+        try:
+            if top:
+                full = comb(-tgts[i].d - 1, n - 1)
+                for c, s1, s2, _, shift, lim in terms:
+                    c *= scale
+                    for head, sigma, hi, first, lasts in runs:
+                        # the product's last two exponents, x + s1 and sigma + s2 - x - s1,
+                        # are both <= -1 iff lo < x < up, which needs sigma + s2 <= -2
+                        if sigma + s2 > -2 or not all(map(le, head, lim)):
+                            continue
+                        base = full + s1 - sum(map(comb, map(sub, shift, hi), ks)) if hi else full + s1
+                        lo, up = sigma + s2 - s1, -s1
+                        for col, x in enumerate(lasts, c0 + first):
+                            if lo < x < up:
+                                rows[base + x][col] = c
+            else:
+                for c, s1, _, shift, _, _ in terms:
+                    c *= scale
+                    for _, _, hi, first, lasts in runs:
+                        base = s1 + sum(map(comb, map(add, hi, shift), ks)) if hi else s1
+                        for col, x in enumerate(lasts, c0 + first):
+                            rows[base + x][col] = c
+        except IndexError:
+            raise ValueError("bookkeeping error: a product lies outside its target piece, "
+                             "a prefix of its standard basis") from None
     return RatMatrix.make(roff[-1], coff[-1], out, den)
 
 
@@ -428,10 +502,9 @@ def restriction_matrix(d: int) -> RatMatrix:
     src = basis(P2, 0, d)
     tgt = basis(P1, 0, d)
     out = [{} for _ in range(tgt.dim)]
-    tindex = {e: k for k, e in enumerate(tgt.basis)}
     for col, (a, b, c) in enumerate(src.basis):
         if a == 0:
-            out[tindex[(b, c)]][col] = 1
+            out[c][col] = 1     # v^b w^c has rank c in the P1 basis
     return RatMatrix(tgt.dim, src.dim, tuple(out))
 
 

@@ -537,19 +537,21 @@ def _splitting_degrees(sheaf) -> tuple:
     """Splitting type of F|_L by successive differences of h0(F|_L(s)) over
     start = -(deg - min a_i) - 1 < s <= -min a_i.  F|_L = O_L(c1) + O_L(c2) (c1 >= c2)
     is a quotient of sum O_L(a_i), so c2 >= min a_i, c1 <= deg - min a_i and h0 is 0
-    at the start; torsion along L has sections at every twist and is refused there."""
+    at the start; torsion along L has sections at every twist and is refused there.
+    Returns the degrees and ``{s: h0(F|_L(s))}`` for every twist scanned."""
     pres = sheaf.line_presentation
     targets, b = pres.target_twists, pres.relation_twist
     r = sheaf.rank
     deg = sum(targets) - (b if b is not None else 0)
     start = -(deg - min(targets)) - 1
     degrees = []
-    prev = line_h0_dim(sheaf, start)
+    h0 = {start: line_h0_dim(sheaf, start)}
+    prev = h0[start]
     if prev != 0:
         raise ValueError("restriction to the line is not a vector bundle")
     threshold = 1
     for s in range(start + 1, 1 - min(targets)):
-        cur = line_h0_dim(sheaf, s)
+        cur = h0[s] = line_h0_dim(sheaf, s)
         delta = cur - prev
         while delta >= threshold and len(degrees) < r:
             degrees.append(-s)
@@ -559,7 +561,7 @@ def _splitting_degrees(sheaf) -> tuple:
             break
     if len(degrees) != r or sum(degrees) != deg:
         raise ValueError("restriction to the line has torsion (not locally free along L)")
-    return tuple(degrees)
+    return tuple(degrees), h0
 
 
 def _hom_row_candidates(sheaf, e: int):
@@ -602,7 +604,7 @@ def trivialize_on_line(sheaf) -> Trivialization:
         raise ValueError("trivialization needs a rank-2 sheaf")
     if isinstance(sheaf, CIIdealSheaf):
         raise ValueError("not a simple-type restriction")
-    c1, c2 = _splitting_degrees(sheaf)
+    (c1, c2), h0 = _splitting_degrees(sheaf)
     lo_candidates = _hom_row_candidates(sheaf, c2)
     hi_candidates = _hom_row_candidates(sheaf, c1)
     chosen = None
@@ -622,9 +624,9 @@ def trivialize_on_line(sheaf) -> Trivialization:
     if chosen is None:
         raise ValueError("not a simple-type restriction")
     triv = Trivialization((c1, c2), chosen)
-    for t in range(-c1 - 4, 5):
+    for t in range(-c1 - 4, 5):      # twists the scan left out are computed here
         model = cohomology_dim(P1, 0, c1 + t) + cohomology_dim(P1, 0, c2 + t)
-        if model != line_h0_dim(sheaf, t):
+        if model != (h0[t] if t in h0 else line_h0_dim(sheaf, t)):
             raise InternalCheckError("trivialized model disagrees with presentation dimensions")
     return triv
 

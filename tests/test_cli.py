@@ -387,6 +387,21 @@ def test_upper_gluing_reports_are_pinned(capsys, sheaf, gluings, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["cohomology", "--sheaf", "G(c=4,k=1,Z=[v,w^3],h=auto)@H2", "--tmin", "-60", "--tmax", "4"],
+     "31ce2d76c894825bf007451ad2df84b195eff03417e22caddaa263b3df1a21ab"),
+    (["classify", "--cmax", "10", "--seed", "3"],
+     "388a78b29588d82f0d4c046af99e2c6e4e3860b768616e994d8d4dfce1c33414"),
+], ids=["u-free-h2", "classify-c10"])
+def test_reports_off_the_benchmark_are_pinned(capsys, argv, digest):
+    """Reports of paths no benchmark workload runs, pinned by sha256: the
+    u-free H2 path builds whole dual P2 matrices (no relation form is a multiple
+    of u alone), and c_max = 10 reaches larger scan rows than the c_max = 8 workload."""
+    code, out, _ = run(capsys, argv + ["--no-timestamp"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_gluing_report_invalid_gluing_text(capsys):
     desc = "K(F1=O(0)+O(0)@H1,F2=O(0)+O(0)@H2,e=id)"
     code, _, err = run(capsys, ["gluing-report", "--sheaf", desc, "--e", "twist(2)"])

@@ -4,9 +4,10 @@ from hypothesis import strategies as st
 
 from qacm.linalg import QQ, RatMatrix, hstack, rank, vstack
 from qacm.monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_zero_free,
-                            binary_gcd, cohomology_dim, h0_exponents,
+                            binary_gcd, cohomology_dim, dual_exponents, h0_exponents,
                             multiplication_matrix, restrict_to_plane,
                             restriction_matrix)
+from qacm.plane import dual_prefix
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 
@@ -95,6 +96,48 @@ def test_mult_degree_bookkeeping_error():
         multiplication_matrix([[v]], [basis(P2, 0, -2)], [basis(P2, 0, -2)])
 
 
+def _lifted(d, depth):
+    """The shape of ``lifted`` in ``quadric._h1_kernel_of_line_map_full``: the
+    depth prefix of H2(O(d)) moved one u-exponent down, a slice of H2(O(d - 1))
+    that is not a prefix of it."""
+    return GradedPiece(P2, 2, d - 1, tuple((a - 1, b, c) for a, b, c in dual_prefix(d, depth).basis))
+
+
+def test_mult_product_outside_the_target_piece():
+    """A target piece that does not hold every product is a bookkeeping error,
+    not a silent write into the next block or an IndexError."""
+    with pytest.raises(ValueError, match="bookkeeping error.*outside its target piece"):
+        multiplication_matrix([[v]], [dual_prefix(-6, 2)], [dual_prefix(-5, 1)], True)
+    # the lifted slice reaches u-exponent -2: a depth-1 target is one level too shallow
+    with pytest.raises(ValueError, match="bookkeeping error.*outside its target piece"):
+        multiplication_matrix([[v]], [_lifted(-4, 1)], [dual_prefix(-4, 1)], True)
+    # a second target block after the short one: the product must not land there
+    with pytest.raises(ValueError, match="bookkeeping error.*outside its target piece"):
+        multiplication_matrix([[v], [Form.zero(3)]], [dual_prefix(-6, 2)],
+                              [dual_prefix(-5, 1), basis(P2, 2, -5)], True)
+    short = GradedPiece(P2, 0, 2, basis(P2, 0, 2).basis[:3])
+    with pytest.raises(ValueError, match="bookkeeping error.*outside its target piece"):
+        multiplication_matrix([[v]], [basis(P2, 0, 1)], [short])
+
+
+@pytest.mark.parametrize("nv, top", [(2, False), (3, False), (4, False), (2, True), (3, True),
+                                     (4, True)])
+def test_rank_rule_places_each_monomial_at_its_position(nv, top):
+    """Multiplication by 1 on a whole basis is the identity, and on the basis
+    reversed it is the reversal: the computed rank of every monomial is its
+    position in ``h0_exponents`` or ``dual_exponents``, every degree up to 8."""
+    one = Form.constant(nv, 1)
+    space, i = {2: P1, 3: P2, 4: "P3"}[nv], nv - 1 if top else 0
+    for k in range(9):
+        d = -k - nv if top else k
+        piece = GradedPiece(space, i, d, (dual_exponents if top else h0_exponents)(nv, d))
+        flipped = GradedPiece(space, i, d, piece.basis[::-1])
+        n = piece.dim
+        assert multiplication_matrix([[one]], [piece], [piece], top) == RatMatrix.identity(n)
+        assert multiplication_matrix([[one]], [flipped], [piece], top) == \
+            RatMatrix(n, n, tuple({n - 1 - r: 1} for r in range(n)))
+
+
 # --- one builder against blocks and stacks -------------------------------------
 
 
@@ -124,34 +167,56 @@ def _piece(space, i, d):
 # (space, cohomology index, variables, degrees of the pieces); the degrees
 # include empty pieces: negative ones at H0, -1 and -2 at the top
 _SPACES = [(P1, 0, 2, range(-2, 5)), (P1, 1, 2, range(-6, 0)),
-           (P2, 0, 3, range(-2, 4)), (P2, 2, 3, range(-7, -1)), ("P3", 0, 4, range(-1, 3))]
+           (P2, 0, 3, range(-2, 4)), (P2, 2, 3, range(-7, -1)), ("P3", 0, 4, range(-1, 4))]
 _coefficients = st.one_of(st.integers(-3, 3),
                           st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+def _draw_grid(draw, nv, srcs, tgts):
+    """Forms of nv variables from each source to each target degree, some zero."""
+    grid = []
+    for tgt in tgts:
+        row = []
+        for src in srcs:
+            mons = h0_exponents(nv, tgt.d - src.d) if draw(st.integers(0, 4)) else ()
+            cs = draw(st.lists(_coefficients, min_size=len(mons), max_size=len(mons)))
+            row.append(Form.from_dict(nv, dict(zip(mons, cs))) if mons else Form.zero(nv))
+        grid.append(row)
+    return grid
 
 
 @st.composite
 def _grids(draw):
     space, i, nv, degrees = draw(st.sampled_from(_SPACES))
-    src_d = draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=5))
-    tgt_d = draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=3))
-    grid = []
-    for e in tgt_d:
-        row = []
-        for d in src_d:
-            mons = h0_exponents(nv, e - d) if draw(st.integers(0, 4)) else ()
-            cs = draw(st.lists(_coefficients, min_size=len(mons), max_size=len(mons)))
-            row.append(Form.from_dict(nv, dict(zip(mons, cs))) if mons else Form.zero(nv))
-        grid.append(row)
-    top = i > 0
-    return grid, [_piece(space, i, d) for d in src_d], [_piece(space, i, e) for e in tgt_d], top
+    srcs = [_piece(space, i, d) for d in draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=5))]
+    tgts = [_piece(space, i, e) for e in draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=3))]
+    return _draw_grid(draw, nv, srcs, tgts), srcs, tgts, i > 0
 
 
-@given(_grids())
-@settings(max_examples=150, deadline=None)
+@st.composite
+def _prefix_grids(draw):
+    """Dual grids on P2 whose targets are ``dual_prefix(e, depth)``, depth 1 to
+    3, and whose sources hold every product there: prefixes no deeper, and
+    lifted slices one level less deep."""
+    depth = draw(st.integers(1, 3))
+    srcs = []
+    for d in draw(st.lists(st.integers(-8, -2), min_size=1, max_size=4)):
+        if depth > 1 and draw(st.booleans()):
+            srcs.append(_lifted(d + 1, draw(st.integers(1, depth - 1))))
+        else:
+            srcs.append(dual_prefix(d, draw(st.integers(1, depth))))
+    tgts = [dual_prefix(e, depth) for e in draw(st.lists(st.integers(-7, -1), min_size=1, max_size=3))]
+    return _draw_grid(draw, 3, srcs, tgts), srcs, tgts, True
+
+
+@given(st.one_of(_grids(), _prefix_grids()))
+@settings(max_examples=300, deadline=None)
 def test_builder_equals_blocks_and_stacks(case):
     """One pass over a grid of forms gives the matrix of the blocks built one
     by one and stacked: zero forms and empty pieces, dual bases with
-    contraction, and Fraction coefficients over different denominators."""
+    contraction, Fraction coefficients over different denominators, and the
+    pieces of the H2 relation prefixes, targets that are a prefix of their
+    basis and sources that are a prefix or a slice inside one."""
     grid, srcs, tgts, top = case
     assert multiplication_matrix(grid, srcs, tgts, top) == _reference(grid, srcs, tgts, top)
 

@@ -9,6 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qacm.plane
+from qacm.cli import main
+from qacm.errors import InternalCheckError
 from qacm.monomials import Form, P2, cohomology_dim, h0_exponents
 from qacm.plane import (ExtensionBundle, Presentation, cb_condition_check, chern,
                         ci_from_forms, ci_from_line_points, coh_table, cohomology,
@@ -360,6 +363,36 @@ def test_trivialize_collinear_extension():
 def test_trivialize_euler():
     g = make_extension_bundle(1, 0, ci_from_forms(v, w), h="auto")
     assert trivialize_on_line(g).degrees == (1, 0)
+
+
+TRIV_KERNEL = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)@H2,e=id)"
+
+
+@pytest.mark.parametrize("twist", [0, 4], ids=["scanned", "check-only"])
+def test_trivialization_model_check_fails_when_h0_is_perturbed(monkeypatch, capsys, twist):
+    """trivialize_on_line compares h0(F|_L(t)) over [-c1 - 4, 4] with the model
+    O_L(c1) + O_L(c2).  One section more at one twist must be refused, both at
+    a twist the splitting scan passes on (0) and at one computed for the check
+    alone (4): by trivialize_on_line, and by ``qacm cohomology`` with exit 3."""
+    g = make_extension_bundle(3, 1, ci_from_forms(u, v * w), h="auto")
+    degrees, h0 = qacm.plane._splitting_degrees(g)
+    assert degrees == (3, 0) and 0 in h0 and 4 not in h0
+    if twist in h0:
+        scan = qacm.plane._splitting_degrees
+
+        def bumped_scan(sheaf):
+            degrees, h0 = scan(sheaf)
+            return degrees, {**h0, twist: h0[twist] + 1}
+        monkeypatch.setattr(qacm.plane, "_splitting_degrees", bumped_scan)
+    else:
+        line_h0 = qacm.plane.line_h0_dim
+        monkeypatch.setattr(qacm.plane, "line_h0_dim",
+                            lambda sheaf, t: line_h0(sheaf, t) + (t == twist))
+    with pytest.raises(InternalCheckError, match="trivialized model disagrees"):
+        trivialize_on_line(g)
+    code = main(["cohomology", "--sheaf", TRIV_KERNEL, "--tmin", "0", "--tmax", "0",
+                 "--no-timestamp"])
+    assert code == 3 and "trivialized model disagrees" in capsys.readouterr().err
 
 
 def test_trivialize_split_needs_normalization():

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .errors import InternalCheckError
@@ -311,9 +311,12 @@ def relation_h2_matrix(sheaf, t: int) -> RatMatrix:
     return _relation_matrix(P2, 2, sheaf.presentation, t)
 
 
+@lru_cache(maxsize=None)
 def dual_prefix(d: int, depth) -> GradedPiece:
     """H2(O(d)) on its dual monomials of u-exponent -1, ..., -depth, which
-    reverse-lex order lists first, in basis order; None means all of them."""
+    reverse-lex order lists first, in basis order; None means all of them.
+    Built once per (d, depth), like ``basis``: callers ask for depth 1 or 2,
+    so an entry holds O(|d|) monomials."""
     if depth is None:
         return basis(P2, 2, d)
     return GradedPiece(P2, 2, d, tuple((-j,) + e for j in range(1, depth + 1)
@@ -599,11 +602,13 @@ def _rows_surjective(r, s) -> bool:
 
 def trivialize_on_line(sheaf) -> Trivialization:
     """Explicit splitting F|_L = O_L(c1) + O_L(c2) for a rank-2 sheaf that is
-    locally free along L; the normalized type is (c1 - c2, 0)."""
+    locally free along L; the normalized type is (c1 - c2, 0).  A split bundle
+    O(c1) + O(c2) restricts to O_L(c1) + O_L(c2), split by its unit rows."""
     if sheaf.rank != 2:
         raise ValueError("trivialization needs a rank-2 sheaf")
-    if isinstance(sheaf, CIIdealSheaf):
-        raise ValueError("not a simple-type restriction")
+    if isinstance(sheaf, SplitBundle):
+        one, zero = Form.constant(2, 1), Form.zero(2)
+        return Trivialization(sheaf.twists, ((one, zero), (zero, one)))
     (c1, c2), h0 = _splitting_degrees(sheaf)
     lo_candidates = _hom_row_candidates(sheaf, c2)
     hi_candidates = _hom_row_candidates(sheaf, c1)
@@ -683,9 +688,10 @@ def recover_subscheme(g: ExtensionBundle) -> CISubscheme:
 
 
 def ideals_match(a: CISubscheme, b: CISubscheme, up_to: int) -> bool:
-    """Equality of the graded pieces of the two ideals in all degrees <= up_to."""
-    for d in range(0, up_to + 1):
-        ra, rb = rank(_ideal_piece_matrix((a.f1, a.f2), d)), rank(_ideal_piece_matrix((b.f1, b.f2), d))
-        if ra != rb or rank(_ideal_piece_matrix((a.f1, a.f2, b.f1, b.f2), d)) != ra:
-            return False
-    return True
+    """Equality of the graded pieces of the two ideals in all degrees <= up_to.
+    A piece of degree d is spanned by multiples of the generators of degree <= d,
+    so they agree iff each generator f of degree <= up_to of either ideal lies in
+    the other's piece J_d of its degree: rank([J_d | f]) == rank(J_d)."""
+    pairs = (((a.f1, a.f2), (b.f1, b.f2)), ((b.f1, b.f2), (a.f1, a.f2)))
+    return all(f.degree > up_to or rank(_ideal_piece_matrix(gens + (f,), f.degree))
+               == rank(_ideal_piece_matrix(gens, f.degree)) for fs, gens in pairs for f in fs)

@@ -392,11 +392,14 @@ def test_upper_gluing_reports_are_pinned(capsys, sheaf, gluings, digest):
      "31ce2d76c894825bf007451ad2df84b195eff03417e22caddaa263b3df1a21ab"),
     (["classify", "--cmax", "10", "--seed", "3"],
      "388a78b29588d82f0d4c046af99e2c6e4e3860b768616e994d8d4dfce1c33414"),
-], ids=["u-free-h2", "classify-c10"])
+    (["classify", "--cmax", "12", "--seed", "3"],
+     "d18614a8641a250ffb8e6705c96bed8b7e0ab05e0bc4b6e641cb04c073746902"),
+], ids=["u-free-h2", "classify-c10", "classify-c12"])
 def test_reports_off_the_benchmark_are_pinned(capsys, argv, digest):
     """Reports of paths no benchmark workload runs, pinned by sha256: the
     u-free H2 path builds whole dual P2 matrices (no relation form is a multiple
-    of u alone), and c_max = 10 reaches larger scan rows than the c_max = 8 workload."""
+    of u alone), and c_max = 10 and 12 reach larger scan rows than the c_max = 8
+    workload; c_max = 12 is the north-star scan and recovers Z on the most rows."""
     code, out, _ = run(capsys, argv + ["--no-timestamp"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

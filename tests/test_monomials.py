@@ -103,6 +103,20 @@ def _lifted(d, depth):
     return GradedPiece(P2, 2, d - 1, tuple((a - 1, b, c) for a, b, c in dual_prefix(d, depth).basis))
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_dual_prefix_is_the_leading_part_built_once(depth):
+    """dual_prefix(d, depth) is the part of the standard dual basis with
+    u-exponent >= -depth, which comes first in it; it is built once per
+    (d, depth), and depth None is the cached basis itself."""
+    for d in range(-12, 3):
+        piece, whole = dual_prefix(d, depth), basis(P2, 2, d)
+        assert dual_prefix(d, depth) is piece
+        assert (piece.space, piece.i, piece.d) == (P2, 2, d)
+        assert piece.basis == whole.basis[:piece.dim]
+        assert piece.basis == tuple(m for m in whole.basis if m[0] >= -depth)
+        assert dual_prefix(d, None) is whole
+
+
 def test_mult_product_outside_the_target_piece():
     """A target piece that does not hold every product is a bookkeeping error,
     not a silent write into the next block or an IndexError."""

@@ -6,14 +6,16 @@ package uses, so the two are genuinely independent."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qacm.plane
 from qacm.cli import main
 from qacm.errors import InternalCheckError
+from qacm.linalg import rank
 from qacm.monomials import Form, P2, cohomology_dim, h0_exponents
-from qacm.plane import (ExtensionBundle, Presentation, cb_condition_check, chern,
+from qacm.plane import (CISubscheme, ExtensionBundle, Presentation, _ideal_piece_matrix,
+                        cb_condition_check, chern,
                         ci_from_forms, ci_from_line_points, coh_table, cohomology,
                         euler_char, h0_ideal_of_points, h1_restriction_kernel_dim,
                         ideals_match, make_ci_ideal, make_extension_bundle,
@@ -472,6 +474,68 @@ def test_recover_distinct_z_gives_distinct_ideals():
     g1 = make_extension_bundle(4, 2, ci_from_line_points([((1, 1), 1), ((1, 2), 1)]), h="auto")
     g2 = make_extension_bundle(4, 2, ci_from_line_points([((1, 3), 1), ((1, 4), 1)]), h="auto")
     assert not ideals_match(recover_subscheme(g1), recover_subscheme(g2), 4)
+
+
+def reference_ideals_match(a: CISubscheme, b: CISubscheme, up_to: int) -> bool:
+    """Degree by degree: the pieces I_d and J_d agree iff rank I_d = rank J_d =
+    rank (I_d + J_d)."""
+    for d in range(0, up_to + 1):
+        ra, rb = rank(_ideal_piece_matrix((a.f1, a.f2), d)), rank(_ideal_piece_matrix((b.f1, b.f2), d))
+        if ra != rb or rank(_ideal_piece_matrix((a.f1, a.f2, b.f1, b.f2), d)) != ra:
+            return False
+    return True
+
+
+@st.composite
+def _complete_intersection(draw):
+    """Z = V(f1, f2): collinear from points on L, or two random plane forms."""
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.sampled_from(_LINE_POINTS), min_size=1, max_size=3, unique=True))
+        return ci_from_line_points([(p, draw(st.integers(1, 2))) for p in pts])
+    d1 = draw(st.integers(1, 2))
+    return _drawn_ci(draw(_plane_form(d1)), draw(_plane_form(draw(st.integers(d1, 3)))))
+
+
+def _drawn_ci(f1, f2):
+    try:
+        return ci_from_forms(f1, f2)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def _ci_pairs(draw):
+    """(Z, Z') with Z' drawn on its own, the same ideal on other generators
+    (scaled, swapped, f2 + m * f1), or f2 perturbed in its own degree."""
+    a = draw(_complete_intersection())
+    kind = draw(st.sampled_from(["other", "regenerated", "perturbed"]))
+    if kind == "other":
+        return a, draw(_complete_intersection())
+    (d1, d2) = a.degrees
+    if kind == "perturbed":
+        return a, _drawn_ci(a.f1, a.f2 + draw(_plane_form(d2)))
+    m = draw(_plane_form(d2 - d1)) if d2 >= d1 else Form.zero(3)
+    f1, f2 = draw(st.sampled_from([-1, 2])) * a.f1, a.f2 + m * a.f1
+    return a, CISubscheme(*((f2, f1) if draw(st.booleans()) else (f1, f2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ci_pairs(), st.integers(-1, 6))
+def test_ideals_match_by_generators_agrees_with_every_degree(pair, up_to):
+    a, b = pair
+    assert ideals_match(a, b, up_to) == reference_ideals_match(a, b, up_to)
+
+
+@pytest.mark.parametrize("a, b, up_to, expected", [
+    ((u, v ** 3), (u, v ** 3 + w ** 3), 3, False),     # agree through degree 2, differ at 3
+    ((u, v ** 3), (u, v ** 3 + w ** 3), 6, False),
+    ((u, v ** 3), (u, v ** 3 + w ** 3), 2, True),      # the differing generator lies above up_to
+    ((u, v ** 3), (v ** 3 + u * w * w, -u), 6, True),  # one ideal, other generators
+    ((v, w), (v, w + u), 1, False),                    # differ already in degree 1
+])
+def test_ideals_match_examples(a, b, up_to, expected):
+    a, b = ci_from_forms(*a), ci_from_forms(*b)
+    assert ideals_match(a, b, up_to) == reference_ideals_match(a, b, up_to) == expected
 
 
 # ---------------------------------------------------------------------------

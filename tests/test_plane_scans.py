@@ -1,9 +1,11 @@
-"""The two searches on L that skip work keep the answers of the plain loops.
+"""The searches on L that skip work keep the answers of the plain loops.
 
 ``_auto_extension_form`` skips, for a collinear Z = V(u, g), every support
 of monomials that all contain u; ``_splitting_degrees`` scans h0(F|_L(s))
-only over (-(deg - min a_i) - 1, -min a_i].  The plain loops are kept here as
-references: the full support search and the scan over the loose bound."""
+only over (-(deg - min a_i) - 1, -min a_i]; ``trivialize_on_line`` splits a
+split bundle by its unit rows, with no search at all.  The plain loops are
+kept here as references: the full support search, the scan over the loose
+bound and the search for a surjective pair of rows."""
 
 import itertools
 
@@ -13,9 +15,10 @@ from hypothesis import assume, strategies as st
 
 from qacm.monomials import Form, h0_exponents
 from qacm.plane import (U, CISubscheme, ExtensionBundle, _auto_extension_form,
-                        _splitting_degrees, ci_from_forms, ci_from_line_points,
-                        line_h0_dim, make_extension_bundle, make_split_bundle,
-                        no_common_zero)
+                        _hom_row_candidates, _rows_surjective, _splitting_degrees,
+                        ci_from_forms, ci_from_line_points, line_h0_dim,
+                        make_extension_bundle, make_split_bundle, no_common_zero,
+                        trivialize_on_line)
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 
@@ -123,3 +126,25 @@ def test_splitting_scan_examples(sheaf):
 def test_torsion_along_the_line_is_refused():
     with pytest.raises(ValueError, match="not a vector bundle"):
         _splitting_degrees(ExtensionBundle(2, 2, 1, ci_from_forms(u, v), v * v))
+
+
+def reference_trivialization(sheaf) -> tuple:
+    """The splitting degrees from the h0 scan and the first surjective pair of
+    rows (hi, lo) among the maps F|_L -> O_L(c1) and F|_L -> O_L(c2)."""
+    (c1, c2), _ = _splitting_degrees(sheaf)
+    hi_candidates, lo_candidates = _hom_row_candidates(sheaf, c1), _hom_row_candidates(sheaf, c2)
+    if c1 > c2:
+        assert len(lo_candidates) == 1
+        pairs = [(hi, lo_candidates[0]) for hi in hi_candidates]
+    else:
+        pairs = itertools.combinations(hi_candidates, 2)
+    return (c1, c2), next(pair for pair in pairs if _rows_surjective(*pair))
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_split_bundle_trivialization_matches_the_search(side):
+    for c1 in range(-3, 13):
+        for c2 in range(-3, c1 + 1):
+            sheaf = make_split_bundle(side, (c2, c1))
+            triv = trivialize_on_line(sheaf)
+            assert (triv.degrees, triv.rows) == reference_trivialization(sheaf)

@@ -41,6 +41,19 @@ def test_mismatched_splitting_types_rejected():
         make_kernel_sheaf(f1, g)
 
 
+@pytest.mark.parametrize("other", ["O(3)+O(0)", "O(1)+O(1)", "O(2)+O(-1)"])
+def test_split_other_side_of_another_type_rejected(capsys, other):
+    """A split other side is trivialized by its own twists, which must still be
+    checked against the split side's (c, 0): by make_kernel_sheaf, and by
+    ``qacm cohomology`` with exit 2."""
+    f2 = parse_and_build(f"{other}@H2")
+    with pytest.raises(ValueError, match="mismatched splitting"):
+        make_kernel_sheaf(make_split_bundle(1, (2, 0)), f2)
+    code = main(["cohomology", "--sheaf", f"K(F1=O(2)+O(0)@H1,F2={other}@H2,e=id)",
+                 "--tmin", "0", "--tmax", "0", "--no-timestamp"])
+    assert code == 2 and "mismatched splitting" in capsys.readouterr().err
+
+
 def test_unnormalized_split_side_rejected():
     with pytest.raises(ValueError, match="normalized"):
         make_kernel_sheaf(make_split_bundle(1, (3, 1)), make_split_bundle(2, (3, 1)))

@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .linalg import QQ
 from .monomials import VAR_NAMES, Form
-from .plane import ci_from_forms, ci_from_line_points, make_ci_ideal, \
-    make_extension_bundle, make_split_bundle
+from .plane import CIIdealSheaf, ci_from_forms, ci_from_line_points, make_extension_bundle, \
+    make_split_bundle
 from .quadric import GluingData, RankOneSheaf, diagonal_gluing, identity_gluing, \
     make_kernel_sheaf, upper_gluing
 
@@ -485,8 +485,7 @@ def build(node):
     if isinstance(node, DLBSum):
         return make_split_bundle(node.plane, node.twists)
     if isinstance(node, DIdeal):
-        ci = _build_ci(node.ci)
-        return make_ci_ideal(ci.f1, ci.f2, node.m, side=node.plane, points=ci.points)
+        return CIIdealSheaf(node.plane, _build_ci(node.ci), node.m)
     if isinstance(node, DExt):
         return make_extension_bundle(node.c, node.k, _build_ci(node.ci), node.h,
                                      side=node.plane)

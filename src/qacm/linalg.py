@@ -89,7 +89,8 @@ class RatMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix(rows, cols, tuple({} for _ in range(rows)))
+        """Every row is the same empty dict, as rows are never mutated."""
+        return RatMatrix(rows, cols, ({},) * rows)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":

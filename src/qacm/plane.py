@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .errors import InternalCheckError
-from .linalg import QQ, RatMatrix, kernel_basis, kernel_dim, rank
+from .linalg import QQ, RatMatrix, kernel_basis, rank
 from .monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_zero_free,
                         cohomology_dim, dual_exponents, euler_char_p2, multiplication_matrix,
                         restrict_to_line as form_on_line, space_dim)
@@ -75,11 +75,17 @@ def _ideal_piece_matrix(forms, d: int) -> RatMatrix:
 
 
 def ci_from_forms(f1: Form, f2: Form, points=None) -> CISubscheme:
-    """Validate that (f1, f2) is a regular sequence (Z zero-dimensional) by
-    Hilbert-function stabilization and return the subscheme."""
+    """Validate that (f1, f2) is a regular sequence (Z zero-dimensional) and
+    return the subscheme.  (u, g) is one exactly when g|_L is nonzero, the test
+    ``no_common_zero`` uses; any other pair is tested by Hilbert-function
+    stabilization."""
     for f in (f1, f2):
         if f.is_zero or f.num_vars != 3 or f.degree < 1:
             raise ValueError("Z not zero-dimensional: generators must be nonconstant plane forms")
+    if U in (f1, f2):
+        if form_on_line(f2 if f1 == U else f1).is_zero:
+            raise ValueError("Z not zero-dimensional")
+        return CISubscheme(f1, f2, points)
     d1, d2 = f1.degree, f2.degree
     for d in (d1 + d2 - 1, d1 + d2):
         expected = cohomology_dim(P2, 0, d) - d1 * d2
@@ -293,10 +299,11 @@ def make_extension_bundle(c: int, k: int, ci: CISubscheme, h="auto", side: int =
 
 def _relation_matrix(space: str, i: int, pres: Presentation, t: int) -> RatMatrix:
     """H^i-level matrix of the relation of ``pres``: H^i(O(b+t)) -> sum H^i(O(a+t));
-    without a relation it has no columns."""
+    without a relation it has no columns, and no basis is built."""
     b = pres.relation_twist
-    return multiplication_matrix([(f,) for f in pres.relation],
-                                 [] if b is None else [basis(space, i, b + t)],
+    if b is None:
+        return RatMatrix.zero(sum(cohomology_dim(space, i, a + t) for a in pres.target_twists), 0)
+    return multiplication_matrix([(f,) for f in pres.relation], [basis(space, i, b + t)],
                                  [basis(space, i, a + t) for a in pres.target_twists],
                                  i == space_dim(space))
 
@@ -527,113 +534,89 @@ def _line_relation_matrix(sheaf, t: int, i: int) -> RatMatrix:
     return _relation_matrix(P1, i, sheaf.line_presentation, t)
 
 
-def line_h0_dim(sheaf, t: int) -> int:
-    """h0(F|_L(t)) from the restricted presentation (hypercohomology on P1)."""
-    pres = sheaf.line_presentation
-    total = sum(cohomology_dim(P1, 0, a + t) for a in pres.target_twists)
-    if pres.relation_twist is None:
-        return total
-    return total - rank(_line_relation_matrix(sheaf, t, 0)) + kernel_dim(_line_relation_matrix(sheaf, t, 1))
-
-
-def _splitting_degrees(sheaf) -> tuple:
-    """Splitting type of F|_L by successive differences of h0(F|_L(s)) over
-    start = -(deg - min a_i) - 1 < s <= -min a_i.  F|_L = O_L(c1) + O_L(c2) (c1 >= c2)
-    is a quotient of sum O_L(a_i), so c2 >= min a_i, c1 <= deg - min a_i and h0 is 0
-    at the start; torsion along L has sections at every twist and is refused there.
-    Returns the degrees and ``{s: h0(F|_L(s))}`` for every twist scanned."""
-    pres = sheaf.line_presentation
-    targets, b = pres.target_twists, pres.relation_twist
-    r = sheaf.rank
-    deg = sum(targets) - (b if b is not None else 0)
-    start = -(deg - min(targets)) - 1
-    degrees = []
-    h0 = {start: line_h0_dim(sheaf, start)}
-    prev = h0[start]
-    if prev != 0:
-        raise ValueError("restriction to the line is not a vector bundle")
-    threshold = 1
-    for s in range(start + 1, 1 - min(targets)):
-        cur = h0[s] = line_h0_dim(sheaf, s)
-        delta = cur - prev
-        while delta >= threshold and len(degrees) < r:
-            degrees.append(-s)
-            threshold += 1
-        prev = cur
-        if len(degrees) == r:
-            break
-    if len(degrees) != r or sum(degrees) != deg:
-        raise ValueError("restriction to the line has torsion (not locally free along L)")
-    return tuple(degrees), h0
-
-
-def _hom_row_candidates(sheaf, e: int):
-    """All rows (r_1, ..., r_n) of binary forms, deg r_i = e - a_i, with
-    sum r_i * rel_i = 0: the sheaf maps F|_L -> O_L(e).  Returned in the
-    deterministic order produced by kernel extraction."""
-    pres = sheaf.line_presentation
-    targets, b, rel = pres.target_twists, pres.relation_twist, pres.relation
-    col_meta = []
-    for i, a in enumerate(targets):
-        for m in basis(P1, 0, e - a).basis:
-            col_meta.append((i, m))
-    if b is None:
-        vectors = [{j: 1} for j in range(len(col_meta))]
-    else:
-        ker = kernel_basis(multiplication_matrix([rel], [basis(P1, 0, e - a) for a in targets],
-                                                 [basis(P1, 0, e - b)]))
-        vectors = ker.basis.transpose().data
+def _form_rows(vectors, srcs) -> list:
+    """Each vector, a dict whose coordinates run over the monomial bases of
+    ``srcs`` in order, as a tuple of binary forms, one per piece."""
+    col_meta = [(i, m) for i, src in enumerate(srcs) for m in src.basis]
     out = []
     for vec in vectors:
-        parts = [dict() for _ in targets]
+        parts = [{} for _ in srcs]
         for k, val in vec.items():
             i, m = col_meta[k]
             parts[i][m] = val
-        out.append(tuple(Form.from_dict(2, p) if p else Form.zero(2) for p in parts))
+        out.append(tuple(Form.from_dict(2, p) for p in parts))
     return out
 
 
-def _rows_surjective(r, s) -> bool:
-    """The combined map sum O(a_i) -> O(e_1) + O(e_2) given by the two rows
-    is onto as a sheaf map iff its 2x2 minors have no common zero on L."""
-    return binary_forms_common_zero_free([r[i] * s[j] - r[j] * s[i]
-                                          for i, j in itertools.combinations(range(len(r)), 2)])
+def _hom_row_candidates(sheaf, e: int) -> list:
+    """All rows (r_1, ..., r_n) of binary forms, deg r_i = e - a_i, with
+    sum r_i * p_i = 0 for the restricted relation (p_i): the maps F|_L -> O_L(e),
+    i.e. the degree-e syzygies of (p_i), one per vector of ``kernel_basis``."""
+    pres = sheaf.line_presentation
+    srcs = [basis(P1, 0, e - a) for a in pres.target_twists]
+    ker = kernel_basis(multiplication_matrix([pres.relation], srcs,
+                                             [basis(P1, 0, e - pres.relation_twist)]))
+    return _form_rows(ker.basis.transpose().data, srcs)
+
+
+def _high_row(sheaf, lo: tuple, c1: int) -> tuple:
+    """A row hi of degree c1 with hi x lo = lambda * (p_i), by one elimination
+    of [lo]_x | -(p_i) on (hi, lambda).  The kernel holds every f * lo (with
+    lambda = 0), so it is not empty; when a solution with lambda != 0 exists,
+    the lambda column is free and its vector, the last, is the only one with
+    lambda != 0."""
+    pres = sheaf.line_presentation
+    (p0, p1, p2), (l0, l1, l2), zero = pres.relation, lo, Form.zero(2)
+    srcs = [basis(P1, 0, c1 - a) for a in pres.target_twists] + [basis(P1, 0, 0)]
+    tgts = [basis(P1, 0, a - pres.relation_twist) for a in pres.target_twists]
+    grid = [(zero, l2, -l1, -p0), (-l2, zero, l0, -p1), (l1, -l0, zero, -p2)]
+    ker = kernel_basis(multiplication_matrix(grid, srcs, tgts))
+    return _form_rows(ker.basis.transpose().data[-1:], srcs)[0][:3]
+
+
+def _is_syzygy_basis(hi: tuple, lo: tuple, p: tuple) -> bool:
+    """The 2x2 minors of (hi, lo), as the cross product hi x lo, are one
+    nonzero constant times (p_i).  For (p_i) with no common zero this holds
+    exactly when (hi, lo) is a basis of the module of syzygies (Hilbert-Burch)."""
+    cross = tuple(hi[j] * lo[k] - hi[k] * lo[j] for j, k in ((1, 2), (2, 0), (0, 1)))
+    i = next(i for i, f in enumerate(p) if not f.is_zero)
+    exp, coef = p[i].terms[0]
+    lam = cross[i].coeff(exp) / coef
+    return lam != 0 and all(x == f * lam for x, f in zip(cross, p))
 
 
 def trivialize_on_line(sheaf) -> Trivialization:
     """Explicit splitting F|_L = O_L(c1) + O_L(c2) for a rank-2 sheaf that is
     locally free along L; the normalized type is (c1 - c2, 0).  A split bundle
-    O(c1) + O(c2) restricts to O_L(c1) + O_L(c2), split by its unit rows."""
+    O(c1) + O(c2) restricts to O_L(c1) + O_L(c2), split by its unit rows.
+
+    Otherwise F|_L is the cokernel of the restricted relation
+    (p_i): O_L(b) -> sum O_L(a_i), a bundle exactly when the p_i have no
+    common zero.  Its dual is then the syzygy bundle of (p_i), O_L(-c1) + O_L(-c2)
+    with c1 + c2 = deg = sum a_i - b, and its two generators (hi, lo), a mu-basis
+    of the syzygies, are the rows (Cox-Sederberg-Chen 1998; Song-Goldman 2009).
+    At e = floor((deg - 1) / 2) < c1 there are e + 1 - c2 syzygies, or none
+    when c1 = c2 = deg / 2; lo spans those of degree c2 (when c1 = c2 the two
+    syzygies of degree c2 are the rows), and hi solves hi x lo = lambda * (p_i)."""
     if sheaf.rank != 2:
         raise ValueError("trivialization needs a rank-2 sheaf")
     if isinstance(sheaf, SplitBundle):
         one, zero = Form.constant(2, 1), Form.zero(2)
         return Trivialization(sheaf.twists, ((one, zero), (zero, one)))
-    (c1, c2), h0 = _splitting_degrees(sheaf)
-    lo_candidates = _hom_row_candidates(sheaf, c2)
-    hi_candidates = _hom_row_candidates(sheaf, c1)
-    chosen = None
-    if c1 > c2:
-        if len(lo_candidates) != 1:
-            raise InternalCheckError("expected a unique projection to the low factor")
-        lo = lo_candidates[0]
-        for hi in hi_candidates:
-            if _rows_surjective(hi, lo):
-                chosen = (hi, lo)
-                break
-    else:
-        for hi, lo in itertools.combinations(hi_candidates, 2):
-            if _rows_surjective(hi, lo):
-                chosen = (hi, lo)
-                break
-    if chosen is None:
-        raise ValueError("not a simple-type restriction")
-    triv = Trivialization((c1, c2), chosen)
-    for t in range(-c1 - 4, 5):      # twists the scan left out are computed here
-        model = cohomology_dim(P1, 0, c1 + t) + cohomology_dim(P1, 0, c2 + t)
-        if model != (h0[t] if t in h0 else line_h0_dim(sheaf, t)):
-            raise InternalCheckError("trivialized model disagrees with presentation dimensions")
-    return triv
+    pres = sheaf.line_presentation
+    if not binary_forms_common_zero_free(pres.relation):
+        raise ValueError("restriction to the line is not a vector bundle")
+    deg = sum(pres.target_twists) - pres.relation_twist
+    e = (deg - 1) // 2
+    rows = _hom_row_candidates(sheaf, e)
+    c2 = e + 1 - len(rows) if rows else deg // 2
+    c1 = deg - c2
+    if c2 != e:
+        rows = _hom_row_candidates(sheaf, c2)
+    hi, lo = rows if c1 == c2 else (_high_row(sheaf, rows[0], c1), rows[0])
+    if not _is_syzygy_basis(hi, lo, pres.relation):
+        raise InternalCheckError("trivialization rows are not a basis of the syzygies on L")
+    return Trivialization((c1, c2), (hi, lo))
 
 
 def h1_restriction_kernel_dim(sheaf, t: int) -> int:

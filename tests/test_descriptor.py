@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qacm.descriptor
+import qacm.plane
 from qacm.cli import main
 from qacm.descriptor import (DCIForms, DCIPoints, DExt, DGluing, DIdeal,
                              DKernel, DLBSum, DRankOne, DescriptorParseError,
                              build, parse, parse_ambient_form, parse_and_build,
                              to_text)
 from qacm.monomials import Form, h0_exponents
+from qacm.plane import CIIdealSheaf
 from qacm.quadric import KernelSheaf, RankOneSheaf
 
 QQ = Fraction
@@ -68,6 +71,38 @@ def test_parse_points():
 def test_points_off_line_rejected_at_build():
     with pytest.raises(ValueError, match="u = 0"):
         parse_and_build("I(points([1:0:0]))(1)@H1")
+
+
+@pytest.mark.parametrize("text, validations, ranks", [
+    ("I([u,v^2000])(0)@H1", 1, 0), ("I([v^2000+u*w^1999,u])(0)@H2", 1, 0),
+    ("I([v,w+u])(1)@H2", 1, 2), ("I(points([0:1:3];[0:1:5]))(2)@H2", 0, 0),
+], ids=["u-first", "u-second", "plane-pair", "points"])
+def test_an_ideal_descriptor_is_validated_once(monkeypatch, text, validations, ranks):
+    """(u, g) is a regular sequence exactly when g|_L != 0, decided with no
+    rank of a P2 matrix whatever the degree of g; any other pair takes two
+    ranks.  I(...) is validated once, by the subscheme it names."""
+    counts = {"ci_from_forms": 0, "rank": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    counting(qacm.descriptor, "ci_from_forms")
+    counting(qacm.plane, "ci_from_forms")
+    counting(qacm.plane, "rank")
+    assert isinstance(parse_and_build(text), CIIdealSheaf)
+    assert counts == {"ci_from_forms": validations, "rank": ranks}
+
+
+@pytest.mark.parametrize("text", ["I([u,u*v])(0)@H1", "I([w*u^2,u])(1)@H2"])
+def test_an_ideal_with_u_dividing_both_generators_exits_2(text):
+    with pytest.raises(ValueError, match="Z not zero-dimensional"):
+        parse_and_build(text)
+    code, out, err = _cohomology_exit(text)
+    assert (code, out) == (2, "") and "Z not zero-dimensional" in err
 
 
 def test_parse_gluings():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import qacm.plane
 from qacm.cli import main
+from qacm.descriptor import parse_and_build
 from qacm.errors import InternalCheckError
 from qacm.linalg import rank
 from qacm.monomials import Form, P2, cohomology_dim, h0_exponents
@@ -19,7 +20,7 @@ from qacm.plane import (CISubscheme, ExtensionBundle, Presentation, _ideal_piece
                         ci_from_forms, ci_from_line_points, coh_table, cohomology,
                         euler_char, h0_ideal_of_points, h1_restriction_kernel_dim,
                         ideals_match, make_ci_ideal, make_extension_bundle,
-                        make_split_bundle, no_common_zero, recover_subscheme,
+                        make_split_bundle, no_common_zero, recover_subscheme, relation_h0_matrix,
                         trivialize_on_line)
 from qacm.quadric import acm_check, collinear_extension_kernel
 
@@ -367,40 +368,51 @@ def test_trivialize_euler():
     assert trivialize_on_line(g).degrees == (1, 0)
 
 
-TRIV_KERNEL = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)@H2,e=id)"
+V2 = Form.variable(2, "v")
+TRIV_G = "G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)@H2"
+# restricts to O_L(1) + O_L(1): its kernel sheaf below exits 2 on mismatched
+# types, but only after G is trivialized
+TYPE_11_G = "G(c=2,k=1,Z=[v,w],h=auto)@H2"
 
 
-@pytest.mark.parametrize("twist", [0, 4], ids=["scanned", "check-only"])
-def test_trivialization_model_check_fails_when_h0_is_perturbed(monkeypatch, capsys, twist):
-    """trivialize_on_line compares h0(F|_L(t)) over [-c1 - 4, 4] with the model
-    O_L(c1) + O_L(c2).  One section more at one twist must be refused, both at
-    a twist the splitting scan passes on (0) and at one computed for the check
-    alone (4): by trivialize_on_line, and by ``qacm cohomology`` with exit 3."""
-    g = make_extension_bundle(3, 1, ci_from_forms(u, v * w), h="auto")
-    degrees, h0 = qacm.plane._splitting_degrees(g)
-    assert degrees == (3, 0) and 0 in h0 and 4 not in h0
-    if twist in h0:
-        scan = qacm.plane._splitting_degrees
-
-        def bumped_scan(sheaf):
-            degrees, h0 = scan(sheaf)
-            return degrees, {**h0, twist: h0[twist] + 1}
-        monkeypatch.setattr(qacm.plane, "_splitting_degrees", bumped_scan)
-    else:
-        line_h0 = qacm.plane.line_h0_dim
-        monkeypatch.setattr(qacm.plane, "line_h0_dim",
-                            lambda sheaf, t: line_h0(sheaf, t) + (t == twist))
-    with pytest.raises(InternalCheckError, match="trivialized model disagrees"):
+@pytest.mark.parametrize("g_text, split, name, wrong", [
+    # c1 = 3 > c2 = 0: a syzygy of degree c1 that is a multiple of lo, in place of hi
+    (TRIV_G, "O(3)+O(0)", "_high_row",
+     lambda real: lambda sheaf, lo, c1: tuple(f * V2 ** 3 for f in lo)),
+    # c1 = c2 = 1: the second syzygy of degree c2 scaled by v
+    (TYPE_11_G, "O(1)+O(0)", "_hom_row_candidates",
+     lambda real: lambda sheaf, e: [tuple(f * V2 ** j for f in r)
+                                    for j, r in enumerate(real(sheaf, e))]),
+], ids=["hi-a-multiple-of-lo", "row-scaled-by-v"])
+def test_trivialization_check_fails_on_a_wrong_syzygy_row(monkeypatch, capsys, g_text, split,
+                                                          name, wrong):
+    """trivialize_on_line checks that the 2x2 minors of its rows (hi, lo) are one
+    nonzero constant times the restricted relation, i.e. that the rows are a
+    basis of its syzygies.  A wrong row must be refused in both branches: by
+    trivialize_on_line, and by ``qacm cohomology`` with exit 3."""
+    g = parse_and_build(g_text)
+    monkeypatch.setattr(qacm.plane, name, wrong(getattr(qacm.plane, name)))
+    with pytest.raises(InternalCheckError, match="not a basis of the syzygies"):
         trivialize_on_line(g)
-    code = main(["cohomology", "--sheaf", TRIV_KERNEL, "--tmin", "0", "--tmax", "0",
-                 "--no-timestamp"])
-    assert code == 3 and "trivialized model disagrees" in capsys.readouterr().err
+    code = main(["cohomology", "--sheaf", f"K(F1={split}@H1,F2={g_text},e=id)",
+                 "--tmin", "0", "--tmax", "0", "--no-timestamp"])
+    assert code == 3 and "not a basis of the syzygies" in capsys.readouterr().err
 
 
 def test_trivialize_split_needs_normalization():
     triv = trivialize_on_line(make_split_bundle(1, (5, 2)))
     assert triv.degrees == (5, 2)
     assert triv.c == 3
+
+
+def test_a_split_bundle_builds_no_relation_basis(monkeypatch):
+    """Without a relation the H0-level matrix has no columns and one row per
+    section of the summands, counted without building a basis."""
+    built = []
+    real = qacm.plane.basis
+    monkeypatch.setattr(qacm.plane, "basis", lambda *key: built.append(key) or real(*key))
+    m = relation_h0_matrix(make_split_bundle(1, (3000, 0)), 0)
+    assert built == [] and (m.rows, m.cols) == (cohomology_dim(P2, 0, 3000) + 1, 0)
 
 
 def test_each_presentation_is_built_once(monkeypatch):

@@ -1,11 +1,11 @@
 """The searches on L that skip work keep the answers of the plain loops.
 
 ``_auto_extension_form`` skips, for a collinear Z = V(u, g), every support
-of monomials that all contain u; ``_splitting_degrees`` scans h0(F|_L(s))
-only over (-(deg - min a_i) - 1, -min a_i]; ``trivialize_on_line`` splits a
-split bundle by its unit rows, with no search at all.  The plain loops are
-kept here as references: the full support search, the scan over the loose
-bound and the search for a surjective pair of rows."""
+of monomials that all contain u; ``trivialize_on_line`` splits F|_L by a
+mu-basis of the syzygies of the restricted relation, and a split bundle by
+its unit rows, with no search at all.  The plain loops are kept here as
+references: the full support search, the scan of h0(F|_L(s)) for the
+splitting type and the search for the first surjective pair of rows."""
 
 import itertools
 
@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import assume, strategies as st
 
-from qacm.monomials import Form, h0_exponents
+from qacm.cli import classify_pairs, seeded_line_values
+from qacm.linalg import kernel_dim, rank
+from qacm.monomials import P1, Form, basis, binary_forms_common_zero_free, cohomology_dim, \
+    h0_exponents, multiplication_matrix
 from qacm.plane import (U, CISubscheme, ExtensionBundle, _auto_extension_form,
-                        _hom_row_candidates, _rows_surjective, _splitting_degrees,
-                        ci_from_forms, ci_from_line_points, line_h0_dim,
-                        make_extension_bundle, make_split_bundle, no_common_zero,
-                        trivialize_on_line)
+                        _hom_row_candidates, _line_relation_matrix, ci_from_forms,
+                        ci_from_line_points, make_extension_bundle, make_split_bundle,
+                        no_common_zero, trivialize_on_line)
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 
@@ -37,6 +39,15 @@ def reference_extension_form(ci, deg_h: int) -> Form:
     raise ValueError("no extension class of the required degree is locally free")
 
 
+def reference_line_h0_dim(sheaf, t: int) -> int:
+    """h0(F|_L(t)) from the restricted presentation (hypercohomology on P1)."""
+    pres = sheaf.line_presentation
+    total = sum(cohomology_dim(P1, 0, a + t) for a in pres.target_twists)
+    if pres.relation_twist is None:
+        return total
+    return total - rank(_line_relation_matrix(sheaf, t, 0)) + kernel_dim(_line_relation_matrix(sheaf, t, 1))
+
+
 def reference_splitting_degrees(sheaf) -> tuple:
     """The scan of h0(F|_L(s)) over [-bound - 1, bound]."""
     pres = sheaf.line_presentation
@@ -44,12 +55,12 @@ def reference_splitting_degrees(sheaf) -> tuple:
     deg = sum(targets) - (b if b is not None else 0)
     bound = sum(abs(a) for a in targets) + (abs(b) if b is not None else 0) + abs(deg) + 4
     degrees = []
-    prev = line_h0_dim(sheaf, -bound - 1)
+    prev = reference_line_h0_dim(sheaf, -bound - 1)
     if prev != 0:
         raise ValueError("restriction to the line is not a vector bundle")
     threshold = 1
     for s in range(-bound, bound + 1):
-        cur = line_h0_dim(sheaf, s)
+        cur = reference_line_h0_dim(sheaf, s)
         while cur - prev >= threshold and len(degrees) < sheaf.rank:
             degrees.append(-s)
             threshold += 1
@@ -103,12 +114,67 @@ def extension_bundles(draw):
     return make_extension_bundle(c, k, ci, h)
 
 
+def reference_rows(sheaf, e: int) -> list:
+    """The maps F|_L -> O_L(e): the syzygies of the restricted relation, or,
+    without a relation, every row with one monomial."""
+    if sheaf.line_presentation.relation_twist is not None:
+        return _hom_row_candidates(sheaf, e)
+    targets = sheaf.line_presentation.target_twists
+    return [tuple(Form.monomial(2, m) if j == i else Form.zero(2) for j in range(len(targets)))
+            for i, a in enumerate(targets) for m in basis(P1, 0, e - a).basis]
+
+
+def reference_rows_surjective(r, s) -> bool:
+    """The combined map sum O(a_i) -> O(e_1) + O(e_2) given by the two rows
+    is onto as a sheaf map iff its 2x2 minors have no common zero on L."""
+    return binary_forms_common_zero_free([r[i] * s[j] - r[j] * s[i]
+                                          for i, j in itertools.combinations(range(len(r)), 2)])
+
+
+def reference_trivialization(sheaf) -> tuple:
+    """The splitting degrees from the h0 scan and the first surjective pair of
+    rows (hi, lo) among the maps F|_L -> O_L(c1) and F|_L -> O_L(c2)."""
+    c1, c2 = reference_splitting_degrees(sheaf)
+    hi_candidates, lo_candidates = reference_rows(sheaf, c1), reference_rows(sheaf, c2)
+    if c1 > c2:
+        assert len(lo_candidates) == 1
+        pairs = [(hi, lo_candidates[0]) for hi in hi_candidates]
+    else:
+        pairs = itertools.combinations(hi_candidates, 2)
+    return (c1, c2), next(pair for pair in pairs if reference_rows_surjective(*pair))
+
+
+def split_of(sheaf) -> tuple:
+    triv = trivialize_on_line(sheaf)
+    return triv.degrees, triv.rows
+
+
+def assert_same_split(sheaf):
+    """trivialize_on_line agrees with the search: equal degrees and lo, and hi
+    equal or, if chosen otherwise, hi_new - lambda * hi_old in lo * S."""
+    degrees, (new_hi, new_lo) = split_of(sheaf)
+    (c1, c2), (hi, lo) = reference_trivialization(sheaf)
+    assert degrees == (c1, c2) and new_lo == lo
+    if new_hi != hi:
+        assert c1 > c2
+        tgts = [basis(P1, 0, c1 - a) for a in sheaf.line_presentation.target_twists]
+
+        def rank_with(*rows):
+            """rank of lo * S_(c1 - c2) and the given rows, one column each"""
+            return rank(multiplication_matrix([(f,) + tuple(r[i] for r in rows)
+                                               for i, f in enumerate(lo)],
+                                              [basis(P1, 0, c1 - c2)] + [basis(P1, 0, 0)] * len(rows),
+                                              tgts))
+        assert rank_with(hi) == rank_with(new_hi) == rank_with(hi, new_hi) == rank_with() + 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(g=extension_bundles())
 def test_splitting_scan_matches_the_loose_bound_scan(g):
-    degrees, h0 = _splitting_degrees(g)
-    assert degrees == reference_splitting_degrees(g)
-    assert h0 == {s: line_h0_dim(g, s) for s in h0}
+    """On extension bundles of non-collinear Z, or of h mixing u-free and
+    u-divisible terms, the mu-basis split is the one of the h0 scan and the
+    pair search."""
+    assert_same_split(g)
 
 
 @pytest.mark.parametrize("sheaf", [
@@ -119,26 +185,21 @@ def test_splitting_scan_matches_the_loose_bound_scan(g):
     ExtensionBundle(2, 2, 1, ci_from_forms(u, v), v * v),
 ], ids=["split52", "split00", "split2m3", "mixed-u-h", "point-off-L", "torsion"])
 def test_splitting_scan_examples(sheaf):
-    assert _outcome(lambda s: _splitting_degrees(s)[0], sheaf) == \
-        _outcome(reference_splitting_degrees, sheaf)
+    assert _outcome(split_of, sheaf) == _outcome(reference_trivialization, sheaf)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_collinear_scan_sheaves_split_as_the_search_does(seed):
+    """Every G of a ``classify --cmax 16`` scan: collinear Z from seeded
+    points on L and h = auto."""
+    for c, k in classify_pairs(16):
+        pts = [((1, r), 1) for r in seeded_line_values(seed, c - k)]
+        assert_same_split(make_extension_bundle(c, k, ci_from_line_points(pts), "auto"))
 
 
 def test_torsion_along_the_line_is_refused():
     with pytest.raises(ValueError, match="not a vector bundle"):
-        _splitting_degrees(ExtensionBundle(2, 2, 1, ci_from_forms(u, v), v * v))
-
-
-def reference_trivialization(sheaf) -> tuple:
-    """The splitting degrees from the h0 scan and the first surjective pair of
-    rows (hi, lo) among the maps F|_L -> O_L(c1) and F|_L -> O_L(c2)."""
-    (c1, c2), _ = _splitting_degrees(sheaf)
-    hi_candidates, lo_candidates = _hom_row_candidates(sheaf, c1), _hom_row_candidates(sheaf, c2)
-    if c1 > c2:
-        assert len(lo_candidates) == 1
-        pairs = [(hi, lo_candidates[0]) for hi in hi_candidates]
-    else:
-        pairs = itertools.combinations(hi_candidates, 2)
-    return (c1, c2), next(pair for pair in pairs if _rows_surjective(*pair))
+        trivialize_on_line(ExtensionBundle(2, 2, 1, ci_from_forms(u, v), v * v))
 
 
 @pytest.mark.parametrize("side", [1, 2])
@@ -146,5 +207,4 @@ def test_split_bundle_trivialization_matches_the_search(side):
     for c1 in range(-3, 13):
         for c2 in range(-3, c1 + 1):
             sheaf = make_split_bundle(side, (c2, c1))
-            triv = trivialize_on_line(sheaf)
-            assert (triv.degrees, triv.rows) == reference_trivialization(sheaf)
+            assert split_of(sheaf) == reference_trivialization(sheaf)

@@ -194,14 +194,6 @@ def hstack(*mats: RatMatrix) -> RatMatrix:
     return _stack(mats, False, True)
 
 
-def vstack(*mats: RatMatrix) -> RatMatrix:
-    if not mats:
-        raise ValueError("vstack of nothing")
-    if any(m.cols != mats[0].cols for m in mats):
-        raise ValueError("vstack: column count mismatch")
-    return _stack(mats, True, False)
-
-
 def block_diag(*mats: RatMatrix) -> RatMatrix:
     return _stack(mats, True, True)
 
@@ -302,7 +294,10 @@ def _eliminate(rows, cols: int):
 
 
 def rank(m: RatMatrix) -> int:
-    """Exact rank; deterministic."""
+    """Exact rank; deterministic.  A matrix with no rows or no columns has
+    rank 0 and is not walked."""
+    if not m.rows or not m.cols:
+        return 0
     peeled, pivots = _eliminate(m.data, m.cols)
     return len(peeled) + len(pivots)
 

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .errors import InternalCheckError
-from .linalg import QQ, RatMatrix, kernel_basis, rank
+from .linalg import QQ, RatMatrix, Subspace, kernel_basis, rank
 from .monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_zero_free,
                         cohomology_dim, dual_exponents, euler_char_p2, multiplication_matrix,
                         restrict_to_line as form_on_line, space_dim)
@@ -142,8 +142,9 @@ class _Presented:
     """A plane sheaf's presentation and its restriction to L, each built once
     per instance: the sheaves are frozen and a ``Presentation`` holds only
     frozen forms, so every caller can share them.  ``h2_kernels`` keeps the
-    ``relation_h2_kernel`` of the last few twists.  Equality and hashing stay
-    those of the dataclass fields."""
+    ``relation_h2_kernel`` of the last few twists, and whether the relation
+    has a common zero, on L or on the plane, is decided at most once.
+    Equality and hashing stay those of the dataclass fields."""
 
     @cached_property
     def h2_kernels(self) -> dict:
@@ -156,6 +157,17 @@ class _Presented:
     @cached_property
     def line_presentation(self) -> Presentation:
         return self.presentation.on_line()
+
+    @cached_property
+    def line_relation_coprime(self) -> bool:
+        """The restricted relation has no common zero on L: its nonzero forms
+        have a constant gcd."""
+        return binary_forms_common_zero_free(self.line_presentation.relation)
+
+    @cached_property
+    def relation_common_zero_free(self) -> bool:
+        """The relation's forms have no common zero on the plane."""
+        return no_common_zero(self.presentation.relation)
 
 
 @dataclass(frozen=True)
@@ -352,6 +364,16 @@ def relation_h2_kernel(sheaf, t: int) -> tuple:
     return kept[t]
 
 
+def _socle_bound(forms, count: int):
+    """sum(deg) - count + 1 when exactly ``count`` of the forms (count = number
+    of variables) are nonzero, else None.  If those forms have no common zero
+    they are a regular sequence, S/(forms) is an Artinian complete intersection
+    of socle degree sum(deg) - count, and the ideal holds every form of degree
+    >= the bound (Eisenbud, Commutative Algebra, 21.2)."""
+    forms = [f for f in forms if not f.is_zero]
+    return sum(f.degree for f in forms) - count + 1 if len(forms) == count else None
+
+
 def _relation_h2_kernel(sheaf, t: int) -> tuple:
     """``(depth, kernel)``: the kernel of ``relation_h2_matrix(sheaf, t)``,
     whose vectors vanish off ``dual_prefix(b + t, depth)``, by rows on that prefix.
@@ -369,10 +391,28 @@ def _relation_h2_kernel(sheaf, t: int) -> tuple:
       prefix, so it is a pivot of the block exactly when it is one of the
       whole matrix, and every later column is a pivot.  The block kernel,
       padded with zeros, is the whole kernel vector for vector.
+    * Zero past the socle, with no matrix built.  By Serre duality the kernel
+      is the orthogonal of the degree-n piece of the ideal of the forms that
+      act: the restrictions to L in n = -(b+t+1) - 2 on the prefix, the
+      relation itself in n = -(b+t) - 3 on the whole basis.  When n reaches
+      ``_socle_bound`` and the forms have no common zero (decided once per
+      sheaf, after the cheap degree test) that piece is everything.
     """
-    if any([e for e, _ in f.terms] == [(1, 0, 0)] for f in sheaf.presentation.relation):
+    pres = sheaf.presentation
+    b = pres.relation_twist
+    if any([e for e, _ in f.terms] == [(1, 0, 0)] for f in pres.relation):
+        bound = _socle_bound(sheaf.line_presentation.relation, 2)
+        if bound is not None and -(b + t + 1) - 2 >= bound and sheaf.line_relation_coprime:
+            return 1, _zero_subspace(cohomology_dim(P1, 1, b + t + 1))
         return 1, kernel_basis(_line_relation_matrix(sheaf, t + 1, 1))
+    bound = _socle_bound(pres.relation, 3)
+    if bound is not None and -(b + t) - 3 >= bound and sheaf.relation_common_zero_free:
+        return None, _zero_subspace(cohomology_dim(P2, 2, b + t))
     return None, kernel_basis(relation_h2_matrix(sheaf, t))
+
+
+def _zero_subspace(n: int) -> Subspace:
+    return Subspace(n, RatMatrix.zero(n, 0))
 
 
 def euler_char(sheaf, t: int) -> int:
@@ -604,7 +644,7 @@ def trivialize_on_line(sheaf) -> Trivialization:
         one, zero = Form.constant(2, 1), Form.zero(2)
         return Trivialization(sheaf.twists, ((one, zero), (zero, one)))
     pres = sheaf.line_presentation
-    if not binary_forms_common_zero_free(pres.relation):
+    if not sheaf.line_relation_coprime:
         raise ValueError("restriction to the line is not a vector bundle")
     deg = sum(pres.target_twists) - pres.relation_twist
     e = (deg - 1) // 2

@@ -21,8 +21,11 @@ cross-checked at every twist:
 
 h2 comes from the H1-level restriction as well: the cokernel of
 H1(F_other(t)) -> H1(O_L(c+t) + O_L(t)) plus h2 of the two components.  It
-does not use the Euler characteristic, so the check chi = h0 - h1 + h2 of
-every row compares two routes and can fail.
+does not use the Euler characteristic, but once the two h1 routes agree the
+check chi = h0 - h1 + h2 of every row tests one thing only: that the relation
+of F_other is injective on H0 (its H0-level rank is h0(O(b+t))).  h1 and h2
+of F_other enter both sides alike, so the H2-level kernel is held by the
+h1 cross-check and the tests, not by chi.
 
 Rank-one sheaves (extension of a line bundle on one plane by a line bundle
 on the other) are handled by closed dimension formulas: the connecting maps
@@ -182,8 +185,11 @@ def coh_row(k: KernelSheaf, t: int) -> CohRow:
 
     h1 comes from the fast and the full route, which must agree; h2 is the
     cokernel of the H1-level restriction plus the top cohomology of the two
-    components, so chi = h0 - h1 + h2 is checked against the Euler
+    components, and chi = h0 - h1 + h2 is checked against the Euler
     characteristic of the sequence.  A disagreement raises InternalCheckError.
+    After the h1 check the chi check reduces to
+    rank(relation_h0_matrix(other, t)) == h0(O(b + t)): the kernel dimension
+    of the other side cancels from it, so it cannot catch a wrong H2 kernel.
     When a relation form of the other side is c*u (the collinear and point
     extension sheaves), the fast route is 0 by construction: its kernel lives
     on u-exponent -1, which u contracts to zero.  There the check holds the

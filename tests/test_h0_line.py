@@ -11,13 +11,14 @@ for entry, the composed matrix that global generation works with."""
 import pytest
 
 from qacm.cli import classify_pairs, seeded_line_values
-from qacm.linalg import RatMatrix, block_diag, hstack, rank, vstack
+from qacm.linalg import RatMatrix, block_diag, hstack, rank
 from qacm.monomials import P1, Form, basis, cohomology_dim, multiplication_matrix, restriction_matrix
 from qacm.plane import h1_restriction_kernel_dim, trivialize_on_line
 from qacm.quadric import (KernelSheaf, _assembled_matrix, _restriction, acm_window,
                           collinear_extension_kernel, diagonal_gluing, identity_gluing,
                           make_kernel_sheaf, point_extension_kernel, split_pair_kernel,
                           upper_gluing)
+from test_linalg import vstack
 
 vv, ww = Form.variable(2, "v"), Form.variable(2, "w")
 

@@ -2,9 +2,11 @@
 
 ``relation_h2_kernel`` computes the kernel of the dual-monomial relation
 matrix on a prefix of its columns when a relation form is a multiple of u.
-These tests hold it to the whole-matrix kernel vector for vector, check that
-a deep twist builds nothing of size O(t^2), and compare h1 of the collinear
-extension bundles with a closed form that shares no matrix code with it.
+Past the socle degree of the forms that act, when they have no common zero,
+it is zero and built from nothing.  These tests hold it to the whole-matrix
+kernel vector for vector, check that a deep twist builds nothing of size
+O(t^2), and compare h1 of the collinear extension bundles with a closed form
+that shares no matrix code with it.
 """
 
 from fractions import Fraction
@@ -18,13 +20,14 @@ import qacm.monomials
 import qacm.plane
 import qacm.quadric
 from qacm.cli import classify_pairs, seeded_line_values
-from qacm.linalg import RatMatrix, kernel_basis, vstack
+from qacm.linalg import RatMatrix, kernel_basis
 from qacm.monomials import P2, Form, cohomology_dim, h0_exponents
 from qacm.plane import (CIIdealSheaf, CISubscheme, ExtensionBundle, ci_from_forms,
                         ci_from_line_points, cohomology, dual_prefix, euler_char,
                         h1_restriction_kernel_dim, make_extension_bundle,
                         relation_h2_kernel, relation_h2_matrix)
 from qacm.quadric import _h1_kernel_of_line_map_full, acm_window, coh_row, collinear_extension_kernel
+from test_linalg import vstack
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 
@@ -64,10 +67,24 @@ def _u_presentations(draw):
 @st.composite
 def _u_free_presentations(draw):
     """Sheaves whose relation holds no scalar multiple of u: the forms may
-    contain u (u + v, u^2), but never as u alone."""
+    contain u (u + v, u^2), but never as u alone.  I_Z(m), or an extension
+    bundle whose h is drawn freely (then (f1, f2, h) almost never share a
+    zero) or from (f1, f2), so that V(f1, f2) is a common zero; h may be 0.
+    An extension bundle is past its socle bound at t <= -k - deg f1 - deg f2 - 1 >= -9."""
     f1 = draw(st.sampled_from([v, v + w, u + v, v - 2 * u, u * u + v * w]))
     f2 = draw(_form(draw(st.integers(1, 3)), w_term=True))
-    return CIIdealSheaf(2, CISubscheme(f1, f2), draw(st.integers(-2, 4)))
+    ci = CISubscheme(f1, f2)
+    if draw(st.booleans()):
+        return CIIdealSheaf(2, ci, draw(st.integers(-2, 4)))
+    (d1, d2), c_minus_k = ci.degrees, ci.degree
+    k_min = max(0, c_minus_k - d1 - d2)
+    k = draw(st.integers(k_min, k_min + 2))
+    deg_h = 2 * k - (k + c_minus_k) + d1 + d2
+    if draw(st.booleans()):
+        h = f1 * draw(_form(deg_h - d1)) + f2 * draw(_form(deg_h - d2))
+    else:
+        h = draw(_form(deg_h, w_term=True))
+    return ExtensionBundle(2, k + c_minus_k, k, ci, h)
 
 
 def _assert_prefix_kernel_is_whole_kernel(sheaf, t, depth_expected):
@@ -82,13 +99,14 @@ def _assert_prefix_kernel_is_whole_kernel(sheaf, t, depth_expected):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_u_presentations(), st.integers(-9, 1))
+@given(_u_presentations(), st.integers(-12, 1))
 def test_u_prefix_kernel_equals_whole_kernel(sheaf, t):
+    """The extension bundles are past their socle bound at t <= -deg g - deg h - 1 >= -8."""
     _assert_prefix_kernel_is_whole_kernel(sheaf, t, 1)
 
 
-@settings(max_examples=40, deadline=None)
-@given(_u_free_presentations(), st.integers(-9, 1))
+@settings(max_examples=60, deadline=None)
+@given(_u_free_presentations(), st.integers(-14, 1))
 def test_u_free_kernel_is_the_whole_kernel(sheaf, t):
     _assert_prefix_kernel_is_whole_kernel(sheaf, t, None)
 
@@ -105,6 +123,23 @@ def test_scan_sheaf_prefix_kernel_equals_whole_kernel(c, k):
 # deep twists build no O(t^2) object
 
 
+def _forbid_deep_plane_dual_bases(monkeypatch):
+    """Make every construction of a dual basis of H2(P2) below degree -200 fail."""
+    def guard(fn, deep):
+        def guarded(*args):
+            if deep(*args):
+                raise AssertionError(f"dual basis of P2 built at {args}")
+            return fn(*args)
+        return guarded
+
+    dual3 = lambda nv, d: nv == 3 and d < -200                  # noqa: E731
+    basis_p2 = lambda space, i, d: (space, i) == (P2, 2) and d < -200   # noqa: E731
+    for mod in (qacm.monomials, qacm.plane):
+        monkeypatch.setattr(mod, "dual_exponents", guard(mod.dual_exponents, dual3))
+    for mod in (qacm.monomials, qacm.plane, qacm.quadric):
+        monkeypatch.setattr(mod, "basis", guard(mod.basis, basis_p2))
+
+
 def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
     """At t = -300 the u-path must neither build the whole relation matrix
     nor any dual basis of H2(P2) at that depth.  The bundle has h|_L = 0, so
@@ -117,20 +152,8 @@ def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
     def forbidden(*args):
         raise AssertionError("relation_h2_matrix called on the u-path")
 
-    def guard(fn, deep):
-        def guarded(*args):
-            if deep(*args):
-                raise AssertionError(f"dual basis of P2 built at {args}")
-            return fn(*args)
-        return guarded
-
-    dual3 = lambda nv, d: nv == 3 and d < -200                  # noqa: E731
-    basis_p2 = lambda space, i, d: (space, i) == (P2, 2) and d < -200   # noqa: E731
     monkeypatch.setattr(qacm.plane, "relation_h2_matrix", forbidden)
-    for mod in (qacm.monomials, qacm.plane):
-        monkeypatch.setattr(mod, "dual_exponents", guard(mod.dual_exponents, dual3))
-    for mod in (qacm.monomials, qacm.plane, qacm.quadric):
-        monkeypatch.setattr(mod, "basis", guard(mod.basis, basis_p2))
+    _forbid_deep_plane_dual_bases(monkeypatch)
     sheaf.h2_kernels.clear()          # every kernel below is computed under the guards
 
     depth, ker = relation_h2_kernel(sheaf, t)
@@ -141,6 +164,90 @@ def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
     fast = h1_restriction_kernel_dim(sheaf, t)
     full = _h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t)
     assert fast == full == 0
+
+
+def _u_free_g():
+    """G(c=4,k=1,Z=[v,w^3],h=auto): the relation (-w^3, v, h) is three forms
+    with no common zero, of degrees summing to 6, so with b = -1 the kernel
+    in dual degree -(b + t) - 3 is zero from t = -6 on down."""
+    return make_extension_bundle(4, 1, ci_from_forms(v, w ** 3), h="auto")
+
+
+def _collinear_g(c, k):
+    """The scan's G(c, k): the restrictions (-g, h|_L) are coprime of degrees
+    c - k and k + 1, and the kernel is zero from t = -c - 2 on down."""
+    return make_extension_bundle(c, k, ci_from_line_points(
+        [((1, r), 1) for r in seeded_line_values(3, c - k)]), h="auto")
+
+
+def test_deep_u_free_twist_builds_no_plane_dual_basis(monkeypatch):
+    """At t = -250 the u-free G is far past its socle bound: neither the
+    relation matrix nor any dual basis of H2(P2) below degree -200 is built,
+    for h1, h2 or either h1 route of a kernel sheaf."""
+    sheaf = _u_free_g()
+    _forbid_deep_plane_dual_bases(monkeypatch)
+    t = -250
+    depth, ker = relation_h2_kernel(sheaf, t)
+    assert depth is None and ker.dim == 0
+    assert ker.ambient_dim == cohomology_dim(P2, 2, sheaf.presentation.relation_twist + t)
+    assert cohomology(sheaf, 1, t) == 0
+    assert cohomology(sheaf, 2, t) == euler_char(sheaf, t)
+    assert h1_restriction_kernel_dim(sheaf, t) == 0
+    assert _h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t) == 0
+
+
+@pytest.mark.parametrize("make, bound", [(_u_free_g, -6), (lambda: _collinear_g(5, 2), -7)])
+def test_a_twist_past_the_bound_builds_and_eliminates_nothing(monkeypatch, make, bound):
+    """The cut starts exactly at the bound: at bound + 1 the kernel (of
+    dimension 1, the socle) is eliminated; at the bound and below, once
+    the first deep twist has decided the per-sheaf common-zero answer, no
+    matrix is built and nothing is eliminated."""
+    sheaf = make()
+    assert relation_h2_kernel(sheaf, bound + 1)[1].dim == 1
+    assert qacm.plane._relation_h2_kernel(sheaf, bound)[1].dim == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("matrix built or eliminated past the bound")
+
+    monkeypatch.setattr(qacm.plane, "multiplication_matrix", forbidden)
+    monkeypatch.setattr(qacm.plane, "kernel_basis", forbidden)
+    monkeypatch.setattr(qacm.plane, "rank", forbidden)
+    for t in range(bound - 40, bound + 1):
+        assert relation_h2_kernel(sheaf, t)[1].dim == 0
+        assert cohomology(sheaf, 1, t) == 0
+
+
+def test_a_u_free_common_zero_keeps_the_kernel_at_every_depth():
+    """h = v*w lies in (v, w^3), so the three forms vanish at [1 : 0 : 0] and
+    S/(v, w^3, v*w) = k[u, w]/(w^3) has Hilbert function 3 from degree 2 on:
+    past the bound of three such degrees (t <= -6) the kernel stays 3-dimensional."""
+    sheaf = ExtensionBundle(2, 4, 1, ci_from_forms(v, w ** 3), v * w)
+    for t in range(-30, -5):
+        depth, ker = relation_h2_kernel(sheaf, t)
+        assert depth is None and ker.dim == 3
+        assert ker == kernel_basis(relation_h2_matrix(sheaf, t))
+
+
+@pytest.mark.parametrize("sheaf", [
+    CIIdealSheaf(2, CISubscheme(v + w, w ** 2 - u * v), 1),      # two forms on P2
+    CIIdealSheaf(2, CISubscheme(u, v ** 2 - w ** 2), 1),        # one nonzero form on L
+    ExtensionBundle(2, 21, 1, ci_from_forms(u, v ** 20 - w ** 20), u * v),
+], ids=["u-free ideal", "collinear ideal", "h on L zero"])
+def test_fewer_forms_than_variables_take_the_elimination(monkeypatch, sheaf):
+    """With fewer acting forms than variables the ideal is never everything,
+    so no common-zero answer is asked for and every twist is eliminated."""
+    def forbidden(*args):
+        raise AssertionError("common-zero test on fewer forms than variables")
+
+    monkeypatch.setattr(qacm.plane, "no_common_zero", forbidden)
+    monkeypatch.setattr(qacm.plane, "binary_forms_common_zero_free", forbidden)
+    for t in range(-30, 2):
+        depth, ker = relation_h2_kernel(sheaf, t)
+        if depth is None:
+            assert ker == kernel_basis(relation_h2_matrix(sheaf, t))
+        else:
+            assert ker == kernel_basis(qacm.plane._line_relation_matrix(sheaf, t + 1, 1))
+    assert relation_h2_kernel(sheaf, -30)[1].dim > 0
 
 
 def test_coh_row_computes_each_kernel_once(monkeypatch):

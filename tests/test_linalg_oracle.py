@@ -13,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qacm.descriptor import parse_and_build
-from qacm.linalg import RatMatrix, kernel_basis, rank, vstack
+from qacm.linalg import RatMatrix, kernel_basis, rank
 from qacm.plane import relation_h0_matrix, relation_h2_matrix
+from test_linalg import vstack
 
 sympy = pytest.importorskip("sympy")
 

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qacm.linalg import QQ, RatMatrix, hstack, rank, vstack
+from qacm.linalg import QQ, RatMatrix, hstack, rank
 from qacm.monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_zero_free,
                             binary_gcd, cohomology_dim, dual_exponents, h0_exponents,
                             multiplication_matrix, restrict_to_plane,
                             restriction_matrix)
 from qacm.plane import dual_prefix
+from test_linalg import vstack
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 

@@ -81,18 +81,10 @@ class DExt:
 
 
 @dataclass(frozen=True)
-class DGluing:
-    kind: str
-    alpha: Fraction = QQ(1)
-    delta: Fraction = QQ(1)
-    beta: Form = None
-
-
-@dataclass(frozen=True)
 class DKernel:
     f1: object
     f2: object
-    e: DGluing
+    e: GluingData       # as parsed; ``build`` validates it
 
 
 @dataclass(frozen=True)
@@ -303,21 +295,21 @@ class _Parser:
         self.error(f"got {text!r}" if text else "unexpected end of input",
                    expected=("'['", "points"))
 
-    def parse_gluing(self) -> DGluing:
+    def parse_gluing(self) -> GluingData:
         name = self.expect_name("id", "diag", "upper")
         if name == "id":
-            return DGluing("identity")
+            return GluingData("identity")
         self.expect_punct("(")
         alpha = self.parse_rat()
         self.expect_punct(",")
         delta = self.parse_rat()
         if name == "diag":
             self.expect_punct(")")
-            return DGluing("diagonal", alpha, delta)
+            return GluingData("diagonal", alpha, delta)
         self.expect_punct(",")
         beta = self.parse_form(2)
         self.expect_punct(")")
-        return DGluing("upper", alpha, delta, beta)
+        return GluingData("upper", alpha, delta, beta)
 
     def _parse_keyed(self, key):
         self.expect_name(key)
@@ -432,14 +424,6 @@ def _print_ci(ci) -> str:
     return f"points({pts})"
 
 
-def _print_gluing(e: DGluing) -> str:
-    if e.kind == "identity":
-        return "id"
-    if e.kind == "diagonal":
-        return f"diag({e.alpha},{e.delta})"
-    return f"upper({e.alpha},{e.delta},{e.beta})"
-
-
 def to_text(node) -> str:
     """Canonical text of a descriptor; reparses to an equal AST."""
     if isinstance(node, DLBSum):
@@ -451,7 +435,7 @@ def to_text(node) -> str:
         h = "auto" if isinstance(node.h, str) else str(node.h)
         return f"G(c={node.c},k={node.k},Z={_print_ci(node.ci)},h={h})@H{node.plane}"
     if isinstance(node, DKernel):
-        return f"K(F1={to_text(node.f1)},F2={to_text(node.f2)},e={_print_gluing(node.e)})"
+        return f"K(F1={to_text(node.f1)},F2={to_text(node.f2)},e={node.e.describe()})"
     if isinstance(node, DRankOne):
         return f"R1(side={node.side},a={node.a},b={node.b})"
     raise ValueError(f"not a descriptor node: {node!r}")
@@ -471,7 +455,7 @@ def _build_ci(ci):
     return ci_from_line_points(pts)
 
 
-def _build_gluing(e: DGluing) -> GluingData:
+def _build_gluing(e: GluingData) -> GluingData:
     if e.kind == "identity":
         return identity_gluing()
     if e.kind == "diagonal":

@@ -302,29 +302,13 @@ def rank(m: RatMatrix) -> int:
     return len(peeled) + len(pivots)
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A linear subspace given by a basis matrix whose columns are independent."""
-
-    ambient_dim: int
-    basis: RatMatrix
-
-    def __post_init__(self):
-        if self.basis.rows != self.ambient_dim:
-            raise ValueError("basis rows must equal ambient dimension")
-        if rank(self.basis) != self.basis.cols:
-            raise ValueError("basis columns are dependent")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.cols
-
-
-def kernel_basis(m: RatMatrix) -> Subspace:
-    """Exact null space of ``m``: dim = cols - rank, m @ basis = 0 entrywise.
+def kernel_basis(m: RatMatrix) -> RatMatrix:
+    """Exact null space of ``m`` as its basis matrix: one row per coordinate,
+    one column per kernel vector, cols = m.cols - rank and m @ basis = 0.
 
     Basis vectors are primitive integer vectors (first nonzero positive), one
-    per free column in increasing column order.
+    per free column in increasing column order.  Each is nonzero at its own
+    free column and zero at every other, so the columns are independent.
     """
     peeled, pivots = _eliminate(m.data, m.cols)
     pivot_cols = [c for c, _ in pivots]
@@ -354,7 +338,7 @@ def kernel_basis(m: RatMatrix) -> Subspace:
         for i, x in v.items():
             out[i][j] = x // g
         j += 1
-    return Subspace(m.cols, RatMatrix(m.cols, j, tuple(out)))
+    return RatMatrix(m.cols, j, tuple(out))
 
 
 def kernel_dim(m: RatMatrix) -> int:

@@ -418,14 +418,15 @@ def basis(space: str, i: int, d: int) -> GradedPiece:
     return piece
 
 
-def multiplication_matrix(grid, srcs, tgts, top: bool = False) -> RatMatrix:
+def multiplication_matrix(grid, srcs, tgts) -> RatMatrix:
     """The map sum_j srcs[j] -> sum_i tgts[i] whose block (i, j) is
     multiplication by the form ``grid[i][j]``, on monomial bases: rows by
     target, columns by source, blocks in order.  A piece is a ``GradedPiece``;
     each target is a prefix of its standard basis, so a product's row is its
     rank there, computed from its exponents.  The grid, and each of its rows,
-    may stop early: the forms left out are zero.  On dual (``top``) bases a
-    product monomial with any exponent >= 0 contracts to zero.
+    may stop early: the forms left out are zero.  A target of positive
+    cohomology index is a top piece with a dual basis, on which a product
+    monomial with any exponent >= 0 contracts to zero.
 
     The rank rule, with s_k the sum of the last k of the n exponents of p:
     rank(p) = sum_(k=1..n-1) C(s_k + k - 1, k) in H0, and, on the top piece
@@ -468,7 +469,7 @@ def multiplication_matrix(grid, srcs, tgts, top: bool = False) -> RatMatrix:
         n = len(tgts[i].basis[0])
         ks = range(2, n)
         try:
-            if top:
+            if tgts[i].i:
                 full = comb(-tgts[i].d - 1, n - 1)
                 for c, s1, s2, _, shift, lim in terms:
                     c *= scale

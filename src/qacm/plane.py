@@ -29,10 +29,10 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .errors import InternalCheckError
-from .linalg import QQ, RatMatrix, Subspace, kernel_basis, rank
+from .linalg import QQ, RatMatrix, kernel_basis, rank
 from .monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_zero_free,
                         cohomology_dim, dual_exponents, euler_char_p2, multiplication_matrix,
-                        restrict_to_line as form_on_line, space_dim)
+                        restrict_to_line as form_on_line)
 
 U = Form.variable(3, "u")
 V = Form.variable(3, "v")
@@ -128,10 +128,6 @@ class Presentation:
     relation_twist: object      # twist b of the single relation, or None
     relation: tuple             # column of plane forms, one per target summand
 
-    @property
-    def rank(self) -> int:
-        return len(self.target_twists) - (0 if self.relation_twist is None else 1)
-
     def on_line(self) -> "Presentation":
         """The restriction to L: the same twists, the relation with u := 0."""
         return Presentation(self.target_twists, self.relation_twist,
@@ -154,6 +150,19 @@ class _Presented:
     def presentation(self) -> Presentation:
         return self._presentation()
 
+    @property
+    def rank(self) -> int:
+        """The number of target summands less the number of relations."""
+        pres = self.presentation
+        return len(pres.target_twists) - (pres.relation_twist is not None)
+
+    @cached_property
+    def h2_depth(self):
+        """1 when a relation form is c*u, else None: the ``dual_prefix`` depth
+        off which every ``relation_h2_kernel`` vector vanishes."""
+        return 1 if any([e for e, _ in f.terms] == [(1, 0, 0)]
+                        for f in self.presentation.relation) else None
+
     @cached_property
     def line_presentation(self) -> Presentation:
         return self.presentation.on_line()
@@ -175,10 +184,6 @@ class SplitBundle(_Presented):
     side: int
     twists: tuple
 
-    @property
-    def rank(self) -> int:
-        return len(self.twists)
-
     def _presentation(self) -> Presentation:
         return Presentation(self.twists, None, ())
 
@@ -190,10 +195,6 @@ class CIIdealSheaf(_Presented):
     side: int
     ci: CISubscheme
     m: int
-
-    @property
-    def rank(self) -> int:
-        return 1
 
     def _presentation(self) -> Presentation:
         d1, d2 = self.ci.degrees
@@ -211,10 +212,6 @@ class ExtensionBundle(_Presented):
     k: int
     ci: CISubscheme
     h: Form
-
-    @property
-    def rank(self) -> int:
-        return 2
 
     def _presentation(self) -> Presentation:
         c, k = self.c, self.k
@@ -316,8 +313,7 @@ def _relation_matrix(space: str, i: int, pres: Presentation, t: int) -> RatMatri
     if b is None:
         return RatMatrix.zero(sum(cohomology_dim(space, i, a + t) for a in pres.target_twists), 0)
     return multiplication_matrix([(f,) for f in pres.relation], [basis(space, i, b + t)],
-                                 [basis(space, i, a + t) for a in pres.target_twists],
-                                 i == space_dim(space))
+                                 [basis(space, i, a + t) for a in pres.target_twists])
 
 
 def relation_h0_matrix(sheaf, t: int) -> RatMatrix:
@@ -346,13 +342,13 @@ def relation_h2_prefix_matrix(pres: Presentation, t: int, src: GradedPiece, dept
     """The H2-level relation at twist t on ``src``, dual monomials of degree
     b + t, into the depth prefix of each target summand, which holds every product."""
     return multiplication_matrix([(f,) for f in pres.relation], [src],
-                                 [dual_prefix(a + t, depth) for a in pres.target_twists], True)
+                                 [dual_prefix(a + t, depth) for a in pres.target_twists])
 
 
 H2_KERNELS_KEPT = 4      # twists whose relation_h2_kernel each sheaf keeps
 
 
-def relation_h2_kernel(sheaf, t: int) -> tuple:
+def relation_h2_kernel(sheaf, t: int) -> RatMatrix:
     """``_relation_h2_kernel(sheaf, t)``, computed once per (sheaf, t) for h1, h2
     and both h1 routes of a kernel sheaf and kept in ``sheaf.h2_kernels`` for
     the last ``H2_KERNELS_KEPT`` twists computed."""
@@ -374,9 +370,9 @@ def _socle_bound(forms, count: int):
     return sum(f.degree for f in forms) - count + 1 if len(forms) == count else None
 
 
-def _relation_h2_kernel(sheaf, t: int) -> tuple:
-    """``(depth, kernel)``: the kernel of ``relation_h2_matrix(sheaf, t)``,
-    whose vectors vanish off ``dual_prefix(b + t, depth)``, by rows on that prefix.
+def _relation_h2_kernel(sheaf, t: int) -> RatMatrix:
+    """The kernel of ``relation_h2_matrix(sheaf, t)``, whose vectors vanish
+    off ``dual_prefix(b + t, sheaf.h2_depth)``, by rows on that prefix.  The
     depth is None (the whole basis) unless a relation form is c*u:
 
     * Exact.  If form i is c*u, a dual monomial (a, v, w) with a <= -2 maps
@@ -400,19 +396,15 @@ def _relation_h2_kernel(sheaf, t: int) -> tuple:
     """
     pres = sheaf.presentation
     b = pres.relation_twist
-    if any([e for e, _ in f.terms] == [(1, 0, 0)] for f in pres.relation):
+    if sheaf.h2_depth:
         bound = _socle_bound(sheaf.line_presentation.relation, 2)
         if bound is not None and -(b + t + 1) - 2 >= bound and sheaf.line_relation_coprime:
-            return 1, _zero_subspace(cohomology_dim(P1, 1, b + t + 1))
-        return 1, kernel_basis(_line_relation_matrix(sheaf, t + 1, 1))
+            return RatMatrix.zero(cohomology_dim(P1, 1, b + t + 1), 0)
+        return kernel_basis(_line_relation_matrix(sheaf, t + 1, 1))
     bound = _socle_bound(pres.relation, 3)
     if bound is not None and -(b + t) - 3 >= bound and sheaf.relation_common_zero_free:
-        return None, _zero_subspace(cohomology_dim(P2, 2, b + t))
-    return None, kernel_basis(relation_h2_matrix(sheaf, t))
-
-
-def _zero_subspace(n: int) -> Subspace:
-    return Subspace(n, RatMatrix.zero(n, 0))
+        return RatMatrix.zero(cohomology_dim(P2, 2, b + t), 0)
+    return kernel_basis(relation_h2_matrix(sheaf, t))
 
 
 def euler_char(sheaf, t: int) -> int:
@@ -433,16 +425,16 @@ def cohomology(sheaf, i: int, t: int) -> int:
     if i == 0:
         total = sum(cohomology_dim(P2, 0, a + t) for a in pres.target_twists)
         return total - rank(relation_h0_matrix(sheaf, t))
-    _, ker = relation_h2_kernel(sheaf, t)
+    ker = relation_h2_kernel(sheaf, t)
     if i == 1:
-        h1 = ker.dim
+        h1 = ker.cols
         if isinstance(sheaf, CIIdealSheaf) and sheaf.ci.is_collinear():
             d = sheaf.m + t
             if d >= -1 and h1 != max(0, sheaf.ci.degree - d - 1):
                 raise InternalCheckError("collinear ideal-sheaf h1 disagrees with its closed form")
         return h1
     total = sum(cohomology_dim(P2, 2, a + t) for a in pres.target_twists)
-    return total - (cohomology_dim(P2, 2, pres.relation_twist + t) - ker.dim)
+    return total - (cohomology_dim(P2, 2, pres.relation_twist + t) - ker.cols)
 
 
 @dataclass(frozen=True)
@@ -490,49 +482,11 @@ def chern(sheaf):
 # Cayley-Bacharach
 
 
-def _point_condition_rows(point, mult: int, d: int):
-    """Linear conditions on H0(P2, O(d)) for vanishing to the given order at
-    the point [0 : v0 : w0] of L, via derivatives of the restriction to L."""
-    (v0, w0) = point
-    rows = []
-    mons = basis(P2, 0, d).basis
-    for j in range(mult):
-        row = {}
-        for col, (a, b, c) in enumerate(mons):
-            if a != 0:
-                continue
-            if w0 != 0:
-                # d^j/dv^j of v^b w0^c at v = v0
-                if b >= j:
-                    coef = 1
-                    for s in range(j):
-                        coef *= (b - s)
-                    row[col] = coef * v0 ** (b - j) * w0 ** c
-            elif c == j:
-                # point [0:1:0]: the condition is on the w^j coefficient
-                coef = 1
-                for s in range(j):
-                    coef *= (c - s)
-                row[col] = coef * v0 ** b
-        rows.append(row)
-    return rows
-
-
-def h0_ideal_of_points(points, d: int) -> int:
-    """h0 of the ideal sheaf of a collinear subscheme given by point data,
-    computed by vanishing conditions (not by a Koszul presentation)."""
-    if d < 0:
-        return 0
-    rows = []
-    for point, mult in points:
-        rows.extend(_point_condition_rows(point, mult, d))
-    n = cohomology_dim(P2, 0, d)
-    return n - rank(RatMatrix.from_dicts(len(rows), n, rows))
-
-
 def cb_condition_check(c: int, k: int, ci: CISubscheme) -> bool:
     """Cayley-Bacharach for the pair (c, k): every colength-1 subscheme Z' of
-    the collinear Z must satisfy h0(I_{Z'}(c - 2k - 3)) = 0."""
+    the collinear Z must satisfy h0(I_{Z'}(d)) = 0, d = c - 2k - 3, read
+    through the Koszul presentation of I_{Z'}.  An empty Z' fails once
+    d >= 0, as h0(O(d)) >= 1."""
     if not ci.is_collinear():
         raise ValueError("Cayley-Bacharach check needs a collinear subscheme")
     d = c - 2 * k - 3
@@ -541,12 +495,9 @@ def cb_condition_check(c: int, k: int, ci: CISubscheme) -> bool:
     if ci.points is None:
         raise ValueError("explicit point data required for a nonnegative twist")
     for drop in range(len(ci.points)):
-        sub = []
-        for idx, (pt, mult) in enumerate(ci.points):
-            m = mult - 1 if idx == drop else mult
-            if m > 0:
-                sub.append((pt, m))
-        if h0_ideal_of_points(sub, d) != 0:
+        sub = [(pt, m - (i == drop)) for i, (pt, m) in enumerate(ci.points)]
+        sub = [(pt, m) for pt, m in sub if m]
+        if not sub or cohomology(CIIdealSheaf(2, ci_from_line_points(sub), d), 0, 0):
             return False
     return True
 
@@ -596,7 +547,7 @@ def _hom_row_candidates(sheaf, e: int) -> list:
     srcs = [basis(P1, 0, e - a) for a in pres.target_twists]
     ker = kernel_basis(multiplication_matrix([pres.relation], srcs,
                                              [basis(P1, 0, e - pres.relation_twist)]))
-    return _form_rows(ker.basis.transpose().data, srcs)
+    return _form_rows(ker.transpose().data, srcs)
 
 
 def _high_row(sheaf, lo: tuple, c1: int) -> tuple:
@@ -611,7 +562,7 @@ def _high_row(sheaf, lo: tuple, c1: int) -> tuple:
     tgts = [basis(P1, 0, a - pres.relation_twist) for a in pres.target_twists]
     grid = [(zero, l2, -l1, -p0), (-l2, zero, l0, -p1), (l1, -l0, zero, -p2)]
     ker = kernel_basis(multiplication_matrix(grid, srcs, tgts))
-    return _form_rows(ker.basis.transpose().data[-1:], srcs)[0][:3]
+    return _form_rows(ker.transpose().data[-1:], srcs)[0][:3]
 
 
 def _is_syzygy_basis(hi: tuple, lo: tuple, p: tuple) -> bool:
@@ -661,16 +612,17 @@ def trivialize_on_line(sheaf) -> Trivialization:
 
 def h1_restriction_kernel_dim(sheaf, t: int) -> int:
     """dim ker(H1(F(t)) -> H1(F|_L(t))) = dim of the image of multiplication
-    by u: H1(F(t-1)) -> H1(F(t)), on the H2-level kernel and its prefixes."""
+    by u: H1(F(t-1)) -> H1(F(t)), on the H2-level kernel.  It is 0 without a
+    relation, and at depth 1, where u contracts every dual monomial of
+    u-exponent -1, the only ones a kernel vector holds."""
     b = sheaf.presentation.relation_twist
-    if b is None:
+    if b is None or sheaf.h2_depth:
         return 0
-    depth, ker = relation_h2_kernel(sheaf, t - 1)
-    if ker.dim == 0:
+    ker = relation_h2_kernel(sheaf, t - 1)
+    if not ker.cols:
         return 0
-    u_mult = multiplication_matrix([[U]], [dual_prefix(b + t - 1, depth)],
-                                   [dual_prefix(b + t, depth)], True)
-    return rank(u_mult @ ker.basis)
+    u_mult = multiplication_matrix([[U]], [basis(P2, 2, b + t - 1)], [basis(P2, 2, b + t)])
+    return rank(u_mult @ ker)
 
 
 # ---------------------------------------------------------------------------

@@ -164,13 +164,14 @@ def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int) -> int:
     b = pres.relation_twist
     if b is None:
         return 0
-    depth, ker = relation_h2_kernel(k.other, t)
-    if ker.dim == 0:
+    ker = relation_h2_kernel(k.other, t)
+    if not ker.cols:
         return 0
+    depth = k.other.h2_depth
     rows = None if depth is None else depth + 1
     lifted = GradedPiece(P2, 2, b + t - 1,
                          tuple((a - 1, v, w) for a, v, w in dual_prefix(b + t, depth).basis))
-    a_mat = relation_h2_prefix_matrix(pres, t - 1, lifted, rows) @ ker.basis
+    a_mat = relation_h2_prefix_matrix(pres, t - 1, lifted, rows) @ ker
     d_mat = relation_h2_prefix_matrix(pres, t - 1, dual_prefix(b + t - 1, 1), rows)
     return kernel_dim(hstack(a_mat, d_mat)) - kernel_dim(d_mat)
 
@@ -383,7 +384,7 @@ def global_generation_surjective(k: KernelSheaf) -> bool:
     target_dim = u1.cols - rank(u1)
     columns = []
     for linear in AMBIENT_LINEAR:
-        prod = _linear_mult(k, linear) @ v0.basis
+        prod = _linear_mult(k, linear) @ v0
         if not (u1 @ prod).is_zero():
             raise InternalCheckError("multiplication did not preserve kernel sections")
         columns.append(prod)

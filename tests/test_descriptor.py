@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 import qacm.descriptor
 import qacm.plane
 from qacm.cli import main
-from qacm.descriptor import (DCIForms, DCIPoints, DExt, DGluing, DIdeal,
+from qacm.descriptor import (DCIForms, DCIPoints, DExt, DIdeal,
                              DKernel, DLBSum, DRankOne, DescriptorParseError,
                              build, parse, parse_ambient_form, parse_and_build,
                              to_text)
 from qacm.monomials import Form, h0_exponents
 from qacm.plane import CIIdealSheaf
-from qacm.quadric import KernelSheaf, RankOneSheaf
+from qacm.quadric import GluingData, KernelSheaf, RankOneSheaf
 
 QQ = Fraction
 
@@ -107,9 +107,19 @@ def test_an_ideal_with_u_dividing_both_generators_exits_2(text):
 
 def test_parse_gluings():
     d = parse("K(F1=O(0)+O(0)@H1,F2=O(0)+O(0)@H2,e=diag(2,3))")
-    assert d.e == DGluing("diagonal", QQ(2), QQ(3))
+    assert d.e == GluingData("diagonal", QQ(2), QQ(3))
     d2 = parse("K(F1=O(3)+O(0)@H1,F2=O(3)+O(0)@H2,e=upper(1,1,v^3))")
     assert d2.e.kind == "upper" and d2.e.beta.degree == 3
+
+
+def test_a_zero_gluing_scalar_parses_and_fails_to_build():
+    """Parsing is total: the gluing is kept as written, and ``build``
+    validates it."""
+    d = parse("K(F1=O(0)+O(0)@H1,F2=O(0)+O(0)@H2,e=diag(0,3))")
+    assert d.e == GluingData("diagonal", QQ(0), QQ(3))
+    assert to_text(d).endswith("e=diag(0,3))")
+    with pytest.raises(ValueError, match="gluing scalars must be nonzero"):
+        build(d)
 
 
 def test_parse_rational_coefficients():
@@ -203,10 +213,10 @@ def _ext(plane):
 def _gluing():
     nonzero = rationals.filter(lambda q: q != 0)
     return st.one_of(
-        st.just(DGluing("identity")),
-        st.tuples(nonzero, nonzero).map(lambda t: DGluing("diagonal", *t)),
+        st.just(GluingData("identity")),
+        st.tuples(nonzero, nonzero).map(lambda t: GluingData("diagonal", *t)),
         st.tuples(nonzero, nonzero, st.integers(0, 3).flatmap(lambda d: _form(2, d))).map(
-            lambda t: DGluing("upper", t[0], t[1], t[2])),
+            lambda t: GluingData("upper", t[0], t[1], t[2])),
     )
 
 

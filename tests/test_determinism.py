@@ -21,7 +21,7 @@ def test_kernel_basis_digest():
     for t in range(-25, 3):
         for m in (relation_h2_matrix(k.other, t), relation_h0_matrix(k.other, t),
                   _assembled_matrix(k, t) @ _restriction(k, t)):
-            b = kernel_basis(m).basis
+            b = kernel_basis(m)
             for j in range(b.cols):
                 digest.update(repr(tuple(str(x) for x in b.column(j))).encode())
     assert digest.hexdigest() == GOLDEN

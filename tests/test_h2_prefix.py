@@ -20,6 +20,7 @@ import qacm.monomials
 import qacm.plane
 import qacm.quadric
 from qacm.cli import classify_pairs, seeded_line_values
+from qacm.descriptor import parse_and_build
 from qacm.linalg import RatMatrix, kernel_basis
 from qacm.monomials import P2, Form, cohomology_dim, h0_exponents
 from qacm.plane import (CIIdealSheaf, CISubscheme, ExtensionBundle, ci_from_forms,
@@ -87,15 +88,15 @@ def _u_free_presentations(draw):
     return ExtensionBundle(2, k + c_minus_k, k, ci, h)
 
 
-def _assert_prefix_kernel_is_whole_kernel(sheaf, t, depth_expected):
-    depth, ker = relation_h2_kernel(sheaf, t)
-    assert depth == depth_expected
+def _assert_prefix_kernel_is_whole_kernel(sheaf, t, depth):
+    assert sheaf.h2_depth == depth
+    ker = relation_h2_kernel(sheaf, t)
     b = sheaf.presentation.relation_twist
     n = cohomology_dim(P2, 2, b + t)
     n_prefix = dual_prefix(b + t, depth).dim
-    assert ker.basis.rows == n_prefix
-    whole = kernel_basis(relation_h2_matrix(sheaf, t)).basis
-    assert whole == vstack(ker.basis, RatMatrix.zero(n - n_prefix, ker.dim))
+    assert ker.rows == n_prefix
+    whole = kernel_basis(relation_h2_matrix(sheaf, t))
+    assert whole == vstack(ker, RatMatrix.zero(n - n_prefix, ker.cols))
 
 
 @settings(max_examples=80, deadline=None)
@@ -143,8 +144,8 @@ def _forbid_deep_plane_dual_bases(monkeypatch):
 def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
     """At t = -300 the u-path must neither build the whole relation matrix
     nor any dual basis of H2(P2) at that depth.  The bundle has h|_L = 0, so
-    the kernel is the 20-dimensional kernel of g on H1(P1) at every depth and
-    both h1 routes run to the end."""
+    the kernel is the 20-dimensional kernel of g on H1(P1) at every depth, the
+    full h1 route runs to the end, and the fast one is 0 at depth 1."""
     g = v ** 20 - w ** 20
     sheaf = ExtensionBundle(2, 21, 1, ci_from_forms(u, g), u * v)
     t = -300
@@ -156,14 +157,30 @@ def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
     _forbid_deep_plane_dual_bases(monkeypatch)
     sheaf.h2_kernels.clear()          # every kernel below is computed under the guards
 
-    depth, ker = relation_h2_kernel(sheaf, t)
-    assert (depth, ker.dim) == (1, 20)
+    ker = relation_h2_kernel(sheaf, t)
+    assert (sheaf.h2_depth, ker.cols) == (1, 20)
     assert cohomology(sheaf, 1, t) == 20
     assert cohomology(sheaf, 0, t) == 0
     assert cohomology(sheaf, 2, t) == euler_char(sheaf, t) + 20
     fast = h1_restriction_kernel_dim(sheaf, t)
     full = _h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t)
     assert fast == full == 0
+
+
+@pytest.mark.parametrize("sheaf, total", [
+    ("G(c=4,k=1,Z=[v,w^3],h=auto)@H2", 3),
+    ("G(c=5,k=2,Z=[v,w^3],h=u^3+u*w^2+v^3)@H2", 6),
+    ("G(c=4,k=2,Z=[v-u,w^2],h=auto)@H2", 4),
+])
+def test_u_free_fast_route_equals_the_full_route(sheaf, total):
+    """Without a relation form c*u the fast route multiplies the whole H2
+    kernel by u; there it is nonzero and equals the zig-zag of the full route."""
+    g = parse_and_build(sheaf)
+    assert g.h2_depth is None
+    fast = [h1_restriction_kernel_dim(g, t) for t in range(-14, 4)]
+    assert fast == [_h1_kernel_of_line_map_full(SimpleNamespace(other=g), t)
+                    for t in range(-14, 4)]
+    assert sum(fast) == total
 
 
 def _u_free_g():
@@ -187,9 +204,9 @@ def test_deep_u_free_twist_builds_no_plane_dual_basis(monkeypatch):
     sheaf = _u_free_g()
     _forbid_deep_plane_dual_bases(monkeypatch)
     t = -250
-    depth, ker = relation_h2_kernel(sheaf, t)
-    assert depth is None and ker.dim == 0
-    assert ker.ambient_dim == cohomology_dim(P2, 2, sheaf.presentation.relation_twist + t)
+    ker = relation_h2_kernel(sheaf, t)
+    assert sheaf.h2_depth is None and ker.cols == 0
+    assert ker.rows == cohomology_dim(P2, 2, sheaf.presentation.relation_twist + t)
     assert cohomology(sheaf, 1, t) == 0
     assert cohomology(sheaf, 2, t) == euler_char(sheaf, t)
     assert h1_restriction_kernel_dim(sheaf, t) == 0
@@ -203,8 +220,8 @@ def test_a_twist_past_the_bound_builds_and_eliminates_nothing(monkeypatch, make,
     the first deep twist has decided the per-sheaf common-zero answer, no
     matrix is built and nothing is eliminated."""
     sheaf = make()
-    assert relation_h2_kernel(sheaf, bound + 1)[1].dim == 1
-    assert qacm.plane._relation_h2_kernel(sheaf, bound)[1].dim == 0
+    assert relation_h2_kernel(sheaf, bound + 1).cols == 1
+    assert qacm.plane._relation_h2_kernel(sheaf, bound).cols == 0
 
     def forbidden(*args, **kwargs):
         raise AssertionError("matrix built or eliminated past the bound")
@@ -213,7 +230,7 @@ def test_a_twist_past_the_bound_builds_and_eliminates_nothing(monkeypatch, make,
     monkeypatch.setattr(qacm.plane, "kernel_basis", forbidden)
     monkeypatch.setattr(qacm.plane, "rank", forbidden)
     for t in range(bound - 40, bound + 1):
-        assert relation_h2_kernel(sheaf, t)[1].dim == 0
+        assert relation_h2_kernel(sheaf, t).cols == 0
         assert cohomology(sheaf, 1, t) == 0
 
 
@@ -223,8 +240,8 @@ def test_a_u_free_common_zero_keeps_the_kernel_at_every_depth():
     past the bound of three such degrees (t <= -6) the kernel stays 3-dimensional."""
     sheaf = ExtensionBundle(2, 4, 1, ci_from_forms(v, w ** 3), v * w)
     for t in range(-30, -5):
-        depth, ker = relation_h2_kernel(sheaf, t)
-        assert depth is None and ker.dim == 3
+        ker = relation_h2_kernel(sheaf, t)
+        assert sheaf.h2_depth is None and ker.cols == 3
         assert ker == kernel_basis(relation_h2_matrix(sheaf, t))
 
 
@@ -242,19 +259,17 @@ def test_fewer_forms_than_variables_take_the_elimination(monkeypatch, sheaf):
     monkeypatch.setattr(qacm.plane, "no_common_zero", forbidden)
     monkeypatch.setattr(qacm.plane, "binary_forms_common_zero_free", forbidden)
     for t in range(-30, 2):
-        depth, ker = relation_h2_kernel(sheaf, t)
-        if depth is None:
+        ker = relation_h2_kernel(sheaf, t)
+        if sheaf.h2_depth is None:
             assert ker == kernel_basis(relation_h2_matrix(sheaf, t))
         else:
             assert ker == kernel_basis(qacm.plane._line_relation_matrix(sheaf, t + 1, 1))
-    assert relation_h2_kernel(sheaf, -30)[1].dim > 0
+    assert relation_h2_kernel(sheaf, -30).cols > 0
 
 
-def test_coh_row_computes_each_kernel_once(monkeypatch):
-    """A window of coh_row asks for the H2 kernel of the other side at t - 1
-    (fast h1 route) and at t (full route, h1, h2) at every twist t; the sheaf's
-    memo computes each (sheaf, t) once."""
-    k = collinear_extension_kernel(4, 2, [((1, r), 1) for r in seeded_line_values(3, 2)])
+def _kernel_twists(monkeypatch, k) -> tuple:
+    """The twists at which a window of coh_row computes an H2 kernel of the
+    other side, each checked to be of that side, and the window."""
     calls = []
     compute = qacm.plane._relation_h2_kernel
 
@@ -266,8 +281,26 @@ def test_coh_row_computes_each_kernel_once(monkeypatch):
     lo, hi = acm_window(k)
     for t in range(lo, hi + 1):
         coh_row(k, t)
-    assert [t for _, t in calls] == list(range(lo - 1, hi + 1))
     assert all(sheaf is k.other for sheaf, _ in calls)
+    return [t for _, t in calls], lo, hi
+
+
+def test_coh_row_computes_each_kernel_once(monkeypatch):
+    """A window of coh_row asks for the H2 kernel of the other side at t (full
+    route, h1, h2) at every twist t; the sheaf's memo computes each (sheaf, t)
+    once.  A relation form of the collinear G is c*u, so its fast route is 0
+    with no kernel asked for."""
+    k = collinear_extension_kernel(4, 2, [((1, r), 1) for r in seeded_line_values(3, 2)])
+    twists, lo, hi = _kernel_twists(monkeypatch, k)
+    assert twists == list(range(lo, hi + 1))
+
+
+def test_coh_row_computes_each_u_free_kernel_once(monkeypatch):
+    """Without a relation form c*u the fast route also asks for the kernel at
+    t - 1, which the memo keeps from the twist before."""
+    k = parse_and_build("K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)")
+    twists, lo, hi = _kernel_twists(monkeypatch, k)
+    assert twists == list(range(lo - 1, hi + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def primitive(vec) -> tuple:
 def assert_matches_sympy(m: RatMatrix):
     s = to_sympy(m)
     assert rank(m) == s.rank()
-    basis = kernel_basis(m).basis
+    basis = kernel_basis(m)
     ours = [basis.column(j) for j in range(basis.cols)]
     assert ours == [primitive([Fraction(int(x.p), int(x.q)) for x in v]) for v in s.nullspace()]
 

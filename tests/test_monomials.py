@@ -70,7 +70,7 @@ def test_mult_embedding():
 
 def test_mult_contraction_rule():
     src = basis(P2, 2, -4)
-    m = multiplication_matrix([[u]], [src], [basis(P2, 2, -3)], top=True)
+    m = multiplication_matrix([[u]], [src], [basis(P2, 2, -3)])
     cols = {src.basis[j]: m.column(j) for j in range(src.dim)}
     # u * u^-1 v^-2 w^-1 has a nonnegative exponent: dies
     assert all(x == 0 for x in cols[(-1, -2, -1)])
@@ -122,14 +122,14 @@ def test_mult_product_outside_the_target_piece():
     """A target piece that does not hold every product is a bookkeeping error,
     not a silent write into the next block or an IndexError."""
     with pytest.raises(ValueError, match="bookkeeping error.*outside its target piece"):
-        multiplication_matrix([[v]], [dual_prefix(-6, 2)], [dual_prefix(-5, 1)], True)
+        multiplication_matrix([[v]], [dual_prefix(-6, 2)], [dual_prefix(-5, 1)])
     # the lifted slice reaches u-exponent -2: a depth-1 target is one level too shallow
     with pytest.raises(ValueError, match="bookkeeping error.*outside its target piece"):
-        multiplication_matrix([[v]], [_lifted(-4, 1)], [dual_prefix(-4, 1)], True)
+        multiplication_matrix([[v]], [_lifted(-4, 1)], [dual_prefix(-4, 1)])
     # a second target block after the short one: the product must not land there
     with pytest.raises(ValueError, match="bookkeeping error.*outside its target piece"):
         multiplication_matrix([[v], [Form.zero(3)]], [dual_prefix(-6, 2)],
-                              [dual_prefix(-5, 1), basis(P2, 2, -5)], True)
+                              [dual_prefix(-5, 1), basis(P2, 2, -5)])
     short = GradedPiece(P2, 0, 2, basis(P2, 0, 2).basis[:3])
     with pytest.raises(ValueError, match="bookkeeping error.*outside its target piece"):
         multiplication_matrix([[v]], [basis(P2, 0, 1)], [short])
@@ -148,8 +148,8 @@ def test_rank_rule_places_each_monomial_at_its_position(nv, top):
         piece = GradedPiece(space, i, d, (dual_exponents if top else h0_exponents)(nv, d))
         flipped = GradedPiece(space, i, d, piece.basis[::-1])
         n = piece.dim
-        assert multiplication_matrix([[one]], [piece], [piece], top) == RatMatrix.identity(n)
-        assert multiplication_matrix([[one]], [flipped], [piece], top) == \
+        assert multiplication_matrix([[one]], [piece], [piece]) == RatMatrix.identity(n)
+        assert multiplication_matrix([[one]], [flipped], [piece]) == \
             RatMatrix(n, n, tuple({n - 1 - r: 1} for r in range(n)))
 
 
@@ -233,7 +233,7 @@ def test_builder_equals_blocks_and_stacks(case):
     pieces of the H2 relation prefixes, targets that are a prefix of their
     basis and sources that are a prefix or a slice inside one."""
     grid, srcs, tgts, top = case
-    assert multiplication_matrix(grid, srcs, tgts, top) == _reference(grid, srcs, tgts, top)
+    assert multiplication_matrix(grid, srcs, tgts) == _reference(grid, srcs, tgts, top)
 
 
 # --- restriction -------------------------------------------------------------
@@ -273,10 +273,9 @@ def forms3(degree, allow_zero=False):
 def test_multiplication_composes(f, g, where):
     space, i, d = where
     piece = basis(space, i, d)
-    top = i == 2
     mid, tgt = basis(space, i, d + g.degree), basis(space, i, d + g.degree + f.degree)
-    lhs = multiplication_matrix([[f * g]], [piece], [tgt], top)
-    rhs = multiplication_matrix([[f]], [mid], [tgt], top) @ multiplication_matrix([[g]], [piece], [mid], top)
+    lhs = multiplication_matrix([[f * g]], [piece], [tgt])
+    rhs = multiplication_matrix([[f]], [mid], [tgt]) @ multiplication_matrix([[g]], [piece], [mid])
     assert lhs == rhs
 
 

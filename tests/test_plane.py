@@ -18,7 +18,7 @@ from qacm.monomials import Form, P2, cohomology_dim, h0_exponents
 from qacm.plane import (CISubscheme, ExtensionBundle, Presentation, _ideal_piece_matrix,
                         cb_condition_check, chern,
                         ci_from_forms, ci_from_line_points, coh_table, cohomology,
-                        euler_char, h0_ideal_of_points, h1_restriction_kernel_dim,
+                        euler_char, h1_restriction_kernel_dim,
                         ideals_match, make_ci_ideal, make_extension_bundle,
                         make_split_bundle, no_common_zero, recover_subscheme, relation_h0_matrix,
                         trivialize_on_line)
@@ -53,17 +53,10 @@ def _oracle_rank(rows):
     return r
 
 
-def _mono_eval(exp, pt):
-    val = QQ(1)
-    for e, x in zip(exp, pt):
-        for _ in range(e):
-            val *= x
-    return val
-
-
 def oracle_h0_collinear(points, d):
     """h0(I_Z(d)) by point conditions: evaluation rows for reduced points,
-    derivative rows along L for multiplicities."""
+    derivative rows along L for multiplicities, in v at w = w0, or in w at
+    v = v0 for the point [0 : 1 : 0]."""
     if d < 0:
         return 0
     mons = h0_exponents(3, d)
@@ -72,18 +65,20 @@ def oracle_h0_collinear(points, d):
         for j in range(mult):
             row = []
             for (a, b, c) in mons:
-                if a != 0:
+                x, y, x0, y0 = (b, c, v0, w0) if w0 != 0 else (c, b, w0, v0)
+                if a != 0 or x < j:
                     row.append(QQ(0))
                     continue
-                if j == 0:
-                    row.append(_mono_eval((0, b, c), (QQ(1), QQ(v0), QQ(w0))))
-                else:
-                    coef = QQ(1)
-                    for s in range(j):
-                        coef *= b - s
-                    row.append(QQ(0) if b < j else coef * QQ(v0) ** (b - j) * QQ(w0) ** c)
+                coef = QQ(1)
+                for s in range(j):
+                    coef *= x - s
+                row.append(coef * QQ(x0) ** (x - j) * QQ(y0) ** y)
             rows.append(row)
     return len(mons) - _oracle_rank(rows)
+
+
+# distinct points [0 : v : w] of L, [0 : 1 : 0] among them
+_LINE_POINTS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, 3)]
 
 
 def oracle_h1_collinear(points, d):
@@ -167,13 +162,14 @@ def test_collinear_h1_closed_form(z):
 
 
 def test_oracle_equivalence_non_reduced():
-    """Non-reduced collinear Z via derivative conditions."""
-    pts = [((1, 2), 2), ((1, 5), 1)]
-    ci = ci_from_line_points(pts)
-    sheaf = make_ci_ideal(ci.f1, ci.f2, 0, points=ci.points)
-    for d in range(-1, 9):
-        assert cohomology(sheaf, 0, d) == oracle_h0_collinear(pts, d)
-        assert cohomology(sheaf, 1, d) == oracle_h1_collinear(pts, d)
+    """Non-reduced collinear Z via derivative conditions, also at [0 : 1 : 0],
+    where the oracle differentiates in w."""
+    for pts in ([((1, 2), 2), ((1, 5), 1)], [((1, 0), 2), ((1, 1), 1)], [((1, 0), 3)]):
+        ci = ci_from_line_points(pts)
+        sheaf = make_ci_ideal(ci.f1, ci.f2, 0, points=ci.points)
+        for d in range(-1, 9):
+            assert cohomology(sheaf, 0, d) == oracle_h0_collinear(pts, d), (pts, d)
+            assert cohomology(sheaf, 1, d) == oracle_h1_collinear(pts, d), (pts, d)
 
 
 def test_chi_table_consistency():
@@ -265,8 +261,24 @@ def test_cb_fails_out_of_range():
     assert not cb_condition_check(6, 1, ci5)
 
 
-def test_h0_ideal_of_points_empty_scheme():
-    assert h0_ideal_of_points([], 2) == 6
+def test_cb_fails_for_one_simple_point():
+    """Dropping the only point leaves Z' empty, and h0(O(d)) >= 1 once d >= 0."""
+    point = ci_from_line_points([((1, 1), 1)])
+    assert cb_condition_check(2, 0, point)                  # d = -1
+    for d in range(5):
+        assert not cb_condition_check(d + 3, 0, point)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_LINE_POINTS), st.integers(1, 3)), min_size=1,
+                max_size=4, unique_by=lambda p: p[0]), st.integers(-1, 7))
+@settings(max_examples=60, deadline=None)
+def test_cb_check_agrees_with_the_point_condition_oracle(pts, d):
+    """Cayley-Bacharach through the Koszul presentation against the oracle's
+    h0 from vanishing conditions, for every colength-1 Z' of a collinear Z."""
+    subs = [[(p, m - (i == drop)) for i, (p, m) in enumerate(pts) if m - (i == drop)]
+            for drop in range(len(pts))]
+    expected = all(oracle_h0_collinear(sub, d) == 0 for sub in subs)
+    assert cb_condition_check(d + 3, 0, ci_from_line_points(pts)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +305,6 @@ def test_chern_needs_rank_two():
 
 # ---------------------------------------------------------------------------
 # local freeness: the collinear gcd shortcut against the rank route
-
-
-_LINE_POINTS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, 3)]
 
 
 @st.composite
@@ -453,6 +462,23 @@ def test_h1_restriction_kernel_vanishes_for_collinear_extension(t):
     twist; this is what makes the induced kernel sheaves aCM."""
     g = make_extension_bundle(3, 1, ci_from_forms(u, v * w), h="auto")
     assert h1_restriction_kernel_dim(g, t) == 0
+
+
+def test_h1_restriction_kernel_builds_nothing_at_depth_one(monkeypatch):
+    """A relation form c*u puts every H2 kernel vector on u-exponent -1, which
+    u contracts to zero: the fast route is 0 with no matrix built, even where
+    h1 is not zero."""
+    g = make_extension_bundle(3, 1, ci_from_forms(u, v * w), h="auto")
+    assert g.h2_depth == 1 and cohomology(g, 1, -4) > 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("matrix built or eliminated on the depth-1 fast route")
+
+    for name in ("multiplication_matrix", "kernel_basis", "rank"):
+        monkeypatch.setattr(qacm.plane, name, forbidden)
+    g.h2_kernels.clear()
+    for t in range(-12, 5):
+        assert h1_restriction_kernel_dim(g, t) == 0
 
 
 def test_h1_restriction_kernel_trivial_when_h1_vanishes():

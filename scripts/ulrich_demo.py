@@ -12,7 +12,7 @@ from qacm.mf import (MFPair, SAMPLE_POINTS, cokernel_hilbert, determinant,
                      partner_from_adjugate, rank_at_point, ulrich_example_matrix,
                      verify_mf)
 from qacm.monomials import Form
-from qacm.quadric import (acm_check, h0, point_extension_kernel, ulrich_check)
+from qacm.quadric import acm_check, coh_table, point_extension_kernel, ulrich_check
 
 
 def show_matrix(name, m):
@@ -35,11 +35,12 @@ def main() -> int:
 
     k = point_extension_kernel(1)
     print("\nkernel-sheaf construction of the same sheaf:")
-    print("   aCM:", acm_check(k).is_acm)
-    print("   Ulrich:", ulrich_check(k))
+    rep = acm_check(k)
+    print("   aCM:", rep.is_acm)
+    print("   Ulrich:", ulrich_check(k, rep.table))
     print("   h0 agreement with the matrix cokernel, t in [-2, 4]:")
-    for t in range(-2, 5):
-        print(f"     t={t:>2}  coker: {cokernel_hilbert(n, t):>3}  kernel sheaf: {h0(k, t):>3}")
+    for r in coh_table(k, -2, 4).rows:
+        print(f"     t={r.t:>2}  coker: {cokernel_hilbert(n, r.t):>3}  kernel sheaf: {r.h0:>3}")
     return 0
 
 

@@ -148,9 +148,9 @@ def classify_pairs(c_max: int):
 
 def _row_common(kind, descriptor, kernel, margin):
     rep = acm_check(kernel, margin)
-    ur = ulrich_check(kernel, margin)
+    ur = ulrich_check(kernel, rep.table)
     inv1, inv2 = restriction_invariants(kernel)
-    return rep, ur, {
+    return {
         "kind": kind,
         "descriptor": descriptor,
         "acm": rep.is_acm,
@@ -169,7 +169,7 @@ def run_classify(config: ScanConfig) -> dict:
     for c in range(0, config.c_max + 1):
         k = split_pair_kernel(c)
         desc = f"K(F1=O({c})+O(0)@H1,F2=O({c})+O(0)@H2,e=id)"
-        _, _, row = _row_common("split", desc, k, config.window_margin)
+        row = _row_common("split", desc, k, config.window_margin)
         row.update({"c": c, "k": None, "z": None, "constraint_ok": None, "cb": None,
                     "recover": None, "boundary": False, "seed_values": []})
         rows.append(row)
@@ -180,7 +180,7 @@ def run_classify(config: ScanConfig) -> dict:
         split_plane = 3 - pt_plane
         desc = (f"K(F1=O(1)+O(0)@H{split_plane},"
                 f"F2=G(c=1,k=0,Z=[v,w],h=auto)@H{pt_plane},e=id)")
-        _, _, row = _row_common("point_ext", desc, k, config.window_margin)
+        row = _row_common("point_ext", desc, k, config.window_margin)
         row.update({"c": 1, "k": 0, "z": 1, "constraint_ok": True, "cb": True,
                     "recover": None, "boundary": False, "seed_values": []})
         rows.append(row)
@@ -194,7 +194,7 @@ def run_classify(config: ScanConfig) -> dict:
         desc = to_text(parse(
             "K(F1=O({c})+O(0)@H1,F2=G(c={c},k={k},Z=points({pts}),h=auto)@H2,e=id)".format(
                 c=c, k=k, pts=";".join(f"[0:1:{r}]" for r in values))))
-        _, _, row = _row_common("collinear_ext", desc, kernel, config.window_margin)
+        row = _row_common("collinear_ext", desc, kernel, config.window_margin)
         row.update({
             "c": c, "k": k, "z": z,
             "constraint_ok": 0 <= k < c <= 2 * k + 2,
@@ -323,6 +323,10 @@ def cmd_mf_verify(args) -> int:
         raise ValueError(f"invalid pair file: {exc}") from exc
     if len(a) != len(b):
         raise ValueError(f"invalid pair file: A is {len(a)}x{len(a)} but B is {len(b)}x{len(b)}")
+    if not a:
+        raise ValueError("invalid pair file: A and B must not be empty")
+    if q.is_zero:
+        raise ValueError("invalid pair file: 'q' must be a nonzero form")
     ok = mfmod.verify_mf(mfmod.MFPair(a, b, q))
     payload = {"file": args.file, "ok": ok}
     _emit(payload, "json", args.out)
@@ -391,7 +395,7 @@ _CONFIG_DEFAULTS = {"format": "json", "out": None, "timestamp": True,
                     "seed": 0, "cmax": 6, "margin": 8, "tmin": None, "tmax": None}
 _INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
 _STR = (lambda v: v is None or isinstance(v, str), "a string or null")
-_CONFIG_TYPES = {"format": _STR, "out": _STR,
+_CONFIG_TYPES = {"format": (lambda v: v in ("json", "csv"), '"json" or "csv"'), "out": _STR,
                  "timestamp": (lambda v: isinstance(v, bool), "a boolean"),
                  "seed": _INT, "cmax": _INT, "margin": _INT, "tmin": _INT, "tmax": _INT}
 

@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .linalg import QQ
 from .monomials import VAR_NAMES, Form
-from .plane import CIIdealSheaf, ci_from_forms, ci_from_line_points, make_extension_bundle, \
-    make_split_bundle
+from .plane import CIIdealSheaf, SplitBundle, ci_from_forms, ci_from_line_points, \
+    make_extension_bundle, make_split_bundle
 from .quadric import GluingData, RankOneSheaf, diagonal_gluing, identity_gluing, \
     make_kernel_sheaf, upper_gluing
 
@@ -476,7 +476,6 @@ def build(node):
     if isinstance(node, DKernel):
         s1 = build(node.f1)
         s2 = build(node.f2)
-        from .plane import SplitBundle
         if isinstance(s1, SplitBundle):
             f_split, f_other = s1, s2
         elif isinstance(s2, SplitBundle):

@@ -26,7 +26,7 @@ columns, first nonzero positive.  That basis depends only on which columns
 are pivots (column j is one exactly when it is not a combination of the
 columns before it), and a peeled column always is one, so the peel changes
 no basis, and identical inputs always produce identical bases.  The public
-accessors (``entry``, ``row``, ``column``, ``apply``) return
+accessors (``entry``, ``row``, ``column``) return
 ``fractions.Fraction`` values.
 """
 
@@ -161,14 +161,6 @@ class RatMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.data)
-
-    def apply(self, vec) -> tuple:
-        """Matrix times a column vector given as a sequence."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        vec = [_fr(b) for b in vec]
-        return tuple(sum((v * vec[j] for j, v in r.items()), QQ(0)) / self.den
-                     for r in self.data)
 
 
 def _stack(mats, down: bool, right: bool) -> RatMatrix:

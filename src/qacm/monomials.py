@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from math import comb, lcm
 from operator import add, le, sub
 
@@ -312,7 +312,7 @@ _SPACE_DIM = {P1: 1, P2: 2}
 _SPACE_NVARS = {P1: 2, P2: 3}
 
 
-@lru_cache(maxsize=None)
+@cache
 def h0_exponents(num_vars: int, d: int) -> tuple:
     """Exponent vectors of the degree-d monomials, reverse-lex sorted."""
     if d < 0:
@@ -329,7 +329,7 @@ def h0_exponents(num_vars: int, d: int) -> tuple:
     return tuple(sorted(rec(num_vars, d), reverse=True))
 
 
-@lru_cache(maxsize=None)
+@cache
 def dual_exponents(num_vars: int, d: int) -> tuple:
     """Exponent vectors with every entry <= -1 summing to d, reverse-lex sorted."""
     base = h0_exponents(num_vars, -d - num_vars)
@@ -400,7 +400,7 @@ def cohomology_dim(space: str, i: int, d: int) -> int:
     return -d - 1 if d <= -2 else 0
 
 
-@lru_cache(maxsize=None)
+@cache
 def basis(space: str, i: int, d: int) -> GradedPiece:
     """Monomial basis of H^i(space, O(d)); empty for the vanishing groups."""
     n = space_dim(space)
@@ -496,7 +496,7 @@ def multiplication_matrix(grid, srcs, tgts) -> RatMatrix:
     return RatMatrix.make(roff[-1], coff[-1], out, den)
 
 
-@lru_cache(maxsize=None)
+@cache
 def restriction_matrix(d: int) -> RatMatrix:
     """H0(P2, O(d)) -> H0(L, O(d)) by u := 0 (monomials with positive
     u-exponent die); surjective for d >= 0, empty for d < 0."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from math import gcd, lcm
 
 from .errors import InternalCheckError
@@ -137,14 +137,9 @@ class Presentation:
 class _Presented:
     """A plane sheaf's presentation and its restriction to L, each built once
     per instance: the sheaves are frozen and a ``Presentation`` holds only
-    frozen forms, so every caller can share them.  ``h2_kernels`` keeps the
-    ``relation_h2_kernel`` of the last few twists, and whether the relation
-    has a common zero, on L or on the plane, is decided at most once.
-    Equality and hashing stay those of the dataclass fields."""
-
-    @cached_property
-    def h2_kernels(self) -> dict:
-        return {}
+    frozen forms, so every caller can share them.  Whether the relation has
+    a common zero, on L or on the plane, is decided at most once.  Equality
+    and hashing stay those of the dataclass fields."""
 
     @cached_property
     def presentation(self) -> Presentation:
@@ -326,7 +321,7 @@ def relation_h2_matrix(sheaf, t: int) -> RatMatrix:
     return _relation_matrix(P2, 2, sheaf.presentation, t)
 
 
-@lru_cache(maxsize=None)
+@cache
 def dual_prefix(d: int, depth) -> GradedPiece:
     """H2(O(d)) on its dual monomials of u-exponent -1, ..., -depth, which
     reverse-lex order lists first, in basis order; None means all of them.
@@ -345,21 +340,6 @@ def relation_h2_prefix_matrix(pres: Presentation, t: int, src: GradedPiece, dept
                                  [dual_prefix(a + t, depth) for a in pres.target_twists])
 
 
-H2_KERNELS_KEPT = 4      # twists whose relation_h2_kernel each sheaf keeps
-
-
-def relation_h2_kernel(sheaf, t: int) -> RatMatrix:
-    """``_relation_h2_kernel(sheaf, t)``, computed once per (sheaf, t) for h1, h2
-    and both h1 routes of a kernel sheaf and kept in ``sheaf.h2_kernels`` for
-    the last ``H2_KERNELS_KEPT`` twists computed."""
-    kept = sheaf.h2_kernels
-    if t not in kept:
-        kept[t] = _relation_h2_kernel(sheaf, t)
-        if len(kept) > H2_KERNELS_KEPT:
-            del kept[next(iter(kept))]
-    return kept[t]
-
-
 def _socle_bound(forms, count: int):
     """sum(deg) - count + 1 when exactly ``count`` of the forms (count = number
     of variables) are nonzero, else None.  If those forms have no common zero
@@ -370,7 +350,7 @@ def _socle_bound(forms, count: int):
     return sum(f.degree for f in forms) - count + 1 if len(forms) == count else None
 
 
-def _relation_h2_kernel(sheaf, t: int) -> RatMatrix:
+def relation_h2_kernel(sheaf, t: int) -> RatMatrix:
     """The kernel of ``relation_h2_matrix(sheaf, t)``, whose vectors vanish
     off ``dual_prefix(b + t, sheaf.h2_depth)``, by rows on that prefix.  The
     depth is None (the whole basis) unless a relation form is c*u:
@@ -415,26 +395,30 @@ def euler_char(sheaf, t: int) -> int:
     return chi
 
 
+def h1_h2(sheaf, t: int) -> tuple:
+    """(h1, h2) of F(t) from one ``relation_h2_kernel``: h1 is its dimension,
+    h2 the cokernel of the relation on H2.  Without a relation, h1 = 0."""
+    pres = sheaf.presentation
+    b = pres.relation_twist
+    top = sum(cohomology_dim(P2, 2, a + t) for a in pres.target_twists)
+    if b is None:
+        return 0, top
+    h1 = relation_h2_kernel(sheaf, t).cols
+    if isinstance(sheaf, CIIdealSheaf) and sheaf.ci.is_collinear():
+        d = sheaf.m + t
+        if d >= -1 and h1 != max(0, sheaf.ci.degree - d - 1):
+            raise InternalCheckError("collinear ideal-sheaf h1 disagrees with its closed form")
+    return h1, top - cohomology_dim(P2, 2, b + t) + h1
+
+
 def cohomology(sheaf, i: int, t: int) -> int:
     """Exact h^i(F(t)) for a presented plane sheaf."""
     if i not in (0, 1, 2):
         raise ValueError("cohomology index must be 0, 1 or 2")
-    pres = sheaf.presentation
-    if isinstance(sheaf, SplitBundle):
-        return sum(cohomology_dim(P2, i, a + t) for a in sheaf.twists)
-    if i == 0:
-        total = sum(cohomology_dim(P2, 0, a + t) for a in pres.target_twists)
-        return total - rank(relation_h0_matrix(sheaf, t))
-    ker = relation_h2_kernel(sheaf, t)
-    if i == 1:
-        h1 = ker.cols
-        if isinstance(sheaf, CIIdealSheaf) and sheaf.ci.is_collinear():
-            d = sheaf.m + t
-            if d >= -1 and h1 != max(0, sheaf.ci.degree - d - 1):
-                raise InternalCheckError("collinear ideal-sheaf h1 disagrees with its closed form")
-        return h1
-    total = sum(cohomology_dim(P2, 2, a + t) for a in pres.target_twists)
-    return total - (cohomology_dim(P2, 2, pres.relation_twist + t) - ker.cols)
+    if i:
+        return h1_h2(sheaf, t)[i - 1]
+    total = sum(cohomology_dim(P2, 0, a + t) for a in sheaf.presentation.target_twists)
+    return total - rank(relation_h0_matrix(sheaf, t))
 
 
 @dataclass(frozen=True)
@@ -460,8 +444,7 @@ class CohTable:
 def coh_table(sheaf, tmin: int, tmax: int) -> CohTable:
     rows = []
     for t in range(tmin, tmax + 1):
-        h0, h1, h2 = (cohomology(sheaf, i, t) for i in (0, 1, 2))
-        row = CohRow(t, h0, h1, h2)
+        row = CohRow(t, cohomology(sheaf, 0, t), *h1_h2(sheaf, t))
         if row.chi != euler_char(sheaf, t):
             raise InternalCheckError("chi mismatch between table and presentation")
         rows.append(row)
@@ -610,19 +593,17 @@ def trivialize_on_line(sheaf) -> Trivialization:
     return Trivialization((c1, c2), (hi, lo))
 
 
-def h1_restriction_kernel_dim(sheaf, t: int) -> int:
+def h1_restriction_kernel_dim(sheaf, t: int, below: RatMatrix) -> int:
     """dim ker(H1(F(t)) -> H1(F|_L(t))) = dim of the image of multiplication
-    by u: H1(F(t-1)) -> H1(F(t)), on the H2-level kernel.  It is 0 without a
-    relation, and at depth 1, where u contracts every dual monomial of
-    u-exponent -1, the only ones a kernel vector holds."""
+    by u: H1(F(t-1)) -> H1(F(t)), on ``below``, the H2-level kernel at t - 1.
+    It is 0 without a relation, and at depth 1, where u contracts every dual
+    monomial of u-exponent -1, the only ones a kernel vector holds; ``below``
+    is not read then and may be None."""
     b = sheaf.presentation.relation_twist
-    if b is None or sheaf.h2_depth:
-        return 0
-    ker = relation_h2_kernel(sheaf, t - 1)
-    if not ker.cols:
+    if b is None or sheaf.h2_depth or not below.cols:
         return 0
     u_mult = multiplication_matrix([[U]], [basis(P2, 2, b + t - 1)], [basis(P2, 2, b + t)])
-    return rank(u_mult @ ker)
+    return rank(u_mult @ below)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ O_L(c) + O_L, and the two restrictions are glued by an isomorphism e of
 O_L(c) + O_L (identity, diagonal, or upper triangular).
 
 Cohomology of K(t) comes from the long exact sequence, one row (h0, h1, h2)
-per twist (``coh_row``).  h1 is computed two independent ways and
-cross-checked at every twist:
+per twist, the twists of a table walked upward (``coh_table``).  h1 is
+computed two independent ways and cross-checked at every twist:
 
 * fast path: h1(K(t)) equals the dimension of the image of multiplication
   by u on H1(F_other(t-1)) -> H1(F_other(t)) (the kernel of the H1-level
@@ -34,16 +34,15 @@ vanish because plane line bundles have no middle cohomology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCheckError
 from .linalg import QQ, RatMatrix, block_diag, hstack, kernel_basis, kernel_dim, rank
 from .monomials import (P1, P2, Form, GradedPiece, basis, cohomology_dim, euler_char_p1,
                         multiplication_matrix, restrict_to_plane, restriction_matrix)
-from .plane import (CohRow, CohTable, SplitBundle, chern,
-                    ci_from_forms, ci_from_line_points, cohomology as
-                    plane_cohomology, dual_prefix, euler_char as plane_euler_char,
+from .plane import (CohRow, CohTable, SplitBundle, chern, ci_from_forms,
+                    ci_from_line_points, dual_prefix, euler_char as plane_euler_char,
                     h1_restriction_kernel_dim, make_extension_bundle,
                     make_split_bundle, relation_h0_matrix, relation_h2_kernel,
                     relation_h2_prefix_matrix, trivialize_on_line)
@@ -97,7 +96,7 @@ def upper_gluing(alpha, delta, beta: Form) -> GluingData:
 # kernel sheaves
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class KernelSheaf:
     split: SplitBundle
     other: object
@@ -105,7 +104,6 @@ class KernelSheaf:
     c: int
     twists: tuple       # of the summands of the two free covers, split side first
     line_map: tuple     # rows (hi, lo) of binary forms, one per summand
-    _cache: dict = field(default_factory=dict, repr=False)   # t -> CohRow
 
 
 def make_kernel_sheaf(f_split: SplitBundle, f_other, e: GluingData = None) -> KernelSheaf:
@@ -152,20 +150,18 @@ def _restriction(k: KernelSheaf, t: int) -> RatMatrix:
     return block_diag(*[restriction_matrix(a + t) for a in k.twists])
 
 
-def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int) -> int:
+def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int, ker: RatMatrix) -> int:
     """dim ker(H1(F_other(t)) -> H1(F_other|_L(t))) by the zig-zag through the
     presentation: lift along u, push through the relation at t-1, and kill the
     image of the restricted relation.  Independent of the fast path.
+    ``ker`` is the H2-level kernel of F_other at t (None without a relation).
 
     The lift sends (a, v, w) to (a-1, v, w) and H1(O_L(b+t)) is the u-exponent
     -1 part of H2(O(b+t-1)), so the relation at t-1 is only applied to, and
     only reaches, the prefix one deeper than the kernel's."""
     pres = k.other.presentation
     b = pres.relation_twist
-    if b is None:
-        return 0
-    ker = relation_h2_kernel(k.other, t)
-    if not ker.cols:
+    if b is None or not ker.cols:
         return 0
     depth = k.other.h2_depth
     rows = None if depth is None else depth + 1
@@ -181,45 +177,64 @@ def euler_char(k: KernelSheaf, t: int) -> int:
     return plane_euler_char(k.split, t) + plane_euler_char(k.other, t) - line
 
 
-def coh_row(k: KernelSheaf, t: int) -> CohRow:
-    """(h0, h1, h2) of K(t), computed once per twist and kept in ``k._cache``.
+def _row(k: KernelSheaf, t: int, below: RatMatrix, ker: RatMatrix) -> CohRow:
+    """(h0, h1, h2) of K(t), given the H2-level kernels of the other side at
+    t - 1 (``below``, for the fast route) and at t (``ker``, for the full one).
 
-    h1 comes from the fast and the full route, which must agree; h2 is the
-    cokernel of the H1-level restriction plus the top cohomology of the two
-    components, and chi = h0 - h1 + h2 is checked against the Euler
-    characteristic of the sequence.  A disagreement raises InternalCheckError.
-    After the h1 check the chi check reduces to
-    rank(relation_h0_matrix(other, t)) == h0(O(b + t)): the kernel dimension
-    of the other side cancels from it, so it cannot catch a wrong H2 kernel.
-    When a relation form of the other side is c*u (the collinear and point
-    extension sheaves), the fast route is 0 by construction: its kernel lives
-    on u-exponent -1, which u contracts to zero.  There the check holds the
-    full route to 0.
+    h1 comes from the fast and the full route, which must agree.  h2 is the
+    cokernel of the H1-level restriction plus h2 of the two components; h1 of
+    the other side enters it twice with opposite signs, which leaves
+    h1(O_L(c+t)) + h1(O_L(t)) + the line kernel + h2 of every cover summand
+    - h2(O(b+t)).  chi = h0 - h1 + h2 is checked against the Euler
+    characteristic; a disagreement raises InternalCheckError.  When a
+    relation form of the other side is c*u (the collinear and point extension
+    sheaves), the fast route is 0 by construction (its kernel lives on
+    u-exponent -1, which u contracts to zero), and the check holds the full
+    route to 0.
     """
-    row = k._cache.get(t)
-    if row is not None:
-        return row
     u = _assembled_matrix(k, t)
     u_rank = rank(u)
     sections = sum(cohomology_dim(P2, 0, a + t) for a in k.twists)
     h0 = sections - u_rank - rank(relation_h0_matrix(k.other, t))
-    fast = h1_restriction_kernel_dim(k.other, t)
-    line_kernel = _h1_kernel_of_line_map_full(k, t)
+    fast = h1_restriction_kernel_dim(k.other, t, below)
+    line_kernel = _h1_kernel_of_line_map_full(k, t, ker)
     full = (u.rows - u_rank) + line_kernel
     if fast != full:
         raise InternalCheckError(
             f"LES inconsistency at twist {t}: fast path {fast}, full path {full}")
-    h1_line = cohomology_dim(P1, 1, k.c + t) + cohomology_dim(P1, 1, t)
-    h1_image = plane_cohomology(k.other, 1, t) - line_kernel
-    h2 = (h1_line - h1_image) + plane_cohomology(k.split, 2, t) + plane_cohomology(k.other, 2, t)
+    b = k.other.presentation.relation_twist
+    h2 = (cohomology_dim(P1, 1, k.c + t) + cohomology_dim(P1, 1, t) + line_kernel
+          + sum(cohomology_dim(P2, 2, a + t) for a in k.twists)
+          - (0 if b is None else cohomology_dim(P2, 2, b + t)))
     row = CohRow(t, h0, fast, h2)
     chi = euler_char(k, t)
     if row.chi != chi:
         raise InternalCheckError(
             f"chi mismatch in kernel-sheaf table at twist {t}: "
             f"h0 - h1 + h2 = {row.chi}, Euler characteristic {chi}")
-    k._cache[t] = row
     return row
+
+
+def coh_table(k: KernelSheaf, tmin: int, tmax: int) -> CohTable:
+    """The rows of K(t) for t in [tmin, tmax], walked upward so that each H2
+    kernel of the other side is computed once: the kernel at t serves the
+    full route at t and the fast route at t + 1.  A u-free other side (no
+    relation form c*u) needs one more, at tmin - 1; without a relation no
+    kernel is computed."""
+    other = k.other
+    walk = other.presentation.relation_twist is not None
+    below = relation_h2_kernel(other, tmin - 1) if walk and not other.h2_depth else None
+    rows = []
+    for t in range(tmin, tmax + 1):
+        ker = relation_h2_kernel(other, t) if walk else None
+        rows.append(_row(k, t, below, ker))
+        below = ker
+    return CohTable(tuple(rows))
+
+
+def coh_row(k: KernelSheaf, t: int) -> CohRow:
+    """The one-twist table."""
+    return coh_table(k, t, t).rows[0]
 
 
 def h0(k: KernelSheaf, t: int) -> int:
@@ -232,10 +247,6 @@ def h1(k: KernelSheaf, t: int) -> int:
 
 def h2(k: KernelSheaf, t: int) -> int:
     return coh_row(k, t).h2
-
-
-def coh_table(k: KernelSheaf, tmin: int, tmax: int) -> CohTable:
-    return CohTable(tuple(coh_row(k, t) for t in range(tmin, tmax + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +293,16 @@ class UlrichResult:
     h0_after: int
 
 
-def ulrich_check(k: KernelSheaf, margin: int = 8) -> UlrichResult:
-    """t0 = max twist with h0(K(t0)) = 0; Ulrich iff h0 jumps to
-    deg(X) * rank = 4 right after."""
-    lo, hi = acm_window(k, margin)
-    if h0(k, lo) != 0:
+def ulrich_check(k: KernelSheaf, table: CohTable) -> UlrichResult:
+    """t0 = max twist with h0(K(t0)) = 0, read from ``table`` (the aCM
+    table); Ulrich iff h0 jumps to deg(X) * rank = 4 right after.  One more
+    row is computed only when h0 is 0 on every twist of the table."""
+    rows = table.rows
+    if rows[0].h0 != 0:
         raise ValueError("window too small: h0 does not vanish at its low end")
-    t0 = lo
-    for t in range(lo, hi + 1):
-        if h0(k, t) == 0:
-            t0 = t
-        else:
-            break
-    after = h0(k, t0 + 1)
+    n = next((i for i, r in enumerate(rows) if r.h0), len(rows))
+    t0 = rows[n - 1].t
+    after = rows[n].h0 if n < len(rows) else h0(k, t0 + 1)
     return UlrichResult(after == 4, t0, after)
 
 

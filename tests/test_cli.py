@@ -116,11 +116,13 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     ({"margin": True}, "'margin' must be an integer"),
     ({"tmin": None}, "'tmin' must be an integer"),
     ({"timestamp": 0}, "'timestamp' must be a boolean"),
-    ({"format": 3}, "'format' must be a string or null"),
+    ({"format": 3}, "'format' must be \"json\" or \"csv\""),
     ({"out": ["a"]}, "'out' must be a string or null"),
     ([1, 2], "must hold a JSON object"),
     ("cmax", "must hold a JSON object"),
     (None, "must hold a JSON object"),
+    ({"format": "xml"}, "'format' must be \"json\" or \"csv\", got \"xml\""),
+    ({"format": None}, "'format' must be \"json\" or \"csv\", got null"),
 ])
 def test_config_rejects_bad_values(tmp_path, capsys, conf, message):
     path = tmp_path / "conf.json"
@@ -201,6 +203,8 @@ def test_mf_verify_invalid_file(tmp_path, capsys):
     ([1, 2], "expected a JSON object"),
     ({"q": 5, "A": [["x"]], "B": [["y"]]}, "'q' must be a form string"),
     ({"q": "x*y", "A": [["x", "0"], ["0", "y"]], "B": [["y"]]}, "A is 2x2 but B is 1x1"),
+    ({"q": "x*y", "A": [], "B": []}, "invalid pair file: A and B must not be empty"),
+    ({"q": "0", "A": [["0"]], "B": [["0"]]}, "invalid pair file: 'q' must be a nonzero form"),
 ])
 def test_mf_verify_malformed_pair_exit_2(tmp_path, capsys, pair, message):
     path = tmp_path / "pair.json"

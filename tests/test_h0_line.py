@@ -109,4 +109,4 @@ def test_split_restriction_is_two_restriction_blocks():
     k = split_pair_kernel(3)
     r = block_diag(restriction_matrix(3), restriction_matrix(0))
     assert _assembled_matrix(k, 0) @ _restriction(k, 0) == hstack(r, -r)
-    assert h1_restriction_kernel_dim(k.split, 0) == 0
+    assert h1_restriction_kernel_dim(k.split, 0, None) == 0

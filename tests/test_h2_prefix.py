@@ -27,7 +27,8 @@ from qacm.plane import (CIIdealSheaf, CISubscheme, ExtensionBundle, ci_from_form
                         ci_from_line_points, cohomology, dual_prefix, euler_char,
                         h1_restriction_kernel_dim, make_extension_bundle,
                         relation_h2_kernel, relation_h2_matrix)
-from qacm.quadric import _h1_kernel_of_line_map_full, acm_window, coh_row, collinear_extension_kernel
+from qacm.quadric import (_h1_kernel_of_line_map_full, acm_window, coh_table,
+                          collinear_extension_kernel)
 from test_linalg import vstack
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
@@ -155,15 +156,14 @@ def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
 
     monkeypatch.setattr(qacm.plane, "relation_h2_matrix", forbidden)
     _forbid_deep_plane_dual_bases(monkeypatch)
-    sheaf.h2_kernels.clear()          # every kernel below is computed under the guards
 
     ker = relation_h2_kernel(sheaf, t)
     assert (sheaf.h2_depth, ker.cols) == (1, 20)
     assert cohomology(sheaf, 1, t) == 20
     assert cohomology(sheaf, 0, t) == 0
     assert cohomology(sheaf, 2, t) == euler_char(sheaf, t) + 20
-    fast = h1_restriction_kernel_dim(sheaf, t)
-    full = _h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t)
+    fast = h1_restriction_kernel_dim(sheaf, t, relation_h2_kernel(sheaf, t - 1))
+    full = _h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t, ker)
     assert fast == full == 0
 
 
@@ -177,8 +177,9 @@ def test_u_free_fast_route_equals_the_full_route(sheaf, total):
     kernel by u; there it is nonzero and equals the zig-zag of the full route."""
     g = parse_and_build(sheaf)
     assert g.h2_depth is None
-    fast = [h1_restriction_kernel_dim(g, t) for t in range(-14, 4)]
-    assert fast == [_h1_kernel_of_line_map_full(SimpleNamespace(other=g), t)
+    kernels = {t: relation_h2_kernel(g, t) for t in range(-15, 4)}
+    fast = [h1_restriction_kernel_dim(g, t, kernels[t - 1]) for t in range(-14, 4)]
+    assert fast == [_h1_kernel_of_line_map_full(SimpleNamespace(other=g), t, kernels[t])
                     for t in range(-14, 4)]
     assert sum(fast) == total
 
@@ -209,8 +210,8 @@ def test_deep_u_free_twist_builds_no_plane_dual_basis(monkeypatch):
     assert ker.rows == cohomology_dim(P2, 2, sheaf.presentation.relation_twist + t)
     assert cohomology(sheaf, 1, t) == 0
     assert cohomology(sheaf, 2, t) == euler_char(sheaf, t)
-    assert h1_restriction_kernel_dim(sheaf, t) == 0
-    assert _h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t) == 0
+    assert h1_restriction_kernel_dim(sheaf, t, relation_h2_kernel(sheaf, t - 1)) == 0
+    assert _h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t, ker) == 0
 
 
 @pytest.mark.parametrize("make, bound", [(_u_free_g, -6), (lambda: _collinear_g(5, 2), -7)])
@@ -221,7 +222,7 @@ def test_a_twist_past_the_bound_builds_and_eliminates_nothing(monkeypatch, make,
     matrix is built and nothing is eliminated."""
     sheaf = make()
     assert relation_h2_kernel(sheaf, bound + 1).cols == 1
-    assert qacm.plane._relation_h2_kernel(sheaf, bound).cols == 0
+    assert relation_h2_kernel(sheaf, bound).cols == 0
 
     def forbidden(*args, **kwargs):
         raise AssertionError("matrix built or eliminated past the bound")
@@ -268,36 +269,36 @@ def test_fewer_forms_than_variables_take_the_elimination(monkeypatch, sheaf):
 
 
 def _kernel_twists(monkeypatch, k) -> tuple:
-    """The twists at which a window of coh_row computes an H2 kernel of the
-    other side, each checked to be of that side, and the window."""
+    """The twists at which one table of K over its aCM window computes an H2
+    kernel, each checked to be of the other side, and the window."""
     calls = []
-    compute = qacm.plane._relation_h2_kernel
+    compute = qacm.plane.relation_h2_kernel
 
     def counted(sheaf, t):
         calls.append((sheaf, t))
         return compute(sheaf, t)
 
-    monkeypatch.setattr(qacm.plane, "_relation_h2_kernel", counted)
+    for mod in (qacm.plane, qacm.quadric):
+        monkeypatch.setattr(mod, "relation_h2_kernel", counted)
     lo, hi = acm_window(k)
-    for t in range(lo, hi + 1):
-        coh_row(k, t)
+    coh_table(k, lo, hi)
     assert all(sheaf is k.other for sheaf, _ in calls)
     return [t for _, t in calls], lo, hi
 
 
-def test_coh_row_computes_each_kernel_once(monkeypatch):
-    """A window of coh_row asks for the H2 kernel of the other side at t (full
-    route, h1, h2) at every twist t; the sheaf's memo computes each (sheaf, t)
-    once.  A relation form of the collinear G is c*u, so its fast route is 0
-    with no kernel asked for."""
+def test_collinear_table_walks_each_kernel_once(monkeypatch):
+    """The upward walk asks for the H2 kernel of the other side once at every
+    twist t, for the full route.  A relation form of the collinear G is c*u,
+    so its fast route is 0 with no kernel asked for."""
     k = collinear_extension_kernel(4, 2, [((1, r), 1) for r in seeded_line_values(3, 2)])
     twists, lo, hi = _kernel_twists(monkeypatch, k)
     assert twists == list(range(lo, hi + 1))
 
 
-def test_coh_row_computes_each_u_free_kernel_once(monkeypatch):
-    """Without a relation form c*u the fast route also asks for the kernel at
-    t - 1, which the memo keeps from the twist before."""
+def test_u_free_table_walks_each_kernel_once(monkeypatch):
+    """Without a relation form c*u the fast route at t reads the kernel at
+    t - 1: the walk computes one more, at lo - 1, before it starts, and hands
+    each kernel from the full route at t to the fast route at t + 1."""
     k = parse_and_build("K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)")
     twists, lo, hi = _kernel_twists(monkeypatch, k)
     assert twists == list(range(lo - 1, hi + 1))

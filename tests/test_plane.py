@@ -21,7 +21,7 @@ from qacm.plane import (CISubscheme, ExtensionBundle, Presentation, _ideal_piece
                         euler_char, h1_restriction_kernel_dim,
                         ideals_match, make_ci_ideal, make_extension_bundle,
                         make_split_bundle, no_common_zero, recover_subscheme, relation_h0_matrix,
-                        trivialize_on_line)
+                        relation_h2_kernel, trivialize_on_line)
 from qacm.quadric import acm_check, collinear_extension_kernel
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
@@ -461,29 +461,29 @@ def test_h1_restriction_kernel_vanishes_for_collinear_extension(t):
     """The H1-level restriction of the non-split side is injective at every
     twist; this is what makes the induced kernel sheaves aCM."""
     g = make_extension_bundle(3, 1, ci_from_forms(u, v * w), h="auto")
-    assert h1_restriction_kernel_dim(g, t) == 0
+    assert h1_restriction_kernel_dim(g, t, relation_h2_kernel(g, t - 1)) == 0
 
 
 def test_h1_restriction_kernel_builds_nothing_at_depth_one(monkeypatch):
     """A relation form c*u puts every H2 kernel vector on u-exponent -1, which
     u contracts to zero: the fast route is 0 with no matrix built, even where
-    h1 is not zero."""
+    the kernel it is handed is not zero."""
     g = make_extension_bundle(3, 1, ci_from_forms(u, v * w), h="auto")
-    assert g.h2_depth == 1 and cohomology(g, 1, -4) > 0
+    below = {t: relation_h2_kernel(g, t - 1) for t in range(-12, 5)}
+    assert g.h2_depth == 1 and below[-3].cols > 0
 
     def forbidden(*args, **kwargs):
         raise AssertionError("matrix built or eliminated on the depth-1 fast route")
 
     for name in ("multiplication_matrix", "kernel_basis", "rank"):
         monkeypatch.setattr(qacm.plane, name, forbidden)
-    g.h2_kernels.clear()
     for t in range(-12, 5):
-        assert h1_restriction_kernel_dim(g, t) == 0
+        assert h1_restriction_kernel_dim(g, t, below[t]) == 0
 
 
 def test_h1_restriction_kernel_trivial_when_h1_vanishes():
     g = make_extension_bundle(2, 1, ci_from_forms(u, v), h="auto")
-    assert h1_restriction_kernel_dim(g, 3) == 0
+    assert h1_restriction_kernel_dim(g, 3, relation_h2_kernel(g, 2)) == 0
 
 
 # ---------------------------------------------------------------------------

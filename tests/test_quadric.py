@@ -5,7 +5,7 @@ from qacm.cli import main, seeded_line_values
 from qacm.descriptor import parse_and_build
 from qacm.errors import InternalCheckError
 from qacm.monomials import Form
-from qacm.plane import ci_from_forms, euler_char as plane_euler_char, \
+from qacm.plane import CohTable, ci_from_forms, euler_char as plane_euler_char, \
     make_extension_bundle, make_split_bundle
 from qacm.quadric import (RankOneSheaf, acm_check, coh_row, coh_table,
                           collinear_extension_kernel,
@@ -103,18 +103,46 @@ def test_acm_split_pair():
     assert rep.is_acm
 
 
+def ulrich(k):
+    """ulrich_check on the aCM table, as the scan runs it."""
+    return ulrich_check(k, acm_check(k).table)
+
+
 def test_ulrich_trichotomy():
-    assert ulrich_check(point_extension_kernel(1)).is_ulrich
-    assert ulrich_check(point_extension_kernel(2)).is_ulrich
-    assert not ulrich_check(split_pair_kernel(2)).is_ulrich
-    assert not ulrich_check(collinear_kernel(3, 1)).is_ulrich
+    assert ulrich(point_extension_kernel(1)).is_ulrich
+    assert ulrich(point_extension_kernel(2)).is_ulrich
+    assert not ulrich(split_pair_kernel(2)).is_ulrich
+    assert not ulrich(collinear_kernel(3, 1)).is_ulrich
 
 
 def test_ulrich_data():
-    r = ulrich_check(point_extension_kernel(1))
+    r = ulrich(point_extension_kernel(1))
     assert (r.t0, r.h0_after) == (-1, 4)
-    s = ulrich_check(split_pair_kernel(2))
+    s = ulrich(split_pair_kernel(2))
     assert (s.t0, s.h0_after) == (-3, 1)
+
+
+@pytest.mark.parametrize("k", [point_extension_kernel(1), split_pair_kernel(2),
+                               collinear_kernel(3, 1)], ids=["point", "split", "collinear"])
+def test_ulrich_check_on_a_table_cut_before_h0_turns_positive(monkeypatch, k):
+    """A table that ends at t0, where h0 is still 0, gives the result of the
+    full window: ulrich_check computes the one row after it, and only then."""
+    full = acm_check(k).table
+    whole = ulrich_check(k, full)
+    cut = CohTable(tuple(r for r in full.rows if r.t <= whole.t0))
+    assert all(r.h0 == 0 for r in cut.rows)
+    extra = []
+    real = qacm.quadric.coh_table
+    monkeypatch.setattr(qacm.quadric, "coh_table",
+                        lambda k, lo, hi: extra.append((lo, hi)) or real(k, lo, hi))
+    assert ulrich_check(k, full) == whole and extra == []
+    assert ulrich_check(k, cut) == whole and extra == [(whole.t0 + 1,) * 2]
+
+
+def test_ulrich_check_refuses_a_table_with_h0_at_its_low_end():
+    k = split_pair_kernel(2)
+    with pytest.raises(ValueError, match="window too small"):
+        ulrich_check(k, coh_table(k, 0, 3))
 
 
 def test_degenerate_collinear_c1_is_the_ulrich_sheaf():
@@ -122,7 +150,7 @@ def test_degenerate_collinear_c1_is_the_ulrich_sheaf():
     the two Ulrich sheaves; its table matches the point-extension one."""
     k_line = collinear_extension_kernel(1, 0, [((1, 1), 1)])
     k_point = point_extension_kernel(2)
-    assert ulrich_check(k_line).is_ulrich
+    assert ulrich(k_line).is_ulrich
     assert coh_table(k_line, -5, 4) == coh_table(k_point, -5, 4)
 
 
@@ -143,15 +171,17 @@ def test_chi_additivity():
 
 
 def test_chi_check_fails_when_h2_route_is_perturbed(monkeypatch):
-    """h2 has its own route (H1-level restriction plus top cohomology), so
-    an error in it breaks chi = h0 - h1 + h2 and the table refuses it."""
+    """h2 has its own route (H1-level restriction plus the top cohomology of
+    the cover summands and the relation), so an error in it breaks
+    chi = h0 - h1 + h2 and the table refuses it.  Only i = 2 is perturbed,
+    so h0, which reads the same function at i = 0, stays right."""
     k = collinear_kernel(3, 1)
-    real = qacm.quadric.plane_cohomology
+    real = qacm.quadric.cohomology_dim
 
-    def off_by_one(sheaf, i, t):
-        return real(sheaf, i, t) + (1 if i == 2 and sheaf is k.split else 0)
+    def off_by_one(space, i, d):
+        return real(space, i, d) + (i == 2)
 
-    monkeypatch.setattr(qacm.quadric, "plane_cohomology", off_by_one)
+    monkeypatch.setattr(qacm.quadric, "cohomology_dim", off_by_one)
     with pytest.raises(InternalCheckError, match="chi mismatch"):
         coh_table(k, -3, 0)
 
@@ -168,8 +198,9 @@ def test_each_twist_is_assembled_once(monkeypatch):
 
     monkeypatch.setattr(qacm.quadric, "_assembled_matrix", counted)
     k = collinear_kernel(3, 1)
-    lo, hi = acm_check(k).window
-    ulrich_check(k)
+    rep = acm_check(k)
+    lo, hi = rep.window
+    ulrich_check(k, rep.table)
     assert hi - lo + 1 == 19
     assert sorted(calls) == list(range(lo, hi + 1))
 
@@ -199,11 +230,10 @@ def test_les_cross_check_fails_when_the_full_route_is_perturbed(monkeypatch, cap
     coh_row and by ``qacm cohomology`` with exit 3."""
     k = parse_and_build(SCAN_SHEAF)
     t = -3
-    assert acm_check(k).is_acm and k._cache[t].h1 == 0
+    assert acm_check(k).is_acm and coh_row(k, t).h1 == 0
     real = qacm.quadric._h1_kernel_of_line_map_full
     monkeypatch.setattr(qacm.quadric, "_h1_kernel_of_line_map_full",
-                        lambda k, t: real(k, t) + 1)
-    k._cache.clear()
+                        lambda k, t, ker: real(k, t, ker) + 1)
     with pytest.raises(InternalCheckError, match="LES inconsistency"):
         coh_row(k, t)
     code = main(["cohomology", "--sheaf", SCAN_SHEAF, "--tmin", str(t), "--tmax", str(t),

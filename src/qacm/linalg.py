@@ -210,7 +210,8 @@ def _peel(rows, cols: int):
 
     ``left[i]`` counts row i's entries in unpeeled columns and a work stack
     holds the rows whose count has fallen to 1.  A count only falls, so each
-    row is a singleton once and the peel is linear in the nonzeros.
+    row is a singleton once and the peel is linear in the nonzeros.  Once
+    every column is peeled the core is empty, and the peel stops there.
     """
     stack = [i for i, r in enumerate(rows) if len(r) == 1]
     if not stack:
@@ -229,6 +230,8 @@ def _peel(rows, cols: int):
             if j not in peeled:
                 break
         peeled.add(j)
+        if len(peeled) == cols:
+            return peeled, []
         for k in where[j]:
             left[k] -= 1
             if left[k] == 1:
@@ -247,7 +250,8 @@ def _eliminate(rows, cols: int):
 
     Invariant: rows still unpivoted have zero entries in every processed
     column, so the rows with a nonzero in the current column are exactly the
-    unpivoted rows led by it; ``lead`` indexes them by leading column.
+    unpivoted rows led by it; ``lead`` indexes them by leading column.  A
+    column led by one row takes it as its pivot with nothing to eliminate.
     """
     peeled, rows = _peel(rows, cols)
     rows = list(rows)
@@ -261,6 +265,9 @@ def _eliminate(rows, cols: int):
             break
         cand = lead.pop(col, None)
         if cand is None:
+            continue
+        if len(cand) == 1:
+            pivots.append((col, rows[cand[0]]))
             continue
         i0 = min(cand, key=lambda i: (len(rows[i]), i))
         piv = rows[i0]

@@ -287,7 +287,8 @@ def make_extension_bundle(c: int, k: int, ci: CISubscheme, h="auto", side: int =
     if deg_h < 0:
         raise ValueError("no locally free extension: the class space is zero")
     if isinstance(h, str) and h == "auto":
-        h = _auto_extension_form(ci, deg_h)
+        # the search returns only an h that passes ``no_common_zero``
+        return ExtensionBundle(side, c, k, ci, _auto_extension_form(ci, deg_h))
     if not isinstance(h, Form) or h.num_vars != 3:
         raise ValueError("h must be a plane form or 'auto'")
     if h.is_zero or h.degree != deg_h:
@@ -559,6 +560,46 @@ def _is_syzygy_basis(hi: tuple, lo: tuple, p: tuple) -> bool:
     return lam != 0 and all(x == f * lam for x, f in zip(cross, p))
 
 
+def _koszul_rows(pres: Presentation):
+    """((c1, c2), (hi, lo)) when exactly one form p_j of the restricted
+    relation is zero, else None.  Its syzygies are then the unit row e_j, of
+    degree a_j, and the Koszul row of the other two (p_l at k, -p_k at l, of
+    degree a_k + deg p_l), coprime on L, times forms.  They are sorted by
+    degree, and on a tie by the last summand they reach, the order of
+    ``kernel_basis``."""
+    p = pres.relation
+    zeros = [j for j, f in enumerate(p) if f.is_zero]
+    if len(zeros) != 1:
+        return None
+    (j,), (k, l) = zeros, [i for i in range(3) if i not in zeros]
+    one, zero = Form.constant(2, 1), Form.zero(2)
+    unit, koszul = [zero] * 3, [zero] * 3
+    unit[j], koszul[k], koszul[l] = one, p[l], -p[k]
+    a = pres.target_twists
+    (c1, _, hi), (c2, _, lo) = sorted([(a[j], j, tuple(unit)),
+                                       (a[k] + p[l].degree, l, tuple(koszul))],
+                                      key=lambda r: (-r[0], r[1]))
+    return (c1, c2), (hi, lo)
+
+
+def _mu_basis_rows(sheaf) -> tuple:
+    """((c1, c2), (hi, lo)) from a mu-basis of the syzygies of the restricted
+    relation (p_i), which has no common zero on L (Cox-Sederberg-Chen 1998;
+    Song-Goldman 2009).  At e = floor((deg - 1) / 2) < c1 there are
+    e + 1 - c2 syzygies, or none when c1 = c2 = deg / 2; lo spans those of
+    degree c2 (when c1 = c2 the two syzygies of degree c2 are the rows), and
+    hi solves hi x lo = lambda * (p_i)."""
+    pres = sheaf.line_presentation
+    deg = sum(pres.target_twists) - pres.relation_twist
+    e = (deg - 1) // 2
+    rows = _hom_row_candidates(sheaf, e)
+    c2 = e + 1 - len(rows) if rows else deg // 2
+    c1 = deg - c2
+    if c2 != e:
+        rows = _hom_row_candidates(sheaf, c2)
+    return (c1, c2), (tuple(rows) if c1 == c2 else (_high_row(sheaf, rows[0], c1), rows[0]))
+
+
 def trivialize_on_line(sheaf) -> Trivialization:
     """Explicit splitting F|_L = O_L(c1) + O_L(c2) for a rank-2 sheaf that is
     locally free along L; the normalized type is (c1 - c2, 0).  A split bundle
@@ -567,11 +608,10 @@ def trivialize_on_line(sheaf) -> Trivialization:
     Otherwise F|_L is the cokernel of the restricted relation
     (p_i): O_L(b) -> sum O_L(a_i), a bundle exactly when the p_i have no
     common zero.  Its dual is then the syzygy bundle of (p_i), O_L(-c1) + O_L(-c2)
-    with c1 + c2 = deg = sum a_i - b, and its two generators (hi, lo), a mu-basis
-    of the syzygies, are the rows (Cox-Sederberg-Chen 1998; Song-Goldman 2009).
-    At e = floor((deg - 1) / 2) < c1 there are e + 1 - c2 syzygies, or none
-    when c1 = c2 = deg / 2; lo spans those of degree c2 (when c1 = c2 the two
-    syzygies of degree c2 are the rows), and hi solves hi x lo = lambda * (p_i)."""
+    with c1 + c2 = deg = sum a_i - b, and its two generators (hi, lo) are the
+    rows: in closed form when one p_j is zero (``_koszul_rows``: every
+    collinear G, and every G whose h is a multiple of u), else from a mu-basis
+    (``_mu_basis_rows``)."""
     if sheaf.rank != 2:
         raise ValueError("trivialization needs a rank-2 sheaf")
     if isinstance(sheaf, SplitBundle):
@@ -580,14 +620,7 @@ def trivialize_on_line(sheaf) -> Trivialization:
     pres = sheaf.line_presentation
     if not sheaf.line_relation_coprime:
         raise ValueError("restriction to the line is not a vector bundle")
-    deg = sum(pres.target_twists) - pres.relation_twist
-    e = (deg - 1) // 2
-    rows = _hom_row_candidates(sheaf, e)
-    c2 = e + 1 - len(rows) if rows else deg // 2
-    c1 = deg - c2
-    if c2 != e:
-        rows = _hom_row_candidates(sheaf, c2)
-    hi, lo = rows if c1 == c2 else (_high_row(sheaf, rows[0], c1), rows[0])
+    (c1, c2), (hi, lo) = _koszul_rows(pres) or _mu_basis_rows(sheaf)
     if not _is_syzygy_basis(hi, lo, pres.relation):
         raise InternalCheckError("trivialization rows are not a basis of the syzygies on L")
     return Trivialization((c1, c2), (hi, lo))

@@ -190,15 +190,20 @@ def _row(k: KernelSheaf, t: int, below: RatMatrix, ker: RatMatrix) -> CohRow:
     relation form of the other side is c*u (the collinear and point extension
     sheaves), the fast route is 0 by construction (its kernel lives on
     u-exponent -1, which u contracts to zero), and the check holds the full
-    route to 0.
+    route to 0.  Without sections on any cover summand (the split side's
+    twists are c >= 0 and 0, so then t < -c) h0 = 0 and the H0-level maps have
+    no rows or columns: neither is built.
     """
-    u = _assembled_matrix(k, t)
-    u_rank = rank(u)
     sections = sum(cohomology_dim(P2, 0, a + t) for a in k.twists)
-    h0 = sections - u_rank - rank(relation_h0_matrix(k.other, t))
+    h0 = coker = 0
+    if sections:
+        u = _assembled_matrix(k, t)
+        u_rank = rank(u)
+        h0 = sections - u_rank - rank(relation_h0_matrix(k.other, t))
+        coker = u.rows - u_rank
     fast = h1_restriction_kernel_dim(k.other, t, below)
     line_kernel = _h1_kernel_of_line_map_full(k, t, ker)
-    full = (u.rows - u_rank) + line_kernel
+    full = coker + line_kernel
     if fast != full:
         raise InternalCheckError(
             f"LES inconsistency at twist {t}: fast path {fast}, full path {full}")

@@ -63,6 +63,28 @@ def test_rank_sees_partly_peeled_dependent_columns(rows):
     assert rank(M(rows)) < len(rows[0])
 
 
+def test_a_fully_peeled_matrix_leaves_no_core():
+    """Each column falls to a singleton row in turn; the peel stops with every
+    column a pivot and an empty core, whatever rows are left."""
+    m = M([[1, 0, 0], [2, 3, 0], [0, 1, 5], [4, 5, 6], [0, 0, 7]])
+    assert qacm.linalg._peel(m.data, m.cols) == ({0, 1, 2}, [])
+    assert rank(m) == 3 and kernel_basis(m) == RatMatrix.zero(3, 0)
+    wide = M([[0, 2, 0, 0], [3, 1, 0, 0], [1, 1, 1, 1]])
+    assert qacm.linalg._peel(wide.data, wide.cols) == ({0, 1}, [{2: 1, 3: 1}])
+    assert rank(wide) == 3 and kernel_basis(wide).column(0) == (0, 0, 1, -1)
+
+
+def test_a_column_led_by_one_row_takes_it_as_pivot():
+    """No row is a singleton; column 0 is led by row 0 alone, which becomes
+    its pivot unchanged, and column 1 by two rows, one eliminated by the other."""
+    m = M([[1, 2, 3], [0, 1, 1], [0, 2, 2]])
+    peeled, pivots = qacm.linalg._eliminate(m.data, m.cols)
+    assert peeled == set() and [c for c, _ in pivots] == [0, 1]
+    assert pivots[0][1] is m.data[0]
+    assert rank(m) == 2 and kernel_basis(m).column(0) == (1, 1, -1)
+    assert rank(M([[1, 2, 0], [0, 1, 1], [0, 3, 1]])) == 3
+
+
 def test_kernel_basis_columns_are_independent():
     k = kernel_basis(M([[1, 2, 0, 1], [0, 0, 1, 3], [2, 4, 1, 5]]))
     assert (k.rows, k.cols) == (4, 2)

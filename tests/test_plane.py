@@ -208,6 +208,35 @@ def test_extension_cb_violation_rejected():
         make_extension_bundle(2, 0, ci, h=w - v)   # vanishes at [0:1:1]
 
 
+def test_an_auto_extension_class_is_tested_for_common_zeros_once(monkeypatch, capsys):
+    """make_extension_bundle tests a given h for a common zero with Z, but not
+    the h that ``_auto_extension_form`` has just accepted by that test: on a
+    ``classify --cmax 8`` scan every call is made by the search."""
+    calls, searching = [], []
+    real_test, real_search = qacm.plane.no_common_zero, qacm.plane._auto_extension_form
+
+    def counted(forms):
+        calls.append(bool(searching))
+        return real_test(forms)
+
+    def search(*args):
+        searching.append(1)
+        try:
+            return real_search(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(qacm.plane, "no_common_zero", counted)
+    monkeypatch.setattr(qacm.plane, "_auto_extension_form", search)
+    assert main(["classify", "--cmax", "8", "--seed", "0", "--no-timestamp"]) == 0
+    assert calls == [True] * 25
+    calls.clear()
+    code = main(["cohomology", "--sheaf", "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=[u,v*w],h=v^2)@H2,e=id)",
+                 "--tmin", "0", "--tmax", "0", "--no-timestamp"])
+    assert code == 2 and "Cayley-Bacharach" in capsys.readouterr().err
+    assert calls == [False]
+
+
 def test_extension_wrong_h_degree_rejected():
     ci = ci_from_line_points([((1, 1), 1), ((1, 2), 1)])
     with pytest.raises(ValueError, match="degree"):
@@ -379,30 +408,39 @@ def test_trivialize_euler():
 
 V2 = Form.variable(2, "v")
 TRIV_G = "G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)@H2"
-# restricts to O_L(1) + O_L(1): its kernel sheaf below exits 2 on mismatched
-# types, but only after G is trivialized
-TYPE_11_G = "G(c=2,k=1,Z=[v,w],h=auto)@H2"
+# all three restricted forms nonzero, so split by a mu-basis; it restricts to
+# O_L(3) + O_L(2): its kernel sheaf below exits 2 on mismatched types, but
+# only after G is trivialized
+MU_G = "G(c=5,k=2,Z=[v,w^3],h=u^3+u*w^2+v^3)@H2"
+
+
+def koszul_row_scaled_by_v(real):
+    def wrong(pres):
+        degrees, (hi, lo) = real(pres)
+        return degrees, (tuple(f * V2 for f in hi), lo)
+    return wrong
 
 
 @pytest.mark.parametrize("g_text, split, name, wrong", [
-    # c1 = 3 > c2 = 0: a syzygy of degree c1 that is a multiple of lo, in place of hi
-    (TRIV_G, "O(3)+O(0)", "_high_row",
-     lambda real: lambda sheaf, lo, c1: tuple(f * V2 ** 3 for f in lo)),
-    # c1 = c2 = 1: the second syzygy of degree c2 scaled by v
-    (TYPE_11_G, "O(1)+O(0)", "_hom_row_candidates",
-     lambda real: lambda sheaf, e: [tuple(f * V2 ** j for f in r)
-                                    for j, r in enumerate(real(sheaf, e))]),
+    # mu-basis, c1 = 3 > c2 = 2: a syzygy of degree c1 that is a multiple of lo, in place of hi
+    (MU_G, "O(1)+O(0)", "_high_row",
+     lambda real: lambda sheaf, lo, c1: tuple(f * V2 for f in lo)),
+    # closed form, collinear Z: the Koszul row (hi, of degree 3) scaled by v
+    (TRIV_G, "O(3)+O(0)", "_koszul_rows", koszul_row_scaled_by_v),
 ], ids=["hi-a-multiple-of-lo", "row-scaled-by-v"])
 def test_trivialization_check_fails_on_a_wrong_syzygy_row(monkeypatch, capsys, g_text, split,
                                                           name, wrong):
     """trivialize_on_line checks that the 2x2 minors of its rows (hi, lo) are one
     nonzero constant times the restricted relation, i.e. that the rows are a
-    basis of its syzygies.  A wrong row must be refused in both branches: by
-    trivialize_on_line, and by ``qacm cohomology`` with exit 3."""
+    basis of its syzygies.  A wrong row must be refused in both branches, the
+    mu-basis and the closed form: by trivialize_on_line, and by
+    ``qacm cohomology`` with exit 3."""
     g = parse_and_build(g_text)
-    monkeypatch.setattr(qacm.plane, name, wrong(getattr(qacm.plane, name)))
+    calls, perturbed = [], wrong(getattr(qacm.plane, name))
+    monkeypatch.setattr(qacm.plane, name, lambda *args: calls.append(name) or perturbed(*args))
     with pytest.raises(InternalCheckError, match="not a basis of the syzygies"):
         trivialize_on_line(g)
+    assert calls == [name]
     code = main(["cohomology", "--sheaf", f"K(F1={split}@H1,F2={g_text},e=id)",
                  "--tmin", "0", "--tmax", "0", "--no-timestamp"])
     assert code == 3 and "not a basis of the syzygies" in capsys.readouterr().err

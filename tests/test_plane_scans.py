@@ -2,10 +2,12 @@
 
 ``_auto_extension_form`` skips, for a collinear Z = V(u, g), every support
 of monomials that all contain u; ``trivialize_on_line`` splits F|_L by a
-mu-basis of the syzygies of the restricted relation, and a split bundle by
-its unit rows, with no search at all.  The plain loops are kept here as
-references: the full support search, the scan of h0(F|_L(s)) for the
-splitting type and the search for the first surjective pair of rows."""
+mu-basis of the syzygies of the restricted relation, or in closed form when
+one of its forms is zero, and a split bundle by its unit rows, with no search
+at all.  The plain loops are kept here as references: the full support
+search, the scan of h0(F|_L(s)) for the splitting type and the search for
+the first surjective pair of rows; the mu-basis is the reference of the
+closed form."""
 
 import itertools
 
@@ -18,7 +20,8 @@ from qacm.linalg import kernel_dim, rank
 from qacm.monomials import P1, Form, basis, binary_forms_common_zero_free, cohomology_dim, \
     h0_exponents, multiplication_matrix
 from qacm.plane import (U, CISubscheme, ExtensionBundle, _auto_extension_form,
-                        _hom_row_candidates, _line_relation_matrix, ci_from_forms,
+                        _hom_row_candidates, _koszul_rows, _line_relation_matrix,
+                        _mu_basis_rows, ci_from_forms,
                         ci_from_line_points, make_extension_bundle, make_split_bundle,
                         no_common_zero, trivialize_on_line)
 
@@ -195,6 +198,36 @@ def test_collinear_scan_sheaves_split_as_the_search_does(seed):
     for c, k in classify_pairs(16):
         pts = [((1, r), 1) for r in seeded_line_values(seed, c - k)]
         assert_same_split(make_extension_bundle(c, k, ci_from_line_points(pts), "auto"))
+
+
+def closed_form_sheaves():
+    """Every G of a ``classify --cmax 10`` scan at seeds 0-2 (collinear Z, so
+    u restricts to 0), the point extension and G(c=2,k=1,Z=[v,w]), whose auto
+    classes h = u and h = u^2 restrict to 0."""
+    for seed in range(3):
+        for c, k in classify_pairs(10):
+            pts = [((1, r), 1) for r in seeded_line_values(seed, c - k)]
+            yield make_extension_bundle(c, k, ci_from_line_points(pts), "auto")
+    yield make_extension_bundle(1, 0, ci_from_forms(v, w), "auto")
+    yield make_extension_bundle(2, 1, ci_from_forms(v, w), "auto")
+
+
+def test_closed_form_rows_are_the_mu_basis_rows():
+    """Where one restricted form is zero, the unit and Koszul rows are the
+    degrees and rows the mu-basis finds, and trivialize_on_line returns them."""
+    sheaves = list(closed_form_sheaves())
+    assert len(sheaves) == 3 * len(classify_pairs(10)) + 2 == 104
+    for g in sheaves:
+        closed = _koszul_rows(g.line_presentation)
+        assert closed is not None and closed == _mu_basis_rows(g)
+        assert split_of(g) == closed
+
+
+def test_the_closed_form_needs_exactly_one_zero_form():
+    g = make_extension_bundle(5, 2, ci_from_forms(v, w ** 3), u ** 3 + u * w * w + v ** 3)
+    assert all(not f.is_zero for f in g.line_presentation.relation)
+    assert _koszul_rows(g.line_presentation) is None
+    assert split_of(g) == _mu_basis_rows(g)
 
 
 def test_torsion_along_the_line_is_refused():

@@ -188,7 +188,8 @@ def test_chi_check_fails_when_h2_route_is_perturbed(monkeypatch):
 
 def test_each_twist_is_assembled_once(monkeypatch):
     """acm_check then ulrich_check build the assembled matrix once per twist
-    of the window: the two checks share one cohomology row per twist."""
+    of the window that has sections: the two checks share one cohomology row
+    per twist, and a twist without sections builds none."""
     calls = []
     real = qacm.quadric._assembled_matrix
 
@@ -202,7 +203,7 @@ def test_each_twist_is_assembled_once(monkeypatch):
     lo, hi = rep.window
     ulrich_check(k, rep.table)
     assert hi - lo + 1 == 19
-    assert sorted(calls) == list(range(lo, hi + 1))
+    assert sorted(calls) == list(range(-3, hi + 1))      # O(3) has sections from t = -3 on
 
 
 def test_acm_invariant_under_twist():
@@ -239,6 +240,45 @@ def test_les_cross_check_fails_when_the_full_route_is_perturbed(monkeypatch, cap
     code = main(["cohomology", "--sheaf", SCAN_SHEAF, "--tmin", str(t), "--tmax", str(t),
                  "--no-timestamp"])
     assert code == 3 and "LES inconsistency" in capsys.readouterr().err
+
+
+def test_a_twist_without_sections_builds_no_h0_matrix(monkeypatch):
+    """Below the twists where a cover summand has sections h0 = 0 and the
+    H0-level maps have no rows or columns: neither is built or ranked."""
+    k = parse_and_build(SCAN_SHEAF)
+    assert max(k.twists) == 3
+    expected = coh_table(k, -8, -4)
+
+    def forbidden(*args):
+        raise AssertionError("an H0-level map was built or ranked")
+
+    for name in ("_assembled_matrix", "relation_h0_matrix", "rank"):
+        monkeypatch.setattr(qacm.quadric, name, forbidden)
+    assert coh_table(k, -8, -4) == expected
+    assert all(r.h0 == 0 for r in expected.rows)
+
+
+def test_h2_counts_the_line_kernel(monkeypatch):
+    """h2 of a kernel sheaf holds the kernel of the H1-level restriction of the
+    other side (the line kernel) beside h1 and h2 of the components.  On the
+    collinear family both h1 routes are 0, so set both to 1 at one twist:
+    that row must read h1 = 1 and h2 one more, with chi still matching, and
+    every other row stay as it was."""
+    k = parse_and_build(SCAN_SHEAF)
+    t0 = -2
+    before = coh_table(k, -4, 0)
+    fast, full = qacm.quadric.h1_restriction_kernel_dim, qacm.quadric._h1_kernel_of_line_map_full
+    monkeypatch.setattr(qacm.quadric, "h1_restriction_kernel_dim",
+                        lambda sheaf, t, below: 1 if t == t0 else fast(sheaf, t, below))
+    monkeypatch.setattr(qacm.quadric, "_h1_kernel_of_line_map_full",
+                        lambda k, t, ker: 1 if t == t0 else full(k, t, ker))
+    after = coh_table(k, -4, 0)
+    for old, new in zip(before.rows, after.rows):
+        if old.t == t0:
+            assert (old.h0, old.h1, old.h2) == (1, 0, 0)
+            assert (new.h0, new.h1, new.h2) == (1, 1, 1)
+        else:
+            assert new == old
 
 
 # ---------------------------------------------------------------------------

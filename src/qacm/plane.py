@@ -14,10 +14,10 @@ Every sheaf here is the cokernel of a map of split bundles
   presentation of I_Z(c-k) by one more form h (the extension class);
   G is locally free exactly when (f1, f2, h) have no common zero.
 
-Cohomology of F(t) is read off the presentation: h0 is the cokernel
-dimension at H0 level, h1 the kernel dimension of the relation at H2 level
-(dual monomial bases), h2 the cokernel dimension at H2 level; h1 of plane
-line bundles vanishes, which makes this exact.
+Cohomology of F(t) is read off the presentation: h0 from the degrees (the
+relation is a nonzero column, injective on H0), h1 the kernel dimension of
+the relation at H2 level (dual monomial bases), h2 the cokernel dimension at
+H2 level; h1 of plane line bundles vanishes, which makes this exact.
 """
 
 from __future__ import annotations
@@ -312,11 +312,6 @@ def _relation_matrix(space: str, i: int, pres: Presentation, t: int) -> RatMatri
                                  [basis(space, i, a + t) for a in pres.target_twists])
 
 
-def relation_h0_matrix(sheaf, t: int) -> RatMatrix:
-    """H0-level matrix of the relation at twist t: H0(O(b+t)) -> sum H0(O(a_i+t))."""
-    return _relation_matrix(P2, 0, sheaf.presentation, t)
-
-
 def relation_h2_matrix(sheaf, t: int) -> RatMatrix:
     """H2-level (dual monomial) matrix of the relation at twist t."""
     return _relation_matrix(P2, 2, sheaf.presentation, t)
@@ -368,24 +363,34 @@ def relation_h2_kernel(sheaf, t: int) -> RatMatrix:
       prefix, so it is a pivot of the block exactly when it is one of the
       whole matrix, and every later column is a pivot.  The block kernel,
       padded with zeros, is the whole kernel vector for vector.
-    * Zero past the socle, with no matrix built.  By Serre duality the kernel
-      is the orthogonal of the degree-n piece of the ideal of the forms that
-      act: the restrictions to L in n = -(b+t+1) - 2 on the prefix, the
-      relation itself in n = -(b+t) - 3 on the whole basis.  When n reaches
-      ``_socle_bound`` and the forms have no common zero (decided once per
-      sheaf, after the cheap degree test) that piece is everything.
+    * Zero below degree 0 and past the socle, with no matrix built.  By Serre
+      duality the kernel is the orthogonal of the degree-n piece of the ideal
+      of the forms that act: the restrictions to L in n = -(b+t+1) - 2 on the
+      prefix, the relation itself in n = -(b+t) - 3 on the whole basis.  For
+      n < 0 the source is empty; once n reaches ``_socle_bound`` and the forms
+      have no common zero (decided once per sheaf) that piece is everything.
     """
     pres = sheaf.presentation
     b = pres.relation_twist
     if sheaf.h2_depth:
-        bound = _socle_bound(sheaf.line_presentation.relation, 2)
-        if bound is not None and -(b + t + 1) - 2 >= bound and sheaf.line_relation_coprime:
+        n, bound = -(b + t + 1) - 2, _socle_bound(sheaf.line_presentation.relation, 2)
+        if n < 0 or bound is not None and n >= bound and sheaf.line_relation_coprime:
             return RatMatrix.zero(cohomology_dim(P1, 1, b + t + 1), 0)
         return kernel_basis(_line_relation_matrix(sheaf, t + 1, 1))
-    bound = _socle_bound(pres.relation, 3)
-    if bound is not None and -(b + t) - 3 >= bound and sheaf.relation_common_zero_free:
+    n, bound = -(b + t) - 3, _socle_bound(pres.relation, 3)
+    if n < 0 or bound is not None and n >= bound and sheaf.relation_common_zero_free:
         return RatMatrix.zero(cohomology_dim(P2, 2, b + t), 0)
     return kernel_basis(relation_h2_matrix(sheaf, t))
+
+
+def ci_hilbert(degrees, n: int) -> int:
+    """dim (S/(p))_n, S = Q[u, v, w], (p) a regular sequence of forms of the given
+    degrees: the z^n coefficient of prod(1 - z^d) / (1 - z)^3 (Eisenbud, Commutative
+    Algebra, 21.2), a signed sum of (m + 1)(m + 2) / 2 over m = n - each subset sum."""
+    terms = [(n, 1)]
+    for d in degrees:
+        terms += [(m - d, -s) for m, s in terms]
+    return sum(s * (m + 1) * (m + 2) // 2 for m, s in terms if m >= 0)
 
 
 def euler_char(sheaf, t: int) -> int:
@@ -413,13 +418,14 @@ def h1_h2(sheaf, t: int) -> tuple:
 
 
 def cohomology(sheaf, i: int, t: int) -> int:
-    """Exact h^i(F(t)) for a presented plane sheaf."""
+    """Exact h^i(F(t)) for a presented plane sheaf, h0 from the degrees."""
     if i not in (0, 1, 2):
         raise ValueError("cohomology index must be 0, 1 or 2")
     if i:
         return h1_h2(sheaf, t)[i - 1]
-    total = sum(cohomology_dim(P2, 0, a + t) for a in sheaf.presentation.target_twists)
-    return total - rank(relation_h0_matrix(sheaf, t))
+    b = sheaf.presentation.relation_twist
+    return (sum(cohomology_dim(P2, 0, a + t) for a in sheaf.presentation.target_twists)
+            - (0 if b is None else cohomology_dim(P2, 0, b + t)))
 
 
 @dataclass(frozen=True)

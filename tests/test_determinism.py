@@ -8,8 +8,9 @@ import hashlib
 
 from qacm.descriptor import parse_and_build
 from qacm.linalg import kernel_basis
-from qacm.plane import relation_h0_matrix, relation_h2_matrix
+from qacm.plane import relation_h2_matrix
 from qacm.quadric import _assembled_matrix, _restriction
+from test_plane import relation_h0_matrix
 
 README_SHEAF = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)@H2,e=id)"
 GOLDEN = "639562179d7d9d2a1ff29b2d96a4d4474a4b794832801cc77fa47e4d65b7a6b5"

@@ -6,19 +6,23 @@ the same map the long way, on the P2 sections of the two free covers: the
 gluing matrix times each trivialization block times the 0/1 restriction
 u := 0, from ``multiplication_matrix`` and ``restriction_matrix`` alone.  The
 oracle's rank must be the rank taken on L, and the oracle must equal, entry
-for entry, the composed matrix that global generation works with."""
+for entry, the composed matrix that global generation works with.  A table
+row builds none of these: its h0 is a count of degrees, which must be what
+the ranks of the oracle and of the other side's relation on H0 give."""
 
 import pytest
 
 from qacm.cli import classify_pairs, seeded_line_values
 from qacm.linalg import RatMatrix, block_diag, hstack, rank
-from qacm.monomials import P1, Form, basis, cohomology_dim, multiplication_matrix, restriction_matrix
+from qacm.monomials import (P1, P2, Form, basis, cohomology_dim, multiplication_matrix,
+                            restriction_matrix)
 from qacm.plane import h1_restriction_kernel_dim, trivialize_on_line
-from qacm.quadric import (KernelSheaf, _assembled_matrix, _restriction, acm_window,
+from qacm.quadric import (KernelSheaf, _assembled_matrix, _restriction, acm_window, coh_table,
                           collinear_extension_kernel, diagonal_gluing, identity_gluing,
                           make_kernel_sheaf, point_extension_kernel, split_pair_kernel,
                           upper_gluing)
 from test_linalg import vstack
+from test_plane import relation_h0_matrix
 
 vv, ww = Form.variable(2, "v"), Form.variable(2, "w")
 
@@ -82,6 +86,24 @@ def test_h0_on_line_matches_the_cover_section_oracle(build, gluing):
         assert rank(on_line) == rank(oracle)
         assert on_line.rows == oracle.rows
         assert on_line @ _restriction(k, t) == oracle
+
+
+@pytest.mark.parametrize("build, gluing", [
+    pytest.param(build, g, id=f"{name}-{gname}")
+    for name, c, build in _scan_sheaves() for gname, g in _gluings(c)])
+def test_h0_from_degrees_matches_the_ranked_h0_maps(build, gluing):
+    """The ranked H0-level maps against the degree count of ``coh_table``: at
+    every twist of the window the H0-level map onto L is onto (rank = rows),
+    and h0 is the cover sections less the rank of the oracle and of the other
+    side's relation on H0."""
+    k = build(gluing)
+    lo, hi = acm_window(k)
+    for row in coh_table(k, lo, hi).rows:
+        t = row.t
+        on_line = _assembled_matrix(k, t)
+        assert rank(on_line) == on_line.rows
+        sections = sum(cohomology_dim(P2, 0, a + t) for a in k.twists)
+        assert row.h0 == sections - rank(oracle_matrix(k, t)) - rank(relation_h0_matrix(k.other, t))
 
 
 @pytest.mark.parametrize("drop", ["beta", "delta"])

@@ -13,7 +13,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qacm.monomials
@@ -86,7 +86,9 @@ def _u_free_presentations(draw):
         h = f1 * draw(_form(deg_h - d1)) + f2 * draw(_form(deg_h - d2))
     else:
         h = draw(_form(deg_h, w_term=True))
-    return ExtensionBundle(2, k + c_minus_k, k, ci, h)
+    sheaf = ExtensionBundle(2, k + c_minus_k, k, ci, h)
+    assume(sheaf.h2_depth is None)      # h from (f1, f2) can be c*u: (v + w) + (u - v - w)
+    return sheaf
 
 
 def _assert_prefix_kernel_is_whole_kernel(sheaf, t, depth):
@@ -235,6 +237,26 @@ def test_a_twist_past_the_bound_builds_and_eliminates_nothing(monkeypatch, make,
         assert cohomology(sheaf, 1, t) == 0
 
 
+@pytest.mark.parametrize("make", [_u_free_g, lambda: _collinear_g(5, 2)])
+def test_a_twist_with_an_empty_source_builds_nothing(monkeypatch, make):
+    """From t = -b - 2 on the source of the H2-level relation is empty (the
+    dual degree n is negative): the kernel, equal to what the elimination
+    gives, has no rows or columns, and no matrix is built.  One twist lower
+    the source has one monomial."""
+    sheaf = make()
+    top = -sheaf.presentation.relation_twist - 2
+    assert relation_h2_kernel(sheaf, top - 1).rows == 1
+    assert relation_h2_kernel(sheaf, top) == kernel_basis(relation_h2_matrix(sheaf, top))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("matrix built or eliminated with an empty source")
+
+    monkeypatch.setattr(qacm.plane, "multiplication_matrix", forbidden)
+    monkeypatch.setattr(qacm.plane, "kernel_basis", forbidden)
+    for t in range(top, top + 40):
+        assert relation_h2_kernel(sheaf, t) == RatMatrix.zero(0, 0)
+
+
 def test_a_u_free_common_zero_keeps_the_kernel_at_every_depth():
     """h = v*w lies in (v, w^3), so the three forms vanish at [1 : 0 : 0] and
     S/(v, w^3, v*w) = k[u, w]/(w^3) has Hilbert function 3 from degree 2 on:
@@ -253,7 +275,8 @@ def test_a_u_free_common_zero_keeps_the_kernel_at_every_depth():
 ], ids=["u-free ideal", "collinear ideal", "h on L zero"])
 def test_fewer_forms_than_variables_take_the_elimination(monkeypatch, sheaf):
     """With fewer acting forms than variables the ideal is never everything,
-    so no common-zero answer is asked for and every twist is eliminated."""
+    so no common-zero answer is asked for, and every twist whose source is not
+    empty is eliminated."""
     def forbidden(*args):
         raise AssertionError("common-zero test on fewer forms than variables")
 

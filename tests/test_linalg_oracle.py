@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from qacm.descriptor import parse_and_build
 from qacm.linalg import RatMatrix, kernel_basis, rank
-from qacm.plane import relation_h0_matrix, relation_h2_matrix
+from qacm.plane import relation_h2_matrix
 from test_linalg import vstack
+from test_plane import relation_h0_matrix
 
 sympy = pytest.importorskip("sympy")
 

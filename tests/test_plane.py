@@ -16,11 +16,12 @@ from qacm.errors import InternalCheckError
 from qacm.linalg import rank
 from qacm.monomials import Form, P2, cohomology_dim, h0_exponents
 from qacm.plane import (CISubscheme, ExtensionBundle, Presentation, _ideal_piece_matrix,
+                        _relation_matrix,
                         cb_condition_check, chern,
-                        ci_from_forms, ci_from_line_points, coh_table, cohomology,
+                        ci_from_forms, ci_from_line_points, ci_hilbert, coh_table, cohomology,
                         euler_char, h1_restriction_kernel_dim,
                         ideals_match, make_ci_ideal, make_extension_bundle,
-                        make_split_bundle, no_common_zero, recover_subscheme, relation_h0_matrix,
+                        make_split_bundle, no_common_zero, recover_subscheme,
                         relation_h2_kernel, trivialize_on_line)
 from qacm.quadric import acm_check, collinear_extension_kernel
 
@@ -30,6 +31,13 @@ QQ = Fraction
 
 # ---------------------------------------------------------------------------
 # the independent oracle
+
+
+def relation_h0_matrix(sheaf, t: int):
+    """H0-level matrix of the relation at twist t: H0(O(b+t)) -> sum H0(O(a_i+t)).
+    A reference of the tests: ``src/`` reads h0 from the degrees, since the
+    relation is a nonzero column and so injective on H0."""
+    return _relation_matrix(P2, 0, sheaf.presentation, t)
 
 
 def _oracle_rank(rows):
@@ -250,6 +258,32 @@ def test_extension_h0_additivity():
     ideal = make_ci_ideal(u, v * w, 2)
     for t in range(-1, 6):
         assert cohomology(g, 0, t) == cohomology_dim(P2, 0, 1 + t) + cohomology(ideal, 0, t)
+
+
+@pytest.mark.parametrize("text", [
+    "O(2)+O(-1)@H1", "I([v,w^3])(0)@H2", "I([u+v,w^2])(1)@H1", "G(c=4,k=1,Z=[v,w^3],h=auto)@H2",
+    "G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)@H2", "G(c=2,k=1,Z=[u+v,w],h=auto)@H1"])
+def test_h0_from_degrees_equals_the_rank_of_the_relation_on_h0(text):
+    """h0 read from the degrees is the cokernel of the relation on H0, built
+    and ranked by the reference above, at every twist from below the first
+    section to well past it."""
+    sheaf = parse_and_build(text)
+    for t in range(-8, 9):
+        sections = sum(cohomology_dim(P2, 0, a + t) for a in sheaf.presentation.target_twists)
+        assert cohomology(sheaf, 0, t) == sections - rank(relation_h0_matrix(sheaf, t))
+
+
+@pytest.mark.parametrize("forms", [
+    (u, v, w), (v, w ** 3), (u, v * v - w * w, v * w + u * u), (u + v, w * w, u ** 3 - v ** 3),
+    (v, w, Form.constant(3, 2))])
+def test_ci_hilbert_is_the_dimension_of_the_quotient(forms):
+    """The Hilbert function from the degrees equals dim S_n less the rank of
+    the ideal's degree-n piece, for regular sequences of two and three forms
+    (a unit form makes the quotient zero)."""
+    for n in range(-2, 9):
+        ideal = [f for f in forms if f.degree <= n]
+        quotient = cohomology_dim(P2, 0, n) - (rank(_ideal_piece_matrix(ideal, n)) if ideal else 0)
+        assert ci_hilbert([f.degree for f in forms], n) == quotient
 
 
 def test_extension_chi_additivity():

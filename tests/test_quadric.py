@@ -1,13 +1,15 @@
 import pytest
 
+import qacm.plane
 import qacm.quadric
 from qacm.cli import main, seeded_line_values
 from qacm.descriptor import parse_and_build
 from qacm.errors import InternalCheckError
+from qacm.linalg import RatMatrix
 from qacm.monomials import Form
-from qacm.plane import CohTable, ci_from_forms, euler_char as plane_euler_char, \
+from qacm.plane import CohRow, CohTable, ci_from_forms, euler_char as plane_euler_char, \
     make_extension_bundle, make_split_bundle
-from qacm.quadric import (RankOneSheaf, acm_check, coh_row, coh_table,
+from qacm.quadric import (RankOneSheaf, UlrichResult, acm_check, coh_row, coh_table,
                           collinear_extension_kernel,
                           diagonal_gluing, euler_char, gluing_variation_report,
                           global_generation_surjective, h0, h1, h2,
@@ -186,24 +188,32 @@ def test_chi_check_fails_when_h2_route_is_perturbed(monkeypatch):
         coh_table(k, -3, 0)
 
 
-def test_each_twist_is_assembled_once(monkeypatch):
-    """acm_check then ulrich_check build the assembled matrix once per twist
-    of the window that has sections: the two checks share one cohomology row
-    per twist, and a twist without sections builds none."""
-    calls = []
-    real = qacm.quadric._assembled_matrix
+def _forbid_h0_maps(monkeypatch):
+    """Make every H0-level build or rank that quadric could reach raise:
+    ``relation_h0_matrix`` is no name of ``src/`` (it is a reference of the
+    tests), so it is set on the module only to catch a caller put back."""
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"{name} was called")
+        return call
 
-    def counted(k, t):
-        calls.append(t)
-        return real(k, t)
+    assert not hasattr(qacm.plane, "relation_h0_matrix")
+    for name in ("_assembled_matrix", "relation_h0_matrix", "rank"):
+        monkeypatch.setattr(qacm.quadric, name, forbidden(name), raising=False)
 
-    monkeypatch.setattr(qacm.quadric, "_assembled_matrix", counted)
+
+def test_acm_and_ulrich_checks_build_no_h0_map(monkeypatch):
+    """acm_check then ulrich_check read h0 from the degrees: no twist of the
+    window builds the assembled H0-level map or the relation's H0-level
+    matrix, or ranks anything in quadric, and the table is the one the H0
+    ranks gave (tests/test_h0_line.py compares the two at every twist)."""
+    _forbid_h0_maps(monkeypatch)
     k = collinear_kernel(3, 1)
     rep = acm_check(k)
     lo, hi = rep.window
-    ulrich_check(k, rep.table)
-    assert hi - lo + 1 == 19
-    assert sorted(calls) == list(range(-3, hi + 1))      # O(3) has sections from t = -3 on
+    assert (lo, hi) == (-12, 6) and rep.is_acm
+    assert [r.h0 for r in rep.table.rows] == [0] * 10 + [1, 5, 13, 25, 41, 61, 85, 113, 145]
+    assert ulrich_check(k, rep.table) == UlrichResult(False, -3, 1)
 
 
 def test_acm_invariant_under_twist():
@@ -242,20 +252,56 @@ def test_les_cross_check_fails_when_the_full_route_is_perturbed(monkeypatch, cap
     assert code == 3 and "LES inconsistency" in capsys.readouterr().err
 
 
+README_SHEAF = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)@H2,e=id)"
+
+
+def _drop_last_column(m):
+    return RatMatrix.make(m.rows, m.cols - 1, [{j: x for j, x in r.items() if j < m.cols - 1}
+                                               for r in m.data], m.den)
+
+
+def _add_one_at_the_corner(m):
+    """The matrix with 1 added to entry (0, 0), when it has one."""
+    if not (m.rows and m.cols):
+        return m
+    first = dict(m.data[0])
+    first[0] = first.get(0, 0) + m.den
+    return RatMatrix.make(m.rows, m.cols, ({j: x for j, x in first.items() if x},) + m.data[1:],
+                          m.den)
+
+
+@pytest.mark.parametrize("target, name, mutate", [
+    pytest.param(qacm.quadric, "relation_h2_kernel", _drop_last_column, id="kernel-column"),
+    pytest.param(qacm.plane, "multiplication_matrix", _add_one_at_the_corner, id="builder-entry")])
+def test_hilbert_check_fails_when_an_h2_kernel_is_perturbed(monkeypatch, capsys, target, name,
+                                                            mutate):
+    """Each H2 kernel a kernel-sheaf row reads must have the dimension the
+    Hilbert function of the relation forms gives.  The README sheaf's kernel
+    has dimensions 1, 2, 1 at t = -4, -3, -2.  Dropping a column of the kernel
+    the table receives, or adding 1 to one entry of each matrix the plane
+    builds (at t = -3 the H1-level relation on L is a zero 1 x 2 matrix), must
+    be refused, by coh_row and by ``qacm cohomology`` with exit 3."""
+    k = parse_and_build(README_SHEAF)
+    t = -3
+    assert coh_row(k, t) == CohRow(t, 0, 0, 1)
+    real = getattr(target, name)
+    monkeypatch.setattr(target, name, lambda *args: mutate(real(*args)))
+    with pytest.raises(InternalCheckError, match="H2 kernel .* Hilbert function"):
+        coh_row(k, t)
+    code = main(["cohomology", "--sheaf", README_SHEAF, "--tmin", str(t), "--tmax", str(t),
+                 "--no-timestamp"])
+    assert code == 3 and "Hilbert function" in capsys.readouterr().err
+
+
 def test_a_twist_without_sections_builds_no_h0_matrix(monkeypatch):
-    """Below the twists where a cover summand has sections h0 = 0 and the
-    H0-level maps have no rows or columns: neither is built or ranked."""
+    """No twist builds or ranks an H0-level map, with sections on a cover
+    summand (O(3) has them from t = -3 on) or without."""
     k = parse_and_build(SCAN_SHEAF)
     assert max(k.twists) == 3
-    expected = coh_table(k, -8, -4)
-
-    def forbidden(*args):
-        raise AssertionError("an H0-level map was built or ranked")
-
-    for name in ("_assembled_matrix", "relation_h0_matrix", "rank"):
-        monkeypatch.setattr(qacm.quadric, name, forbidden)
-    assert coh_table(k, -8, -4) == expected
-    assert all(r.h0 == 0 for r in expected.rows)
+    expected = coh_table(k, -8, 8)
+    _forbid_h0_maps(monkeypatch)
+    assert coh_table(k, -8, 8) == expected
+    assert [r.h0 for r in expected.rows] == [0] * 6 + [1, 5, 13, 25, 41, 61, 85, 113, 145, 181, 221]
 
 
 def test_h2_counts_the_line_kernel(monkeypatch):

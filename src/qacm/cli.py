@@ -21,8 +21,8 @@ import sys
 from dataclasses import dataclass
 
 from . import mf as mfmod
-from .descriptor import (DescriptorParseError, parse, parse_and_build,
-                         parse_ambient_form, parse_gluing, to_text)
+from .descriptor import (DescriptorParseError, build, parse, parse_ambient_form,
+                         parse_gluing, to_text)
 from .errors import InternalCheckError
 from .plane import (CohTable, cb_condition_check, coh_table as plane_table,
                     cohomology as plane_cohomology, ideals_match,
@@ -111,7 +111,7 @@ def _table_csv(table: CohTable):
 
 def cmd_cohomology(args) -> int:
     node = parse(args.sheaf)
-    obj = parse_and_build(args.sheaf)
+    obj = build(node)
     tmin, tmax = args.tmin, args.tmax
     if isinstance(obj, KernelSheaf):
         table = kernel_table(obj, tmin, tmax)
@@ -354,13 +354,14 @@ def cmd_mf_hilbert(args) -> int:
 
 
 def cmd_gluing_report(args) -> int:
-    obj = parse_and_build(args.sheaf)
+    node = parse(args.sheaf)
+    obj = build(node)
     if not isinstance(obj, KernelSheaf):
         raise ValueError("gluing-report needs a kernel-sheaf descriptor")
     gluings = [parse_gluing(g) for g in args.e]
     rows = gluing_variation_report(obj, gluings, args.tmin, args.tmax)
     payload = {
-        "descriptor": to_text(parse(args.sheaf)),
+        "descriptor": to_text(node),
         "gluings": [{
             "e": row.gluing,
             "equal_to_identity": row.equal_to_identity,
@@ -429,49 +430,59 @@ def _apply_config(args):
     return args
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qacm",
-                                 description="Exact cohomology and aCM/Ulrich scans "
-                                             "on the reducible quadric surface")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cohomology", help="cohomology table of a descriptor")
+def _cohomology_arguments(p):
     p.add_argument("--sheaf", required=True)
     p.add_argument("--tmin", type=int, required=True)
     p.add_argument("--tmax", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_cohomology)
 
-    p = sub.add_parser("classify", help="scan the rank-2 classification at desk scale")
+
+def _classify_arguments(p):
     _add_common(p, with_seed=True)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("ulrich-scan", help="Ulrich statuses over the classify scan")
+
+def _ulrich_scan_arguments(p):
     _add_common(p, with_seed=True)
     p.set_defaults(func=cmd_ulrich_scan)
 
-    mfp = sub.add_parser("mf", help="matrix factorizations of q = xy")
-    mfsub = mfp.add_subparsers(dest="mf_command", required=True)
 
-    p = mfsub.add_parser("example", help="the distinguished linear factorization")
+def _mf_example_arguments(p):
     p.add_argument("--component", type=int, choices=(1, 2), default=1)
     _add_common(p)
     p.set_defaults(func=cmd_mf_example)
 
-    p = mfsub.add_parser("verify", help="check A*B = B*A = q*I from a JSON file")
+
+def _mf_verify_arguments(p):
     p.add_argument("--file", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_mf_verify, timestamp=True)
 
-    p = mfsub.add_parser("hilbert", help="h0 of the cokernel across twists")
+
+def _mf_hilbert_arguments(p):
     p.add_argument("--component", type=int, choices=(1, 2), default=1)
     p.add_argument("--tmin", type=int, default=None)
     p.add_argument("--tmax", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_mf_hilbert)
 
-    p = sub.add_parser("gluing-report", help="tables of one pair under several gluings")
+
+MF_COMMANDS = (
+    ("example", "the distinguished linear factorization", _mf_example_arguments),
+    ("verify", "check A*B = B*A = q*I from a JSON file", _mf_verify_arguments),
+    ("hilbert", "h0 of the cokernel across twists", _mf_hilbert_arguments),
+)
+
+
+def _mf_arguments(p):
+    sub = p.add_subparsers(dest="mf_command", required=True)
+    for name, help_text, add_arguments in MF_COMMANDS:
+        add_arguments(sub.add_parser(name, help=help_text))
+
+
+def _gluing_report_arguments(p):
     p.add_argument("--sheaf", required=True)
     p.add_argument("--e", action="append", required=True,
                    help="gluing: id | diag(a,d) | upper(a,d,form); repeatable")
@@ -480,12 +491,36 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_gluing_report)
 
+
+# (name, help, the function that adds the command's arguments to its parser)
+COMMANDS = (
+    ("cohomology", "cohomology table of a descriptor", _cohomology_arguments),
+    ("classify", "scan the rank-2 classification at desk scale", _classify_arguments),
+    ("ulrich-scan", "Ulrich statuses over the classify scan", _ulrich_scan_arguments),
+    ("mf", "matrix factorizations of q = xy", _mf_arguments),
+    ("gluing-report", "tables of one pair under several gluings", _gluing_report_arguments),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The qacm parser.  Every command is listed, but when ``argv`` starts
+    with a command name only that command gets its arguments: the others are
+    never parsed.  Otherwise (no argv, ``-h``, an unknown name) all of them do."""
+    ap = argparse.ArgumentParser(prog="qacm",
+                                 description="Exact cohomology and aCM/Ulrich scans "
+                                             "on the reducible quadric surface")
+    sub = ap.add_subparsers(dest="command", required=True)
+    chosen = argv[0] if argv and argv[0] in [name for name, _, _ in COMMANDS] else None
+    for name, help_text, add_arguments in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if chosen in (None, name):
+            add_arguments(p)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         args = _apply_config(args)
         if getattr(args, "tmin", None) is None and args.func is cmd_mf_hilbert:

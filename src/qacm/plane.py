@@ -401,20 +401,33 @@ def euler_char(sheaf, t: int) -> int:
     return chi
 
 
+def check_h2_kernel(sheaf, t: int, ker: RatMatrix, name: str) -> None:
+    """Raise InternalCheckError unless ``ker``, the kernel of the H2-level relation
+    of ``sheaf`` at twist t, has the dimension of its Serre dual (S/(p))_(-b-t-3),
+    (p) the relation forms, which must be a regular sequence."""
+    pres = sheaf.presentation
+    b = pres.relation_twist
+    n = ci_hilbert([a - b for a in pres.target_twists], -b - t - 3)
+    if ker.cols != n:
+        raise InternalCheckError(f"H2 kernel of {name} at twist {t} has dimension "
+                                 f"{ker.cols}, its Hilbert function {n}")
+
+
 def h1_h2(sheaf, t: int) -> tuple:
     """(h1, h2) of F(t) from one ``relation_h2_kernel``: h1 is its dimension,
-    h2 the cokernel of the relation on H2.  Without a relation, h1 = 0."""
+    h2 the cokernel of the relation on H2.  Without a relation, h1 = 0.  The
+    kernel is checked against the Hilbert function (``check_h2_kernel``) when the
+    relation forms are a regular sequence: for I_Z (Z is zero-dimensional) and for
+    a locally free G, which covers every sheaf the descriptor grammar builds."""
     pres = sheaf.presentation
     b = pres.relation_twist
     top = sum(cohomology_dim(P2, 2, a + t) for a in pres.target_twists)
     if b is None:
         return 0, top
-    h1 = relation_h2_kernel(sheaf, t).cols
-    if isinstance(sheaf, CIIdealSheaf) and sheaf.ci.is_collinear():
-        d = sheaf.m + t
-        if d >= -1 and h1 != max(0, sheaf.ci.degree - d - 1):
-            raise InternalCheckError("collinear ideal-sheaf h1 disagrees with its closed form")
-    return h1, top - cohomology_dim(P2, 2, b + t) + h1
+    ker = relation_h2_kernel(sheaf, t)
+    if isinstance(sheaf, CIIdealSheaf) or sheaf.relation_common_zero_free:
+        check_h2_kernel(sheaf, t, ker, "the sheaf")
+    return ker.cols, top - cohomology_dim(P2, 2, b + t) + ker.cols
 
 
 def cohomology(sheaf, i: int, t: int) -> int:

@@ -20,10 +20,11 @@ of the H1-level restriction of F_other, computed two independent ways:
 * full path: a zig-zag through the presentation.
 
 Neither reads e, so a table does not depend on the gluing.  h2 comes from the
-H1-level restriction as well.  A row checks that each H2-level kernel of
-F_other it reads has the dimension the Hilbert function of the relation forms
-gives, that the two h1 routes agree, and that chi = h0 - h1 + h2 is the Euler
-characteristic, which then only ties the degree counts to Riemann-Roch.
+H1-level restriction as well.  A table checks that each H2-level kernel of
+F_other has the dimension the Hilbert function of the relation forms gives,
+once, where it computes it; a row checks that the two h1 routes agree, and that
+chi = h0 - h1 + h2 is the Euler characteristic, which then only ties the degree
+counts to Riemann-Roch.
 
 Rank-one sheaves (extension of a line bundle on one plane by a line bundle
 on the other) are handled by closed dimension formulas: the connecting maps
@@ -39,8 +40,8 @@ from .errors import InternalCheckError
 from .linalg import QQ, RatMatrix, block_diag, hstack, kernel_basis, kernel_dim, rank
 from .monomials import (P1, P2, Form, GradedPiece, basis, cohomology_dim, euler_char_p1,
                         multiplication_matrix, restrict_to_plane, restriction_matrix)
-from .plane import (CohRow, CohTable, SplitBundle, chern, ci_from_forms, ci_from_line_points,
-                    ci_hilbert, cohomology as plane_cohomology, dual_prefix,
+from .plane import (CohRow, CohTable, SplitBundle, check_h2_kernel, chern, ci_from_forms,
+                    ci_from_line_points, cohomology as plane_cohomology, dual_prefix,
                     euler_char as plane_euler_char, h1_restriction_kernel_dim,
                     make_extension_bundle, make_split_bundle, relation_h2_kernel,
                     relation_h2_prefix_matrix, trivialize_on_line)
@@ -183,18 +184,12 @@ def _row(k: KernelSheaf, t: int, below: RatMatrix, ker: RatMatrix) -> CohRow:
     is the line kernel alone; h2 is the cokernel of the H1-level restriction plus h2
     of the components, in which h1 of the other side cancels: h1(O_L(c+t)) +
     h1(O_L(t)) + the line kernel + h2 of every cover summand - h2(O(b+t)).  Checks
-    (InternalCheckError): each H2 kernel read at twist s has the dimension of its
-    Serre dual (S/(p))_(-b-s-3), (p) the relation forms, a regular sequence; fast =
-    full (LES); chi.  A relation form c*u makes the fast route 0 (u contracts the
-    u-exponent -1 part the kernel lives on), so the LES check holds full to 0.
+    (InternalCheckError): fast = full (LES); chi.  ``coh_table`` has checked both
+    kernels against their Hilbert function.  A relation form c*u makes the fast
+    route 0 (u contracts the u-exponent -1 part the kernel lives on), so the LES
+    check holds full to 0.
     """
-    pres = k.other.presentation
-    b = pres.relation_twist
-    for s, m in ((t - 1, below), (t, ker)):
-        if m is not None and m.cols != (n := ci_hilbert([a - b for a in pres.target_twists],
-                                                         -b - s - 3)):
-            raise InternalCheckError(f"H2 kernel of the other side at twist {s} has dimension "
-                                     f"{m.cols}, its Hilbert function {n}")
+    b = k.other.presentation.relation_twist
     h0 = (plane_cohomology(k.split, 0, t) + plane_cohomology(k.other, 0, t)
           - cohomology_dim(P1, 0, k.c + t) - cohomology_dim(P1, 0, t))
     fast = h1_restriction_kernel_dim(k.other, t, below)
@@ -216,16 +211,23 @@ def _row(k: KernelSheaf, t: int, below: RatMatrix, ker: RatMatrix) -> CohRow:
 
 def coh_table(k: KernelSheaf, tmin: int, tmax: int) -> CohTable:
     """The rows of K(t) for t in [tmin, tmax], walked upward so that each H2
-    kernel of the other side is computed once: the kernel at t serves the
-    full route at t and the fast route at t + 1.  A u-free other side (no
-    relation form c*u) needs one more, at tmin - 1; without a relation no
-    kernel is computed."""
+    kernel of the other side is computed and checked against its Hilbert
+    function once (the relation forms of a glued other side are a regular
+    sequence, as it is locally free): the kernel at t serves the full route
+    at t and the fast route at t + 1.  A u-free other side (no relation form
+    c*u) needs one more, at tmin - 1; without a relation no kernel is computed."""
     other = k.other
+
+    def checked_kernel(t):
+        ker = relation_h2_kernel(other, t)
+        check_h2_kernel(other, t, ker, "the other side")
+        return ker
+
     walk = other.presentation.relation_twist is not None
-    below = relation_h2_kernel(other, tmin - 1) if walk and not other.h2_depth else None
+    below = checked_kernel(tmin - 1) if walk and not other.h2_depth else None
     rows = []
     for t in range(tmin, tmax + 1):
-        ker = relation_h2_kernel(other, t) if walk else None
+        ker = checked_kernel(t) if walk else None
         rows.append(_row(k, t, below, ker))
         below = ker
     return CohTable(tuple(rows))

@@ -1,9 +1,11 @@
+import argparse
 import csv
 import hashlib
 import json
 
 import pytest
 
+import qacm.cli as cli
 import qacm.quadric
 from qacm.cli import ScanConfig, classify_pairs, main, seeded_line_values
 from qacm.errors import InternalCheckError
@@ -419,3 +421,90 @@ def test_points_descriptor_preserves_point_data():
     from qacm.descriptor import parse_and_build
     obj = parse_and_build("I(points([0:1:4];[0:1:9]))(0)@H2")
     assert obj.ci.points == (((1, 4), 1), ((1, 9), 1))
+
+
+# ---------------------------------------------------------------------------
+# one-command parsers
+
+
+def _subparser(parser, name):
+    """The parser of command ``name`` under ``parser``."""
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+_COMMAND_PATHS = [[name] for name, _, _ in cli.COMMANDS] + \
+    [["mf", name] for name, _, _ in cli.MF_COMMANDS]
+
+
+@pytest.mark.parametrize("path", _COMMAND_PATHS, ids=" ".join)
+def test_one_command_parser_has_the_full_help(path):
+    """A parser built for one command prints, for it and every parser on its
+    path, the help the parser with every command filled in prints."""
+    one, full = cli.build_parser(path), cli.build_parser()
+    assert one.format_help() == full.format_help()
+    for depth in range(1, len(path) + 1):
+        one, full = _subparser(one, path[depth - 1]), _subparser(full, path[depth - 1])
+        assert one.format_help() == full.format_help()
+
+
+def _parse_outcome(capsys, parser, argv):
+    """(exit code, stdout, stderr) of parsing argv; code None when it parses."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+_USAGE = "usage: qacm [-h] {cohomology,classify,ulrich-scan,mf,gluing-report} ...\n"
+
+
+@pytest.mark.parametrize("argv, usage", [
+    ([], _USAGE), (["-h"], _USAGE), (["bogus"], _USAGE),
+    (["cohomology"], "usage: qacm cohomology [-h] --sheaf SHEAF --tmin TMIN --tmax TMAX\n"),
+    (["cohomology", "--sheaf", "x", "--tmin", "1", "--tmax", "2", "extra"], _USAGE),
+    (["mf", "hilbert", "--bogus"], _USAGE), (["classify", "--bogus"], _USAGE),
+    (["mf"], "usage: qacm mf [-h] {example,verify,hilbert} ...\n"),
+    (["mf", "bogus"], "usage: qacm mf [-h] {example,verify,hilbert} ...\n"),
+    (["--bogus", "cohomology"], "usage: qacm cohomology [-h] --sheaf SHEAF --tmin TMIN --tmax TMAX\n"),
+], ids=repr)
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv, usage):
+    """Help and usage errors of ``qacm`` are those of the parser with every
+    command filled in, byte for byte, and a usage error exits 2.  Argparse
+    prints the top-level usage for an argument the command leaves over, so
+    every command must still be listed there."""
+    code, out, err = _parse_outcome(capsys, cli.build_parser(argv), argv)
+    assert (code, out, err) == _parse_outcome(capsys, cli.build_parser(), argv)
+    assert code == (0 if argv == ["-h"] else 2)
+    assert (out if code == 0 else err).startswith(usage)
+
+
+def test_usage_errors_name_the_command_argument(capsys):
+    """The pinned bytes of two top-level usage errors: the command positional
+    is named ``command`` and lists every command."""
+    assert _parse_outcome(capsys, cli.build_parser([]), []) == (
+        2, "", _USAGE + "qacm: error: the following arguments are required: command\n")
+    assert _parse_outcome(capsys, cli.build_parser(["bogus"]), ["bogus"]) == (
+        2, "", _USAGE + "qacm: error: argument command: invalid choice: 'bogus' (choose from "
+                        "'cohomology', 'classify', 'ulrich-scan', 'mf', 'gluing-report')\n")
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["cohomology", "--sheaf", "O(1)+O(0)@H1", "--tmin", "0", "--tmax", "1", "--no-timestamp"],
+     "cohomology"),
+    (["mf", "hilbert", "--tmax", "1", "--no-timestamp"], "mf"),
+])
+def test_a_call_fills_in_only_its_own_command(monkeypatch, capsys, argv, command):
+    """``main`` adds the arguments of the named command only: with every other
+    command's argument function raising, the call still runs."""
+    def refuse(parser):
+        raise AssertionError("arguments of another command were added")
+
+    monkeypatch.setattr(cli, "COMMANDS", tuple(
+        (name, help_text, add if name == command else refuse)
+        for name, help_text, add in cli.COMMANDS))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rows"]

@@ -13,7 +13,7 @@ import qacm.plane
 from qacm.cli import main
 from qacm.descriptor import parse_and_build
 from qacm.errors import InternalCheckError
-from qacm.linalg import rank
+from qacm.linalg import RatMatrix, rank
 from qacm.monomials import Form, P2, cohomology_dim, h0_exponents
 from qacm.plane import (CISubscheme, ExtensionBundle, Presentation, _ideal_piece_matrix,
                         _relation_matrix,
@@ -649,10 +649,46 @@ def test_ideals_match_examples(a, b, up_to, expected):
 
 
 # ---------------------------------------------------------------------------
-# collinear closed-form cross-check is wired into cohomology()
+# the Hilbert check of a plane table's H2 kernels
 
 
 def test_internal_closed_form_check_is_active():
     s = make_ci_ideal(u, v * w, 0)
     # sanity: the internal cross-check does not fire on valid input
     assert cohomology(s, 1, 0) == 1
+
+
+def _add_a_zero_column(m):
+    return RatMatrix.make(m.rows, m.cols + 1, m.data, m.den)
+
+
+@pytest.mark.parametrize("sheaf", [
+    "G(c=4,k=1,Z=[v,w^3],h=auto)@H2",
+    "G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)@H2",
+    "I([v,w^3])(0)@H2",
+    "I([u,v^3-w^3])(2)@H1",
+], ids=["u-free G", "collinear G", "u-free ideal", "collinear ideal"])
+def test_hilbert_check_fails_when_a_plane_h2_kernel_is_perturbed(monkeypatch, capsys, sheaf):
+    """h0 of a plane table is a count, and chi cannot see h1 (it enters h2 as
+    well), so the Hilbert check is what holds the H2 kernels of every sheaf the
+    grammar builds.  With a zero column added to each kernel, h1 would be one
+    higher at every twist: the table is refused and ``qacm cohomology`` exits 3."""
+    built = parse_and_build(sheaf)
+    coh_table(built, -8, 2)
+    real = qacm.plane.relation_h2_kernel
+    monkeypatch.setattr(qacm.plane, "relation_h2_kernel",
+                        lambda s, t: _add_a_zero_column(real(s, t)))
+    with pytest.raises(InternalCheckError, match="H2 kernel of the sheaf at twist -8 .* Hilbert"):
+        coh_table(built, -8, 2)
+    code = main(["cohomology", "--sheaf", sheaf, "--tmin", "-8", "--tmax", "2",
+                 "--no-timestamp"])
+    assert code == 3 and "Hilbert function" in capsys.readouterr().err
+
+
+def test_a_relation_with_a_common_zero_is_not_hilbert_checked():
+    """(v, w^3, v*w) vanish at [1 : 0 : 0], so they are no regular sequence and
+    the Hilbert function (0 past the socle) does not apply: G is not locally
+    free, and h1 is the eliminated kernel, 3 at every deep twist."""
+    sheaf = ExtensionBundle(2, 4, 1, ci_from_forms(v, w ** 3), v * w)
+    assert not sheaf.relation_common_zero_free
+    assert [cohomology(sheaf, 1, t) for t in range(-20, -6)] == [3] * 14

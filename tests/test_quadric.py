@@ -9,7 +9,8 @@ from qacm.linalg import RatMatrix
 from qacm.monomials import Form
 from qacm.plane import CohRow, CohTable, ci_from_forms, euler_char as plane_euler_char, \
     make_extension_bundle, make_split_bundle
-from qacm.quadric import (RankOneSheaf, UlrichResult, acm_check, coh_row, coh_table,
+from qacm.quadric import (RankOneSheaf, UlrichResult, acm_check, acm_window, coh_row,
+                          coh_table,
                           collinear_extension_kernel,
                           diagonal_gluing, euler_char, gluing_variation_report,
                           global_generation_surjective, h0, h1, h2,
@@ -291,6 +292,25 @@ def test_hilbert_check_fails_when_an_h2_kernel_is_perturbed(monkeypatch, capsys,
     code = main(["cohomology", "--sheaf", README_SHEAF, "--tmin", str(t), "--tmax", str(t),
                  "--no-timestamp"])
     assert code == 3 and "Hilbert function" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sheaf", [
+    README_SHEAF, "K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)"],
+    ids=["collinear", "u-free"])
+def test_each_h2_kernel_is_hilbert_checked_once(monkeypatch, sheaf):
+    """A table checks each H2 kernel of the other side once, where it computes
+    it: the twists checked are the twists computed, with no repeat, though the
+    kernel at t serves two rows of a u-free other side (one more at lo - 1)."""
+    k = parse_and_build(sheaf)
+    computed, checked = [], []
+    compute, check = qacm.quadric.relation_h2_kernel, qacm.quadric.check_h2_kernel
+    monkeypatch.setattr(qacm.quadric, "relation_h2_kernel",
+                        lambda s, t: computed.append(t) or compute(s, t))
+    monkeypatch.setattr(qacm.quadric, "check_h2_kernel",
+                        lambda s, t, ker, name: checked.append(t) or check(s, t, ker, name))
+    lo, hi = acm_window(k)
+    coh_table(k, lo, hi)
+    assert checked == computed == list(range(lo - (k.other.h2_depth is None), hi + 1))
 
 
 def test_a_twist_without_sections_builds_no_h0_matrix(monkeypatch):

@@ -279,16 +279,14 @@ def _forms_to_strings(mat):
 
 
 def cmd_mf_example(args) -> int:
-    a = mfmod.ulrich_example_matrix(args.component)
-    b = mfmod.partner_from_adjugate(a)
     report = mfmod.mf_report(args.component, tmin=-1, tmax=2)
     payload = {
         "component": args.component,
-        "matrix": _forms_to_strings(a),
-        "partner": _forms_to_strings(b),
+        "matrix": _forms_to_strings(report.matrix),
+        "partner": _forms_to_strings(report.partner),
         "det": str(report.det),
         "partner_linear": report.partner_linear,
-        "ulrich_linear": mfmod.ulrich_linear_check(a),
+        "ulrich_linear": mfmod.ulrich_linear_check(report.matrix),
         "ranks": [{"point": list(map(str, pt)), "locus": locus, "rank": rk}
                   for pt, locus, rk in report.ranks_at_samples],
         "hilbert": [{"t": t, "h0": h} for t, h in report.hilbert],

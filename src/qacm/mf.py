@@ -236,6 +236,8 @@ def cokernel_hilbert(a, t: int) -> int:
 
 @dataclass(frozen=True)
 class MFReport:
+    matrix: tuple
+    partner: tuple
     det: Form
     partner_linear: bool
     ranks_at_samples: tuple     # ((point, locus, rank), ...)
@@ -247,4 +249,4 @@ def mf_report(component: int = 1, tmin: int = -1, tmax: int = 2) -> MFReport:
     b = partner_from_adjugate(a)
     ranks = tuple((pt, locus, rank_at_point(a, pt)) for pt, locus in SAMPLE_POINTS)
     hil = tuple((t, cokernel_hilbert(a, t)) for t in range(tmin, tmax + 1))
-    return MFReport(determinant(a), is_linear_matrix(b), ranks, hil)
+    return MFReport(a, b, determinant(a), is_linear_matrix(b), ranks, hil)

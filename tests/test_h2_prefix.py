@@ -5,8 +5,8 @@ matrix on a prefix of its columns when a relation form is a multiple of u.
 Past the socle degree of the forms that act, when they have no common zero,
 it is zero and built from nothing.  These tests hold it to the whole-matrix
 kernel vector for vector, check that a deep twist builds nothing of size
-O(t^2), and compare h1 of the collinear extension bundles with a closed form
-that shares no matrix code with it.
+O(t^2), and compare h1 of the collinear extension bundles, read from the
+degrees and eliminated, with a closed form on L that shares no code with either.
 """
 
 from fractions import Fraction
@@ -148,7 +148,9 @@ def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
     """At t = -300 the u-path must neither build the whole relation matrix
     nor any dual basis of H2(P2) at that depth.  The bundle has h|_L = 0, so
     the kernel is the 20-dimensional kernel of g on H1(P1) at every depth, the
-    full h1 route runs to the end, and the fast one is 0 at depth 1."""
+    full h1 route runs to the end, and the fast one is 0 at depth 1.  The
+    relation forms share the zeros of g on L, so this is no plane table:
+    ``h1_h2`` refuses it (``test_plane.py``)."""
     g = v ** 20 - w ** 20
     sheaf = ExtensionBundle(2, 21, 1, ci_from_forms(u, g), u * v)
     t = -300
@@ -161,9 +163,7 @@ def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
 
     ker = relation_h2_kernel(sheaf, t)
     assert (sheaf.h2_depth, ker.cols) == (1, 20)
-    assert cohomology(sheaf, 1, t) == 20
     assert cohomology(sheaf, 0, t) == 0
-    assert cohomology(sheaf, 2, t) == euler_char(sheaf, t) + 20
     fast = h1_restriction_kernel_dim(sheaf, t, relation_h2_kernel(sheaf, t - 1))
     full = _h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t, ker)
     assert fast == full == 0
@@ -358,7 +358,8 @@ def test_koszul_oracle_on_the_c16_scan():
         g = make_extension_bundle(c, k, ci_from_line_points(pts), h="auto")
         lo, hi = acm_window(SimpleNamespace(c=c, other=g))
         for t in range(lo, hi + 1):
-            assert cohomology(g, 1, t) == koszul_h1(c, k, t), (c, k, t)
+            assert cohomology(g, 1, t) == relation_h2_kernel(g, t).cols == koszul_h1(c, k, t), \
+                (c, k, t)
             checks += 1
     assert len(classify_pairs(16)) == 79 and checks == 2612
 
@@ -370,4 +371,4 @@ def test_koszul_oracle_fails_when_g_and_h_share_a_root():
     g2 = ci_from_line_points([((1, 1), 1), ((1, 2), 1)])
     sheaf = ExtensionBundle(2, 3, 1, g2, g2.f2)
     for t in range(-30, -4):
-        assert cohomology(sheaf, 1, t) == 2 != koszul_h1(3, 1, t)
+        assert relation_h2_kernel(sheaf, t).cols == 2 != koszul_h1(3, 1, t)

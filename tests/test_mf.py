@@ -3,8 +3,12 @@ graded-ideal computation on the ambient ring: h0 of an extension sheaf is the
 dimension of (x, F)_t / (xy)_t, computed by listing monomial multiples; it
 does not share the cokernel route under test."""
 
+import json
+
 import pytest
 
+import qacm.mf
+from qacm.cli import main
 from qacm.linalg import QQ, RatMatrix, rank
 from qacm.mf import (MFPair, SAMPLE_POINTS, cokernel_hilbert, determinant,
                      form_matrix, is_linear_matrix, mf_report,
@@ -127,8 +131,26 @@ def test_cross_construction_identity():
         assert cokernel_hilbert(n, t) == kernel_h0(k, t)
 
 
+@pytest.mark.parametrize("component", [1, 2])
+def test_mf_example_builds_the_matrix_and_its_partner_once(monkeypatch, capsys, component):
+    """``qacm mf example`` prints the matrix and partner its report carries: each
+    is built once, and the partner is the adjugate partner of the matrix."""
+    calls = []
+    for name in ("ulrich_example_matrix", "partner_from_adjugate"):
+        real = getattr(qacm.mf, name)
+        monkeypatch.setattr(qacm.mf, name, lambda *a, _f=real: calls.append(_f.__name__) or _f(*a))
+    assert main(["mf", "example", "--component", str(component), "--no-timestamp"]) == 0
+    assert calls == ["ulrich_example_matrix", "partner_from_adjugate"]
+    payload = json.loads(capsys.readouterr().out)
+    a = ulrich_example_matrix(component)
+    assert payload["matrix"] == [[str(f) for f in row] for row in a]
+    assert payload["partner"] == [[str(f) for f in row] for row in partner_from_adjugate(a)]
+
+
 def test_report():
     rep = mf_report(1)
+    assert rep.matrix == ulrich_example_matrix(1)
+    assert rep.partner == partner_from_adjugate(rep.matrix)
     assert rep.partner_linear
     assert rep.det == (x * y) ** 2
     assert dict(rep.hilbert)[0] == 4

@@ -383,6 +383,26 @@ def test_upper_gluing_reported():
     assert len(rows[0].table.rows) == 10
 
 
+def test_a_gluing_report_computes_one_table(monkeypatch):
+    """No row reads the gluing, so a four-gluing report computes one table and
+    gives it, equal to each gluing's own table, under every gluing.  Each gluing
+    is still validated: an upper form of the wrong degree is refused."""
+    k = collinear_kernel(3, 1)
+    v2, w2 = Form.variable(2, "v"), Form.variable(2, "w")
+    gluings = [identity_gluing(), diagonal_gluing(2, 3), upper_gluing(1, 1, v2 ** 3),
+               upper_gluing(2, -1, v2 ** 3 - w2 ** 3)]
+    calls, real = [], qacm.quadric.coh_table
+    monkeypatch.setattr(qacm.quadric, "coh_table",
+                        lambda kg, lo, hi: calls.append((lo, hi)) or real(kg, lo, hi))
+    rows = gluing_variation_report(k, gluings, -6, 3)
+    assert calls == [(-6, 3)]
+    assert [r.gluing for r in rows] == ["id", "diag(2,3)", "upper(1,1,v^3)", "upper(2,-1,v^3 - w^3)"]
+    for r, g in zip(rows, gluings):
+        assert r.equal_to_identity and r.table == real(make_kernel_sheaf(k.split, k.other, g), -6, 3)
+    with pytest.raises(ValueError, match="upper gluing form must have degree 3"):
+        gluing_variation_report(k, gluings + [upper_gluing(1, 1, v2 ** 2)], -6, 3)
+
+
 def test_empty_gluing_list():
     assert gluing_variation_report(collinear_kernel(2, 1), [], -2, 2) == []
 

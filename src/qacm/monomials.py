@@ -512,7 +512,3 @@ def restriction_matrix(d: int) -> RatMatrix:
 def euler_char_p2(d: int) -> int:
     """chi(O_{P2}(d)) = (d+1)(d+2)/2 as a polynomial in d."""
     return (d + 1) * (d + 2) // 2
-
-
-def euler_char_p1(d: int) -> int:
-    return d + 1

@@ -404,17 +404,20 @@ def euler_char(sheaf, t: int) -> int:
 
 def h2_kernel_dim(sheaf, t: int) -> int:
     """dim ker(H2(O(b+t)) -> sum H2(O(a_i+t))) when the relation forms (p) are a
-    regular sequence: by Serre duality, dim (S/(p))_(-b-t-3)."""
+    regular sequence: by Serre duality, dim (S/(p))_(-b-t-3); 0 without a relation."""
     b = sheaf.presentation.relation_twist
+    if b is None:
+        return 0
     return ci_hilbert([a - b for a in sheaf.presentation.target_twists], -b - t - 3)
 
 
-def check_h2_kernel(sheaf, t: int, ker: RatMatrix, name: str) -> None:
+def check_h2_kernel(sheaf, t: int, ker: RatMatrix) -> None:
     """Raise InternalCheckError unless ``ker``, the eliminated kernel of the H2-level
-    relation of ``sheaf`` at twist t, has dimension ``h2_kernel_dim``."""
+    relation of ``sheaf`` (the other side of a kernel sheaf) at twist t, has
+    dimension ``h2_kernel_dim``."""
     n = h2_kernel_dim(sheaf, t)
     if ker.cols != n:
-        raise InternalCheckError(f"H2 kernel of {name} at twist {t} has dimension "
+        raise InternalCheckError(f"H2 kernel of the other side at twist {t} has dimension "
                                  f"{ker.cols}, its Hilbert function {n}")
 
 
@@ -643,19 +646,6 @@ def trivialize_on_line(sheaf) -> Trivialization:
     if not _is_syzygy_basis(hi, lo, pres.relation):
         raise InternalCheckError("trivialization rows are not a basis of the syzygies on L")
     return Trivialization((c1, c2), (hi, lo))
-
-
-def h1_restriction_kernel_dim(sheaf, t: int, below: RatMatrix) -> int:
-    """dim ker(H1(F(t)) -> H1(F|_L(t))) = dim of the image of multiplication
-    by u: H1(F(t-1)) -> H1(F(t)), on ``below``, the H2-level kernel at t - 1.
-    It is 0 without a relation, and at depth 1, where u contracts every dual
-    monomial of u-exponent -1, the only ones a kernel vector holds; ``below``
-    is not read then and may be None."""
-    b = sheaf.presentation.relation_twist
-    if b is None or sheaf.h2_depth or not below.cols:
-        return 0
-    u_mult = multiplication_matrix([[U]], [basis(P2, 2, b + t - 1)], [basis(P2, 2, b + t)])
-    return rank(u_mult @ below)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,16 @@ H0-level map onto L is onto, and the relation of F_other, a nonzero column,
 is injective on H0.  So h0 is a count of degrees, and h1(K(t)) is the kernel
 of the H1-level restriction of F_other, computed two independent ways:
 
-* fast path: the rank of u: H1(F_other(t-1)) -> H1(F_other(t)), on dual monomials;
+* fast path: the image of u: H1(F_other(t-1)) -> H1(F_other(t)), a count of
+  degrees from 0 -> F_other(t-1) -> F_other(t) -> F_other|_L(t) -> 0 with
+  F_other|_L = O_L(c) + O_L;
 * full path: a zig-zag through the presentation.
 
 Neither reads e, so a table does not depend on the gluing.  h2 comes from the
 H1-level restriction as well.  A table checks that each H2-level kernel of
 F_other has the dimension the Hilbert function of the relation forms gives,
-once, where it computes it; a row checks that the two h1 routes agree, and that
-chi = h0 - h1 + h2 is the Euler characteristic, which then only ties the degree
-counts to Riemann-Roch.
+once, where it computes it; a row checks that the two h1 routes agree.
+chi = h0 - h1 + h2 holds identically (h1 enters h2 as well) and is not checked.
 
 Rank-one sheaves (extension of a line bundle on one plane by a line bundle
 on the other) are handled by closed dimension formulas: the connecting maps
@@ -38,13 +39,12 @@ from fractions import Fraction
 
 from .errors import InternalCheckError
 from .linalg import QQ, RatMatrix, block_diag, hstack, kernel_basis, kernel_dim, rank
-from .monomials import (P1, P2, Form, GradedPiece, basis, cohomology_dim, euler_char_p1,
-                        multiplication_matrix, restrict_to_plane, restriction_matrix)
+from .monomials import (P1, P2, Form, GradedPiece, basis, cohomology_dim, multiplication_matrix,
+                        restrict_to_plane, restriction_matrix)
 from .plane import (CohRow, CohTable, SplitBundle, check_h2_kernel, chern, ci_from_forms,
                     ci_from_line_points, cohomology as plane_cohomology, dual_prefix,
-                    euler_char as plane_euler_char, h1_restriction_kernel_dim,
-                    make_extension_bundle, make_split_bundle, relation_h2_kernel,
-                    relation_h2_prefix_matrix, trivialize_on_line)
+                    h2_kernel_dim, make_extension_bundle, make_split_bundle,
+                    relation_h2_kernel, relation_h2_prefix_matrix, trivialize_on_line)
 
 AMBIENT_LINEAR = tuple(Form.variable(4, n) for n in ("x", "y", "z", "w"))
 
@@ -153,15 +153,15 @@ def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int, ker: RatMatrix) -> int:
     """dim ker(H1(F_other(t)) -> H1(F_other|_L(t))) by the zig-zag through the
     presentation: lift along u, push through the relation at t-1, and kill the
     image of the restricted relation.  Independent of the fast path.
-    ``ker`` is the H2-level kernel of F_other at t (None without a relation).
+    ``ker`` is the H2-level kernel of F_other at t (no columns without a relation).
 
     The lift sends (a, v, w) to (a-1, v, w) and H1(O_L(b+t)) is the u-exponent
     -1 part of H2(O(b+t-1)), so the relation at t-1 is only applied to, and
     only reaches, the prefix one deeper than the kernel's."""
+    if not ker.cols:
+        return 0
     pres = k.other.presentation
     b = pres.relation_twist
-    if b is None or not ker.cols:
-        return 0
     depth = k.other.h2_depth
     rows = None if depth is None else depth + 1
     lifted = GradedPiece(P2, 2, b + t - 1,
@@ -171,28 +171,36 @@ def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int, ker: RatMatrix) -> int:
     return kernel_dim(hstack(a_mat, d_mat)) - kernel_dim(d_mat)
 
 
-def euler_char(k: KernelSheaf, t: int) -> int:
-    line = euler_char_p1(k.c + t) + euler_char_p1(t)
-    return plane_euler_char(k.split, t) + plane_euler_char(k.other, t) - line
+def _line_h0(k: KernelSheaf, t: int) -> int:
+    """h0(F_other|_L(t)) = h0(O_L(c+t)) + h0(O_L(t))."""
+    return cohomology_dim(P1, 0, k.c + t) + cohomology_dim(P1, 0, t)
 
 
-def _row(k: KernelSheaf, t: int, below: RatMatrix, ker: RatMatrix) -> CohRow:
-    """(h0, h1, h2) of K(t), given the H2-level kernels of the other side at
-    t - 1 (``below``, for the fast route) and at t (``ker``, for the full one).
+def _h1_kernel_of_line_map_fast(k: KernelSheaf, t: int, below: tuple, here: tuple) -> int:
+    """dim ker(H1(F_other(t)) -> H1(F_other|_L(t))) by a count of degrees, given
+    (h0, h1) of F_other at t - 1 (``below``) and at t (``here``).  In the cohomology
+    sequence of 0 -> F_other(t-1) -> F_other(t) -> F_other|_L(t) -> 0 the kernel is
+    the image of u on H1(F_other(t-1)), whose own kernel is the cokernel of
+    H0(F_other(t)) -> H0(F_other|_L(t)): h0(F_other|_L(t)) - h0(F_other(t)) + h0(F_other(t-1))."""
+    return below[1] + here[0] - below[0] - _line_h0(k, t)
+
+
+def _row(k: KernelSheaf, t: int, below: tuple, here: tuple, ker: RatMatrix) -> CohRow:
+    """(h0, h1, h2) of K(t), given (h0, h1) of the other side at t - 1 (``below``)
+    and at t (``here``) for the fast route, and its H2-level kernel at t (``ker``)
+    for the full one.
 
     h0 = h0(F_split(t)) + h0(F_other(t)) - h0(O_L(c+t)) - h0(O_L(t)); the full h1 route
     is the line kernel alone; h2 is the cokernel of the H1-level restriction plus h2
     of the components, in which h1 of the other side cancels: h1(O_L(c+t)) +
     h1(O_L(t)) + the line kernel + h2 of every cover summand - h2(O(b+t)).  Checks
-    (InternalCheckError): fast = full (LES); chi.  ``coh_table`` has checked both
-    kernels against their Hilbert function.  A relation form c*u makes the fast
-    route 0 (u contracts the u-exponent -1 part the kernel lives on), so the LES
-    check holds full to 0.
+    (InternalCheckError): fast = full (LES).  ``coh_table`` has checked the kernel
+    against its Hilbert function.  chi = h0 - h1 + h2 is not checked: with h0 and h2
+    counts, it equals chi(F_split) + chi(F_other) - chi(F_other|_L) whatever h1 is.
     """
     b = k.other.presentation.relation_twist
-    h0 = (plane_cohomology(k.split, 0, t) + plane_cohomology(k.other, 0, t)
-          - cohomology_dim(P1, 0, k.c + t) - cohomology_dim(P1, 0, t))
-    fast = h1_restriction_kernel_dim(k.other, t, below)
+    h0 = plane_cohomology(k.split, 0, t) + here[0] - _line_h0(k, t)
+    fast = _h1_kernel_of_line_map_fast(k, t, below, here)
     full = _h1_kernel_of_line_map_full(k, t, ker)
     if fast != full:
         raise InternalCheckError(
@@ -200,36 +208,28 @@ def _row(k: KernelSheaf, t: int, below: RatMatrix, ker: RatMatrix) -> CohRow:
     h2 = (cohomology_dim(P1, 1, k.c + t) + cohomology_dim(P1, 1, t) + full
           + sum(cohomology_dim(P2, 2, a + t) for a in k.twists)
           - (0 if b is None else cohomology_dim(P2, 2, b + t)))
-    row = CohRow(t, h0, fast, h2)
-    chi = euler_char(k, t)
-    if row.chi != chi:
-        raise InternalCheckError(
-            f"chi mismatch in kernel-sheaf table at twist {t}: "
-            f"h0 - h1 + h2 = {row.chi}, Euler characteristic {chi}")
-    return row
+    return CohRow(t, h0, fast, h2)
 
 
 def coh_table(k: KernelSheaf, tmin: int, tmax: int) -> CohTable:
     """The rows of K(t) for t in [tmin, tmax], walked upward so that each H2
     kernel of the other side is computed and checked against its Hilbert
     function once (the relation forms of a glued other side are a regular
-    sequence, as it is locally free): the kernel at t serves the full route
-    at t and the fast route at t + 1.  A u-free other side (no relation form
-    c*u) needs one more, at tmin - 1; without a relation no kernel is computed."""
+    sequence, as it is locally free), for the full route at t.  The walk carries
+    (h0, h1) of the other side to the fast route at t + 1: h1 is the checked
+    kernel's dimension, and at tmin - 1 both are read from the degrees.
+    Without a relation no kernel is computed."""
     other = k.other
-
-    def checked_kernel(t):
-        ker = relation_h2_kernel(other, t)
-        check_h2_kernel(other, t, ker, "the other side")
-        return ker
-
     walk = other.presentation.relation_twist is not None
-    below = checked_kernel(tmin - 1) if walk and not other.h2_depth else None
+    below = (plane_cohomology(other, 0, tmin - 1), h2_kernel_dim(other, tmin - 1))
     rows = []
     for t in range(tmin, tmax + 1):
-        ker = checked_kernel(t) if walk else None
-        rows.append(_row(k, t, below, ker))
-        below = ker
+        ker = relation_h2_kernel(other, t) if walk else RatMatrix.zero(0, 0)
+        if walk:
+            check_h2_kernel(other, t, ker)
+        here = (plane_cohomology(other, 0, t), ker.cols)
+        rows.append(_row(k, t, below, here, ker))
+        below = here
     return CohTable(tuple(rows))
 
 

@@ -16,13 +16,13 @@ from qacm.cli import classify_pairs, seeded_line_values
 from qacm.linalg import RatMatrix, block_diag, hstack, rank
 from qacm.monomials import (P1, P2, Form, basis, cohomology_dim, multiplication_matrix,
                             restriction_matrix)
-from qacm.plane import h1_restriction_kernel_dim, trivialize_on_line
+from qacm.plane import trivialize_on_line
 from qacm.quadric import (KernelSheaf, _assembled_matrix, _restriction, acm_window, coh_table,
                           collinear_extension_kernel, diagonal_gluing, identity_gluing,
                           make_kernel_sheaf, point_extension_kernel, split_pair_kernel,
                           upper_gluing)
 from test_linalg import vstack
-from test_plane import relation_h0_matrix
+from test_plane import h1_restriction_kernel_dim, relation_h0_matrix
 
 vv, ww = Form.variable(2, "v"), Form.variable(2, "w")
 

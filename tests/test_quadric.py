@@ -7,12 +7,12 @@ from qacm.descriptor import parse_and_build
 from qacm.errors import InternalCheckError
 from qacm.linalg import RatMatrix
 from qacm.monomials import Form
-from qacm.plane import CohRow, CohTable, ci_from_forms, euler_char as plane_euler_char, \
-    make_extension_bundle, make_split_bundle
+from qacm.plane import CohRow, CohTable, ExtensionBundle, ci_from_forms, \
+    euler_char as plane_euler_char, make_extension_bundle, make_split_bundle
 from qacm.quadric import (RankOneSheaf, UlrichResult, acm_check, acm_window, coh_row,
                           coh_table,
                           collinear_extension_kernel,
-                          diagonal_gluing, euler_char, gluing_variation_report,
+                          diagonal_gluing, gluing_variation_report,
                           global_generation_surjective, h0, h1, h2,
                           identity_gluing, make_kernel_sheaf,
                           point_extension_kernel, rank_one_cohomology,
@@ -165,28 +165,13 @@ def test_restriction_invariants():
 
 
 def test_chi_additivity():
+    """chi(K(t)) = chi(F_split(t)) + chi(F_other(t)) - chi(O_L(c+t)) - chi(O_L(t)),
+    from the Euler characteristics of the plane presentations."""
     k = collinear_kernel(4, 2)
     for t in range(-10, 6):
         line_chi = (k.c + t + 1) + (t + 1)
-        assert euler_char(k, t) == (plane_euler_char(k.split, t)
-                                    + plane_euler_char(k.other, t) - line_chi)
-        assert h0(k, t) - h1(k, t) + h2(k, t) == euler_char(k, t)
-
-
-def test_chi_check_fails_when_h2_route_is_perturbed(monkeypatch):
-    """h2 has its own route (H1-level restriction plus the top cohomology of
-    the cover summands and the relation), so an error in it breaks
-    chi = h0 - h1 + h2 and the table refuses it.  Only i = 2 is perturbed,
-    so h0, which reads the same function at i = 0, stays right."""
-    k = collinear_kernel(3, 1)
-    real = qacm.quadric.cohomology_dim
-
-    def off_by_one(space, i, d):
-        return real(space, i, d) + (i == 2)
-
-    monkeypatch.setattr(qacm.quadric, "cohomology_dim", off_by_one)
-    with pytest.raises(InternalCheckError, match="chi mismatch"):
-        coh_table(k, -3, 0)
+        assert h0(k, t) - h1(k, t) + h2(k, t) == (plane_euler_char(k.split, t)
+                                                  + plane_euler_char(k.other, t) - line_chi)
 
 
 def _forbid_h0_maps(monkeypatch):
@@ -237,9 +222,9 @@ SCAN_SHEAF = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:{}];[0:1:{}]),h=auto)
 
 
 def test_les_cross_check_fails_when_the_full_route_is_perturbed(monkeypatch, capsys):
-    """On the collinear family the fast h1 route is 0 by construction, so the
-    LES check holds the full route to 0: one more there must be refused, by
-    coh_row and by ``qacm cohomology`` with exit 3."""
+    """On the collinear family h1 is 0, so the degree count of the fast route
+    holds the full route to 0: one more there must be refused, by coh_row and
+    by ``qacm cohomology`` with exit 3."""
     k = parse_and_build(SCAN_SHEAF)
     t = -3
     assert acm_check(k).is_acm and coh_row(k, t).h1 == 0
@@ -254,6 +239,34 @@ def test_les_cross_check_fails_when_the_full_route_is_perturbed(monkeypatch, cap
 
 
 README_SHEAF = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)@H2,e=id)"
+
+
+def test_les_cross_check_fails_when_the_degree_count_is_perturbed(monkeypatch, capsys):
+    """The fast route is a count of degrees, so the LES check can fail from
+    that side too: one more in its h0(F_other|_L) term must be refused, by
+    coh_row and by ``qacm cohomology`` with exit 3."""
+    k = parse_and_build(README_SHEAF)
+    t = -3
+    assert coh_row(k, t).h1 == 0
+    real = qacm.quadric._line_h0
+    monkeypatch.setattr(qacm.quadric, "_line_h0", lambda k, t: real(k, t) + 1)
+    with pytest.raises(InternalCheckError, match="LES inconsistency"):
+        coh_row(k, t)
+    code = main(["cohomology", "--sheaf", README_SHEAF, "--tmin", str(t), "--tmax", str(t),
+                 "--no-timestamp"])
+    assert code == 3 and "LES inconsistency" in capsys.readouterr().err
+
+
+def test_a_kernel_sheaf_that_is_not_acm():
+    """G(c=4,k=1,Z=[v,w^3],h=u^2) twisted by -1 (cover twists (1, -1, 0),
+    relation twist -2) splits as O_L(2) + O_L on L, so it glues to O(2) + O(0).
+    u is not injective on H1 of it everywhere: the kernel sheaf has h1 = 1 at
+    t = -3, -2, -1, both h1 routes agreeing, and the aCM verdict is no."""
+    g = ExtensionBundle(2, 2, 0, ci_from_forms(v, w ** 3), u ** 2)
+    k = make_kernel_sheaf(make_split_bundle(1, (2, 0)), g)
+    table = coh_table(k, -8, 4)
+    assert [(r.t, r.h1) for r in table.rows if r.h1] == [(-3, 1), (-2, 1), (-1, 1)]
+    assert not acm_check(k).is_acm
 
 
 def _drop_last_column(m):
@@ -299,18 +312,18 @@ def test_hilbert_check_fails_when_an_h2_kernel_is_perturbed(monkeypatch, capsys,
     ids=["collinear", "u-free"])
 def test_each_h2_kernel_is_hilbert_checked_once(monkeypatch, sheaf):
     """A table checks each H2 kernel of the other side once, where it computes
-    it: the twists checked are the twists computed, with no repeat, though the
-    kernel at t serves two rows of a u-free other side (one more at lo - 1)."""
+    it: the twists checked are the twists computed, each twist of the window
+    once and none below it, collinear or u-free."""
     k = parse_and_build(sheaf)
     computed, checked = [], []
     compute, check = qacm.quadric.relation_h2_kernel, qacm.quadric.check_h2_kernel
     monkeypatch.setattr(qacm.quadric, "relation_h2_kernel",
                         lambda s, t: computed.append(t) or compute(s, t))
     monkeypatch.setattr(qacm.quadric, "check_h2_kernel",
-                        lambda s, t, ker, name: checked.append(t) or check(s, t, ker, name))
+                        lambda s, t, ker: checked.append(t) or check(s, t, ker))
     lo, hi = acm_window(k)
     coh_table(k, lo, hi)
-    assert checked == computed == list(range(lo - (k.other.h2_depth is None), hi + 1))
+    assert checked == computed == list(range(lo, hi + 1))
 
 
 def test_a_twist_without_sections_builds_no_h0_matrix(monkeypatch):
@@ -328,14 +341,14 @@ def test_h2_counts_the_line_kernel(monkeypatch):
     """h2 of a kernel sheaf holds the kernel of the H1-level restriction of the
     other side (the line kernel) beside h1 and h2 of the components.  On the
     collinear family both h1 routes are 0, so set both to 1 at one twist:
-    that row must read h1 = 1 and h2 one more, with chi still matching, and
-    every other row stay as it was."""
+    that row must read h1 = 1 and h2 one more, and every other row stay as
+    it was."""
     k = parse_and_build(SCAN_SHEAF)
     t0 = -2
     before = coh_table(k, -4, 0)
-    fast, full = qacm.quadric.h1_restriction_kernel_dim, qacm.quadric._h1_kernel_of_line_map_full
-    monkeypatch.setattr(qacm.quadric, "h1_restriction_kernel_dim",
-                        lambda sheaf, t, below: 1 if t == t0 else fast(sheaf, t, below))
+    fast, full = qacm.quadric._h1_kernel_of_line_map_fast, qacm.quadric._h1_kernel_of_line_map_full
+    monkeypatch.setattr(qacm.quadric, "_h1_kernel_of_line_map_fast",
+                        lambda k, t, below, here: 1 if t == t0 else fast(k, t, below, here))
     monkeypatch.setattr(qacm.quadric, "_h1_kernel_of_line_map_full",
                         lambda k, t, ker: 1 if t == t0 else full(k, t, ker))
     after = coh_table(k, -4, 0)
@@ -465,7 +478,7 @@ def test_point_extension_hilbert_polynomial():
     sheaf on a degree-2 surface."""
     k = point_extension_kernel(2)
     for t in range(-6, 6):
-        assert euler_char(k, t) == 2 * (t + 1) * (t + 2)
+        assert coh_row(k, t).chi == 2 * (t + 1) * (t + 2)
 
 
 @pytest.mark.parametrize("c,k", [(2, 1), (4, 1), (5, 4), (6, 3)])

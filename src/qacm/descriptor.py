@@ -28,10 +28,10 @@ from fractions import Fraction
 
 from .linalg import QQ
 from .monomials import VAR_NAMES, Form
-from .plane import CIIdealSheaf, SplitBundle, ci_from_forms, ci_from_line_points, \
+from .plane import U, CIIdealSheaf, SplitBundle, ci_from_forms, ci_from_line_points, \
     make_extension_bundle, make_split_bundle
-from .quadric import GluingData, RankOneSheaf, diagonal_gluing, identity_gluing, \
-    make_kernel_sheaf, upper_gluing
+from .quadric import MAX_DEGREE_SUM, MAX_FORM_DEGREE, GluingData, RankOneSheaf, \
+    diagonal_gluing, identity_gluing, make_kernel_sheaf, upper_gluing
 
 
 class DescriptorParseError(Exception):
@@ -232,12 +232,14 @@ class _Parser:
                 return total
 
     def _parse_term(self, num_vars, names) -> Form:
-        factors = [self._parse_factor(num_vars, names)]
+        out = self._parse_factor(num_vars, names)
         while self.at_punct("*"):
             self.advance()
-            factors.append(self._parse_factor(num_vars, names))
-        out = Form.constant(num_vars, 1)
-        for f in factors:
+            f = self._parse_factor(num_vars, names)
+            degree = (out.degree or 0) + (f.degree or 0)
+            if degree > MAX_FORM_DEGREE:
+                self.error(f"term of degree {degree} is beyond the form-degree limit "
+                           f"{MAX_FORM_DEGREE}")
             out = out * f
         return out
 
@@ -253,8 +255,11 @@ class _Parser:
                 k2, t2, _ = self.peek()
                 if k2 != "NUM":
                     self.error("exponent must be a nonnegative integer", expected=("an integer",))
+                digits = t2.lstrip("0") or "0"
+                if len(digits) > len(str(MAX_FORM_DEGREE)) or int(digits) > MAX_FORM_DEGREE:
+                    self.error(f"exponent {t2} is beyond the form-degree limit {MAX_FORM_DEGREE}")
                 self.advance()
-                exp = int(t2)
+                exp = int(digits)
             return Form.variable(num_vars, text) ** exp
         self.error(f"got {text!r}" if text else "unexpected end of input",
                    expected=tuple(names) + ("a coefficient",))
@@ -289,6 +294,9 @@ class _Parser:
             pts = [self.parse_point()]
             while self.at_punct(";"):
                 self.advance()
+                if len(pts) == MAX_DEGREE_SUM:
+                    self.error(f"more than {MAX_DEGREE_SUM} points: the form through them "
+                               f"would pass the degree-sum limit {MAX_DEGREE_SUM}")
                 pts.append(self.parse_point())
             self.expect_punct(")")
             return DCIPoints(tuple(pts))
@@ -455,6 +463,28 @@ def _build_ci(ci):
     return ci_from_line_points(pts)
 
 
+def _check_degree_sum(node) -> None:
+    """Refuse, before anything is built, a plane sheaf whose validation would
+    multiply its forms past MAX_DEGREE_SUM: a pair without u is ranked at
+    d1 + d2, and G's class h, of degree 2k - c + d1 + d2 whether given or
+    searched (h=auto), is tested with Z up to d1 + d2 + deg h - 2."""
+    ci = node.ci
+    if isinstance(ci, DCIForms):
+        d1, d2 = (f.degree or 0 for f in (ci.f1, ci.f2))
+    else:
+        d1, d2 = 1, len(ci.points)
+    if isinstance(node, DExt):
+        deg_h = 2 * node.k - node.c + d1 + d2
+        total, what = d1 + d2 + deg_h, f"Z and h (h of degree {deg_h})"
+    elif isinstance(ci, DCIForms) and U not in (ci.f1, ci.f2):
+        total, what = d1 + d2, "Z"
+    else:
+        return
+    if total > MAX_DEGREE_SUM:
+        raise ValueError(f"the forms of {what} have degrees summing to {total}, beyond "
+                         f"the degree-sum limit {MAX_DEGREE_SUM}")
+
+
 def _build_gluing(e: GluingData) -> GluingData:
     if e.kind == "identity":
         return identity_gluing()
@@ -469,8 +499,10 @@ def build(node):
     if isinstance(node, DLBSum):
         return make_split_bundle(node.plane, node.twists)
     if isinstance(node, DIdeal):
+        _check_degree_sum(node)
         return CIIdealSheaf(node.plane, _build_ci(node.ci), node.m)
     if isinstance(node, DExt):
+        _check_degree_sum(node)
         return make_extension_bundle(node.c, node.k, _build_ci(node.ci), node.h,
                                      side=node.plane)
     if isinstance(node, DKernel):

@@ -171,7 +171,8 @@ class _Presented:
 
     @cached_property
     def relation_common_zero_free(self) -> bool:
-        """The relation's forms have no common zero on the plane."""
+        """The relation's forms have no common zero on the plane (set by
+        ``make_extension_bundle``, which has just tested it)."""
         return no_common_zero(self.presentation.relation)
 
 
@@ -289,14 +290,19 @@ def make_extension_bundle(c: int, k: int, ci: CISubscheme, h="auto", side: int =
         raise ValueError("no locally free extension: the class space is zero")
     if isinstance(h, str) and h == "auto":
         # the search returns only an h that passes ``no_common_zero``
-        return ExtensionBundle(side, c, k, ci, _auto_extension_form(ci, deg_h))
-    if not isinstance(h, Form) or h.num_vars != 3:
-        raise ValueError("h must be a plane form or 'auto'")
-    if h.is_zero or h.degree != deg_h:
-        raise ValueError(f"h must be a nonzero form of degree {deg_h}")
-    if not no_common_zero([ci.f1, ci.f2, h]):
-        raise ValueError("extension not locally free (Cayley-Bacharach violated by h)")
-    return ExtensionBundle(side, c, k, ci, h)
+        h = _auto_extension_form(ci, deg_h)
+    else:
+        if not isinstance(h, Form) or h.num_vars != 3:
+            raise ValueError("h must be a plane form or 'auto'")
+        if h.is_zero or h.degree != deg_h:
+            raise ValueError(f"h must be a nonzero form of degree {deg_h}")
+        if not no_common_zero([ci.f1, ci.f2, h]):
+            raise ValueError("extension not locally free (Cayley-Bacharach violated by h)")
+    g = ExtensionBundle(side, c, k, ci, h)
+    # the relation (-f2, f1, h) has the zeros of (f1, f2, h); the cached property is no
+    # dataclass field, so equality and hashing do not see it
+    vars(g)["relation_common_zero_free"] = True
+    return g
 
 
 # ---------------------------------------------------------------------------

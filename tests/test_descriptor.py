@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -293,3 +294,85 @@ def test_cohomology_of_any_descriptor_ends_in_an_exit_code(node):
 def test_cohomology_of_a_point_off_the_line_exits_2(text):
     code, out, err = _cohomology_exit(text)
     assert (code, out) == (2, "") and "u = 0" in err
+
+
+# ---------------------------------------------------------------------------
+# the degree limits
+
+
+def _points(n):
+    return "points(" + ";".join(f"[0:1:{i}]" for i in range(1, n + 1)) + ")"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("I([v^1000000,w])(0)@H2", "exponent 1000000 is beyond the form-degree limit 2000"),
+    ("I([u,v^2001])(0)@H2", "exponent 2001 is beyond the form-degree limit 2000"),
+    ("I([v^" + "9" * 5000 + ",w])(0)@H2", "is beyond the form-degree limit 2000"),
+    ("I([u,v^1000*w^1001])(0)@H2", "term of degree 2001 is beyond the form-degree limit 2000"),
+    ("I([u,v^1000*2*w*u^1000])(0)@H2", "term of degree 2001 is beyond the form-degree limit"),
+    ("K(F1=O(1)+O(0)@H1,F2=O(1)+O(0)@H2,e=upper(1,1,v^2001))", "exponent 2001"),
+    ("I(" + _points(601) + ")(0)@H2", "more than 600 points"),
+    ("I([v^300,w^301+u^301])(0)@H2", "the forms of Z have degrees summing to 601, beyond "
+                                     "the degree-sum limit 600"),
+    ("I([v^400,w^400+u^400])(0)@H2", "summing to 800, beyond the degree-sum limit 600"),
+    ("G(c=601,k=400,Z=[v,w^201],h=auto)@H2", "the forms of Z and h (h of degree 401) have "
+                                             "degrees summing to 603, beyond the degree-sum"),
+    ("G(c=79801,k=39801,Z=[v^200,w^200+u^200],h=auto)@H2", "summing to 601, beyond"),
+    ("G(c=79801,k=39801,Z=[v^200,w^200+u^200],h=u^201)@H2", "summing to 601, beyond"),
+    ("G(c=599,k=299,Z=" + _points(300) + ",h=auto)@H2", "summing to 601, beyond"),
+    ("G(c=599,k=299,Z=[u,v^300],h=auto)@H2", "summing to 601, beyond"),
+], ids=["exponent 10^6", "exponent 2001", "exponent of 5000 digits", "term 2001",
+        "term 2001 with a coefficient", "gluing form 2001", "601 points", "pair 601",
+        "pair 800", "G with Z of degree 201", "G of forms at 200 and h=auto",
+        "G of forms at 200 and h given", "G with 300 points", "G with (u, g)"])
+def test_a_degree_beyond_the_limits_exits_2_before_any_product(monkeypatch, text, message):
+    """Each refusal of MAX_FORM_DEGREE and MAX_DEGREE_SUM exits 2 with a message
+    naming the limit, in well under a second, before a product past it is formed
+    or a subscheme is validated."""
+    real_pow, real_mul = Form.__pow__, Form.__mul__
+
+    def degree(f):
+        return f.degree or 0 if isinstance(f, Form) else 0
+
+    def bounded_pow(f, n):
+        assert degree(f) * n <= 2000, "a power past the form-degree limit"
+        return real_pow(f, n)
+
+    def bounded_mul(f, g):
+        assert degree(f) + degree(g) <= 2000, "a product past the form-degree limit"
+        return real_mul(f, g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subscheme or an extension was built past the limits")
+
+    monkeypatch.setattr(Form, "__pow__", bounded_pow)
+    monkeypatch.setattr(Form, "__mul__", bounded_mul)
+    for name in ("ci_from_forms", "ci_from_line_points", "make_extension_bundle"):
+        monkeypatch.setattr(qacm.descriptor, name, refuse)
+    start = time.perf_counter()
+    code, out, err = _cohomology_exit(text)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "") and message in err and "Traceback" not in err
+
+
+def test_degrees_at_the_limits_are_admitted():
+    v, w, u = (Form.variable(3, n) for n in "vwu")
+    assert parse("I([v^200,w^200+u^200])(0)@H2") == \
+        DIdeal(DCIForms(v ** 200, w ** 200 + u ** 200), 0, 2)
+    assert parse("I([u,v^1000*w^1000])(0)@H2").ci.f2.degree == 2000
+    assert len(parse("I(" + _points(600) + ")(0)@H2").ci.points) == 600
+    assert parse_ambient_form("x^2000").degree == 2000
+    with pytest.raises(DescriptorParseError, match="form-degree limit 2000"):
+        parse_ambient_form("x^1000*y^1001")
+    assert isinstance(parse_and_build("I([v^300,w^300+u^300])(0)@H2"), CIIdealSheaf)
+    assert parse_and_build("G(c=200,k=199,Z=[v,w],h=auto)@H2").h.degree == 200
+    assert parse_and_build("G(c=598,k=298,Z=[u,v^300],h=auto)@H2").h.degree == 299
+
+
+def test_mf_verify_refuses_a_form_beyond_the_degree_limit(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"q": "x*y", "A": [["x^2001"]], "B": [["y"]]}))
+    assert main(["mf", "verify", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exponent 2001 is beyond the form-degree limit 2000" in captured.err

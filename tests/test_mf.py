@@ -14,7 +14,7 @@ from qacm.mf import (MFPair, SAMPLE_POINTS, cokernel_hilbert, determinant,
                      form_matrix, is_linear_matrix, mf_report,
                      partner_from_adjugate, rank_at_point,
                      ulrich_example_matrix, ulrich_linear_check, verify_mf)
-from qacm.monomials import Form, h0_exponents
+from qacm.monomials import Form, GradedPiece, h0_exponents, multiplication_matrix
 from qacm.quadric import RankOneSheaf, point_extension_kernel, h0 as kernel_h0, \
     rank_one_cohomology
 
@@ -96,6 +96,64 @@ def test_cokernel_hilbert_values():
 def test_cokernel_hilbert_rejects_nonlinear():
     with pytest.raises(ValueError, match="linear"):
         cokernel_hilbert(form_matrix([[x * y, 0], [0, 1]]), 0)
+
+
+def cokernel_hilbert_by_rank(a, t: int) -> int:
+    """Reference for ``cokernel_hilbert``: n h0(O_P3(t)) less the rank of the
+    H0-level matrix of A: O(-1)^n -> O^n at twist t, built and eliminated."""
+    a = form_matrix(a)
+    if t < 0:
+        return 0
+    src, tgt = (GradedPiece("P3", 0, d, h0_exponents(4, d)) for d in (t - 1, t))
+    return len(a) * tgt.dim - rank(multiplication_matrix(a, [src] * len(a), [tgt] * len(a)))
+
+
+_NONSINGULAR = {
+    "N1": ulrich_example_matrix(1),
+    "N2": ulrich_example_matrix(2),
+    "partner of N1": partner_from_adjugate(ulrich_example_matrix(1)),
+    "partner of N2": partner_from_adjugate(ulrich_example_matrix(2)),
+    "[[x, y], [z, w]]": form_matrix([[x, y], [z, w]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NONSINGULAR))
+def test_cokernel_hilbert_count_equals_the_rank_route(name):
+    """The count n C(t + 2, 2) is the rank route on every nonsingular linear
+    matrix tried, at every twist of [-1, 20]."""
+    a = _NONSINGULAR[name]
+    assert not determinant(a).is_zero
+    for t in range(-1, 21):
+        assert cokernel_hilbert(a, t) == cokernel_hilbert_by_rank(a, t) == \
+            (len(a) * (t + 1) * (t + 2) // 2 if t >= 0 else 0)
+
+
+def test_cokernel_hilbert_refuses_a_singular_matrix():
+    """A singular linear matrix is not injective on sections, so the count
+    would be wrong there: the rank route differs from it, and the matrix is
+    refused."""
+    a = form_matrix([[x, y], [x, y]])
+    assert determinant(a).is_zero
+    assert any(cokernel_hilbert_by_rank(a, t) != 2 * (t + 1) * (t + 2) // 2
+               for t in range(1, 6))
+    for t in (-1, 0, 3):
+        with pytest.raises(ValueError, match="det"):
+            cokernel_hilbert(a, t)
+
+
+def test_mf_hilbert_builds_and_ranks_no_matrix(monkeypatch, capsys):
+    """``qacm mf hilbert`` up to its twist limit is a count of degrees: it
+    builds and eliminates nothing, and every row is 4 C(t + 2, 2)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("mf hilbert built or ranked a matrix")
+
+    monkeypatch.setattr(qacm.mf, "rank", refuse)
+    monkeypatch.setattr(qacm.mf, "multiplication_matrix", refuse, raising=False)
+    assert main(["mf", "hilbert", "--component", "2", "--tmin", "-1", "--tmax", "40",
+                 "--no-timestamp"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows == [{"t": t, "h0": 4 * (t + 1) * (t + 2) // 2 if t >= 0 else 0}
+                    for t in range(-1, 41)]
 
 
 def test_ulrich_linear_check():

@@ -3,6 +3,7 @@ collinear ideal sheaves from vanishing conditions at explicit points, with
 its own elimination; it never touches the Koszul-presentation route that the
 package uses, so the two are genuinely independent."""
 
+import json
 import sys
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import qacm.descriptor
 import qacm.plane
 from qacm.cli import main
 from qacm.descriptor import parse_and_build
@@ -258,6 +260,36 @@ def test_an_auto_extension_class_is_tested_for_common_zeros_once(monkeypatch, ca
                  "--tmin", "0", "--tmax", "0", "--no-timestamp"])
     assert code == 2 and "Cayley-Bacharach" in capsys.readouterr().err
     assert calls == [False]
+
+
+@pytest.mark.parametrize("h", ["auto", "u^2"])
+def test_a_built_extension_bundle_is_not_tested_for_common_zeros_again(monkeypatch, capsys, h):
+    """make_extension_bundle hands its common-zero answer to the bundle: a
+    ``u``-free G is tested while it is built (by the search or for the given h)
+    and never after, though its table reads ``relation_common_zero_free``.  The
+    bundle still equals, and hashes as, one built from its fields."""
+    calls, built = [], []
+    real_test, real_make = qacm.plane.no_common_zero, qacm.plane.make_extension_bundle
+
+    def counted(forms):
+        calls.append(bool(built))
+        return real_test(forms)
+
+    def make(*args, **kwargs):
+        g = real_make(*args, **kwargs)
+        built.append(g)
+        return g
+
+    monkeypatch.setattr(qacm.plane, "no_common_zero", counted)
+    monkeypatch.setattr(qacm.descriptor, "make_extension_bundle", make)
+    assert main(["cohomology", "--sheaf", f"G(c=4,k=1,Z=[v,w^3],h={h})@H2",
+                 "--tmin", "-6", "--tmax", "2", "--no-timestamp"]) == 0
+    assert calls and not any(calls)
+    (g,) = built
+    assert g.relation_common_zero_free
+    fresh = ExtensionBundle(g.side, g.c, g.k, g.ci, g.h)
+    assert g == fresh and hash(g) == hash(fresh)
+    assert json.loads(capsys.readouterr().out)["rows"]
 
 
 def test_extension_wrong_h_degree_rejected():

@@ -30,7 +30,7 @@ from .plane import (CohTable, cb_condition_check, coh_table as plane_table,
 from .quadric import (KernelSheaf, RankOneSheaf, acm_check, check_twist_window,
                       coh_table as kernel_table, collinear_extension_kernel,
                       gluing_variation_report, point_extension_kernel,
-                      rank_one_table, restriction_invariants, split_pair_kernel,
+                      restriction_invariants, split_pair_kernel,
                       ulrich_check)
 
 
@@ -116,12 +116,9 @@ def cmd_cohomology(args) -> int:
     if isinstance(obj, KernelSheaf):
         table = kernel_table(obj, tmin, tmax)
         kind = "kernel"
-    elif isinstance(obj, RankOneSheaf):
-        table = rank_one_table(obj, tmin, tmax)
-        kind = "rank-one"
     else:
         table = plane_table(obj, tmin, tmax)
-        kind = "plane"
+        kind = "rank-one" if isinstance(obj, RankOneSheaf) else "plane"
     payload = {
         "descriptor": to_text(node),
         "window": [tmin, tmax],

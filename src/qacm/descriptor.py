@@ -520,10 +520,6 @@ def build(node):
     raise ValueError(f"not a descriptor node: {node!r}")
 
 
-def parse_and_build(text: str):
-    return build(parse(text))
-
-
 def parse_gluing(text: str) -> GluingData:
     """Parse and build a lone gluing: "id", "diag(a,d)" or "upper(a,d,form)"."""
     p = _Parser(text)

@@ -14,11 +14,13 @@ Every sheaf here is the cokernel of a map of split bundles
   presentation of I_Z(c-k) by one more form h (the extension class);
   G is locally free exactly when (f1, f2, h) have no common zero.
 
-Cohomology of F(t) is read off the degrees of the presentation.  h0: the
-relation, a nonzero column, is injective on H0.  h1: the kernel of the relation
-on H2, Serre dual to (S/(p))_(-b-t-3) for the relation forms (p), a regular
-sequence (``ci_hilbert``).  h2: the cokernel there.  The kernel's vectors
-(``relation_h2_kernel``) serve only the other side of a kernel sheaf.
+Every table is a count of degrees: a sheaf gives its ``DegreeData`` (the twists
+of the cover and of the relation, and c for a kernel sheaf on the quadric), and
+``degree_table`` alone turns it into rows.  For a plane sheaf, h0: the relation,
+a nonzero column, is injective on H0.  h1: the kernel of the relation on H2,
+Serre dual to (S/(p))_(-b-t-3) for the relation forms (p), a regular sequence
+(``ci_hilbert``).  h2: the cokernel there.  The kernel's vectors
+(``relation_h2_kernel``) serve only the checks of a kernel sheaf's table.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from .monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_ze
                         restrict_to_line as form_on_line)
 
 U = Form.variable(3, "u")
-V = Form.variable(3, "v")
-W = Form.variable(3, "w")
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +135,32 @@ class Presentation:
                             tuple(form_on_line(f) for f in self.relation))
 
 
+@dataclass(frozen=True)
+class DegreeData:
+    """What a table counts: the twists a_i of the free cover, the relation twist b
+    (None without a relation; the relation forms, a regular sequence, have degrees
+    a_i - b), and c of the split side O(c) + O for a kernel sheaf, whose data is
+    otherwise its other side's (None for a sheaf on one plane)."""
+
+    cover: tuple
+    relation: object = None
+    c: object = None
+
+
 class _Presented:
-    """A plane sheaf's presentation and its restriction to L, each built once
-    per instance: the sheaves are frozen and a ``Presentation`` holds only
-    frozen forms, so every caller can share them.  Whether the relation has
-    a common zero, on L or on the plane, is decided at most once.  Equality
-    and hashing stay those of the dataclass fields."""
+    """A plane sheaf's presentation, its restriction to L and its degree data,
+    each built once per instance: the sheaves are frozen and a ``Presentation``
+    holds only frozen forms, so every caller can share them.  Whether the
+    relation has a common zero, on L or on the plane, is decided at most once.
+    Equality and hashing stay those of the dataclass fields."""
 
     @cached_property
     def presentation(self) -> Presentation:
         return self._presentation()
+
+    @cached_property
+    def degree_data(self) -> DegreeData:
+        return DegreeData(self.presentation.target_twists, self.presentation.relation_twist)
 
     @property
     def rank(self) -> int:
@@ -216,8 +232,13 @@ class ExtensionBundle(_Presented):
         return Presentation((c - k - d1, c - k - d2, k), c - k - d1 - d2,
                             (-self.ci.f2, self.ci.f1, self.h))
 
-
-PlaneSheaf = (SplitBundle, CIIdealSheaf, ExtensionBundle)
+    @cached_property
+    def degree_data(self) -> DegreeData:
+        """Refused (ValueError) when (f1, f2, h) have a common zero: they are then
+        no regular sequence, and no count of degrees gives G's cohomology."""
+        if not self.relation_common_zero_free:
+            raise ValueError("the relation forms have a common zero: G is not locally free")
+        return super().degree_data
 
 
 def make_split_bundle(side: int, twists) -> SplitBundle:
@@ -393,7 +414,10 @@ def relation_h2_kernel(sheaf, t: int) -> RatMatrix:
 def ci_hilbert(degrees, n: int) -> int:
     """dim (S/(p))_n, S = Q[u, v, w], (p) a regular sequence of forms of the given
     degrees: the z^n coefficient of prod(1 - z^d) / (1 - z)^3 (Eisenbud, Commutative
-    Algebra, 21.2), a signed sum of (m + 1)(m + 2) / 2 over m = n - each subset sum."""
+    Algebra, 21.2), a signed sum of (m + 1)(m + 2) / 2 over m = n - each subset sum.
+    With three or more degrees the series is a polynomial of degree sum(d) - 3."""
+    if n < 0 or len(degrees) >= 3 and n > sum(degrees) - 3:
+        return 0
     terms = [(n, 1)]
     for d in degrees:
         terms += [(m - d, -s) for m, s in terms]
@@ -408,50 +432,23 @@ def euler_char(sheaf, t: int) -> int:
     return chi
 
 
-def h2_kernel_dim(sheaf, t: int) -> int:
+def h2_kernel_dim(d: DegreeData, t: int) -> int:
     """dim ker(H2(O(b+t)) -> sum H2(O(a_i+t))) when the relation forms (p) are a
     regular sequence: by Serre duality, dim (S/(p))_(-b-t-3); 0 without a relation."""
-    b = sheaf.presentation.relation_twist
+    b = d.relation
     if b is None:
         return 0
-    return ci_hilbert([a - b for a in sheaf.presentation.target_twists], -b - t - 3)
+    return ci_hilbert([a - b for a in d.cover], -b - t - 3)
 
 
 def check_h2_kernel(sheaf, t: int, ker: RatMatrix) -> None:
     """Raise InternalCheckError unless ``ker``, the eliminated kernel of the H2-level
     relation of ``sheaf`` (the other side of a kernel sheaf) at twist t, has
     dimension ``h2_kernel_dim``."""
-    n = h2_kernel_dim(sheaf, t)
+    n = h2_kernel_dim(sheaf.degree_data, t)
     if ker.cols != n:
         raise InternalCheckError(f"H2 kernel of the other side at twist {t} has dimension "
                                  f"{ker.cols}, its Hilbert function {n}")
-
-
-def h1_h2(sheaf, t: int) -> tuple:
-    """(h1, h2) of F(t) from the degrees, with nothing built: h1 = ``h2_kernel_dim``
-    (0 without a relation), h2 the cokernel of the relation on H2.  The relation forms
-    are a regular sequence for I_Z (Z is zero-dimensional) and for a locally free G;
-    an ``ExtensionBundle`` whose forms have a common zero raises ValueError."""
-    pres = sheaf.presentation
-    b = pres.relation_twist
-    top = sum(cohomology_dim(P2, 2, a + t) for a in pres.target_twists)
-    if b is None:
-        return 0, top
-    if isinstance(sheaf, ExtensionBundle) and not sheaf.relation_common_zero_free:
-        raise ValueError("the relation forms have a common zero: G is not locally free")
-    h1 = h2_kernel_dim(sheaf, t)
-    return h1, top - cohomology_dim(P2, 2, b + t) + h1
-
-
-def cohomology(sheaf, i: int, t: int) -> int:
-    """Exact h^i(F(t)) for a presented plane sheaf, read from the degrees."""
-    if i not in (0, 1, 2):
-        raise ValueError("cohomology index must be 0, 1 or 2")
-    if i:
-        return h1_h2(sheaf, t)[i - 1]
-    b = sheaf.presentation.relation_twist
-    return (sum(cohomology_dim(P2, 0, a + t) for a in sheaf.presentation.target_twists)
-            - (0 if b is None else cohomology_dim(P2, 0, b + t)))
 
 
 @dataclass(frozen=True)
@@ -474,10 +471,49 @@ class CohTable:
         return [dict(t=r.t, h0=r.h0, h1=r.h1, h2=r.h2, chi=r.chi) for r in self.rows]
 
 
+def degree_table(d: DegreeData, tmin: int, tmax: int) -> CohTable:
+    """Rows t = tmin..tmax for the degree data d, each number a count of degrees
+    (chi holds identically, unchecked).  A plane row: h0 = sum h0(O(a+t)) - h0(O(b+t)),
+    h1 = ``h2_kernel_dim``, h2 the cokernel of the relation on H2.  A kernel row (d.c
+    set) reads the plane rows P of the other side F at t - 1 and t, each computed once
+    as the walk goes upward, and those of O(c) + O.  In 0 -> F(t-1) -> F(t) -> F|_L(t)
+    -> 0, F|_L = O_L(c) + O_L, h1 is the image of u on H1(F(t-1)): P(t-1).h1 less the
+    cokernel of H0(F(t)) -> H0(F|_L(t)).  h0 = h0(O(c) + O)(t) + P(t).h0 - h0(F|_L(t)),
+    the H0-level map onto L being onto; h2 is the cokernel of the H1-level restriction,
+    h1(F|_L(t)) - P(t).h1 + h1, plus P(t).h2 and h2(O(c) + O)(t)."""
+    def plane(d, t):
+        h0 = sum(cohomology_dim(P2, 0, a + t) for a in d.cover)
+        h2 = sum(cohomology_dim(P2, 2, a + t) for a in d.cover)
+        if d.relation is None:
+            return h0, 0, h2
+        h1 = h2_kernel_dim(d, t)
+        return (h0 - cohomology_dim(P2, 0, d.relation + t), h1,
+                h2 - cohomology_dim(P2, 2, d.relation + t) + h1)
+
+    if d.c is None:
+        return CohTable(tuple(CohRow(t, *plane(d, t)) for t in range(tmin, tmax + 1)))
+    split, rows, (b0, b1, _) = DegreeData((d.c, 0)), [], plane(d, tmin - 1)
+    for t in range(tmin, tmax + 1):
+        (p0, p1, p2), (s0, _, s2) = plane(d, t), plane(split, t)
+        line_h0 = cohomology_dim(P1, 0, d.c + t) + cohomology_dim(P1, 0, t)
+        h1 = b1 + p0 - b0 - line_h0
+        h2 = cohomology_dim(P1, 1, d.c + t) + cohomology_dim(P1, 1, t) + h1 + s2 + p2 - p1
+        rows.append(CohRow(t, s0 + p0 - line_h0, h1, h2))
+        b0, b1 = p0, p1
+    return CohTable(tuple(rows))
+
+
+def cohomology(sheaf, i: int, t: int) -> int:
+    """Exact h^i(F(t)), read from the degrees (``degree_table``)."""
+    if i not in (0, 1, 2):
+        raise ValueError("cohomology index must be 0, 1 or 2")
+    row = degree_table(sheaf.degree_data, t, t).rows[0]
+    return (row.h0, row.h1, row.h2)[i]
+
+
 def coh_table(sheaf, tmin: int, tmax: int) -> CohTable:
-    """Rows t = tmin..tmax, each number from the degrees: chi holds identically, unchecked."""
-    return CohTable(tuple(CohRow(t, cohomology(sheaf, 0, t), *h1_h2(sheaf, t))
-                          for t in range(tmin, tmax + 1)))
+    """Rows t = tmin..tmax of a plane or rank-one sheaf, read from the degrees."""
+    return degree_table(sheaf.degree_data, tmin, tmax)
 
 
 def chern(sheaf):

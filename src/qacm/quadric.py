@@ -9,41 +9,37 @@ rank-2 bundle on the other plane whose restriction to L also splits as
 O_L(c) + O_L, and the two restrictions are glued by an isomorphism e of
 O_L(c) + O_L (identity, diagonal, or upper triangular).
 
-Cohomology of K(t) comes from the long exact sequence, one row (h0, h1, h2)
-per twist, the twists of a table walked upward (``coh_table``).  No H0-level
-map is built: the split side restricts onto L and e is invertible, so the
-H0-level map onto L is onto, and the relation of F_other, a nonzero column,
-is injective on H0.  So h0 is a count of degrees, and h1(K(t)) is the kernel
-of the H1-level restriction of F_other, computed two independent ways:
+The table of K(t) is a count of degrees: ``degree_table`` of its degree data,
+the other side's with c, reads h0, h1 and h2 off the long exact sequences of
+the plane sheaves.  No H0-level map is built and no row reads e, so a table
+does not depend on the gluing.  ``coh_table`` then checks every row against the
+built forms of F_other:
 
-* fast path: the image of u: H1(F_other(t-1)) -> H1(F_other(t)), a count of
-  degrees from 0 -> F_other(t-1) -> F_other(t) -> F_other|_L(t) -> 0 with
-  F_other|_L = O_L(c) + O_L;
-* full path: a zig-zag through the presentation.
+* the H2-level kernel of F_other at t, eliminated once, has the dimension the
+  Hilbert function of the relation forms gives;
+* h1, the kernel of the H1-level restriction of F_other, equals a zig-zag
+  through the presentation (the LES check).
 
-Neither reads e, so a table does not depend on the gluing.  h2 comes from the
-H1-level restriction as well.  A table checks that each H2-level kernel of
-F_other has the dimension the Hilbert function of the relation forms gives,
-once, where it computes it; a row checks that the two h1 routes agree.
 chi = h0 - h1 + h2 holds identically (h1 enters h2 as well) and is not checked.
 
 Rank-one sheaves (extension of a line bundle on one plane by a line bundle
-on the other) are handled by closed dimension formulas: the connecting maps
-vanish because plane line bundles have no middle cohomology.
+on the other) are counted the same way, as a cover O(a) + O(b) with no
+relation: the connecting maps vanish because plane line bundles have no
+middle cohomology.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InternalCheckError
 from .linalg import QQ, RatMatrix, block_diag, hstack, kernel_basis, kernel_dim, rank
-from .monomials import (P1, P2, Form, GradedPiece, basis, cohomology_dim, multiplication_matrix,
+from .monomials import (P1, P2, Form, GradedPiece, basis, multiplication_matrix,
                         restrict_to_plane, restriction_matrix)
-from .plane import (CohRow, CohTable, SplitBundle, check_h2_kernel, chern, ci_from_forms,
-                    ci_from_line_points, cohomology as plane_cohomology, dual_prefix,
-                    h2_kernel_dim, make_extension_bundle, make_split_bundle,
+from .plane import (CohRow, CohTable, DegreeData, SplitBundle, check_h2_kernel, chern,
+                    ci_from_forms, ci_from_line_points, cohomology as plane_cohomology,
+                    degree_table, dual_prefix, make_extension_bundle, make_split_bundle,
                     relation_h2_kernel, relation_h2_prefix_matrix, trivialize_on_line)
 
 AMBIENT_LINEAR = tuple(Form.variable(4, n) for n in ("x", "y", "z", "w"))
@@ -104,6 +100,10 @@ class KernelSheaf:
     twists: tuple       # of the summands of the two free covers, split side first
     line_map: tuple     # rows (hi, lo) of binary forms, one per summand
 
+    @property
+    def degree_data(self) -> DegreeData:
+        return replace(self.other.degree_data, c=self.c)
+
 
 def make_kernel_sheaf(f_split: SplitBundle, f_other, e: GluingData = None) -> KernelSheaf:
     """Validate the gluing data and the matching of splitting types on L."""
@@ -152,7 +152,7 @@ def _restriction(k: KernelSheaf, t: int) -> RatMatrix:
 def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int, ker: RatMatrix) -> int:
     """dim ker(H1(F_other(t)) -> H1(F_other|_L(t))) by the zig-zag through the
     presentation: lift along u, push through the relation at t-1, and kill the
-    image of the restricted relation.  Independent of the fast path.
+    image of the restricted relation.  Independent of the degree count.
     ``ker`` is the H2-level kernel of F_other at t (no columns without a relation).
 
     The lift sends (a, v, w) to (a-1, v, w) and H1(O_L(b+t)) is the u-exponent
@@ -171,66 +171,26 @@ def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int, ker: RatMatrix) -> int:
     return kernel_dim(hstack(a_mat, d_mat)) - kernel_dim(d_mat)
 
 
-def _line_h0(k: KernelSheaf, t: int) -> int:
-    """h0(F_other|_L(t)) = h0(O_L(c+t)) + h0(O_L(t))."""
-    return cohomology_dim(P1, 0, k.c + t) + cohomology_dim(P1, 0, t)
-
-
-def _h1_kernel_of_line_map_fast(k: KernelSheaf, t: int, below: tuple, here: tuple) -> int:
-    """dim ker(H1(F_other(t)) -> H1(F_other|_L(t))) by a count of degrees, given
-    (h0, h1) of F_other at t - 1 (``below``) and at t (``here``).  In the cohomology
-    sequence of 0 -> F_other(t-1) -> F_other(t) -> F_other|_L(t) -> 0 the kernel is
-    the image of u on H1(F_other(t-1)), whose own kernel is the cokernel of
-    H0(F_other(t)) -> H0(F_other|_L(t)): h0(F_other|_L(t)) - h0(F_other(t)) + h0(F_other(t-1))."""
-    return below[1] + here[0] - below[0] - _line_h0(k, t)
-
-
-def _row(k: KernelSheaf, t: int, below: tuple, here: tuple, ker: RatMatrix) -> CohRow:
-    """(h0, h1, h2) of K(t), given (h0, h1) of the other side at t - 1 (``below``)
-    and at t (``here``) for the fast route, and its H2-level kernel at t (``ker``)
-    for the full one.
-
-    h0 = h0(F_split(t)) + h0(F_other(t)) - h0(O_L(c+t)) - h0(O_L(t)); the full h1 route
-    is the line kernel alone; h2 is the cokernel of the H1-level restriction plus h2
-    of the components, in which h1 of the other side cancels: h1(O_L(c+t)) +
-    h1(O_L(t)) + the line kernel + h2 of every cover summand - h2(O(b+t)).  Checks
-    (InternalCheckError): fast = full (LES).  ``coh_table`` has checked the kernel
-    against its Hilbert function.  chi = h0 - h1 + h2 is not checked: with h0 and h2
-    counts, it equals chi(F_split) + chi(F_other) - chi(F_other|_L) whatever h1 is.
-    """
-    b = k.other.presentation.relation_twist
-    h0 = plane_cohomology(k.split, 0, t) + here[0] - _line_h0(k, t)
-    fast = _h1_kernel_of_line_map_fast(k, t, below, here)
-    full = _h1_kernel_of_line_map_full(k, t, ker)
-    if fast != full:
-        raise InternalCheckError(
-            f"LES inconsistency at twist {t}: fast path {fast}, full path {full}")
-    h2 = (cohomology_dim(P1, 1, k.c + t) + cohomology_dim(P1, 1, t) + full
-          + sum(cohomology_dim(P2, 2, a + t) for a in k.twists)
-          - (0 if b is None else cohomology_dim(P2, 2, b + t)))
-    return CohRow(t, h0, fast, h2)
-
-
 def coh_table(k: KernelSheaf, tmin: int, tmax: int) -> CohTable:
-    """The rows of K(t) for t in [tmin, tmax], walked upward so that each H2
-    kernel of the other side is computed and checked against its Hilbert
-    function once (the relation forms of a glued other side are a regular
-    sequence, as it is locally free), for the full route at t.  The walk carries
-    (h0, h1) of the other side to the fast route at t + 1: h1 is the checked
-    kernel's dimension, and at tmin - 1 both are read from the degrees.
-    Without a relation no kernel is computed."""
+    """The rows of K(t) for t in [tmin, tmax]: ``degree_table`` of its degree
+    data, each row checked against the built forms (InternalCheckError).  The H2
+    kernel of the other side at t is computed once and checked against its
+    Hilbert function (the relation forms of a glued other side are a regular
+    sequence, as it is locally free); h1 must equal the zig-zag of the full route
+    on that kernel (LES).  Without a relation no kernel is computed."""
+    table = degree_table(k.degree_data, tmin, tmax)
     other = k.other
     walk = other.presentation.relation_twist is not None
-    below = (plane_cohomology(other, 0, tmin - 1), h2_kernel_dim(other, tmin - 1))
-    rows = []
-    for t in range(tmin, tmax + 1):
+    for row in table.rows:
+        t = row.t
         ker = relation_h2_kernel(other, t) if walk else RatMatrix.zero(0, 0)
         if walk:
             check_h2_kernel(other, t, ker)
-        here = (plane_cohomology(other, 0, t), ker.cols)
-        rows.append(_row(k, t, below, here, ker))
-        below = here
-    return CohTable(tuple(rows))
+        full = _h1_kernel_of_line_map_full(k, t, ker)
+        if row.h1 != full:
+            raise InternalCheckError(
+                f"LES inconsistency at twist {t}: fast path {row.h1}, full path {full}")
+    return table
 
 
 def coh_row(k: KernelSheaf, t: int) -> CohRow:
@@ -259,32 +219,27 @@ class ACMReport:
     is_acm: bool
     table: CohTable
     window: tuple
-    out_of_window_reason: str
 
 
 def acm_window(k: KernelSheaf, margin: int = 8) -> tuple:
+    """[-c - k' - margin, 6], k' the largest cover twist of the other side (or 0).
+    h1(K(t)) is the image of u on H1(F_other(t-1)), so it is at most h1 of the
+    other side at t - 1: dim (S/(p))_(-b-t-2) for its relation forms (p), of
+    degrees a_i - b, nonzero only for t - 1 in [-b-3-s, -b-3], s = sum(a_i - b) - 3
+    the socle degree.  F_other|_L = O_L(c) + O_L gives sum(a_i) - b = c, so that is
+    t in [b - c + 1, -b - 2].  For G from ``make_extension_bundle``,
+    b = d1 d2 - d1 - d2 >= -1 and b - c + 1 = 1 - k - d1 - d2 >= -c: inside the
+    window.  A split other side has h1 = 0."""
     pres = k.other.presentation
     k_bound = max(0, *pres.target_twists)
     return (-k.c - k_bound - margin, 6)
 
 
 def acm_check(k: KernelSheaf, margin: int = 8) -> ACMReport:
-    """h1(K(t)) at every twist of the window [-c - k' - margin, 6]; vanishing
-    outside is forced by the presentation twists and duality."""
+    """h1(K(t)) at every twist of ``acm_window``, outside of which it vanishes."""
     lo, hi = acm_window(k, margin)
     table = coh_table(k, lo, hi)
-    is_acm = all(r.h1 == 0 for r in table.rows)
-    pres = k.other.presentation
-    if pres.relation_twist is None:
-        reason = ("both components are split, so their middle cohomology vanishes "
-                  "and the H0-level restriction is onto at every twist")
-    else:
-        b = pres.relation_twist
-        reason = (f"h1(K(t)) is bounded by h1 of the non-split side, which sits inside "
-                  f"the top cohomology of O({b}) twists (zero for t >= {-b - 2}) and is "
-                  f"dual to twists >= {-k.c - 2 - b - 2} on the other end; the window "
-                  f"covers [{-k.c - 2}, {-b - 2}] with margin {margin}")
-    return ACMReport(is_acm, table, (lo, hi), reason)
+    return ACMReport(all(r.h1 == 0 for r in table.rows), table, (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -425,20 +380,16 @@ class RankOneSheaf:
     b: int
     extension_class: str = "nonzero"
 
+    @property
+    def degree_data(self) -> DegreeData:
+        """The long exact sequence splits dimensionally (plane line bundles have
+        no middle cohomology), so every h^q is that of the cover O(a) + O(b);
+        in particular h1 vanishes identically."""
+        return DegreeData((self.a, self.b))
+
 
 def rank_one_cohomology(r: RankOneSheaf, i: int, t: int) -> int:
-    """The long exact sequence splits dimensionally (plane line bundles have
-    no middle cohomology), so every h^q is the sum of the two plane terms;
-    in particular h1 vanishes identically."""
-    if i not in (0, 1, 2):
-        raise ValueError("cohomology index must be 0, 1 or 2")
-    return cohomology_dim(P2, i, r.a + t) + cohomology_dim(P2, i, r.b + t)
-
-
-def rank_one_table(r: RankOneSheaf, tmin: int, tmax: int) -> CohTable:
-    return CohTable(tuple(
-        CohRow(t, *(rank_one_cohomology(r, i, t) for i in (0, 1, 2)))
-        for t in range(tmin, tmax + 1)))
+    return plane_cohomology(r, i, t)
 
 
 # ---------------------------------------------------------------------------

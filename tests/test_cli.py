@@ -418,8 +418,8 @@ def test_gluing_report_invalid_gluing_text(capsys):
 
 
 def test_points_descriptor_preserves_point_data():
-    from qacm.descriptor import parse_and_build
-    obj = parse_and_build("I(points([0:1:4];[0:1:9]))(0)@H2")
+    from qacm.descriptor import build, parse
+    obj = build(parse("I(points([0:1:4];[0:1:9]))(0)@H2"))
     assert obj.ci.points == (((1, 4), 1), ((1, 9), 1))
 
 

@@ -13,7 +13,7 @@ import qacm.plane
 from qacm.cli import main
 from qacm.descriptor import (DCIForms, DCIPoints, DExt, DIdeal,
                              DKernel, DLBSum, DRankOne, DescriptorParseError,
-                             build, parse, parse_ambient_form, parse_and_build,
+                             build, parse, parse_ambient_form,
                              to_text)
 from qacm.monomials import Form, h0_exponents
 from qacm.plane import CIIdealSheaf
@@ -39,14 +39,14 @@ def test_parse_kernel_request():
 
 
 def test_build_kernel_request():
-    k = parse_and_build("K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=[u,v*w],h=auto)@H2,e=id)")
+    k = build(parse("K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=[u,v*w],h=auto)@H2,e=id)"))
     assert isinstance(k, KernelSheaf)
     assert k.c == 3
 
 
 def test_semantic_degree_error():
     with pytest.raises(ValueError, match="c - k"):
-        parse_and_build("G(c=1,k=2,Z=[u,v],h=auto)@H2")
+        build(parse("G(c=1,k=2,Z=[u,v],h=auto)@H2"))
 
 
 def test_locally_free_error_on_build():
@@ -54,7 +54,7 @@ def test_locally_free_error_on_build():
     text = "G(c=3,k=1,Z=[u,v*w],h=v^2)@H2"
     assert isinstance(parse(text), DExt)
     with pytest.raises(ValueError, match="Cayley-Bacharach"):
-        parse_and_build(text)
+        build(parse(text))
 
 
 def test_parse_rank_one():
@@ -71,7 +71,7 @@ def test_parse_points():
 
 def test_points_off_line_rejected_at_build():
     with pytest.raises(ValueError, match="u = 0"):
-        parse_and_build("I(points([1:0:0]))(1)@H1")
+        build(parse("I(points([1:0:0]))(1)@H1"))
 
 
 @pytest.mark.parametrize("text, validations, ranks", [
@@ -94,14 +94,14 @@ def test_an_ideal_descriptor_is_validated_once(monkeypatch, text, validations, r
     counting(qacm.descriptor, "ci_from_forms")
     counting(qacm.plane, "ci_from_forms")
     counting(qacm.plane, "rank")
-    assert isinstance(parse_and_build(text), CIIdealSheaf)
+    assert isinstance(build(parse(text)), CIIdealSheaf)
     assert counts == {"ci_from_forms": validations, "rank": ranks}
 
 
 @pytest.mark.parametrize("text", ["I([u,u*v])(0)@H1", "I([w*u^2,u])(1)@H2"])
 def test_an_ideal_with_u_dividing_both_generators_exits_2(text):
     with pytest.raises(ValueError, match="Z not zero-dimensional"):
-        parse_and_build(text)
+        build(parse(text))
     code, out, err = _cohomology_exit(text)
     assert (code, out) == (2, "") and "Z not zero-dimensional" in err
 
@@ -364,9 +364,9 @@ def test_degrees_at_the_limits_are_admitted():
     assert parse_ambient_form("x^2000").degree == 2000
     with pytest.raises(DescriptorParseError, match="form-degree limit 2000"):
         parse_ambient_form("x^1000*y^1001")
-    assert isinstance(parse_and_build("I([v^300,w^300+u^300])(0)@H2"), CIIdealSheaf)
-    assert parse_and_build("G(c=200,k=199,Z=[v,w],h=auto)@H2").h.degree == 200
-    assert parse_and_build("G(c=598,k=298,Z=[u,v^300],h=auto)@H2").h.degree == 299
+    assert isinstance(build(parse("I([v^300,w^300+u^300])(0)@H2")), CIIdealSheaf)
+    assert build(parse("G(c=200,k=199,Z=[v,w],h=auto)@H2")).h.degree == 200
+    assert build(parse("G(c=598,k=298,Z=[u,v^300],h=auto)@H2")).h.degree == 299
 
 
 def test_mf_verify_refuses_a_form_beyond_the_degree_limit(tmp_path, capsys):

@@ -6,7 +6,7 @@ implementation produced."""
 
 import hashlib
 
-from qacm.descriptor import parse_and_build
+from qacm.descriptor import build, parse
 from qacm.linalg import kernel_basis
 from qacm.plane import relation_h2_matrix
 from qacm.quadric import _assembled_matrix, _restriction
@@ -17,7 +17,7 @@ GOLDEN = "639562179d7d9d2a1ff29b2d96a4d4474a4b794832801cc77fa47e4d65b7a6b5"
 
 
 def test_kernel_basis_digest():
-    k = parse_and_build(README_SHEAF)
+    k = build(parse(README_SHEAF))
     digest = hashlib.sha256()
     for t in range(-25, 3):
         for m in (relation_h2_matrix(k.other, t), relation_h0_matrix(k.other, t),

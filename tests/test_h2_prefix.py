@@ -20,15 +20,15 @@ import qacm.monomials
 import qacm.plane
 import qacm.quadric
 from qacm.cli import classify_pairs, seeded_line_values
-from qacm.descriptor import parse_and_build
+from qacm.descriptor import build, parse
 from qacm.linalg import RatMatrix, kernel_basis
 from qacm.monomials import P2, Form, cohomology_dim, h0_exponents
 from qacm.plane import (CIIdealSheaf, CISubscheme, ExtensionBundle, ci_from_forms,
-                        ci_from_line_points, cohomology, dual_prefix, euler_char,
+                        ci_from_line_points, cohomology, degree_table, dual_prefix, euler_char,
                         make_extension_bundle, make_split_bundle, relation_h2_kernel,
                         relation_h2_matrix, trivialize_on_line)
-from qacm.quadric import (_h1_kernel_of_line_map_fast, _h1_kernel_of_line_map_full, acm_window,
-                          coh_table, collinear_extension_kernel, make_kernel_sheaf)
+from qacm.quadric import (_h1_kernel_of_line_map_full, acm_window, coh_table,
+                          collinear_extension_kernel, make_kernel_sheaf)
 from test_linalg import vstack
 from test_plane import h1_restriction_kernel_dim
 
@@ -150,8 +150,8 @@ def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
     nor any dual basis of H2(P2) at that depth.  The bundle has h|_L = 0, so
     the kernel is the 20-dimensional kernel of g on H1(P1) at every depth, the
     full h1 route runs to the end, and the u-rank one is 0 at depth 1.  The
-    relation forms share the zeros of g on L, so this is no plane table:
-    ``h1_h2`` refuses it (``test_plane.py``)."""
+    relation forms share the zeros of g on L, so this is no plane table: its
+    degree data is refused, h0 included."""
     g = v ** 20 - w ** 20
     sheaf = ExtensionBundle(2, 21, 1, ci_from_forms(u, g), u * v)
     t = -300
@@ -164,7 +164,8 @@ def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
 
     ker = relation_h2_kernel(sheaf, t)
     assert (sheaf.h2_depth, ker.cols) == (1, 20)
-    assert cohomology(sheaf, 0, t) == 0
+    with pytest.raises(ValueError, match="common zero"):
+        cohomology(sheaf, 0, t)
     fast = h1_restriction_kernel_dim(sheaf, t, relation_h2_kernel(sheaf, t - 1))
     full = _h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t, ker)
     assert fast == full == 0
@@ -181,15 +182,14 @@ def test_u_free_fast_route_equals_the_full_route(sheaf, total):
     route, the u-rank oracle (the whole H2 kernel multiplied by u) and the
     zig-zag of the full route.  Each G, twisted by -c2 so that it splits as
     O_L(c) + O_L on L, is the other side of a kernel sheaf against O(c) + O(0)."""
-    g = parse_and_build(sheaf)
+    g = build(parse(sheaf))
     c1, c2 = trivialize_on_line(g).degrees
     g = ExtensionBundle(g.side, g.c - 2 * c2, g.k - c2, g.ci, g.h)
     assert g.h2_depth is None
     k = make_kernel_sheaf(make_split_bundle(1, (c1 - c2, 0)), g)
     lo, hi = -14 + c2, 3 + c2
     kernels = {t: relation_h2_kernel(g, t) for t in range(lo - 1, hi + 1)}
-    counts = {t: (cohomology(g, 0, t), kernels[t].cols) for t in kernels}
-    fast = [_h1_kernel_of_line_map_fast(k, t, counts[t - 1], counts[t]) for t in range(lo, hi + 1)]
+    fast = [r.h1 for r in degree_table(k.degree_data, lo, hi).rows]
     assert fast == [h1_restriction_kernel_dim(g, t, kernels[t - 1]) for t in range(lo, hi + 1)]
     assert fast == [_h1_kernel_of_line_map_full(k, t, kernels[t]) for t in range(lo, hi + 1)]
     assert fast == [r.h1 for r in coh_table(k, lo, hi).rows]
@@ -320,18 +320,18 @@ def _kernel_twists(monkeypatch, k) -> tuple:
 
 
 def test_collinear_table_walks_each_kernel_once(monkeypatch):
-    """The upward walk asks for the H2 kernel of the other side once at every
-    twist t, for the full route; the fast route is a count of degrees."""
+    """The checks ask for the H2 kernel of the other side once at every twist t,
+    for the Hilbert check and the full route; the rows are a count of degrees."""
     k = collinear_extension_kernel(4, 2, [((1, r), 1) for r in seeded_line_values(3, 2)])
     twists, lo, hi = _kernel_twists(monkeypatch, k)
     assert twists == list(range(lo, hi + 1))
 
 
 def test_u_free_table_walks_each_kernel_once(monkeypatch):
-    """Without a relation form c*u the fast route at t reads h1 at t - 1: the
-    walk hands it on from the kernel of the full route at t - 1, and reads it
-    from the degrees at lo - 1, so no kernel below the window is computed."""
-    k = parse_and_build("K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)")
+    """Without a relation form c*u the degree count at t reads h1 of the other
+    side at t - 1, from the degrees even at lo - 1, so no kernel below the
+    window is computed."""
+    k = build(parse("K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)"))
     twists, lo, hi = _kernel_twists(monkeypatch, k)
     assert twists == list(range(lo, hi + 1))
 

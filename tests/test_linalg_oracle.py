@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qacm.descriptor import parse_and_build
+from qacm.descriptor import build, parse
 from qacm.linalg import RatMatrix, kernel_basis, rank
 from qacm.plane import relation_h2_matrix
 from test_linalg import vstack
@@ -147,6 +147,6 @@ def test_bidiagonal_chains_match_sympy(m):
 @pytest.mark.parametrize("t", [-9, -6, -4, -1, 2])
 def test_relation_matrices_match_sympy(t):
     for descriptor in (README_SHEAF, POINT_EXTENSION_SHEAF):
-        other = parse_and_build(descriptor).other
+        other = build(parse(descriptor)).other
         assert_matches_sympy(relation_h2_matrix(other, t))
         assert_matches_sympy(relation_h0_matrix(other, t))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qacm.descriptor
 import qacm.plane
 from qacm.cli import main
-from qacm.descriptor import parse_and_build
+from qacm.descriptor import build, parse
 from qacm.errors import InternalCheckError
 from qacm.linalg import rank
 from qacm.monomials import Form, P2, basis, cohomology_dim, h0_exponents, multiplication_matrix
@@ -22,7 +22,7 @@ from qacm.plane import (CISubscheme, CohRow, ExtensionBundle, Presentation, _ide
                         _relation_matrix,
                         cb_condition_check, chern,
                         ci_from_forms, ci_from_line_points, ci_hilbert, coh_table, cohomology,
-                        euler_char, h1_h2,
+                        degree_table, euler_char,
                         ideals_match, make_ci_ideal, make_extension_bundle,
                         make_split_bundle, no_common_zero, recover_subscheme,
                         relation_h2_kernel, trivialize_on_line)
@@ -314,7 +314,7 @@ def test_h0_from_degrees_equals_the_rank_of_the_relation_on_h0(text):
     """h0 read from the degrees is the cokernel of the relation on H0, built
     and ranked by the reference above, at every twist from below the first
     section to well past it."""
-    sheaf = parse_and_build(text)
+    sheaf = build(parse(text))
     for t in range(-8, 9):
         sections = sum(cohomology_dim(P2, 0, a + t) for a in sheaf.presentation.target_twists)
         assert cohomology(sheaf, 0, t) == sections - rank(relation_h0_matrix(sheaf, t))
@@ -516,7 +516,7 @@ def test_trivialization_check_fails_on_a_wrong_syzygy_row(monkeypatch, capsys, g
     basis of its syzygies.  A wrong row must be refused in both branches, the
     mu-basis and the closed form: by trivialize_on_line, and by
     ``qacm cohomology`` with exit 3."""
-    g = parse_and_build(g_text)
+    g = build(parse(g_text))
     calls, perturbed = [], wrong(getattr(qacm.plane, name))
     monkeypatch.setattr(qacm.plane, name, lambda *args: calls.append(name) or perturbed(*args))
     with pytest.raises(InternalCheckError, match="not a basis of the syzygies"):
@@ -719,12 +719,13 @@ def test_h1_from_degrees_equals_the_eliminated_h2_kernel(text):
     """h1 read from the degrees is the dimension of the eliminated H2-level kernel
     at every twist of [-30, 12], for u-free and collinear ideal sheaves and
     extension bundles of the grammar; h2 is its cokernel."""
-    sheaf = parse_and_build(text)
+    sheaf = build(parse(text))
     b = sheaf.presentation.relation_twist
-    for t in range(-30, 13):
+    for row in degree_table(sheaf.degree_data, -30, 12).rows:
+        t = row.t
         h1 = relation_h2_kernel(sheaf, t).cols
         top = sum(cohomology_dim(P2, 2, a + t) for a in sheaf.presentation.target_twists)
-        assert h1_h2(sheaf, t) == (h1, top - cohomology_dim(P2, 2, b + t) + h1), (text, t)
+        assert (row.h1, row.h2) == (h1, top - cohomology_dim(P2, 2, b + t) + h1), (text, t)
 
 
 def _forbid_plane_linear_algebra(monkeypatch):
@@ -747,7 +748,7 @@ def test_a_plane_table_builds_and_eliminates_nothing(monkeypatch, text, tmin, tm
     table is still read from the degrees, and its h1 is the eliminated H2 kernel
     computed before the patch.  That reference also decides the per-sheaf
     common-zero gate of G (one test per sheaf, cached), which is not table work."""
-    sheaf = parse_and_build(text)
+    sheaf = build(parse(text))
     b = sheaf.presentation.relation_twist
     h1 = [0 if b is None else relation_h2_kernel(sheaf, t).cols for t in range(tmin, tmax + 1)]
     if isinstance(sheaf, ExtensionBundle):
@@ -762,7 +763,7 @@ def test_a_plane_table_builds_and_eliminates_nothing(monkeypatch, text, tmin, tm
 def test_a_deep_u_free_ideal_window_builds_and_eliminates_nothing(monkeypatch):
     """Z = V(v, w^3) is three points, so at t <= -3 h0(I_Z(t)) = 0, h1 = h0(O_Z) = 3
     and h2 = h2(O(t)), each read from the degrees with no matrix built."""
-    sheaf = parse_and_build("I([v,w^3])(0)@H2")
+    sheaf = build(parse("I([v,w^3])(0)@H2"))
     _forbid_plane_linear_algebra(monkeypatch)
     assert coh_table(sheaf, -250, -240).rows == tuple(
         CohRow(t, 0, 3, (t + 1) * (t + 2) // 2) for t in range(-250, -239))
@@ -772,9 +773,9 @@ def test_a_relation_with_a_common_zero_is_not_hilbert_checked():
     """(v, w^3, v*w) vanish at [1 : 0 : 0], so they are no regular sequence and
     the Hilbert function (0 past the socle) does not apply: G is not locally
     free, its eliminated H2 kernel is 3-dimensional at every deep twist, and
-    ``h1_h2`` refuses it instead of reading h1 from the degrees."""
+    its degree data is refused: no number, not even h0, is read from the degrees."""
     sheaf = ExtensionBundle(2, 4, 1, ci_from_forms(v, w ** 3), v * w)
     assert not sheaf.relation_common_zero_free
     assert [relation_h2_kernel(sheaf, t).cols for t in range(-20, -6)] == [3] * 14
     with pytest.raises(ValueError, match="common zero"):
-        h1_h2(sheaf, -8)
+        cohomology(sheaf, 0, -8)

@@ -2,21 +2,21 @@ import pytest
 
 import qacm.plane
 import qacm.quadric
-from qacm.cli import main, seeded_line_values
-from qacm.descriptor import parse_and_build
+from qacm.cli import classify_pairs, main, seeded_line_values
+from qacm.descriptor import build, parse
 from qacm.errors import InternalCheckError
 from qacm.linalg import RatMatrix
 from qacm.monomials import Form
 from qacm.plane import CohRow, CohTable, ExtensionBundle, ci_from_forms, \
-    euler_char as plane_euler_char, make_extension_bundle, make_split_bundle
+    coh_table as plane_table, degree_table, euler_char as plane_euler_char, \
+    make_extension_bundle, make_split_bundle
 from qacm.quadric import (RankOneSheaf, UlrichResult, acm_check, acm_window, coh_row,
                           coh_table,
                           collinear_extension_kernel,
                           diagonal_gluing, gluing_variation_report,
                           global_generation_surjective, h0, h1, h2,
                           identity_gluing, make_kernel_sheaf,
-                          point_extension_kernel, rank_one_cohomology,
-                          rank_one_table, restriction_invariants,
+                          point_extension_kernel, rank_one_cohomology, restriction_invariants,
                           split_pair_kernel, ulrich_check, upper_gluing)
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
@@ -49,7 +49,7 @@ def test_split_other_side_of_another_type_rejected(capsys, other):
     """A split other side is trivialized by its own twists, which must still be
     checked against the split side's (c, 0): by make_kernel_sheaf, and by
     ``qacm cohomology`` with exit 2."""
-    f2 = parse_and_build(f"{other}@H2")
+    f2 = build(parse(f"{other}@H2"))
     with pytest.raises(ValueError, match="mismatched splitting"):
         make_kernel_sheaf(make_split_bundle(1, (2, 0)), f2)
     code = main(["cohomology", "--sheaf", f"K(F1=O(2)+O(0)@H1,F2={other}@H2,e=id)",
@@ -98,7 +98,6 @@ def test_acm_collinear_family_instance():
     assert rep.is_acm
     assert all(r.h1 == 0 for r in rep.table.rows)
     assert rep.window[0] <= -11 and rep.window[1] == 6
-    assert rep.out_of_window_reason
 
 
 def test_acm_split_pair():
@@ -211,7 +210,7 @@ def test_acm_invariant_under_twist():
 
 
 def test_les_cross_check_runs_at_every_twist():
-    # coh_row raises InternalCheckError if the two routes disagree; a full table
+    # coh_table raises InternalCheckError if the count and the full route disagree; a full table
     # exercises both routes at each twist.
     table = coh_table(collinear_kernel(2, 1), -9, 5)
     assert all(r.h1 == 0 for r in table.rows)
@@ -225,7 +224,7 @@ def test_les_cross_check_fails_when_the_full_route_is_perturbed(monkeypatch, cap
     """On the collinear family h1 is 0, so the degree count of the fast route
     holds the full route to 0: one more there must be refused, by coh_row and
     by ``qacm cohomology`` with exit 3."""
-    k = parse_and_build(SCAN_SHEAF)
+    k = build(parse(SCAN_SHEAF))
     t = -3
     assert acm_check(k).is_acm and coh_row(k, t).h1 == 0
     real = qacm.quadric._h1_kernel_of_line_map_full
@@ -242,14 +241,15 @@ README_SHEAF = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)
 
 
 def test_les_cross_check_fails_when_the_degree_count_is_perturbed(monkeypatch, capsys):
-    """The fast route is a count of degrees, so the LES check can fail from
-    that side too: one more in its h0(F_other|_L) term must be refused, by
-    coh_row and by ``qacm cohomology`` with exit 3."""
-    k = parse_and_build(README_SHEAF)
+    """h1 is a count of degrees (``degree_table``), so the LES check can fail
+    from that side too: one more in each row's h1 must be refused, by coh_row
+    and by ``qacm cohomology`` with exit 3."""
+    k = build(parse(README_SHEAF))
     t = -3
     assert coh_row(k, t).h1 == 0
-    real = qacm.quadric._line_h0
-    monkeypatch.setattr(qacm.quadric, "_line_h0", lambda k, t: real(k, t) + 1)
+    real = qacm.quadric.degree_table
+    monkeypatch.setattr(qacm.quadric, "degree_table", lambda d, lo, hi: CohTable(tuple(
+        CohRow(r.t, r.h0, r.h1 + 1, r.h2) for r in real(d, lo, hi).rows)))
     with pytest.raises(InternalCheckError, match="LES inconsistency"):
         coh_row(k, t)
     code = main(["cohomology", "--sheaf", README_SHEAF, "--tmin", str(t), "--tmax", str(t),
@@ -257,13 +257,18 @@ def test_les_cross_check_fails_when_the_degree_count_is_perturbed(monkeypatch, c
     assert code == 3 and "LES inconsistency" in capsys.readouterr().err
 
 
+def _not_acm_kernel(h=u ** 2):
+    """G(c=4,k=1,Z=[v,w^3],h) twisted by -1 (cover twists (1, -1, 0), relation
+    twist -2), which splits as O_L(2) + O_L on L for h = u^2, glued to O(2) + O(0)."""
+    g = ExtensionBundle(2, 2, 0, ci_from_forms(v, w ** 3), h)
+    return make_kernel_sheaf(make_split_bundle(1, (2, 0)), g)
+
+
 def test_a_kernel_sheaf_that_is_not_acm():
-    """G(c=4,k=1,Z=[v,w^3],h=u^2) twisted by -1 (cover twists (1, -1, 0),
-    relation twist -2) splits as O_L(2) + O_L on L, so it glues to O(2) + O(0).
-    u is not injective on H1 of it everywhere: the kernel sheaf has h1 = 1 at
-    t = -3, -2, -1, both h1 routes agreeing, and the aCM verdict is no."""
-    g = ExtensionBundle(2, 2, 0, ci_from_forms(v, w ** 3), u ** 2)
-    k = make_kernel_sheaf(make_split_bundle(1, (2, 0)), g)
+    """u is not injective on H1 of the other side everywhere: the kernel sheaf
+    has h1 = 1 at t = -3, -2, -1, both h1 routes agreeing, and the aCM verdict
+    is no."""
+    k = _not_acm_kernel()
     table = coh_table(k, -8, 4)
     assert [(r.t, r.h1) for r in table.rows if r.h1] == [(-3, 1), (-2, 1), (-1, 1)]
     assert not acm_check(k).is_acm
@@ -295,7 +300,7 @@ def test_hilbert_check_fails_when_an_h2_kernel_is_perturbed(monkeypatch, capsys,
     the table receives, or adding 1 to one entry of each matrix the plane
     builds (at t = -3 the H1-level relation on L is a zero 1 x 2 matrix), must
     be refused, by coh_row and by ``qacm cohomology`` with exit 3."""
-    k = parse_and_build(README_SHEAF)
+    k = build(parse(README_SHEAF))
     t = -3
     assert coh_row(k, t) == CohRow(t, 0, 0, 1)
     real = getattr(target, name)
@@ -314,7 +319,7 @@ def test_each_h2_kernel_is_hilbert_checked_once(monkeypatch, sheaf):
     """A table checks each H2 kernel of the other side once, where it computes
     it: the twists checked are the twists computed, each twist of the window
     once and none below it, collinear or u-free."""
-    k = parse_and_build(sheaf)
+    k = build(parse(sheaf))
     computed, checked = [], []
     compute, check = qacm.quadric.relation_h2_kernel, qacm.quadric.check_h2_kernel
     monkeypatch.setattr(qacm.quadric, "relation_h2_kernel",
@@ -329,7 +334,7 @@ def test_each_h2_kernel_is_hilbert_checked_once(monkeypatch, sheaf):
 def test_a_twist_without_sections_builds_no_h0_matrix(monkeypatch):
     """No twist builds or ranks an H0-level map, with sections on a cover
     summand (O(3) has them from t = -3 on) or without."""
-    k = parse_and_build(SCAN_SHEAF)
+    k = build(parse(SCAN_SHEAF))
     assert max(k.twists) == 3
     expected = coh_table(k, -8, 8)
     _forbid_h0_maps(monkeypatch)
@@ -337,27 +342,51 @@ def test_a_twist_without_sections_builds_no_h0_matrix(monkeypatch):
     assert [r.h0 for r in expected.rows] == [0] * 6 + [1, 5, 13, 25, 41, 61, 85, 113, 145, 181, 221]
 
 
-def test_h2_counts_the_line_kernel(monkeypatch):
+def test_h2_counts_the_line_kernel():
     """h2 of a kernel sheaf holds the kernel of the H1-level restriction of the
-    other side (the line kernel) beside h1 and h2 of the components.  On the
-    collinear family both h1 routes are 0, so set both to 1 at one twist:
-    that row must read h1 = 1 and h2 one more, and every other row stay as
-    it was."""
-    k = parse_and_build(SCAN_SHEAF)
-    t0 = -2
-    before = coh_table(k, -4, 0)
-    fast, full = qacm.quadric._h1_kernel_of_line_map_fast, qacm.quadric._h1_kernel_of_line_map_full
-    monkeypatch.setattr(qacm.quadric, "_h1_kernel_of_line_map_fast",
-                        lambda k, t, below, here: 1 if t == t0 else fast(k, t, below, here))
-    monkeypatch.setattr(qacm.quadric, "_h1_kernel_of_line_map_full",
-                        lambda k, t, ker: 1 if t == t0 else full(k, t, ker))
-    after = coh_table(k, -4, 0)
-    for old, new in zip(before.rows, after.rows):
-        if old.t == t0:
-            assert (old.h0, old.h1, old.h2) == (1, 0, 0)
-            assert (new.h0, new.h1, new.h2) == (1, 1, 1)
-        else:
-            assert new == old
+    other side (the line kernel, h1) beside h2 of the components: the whole
+    rows of the non-aCM sheaf, where that kernel is not 0, are pinned."""
+    assert [(r.t, r.h0, r.h1, r.h2) for r in coh_table(_not_acm_kernel(), -5, 1).rows] == [
+        (-5, 0, 0, 17), (-4, 0, 0, 7), (-3, 0, 1, 2), (-2, 0, 1, 0), (-1, 2, 1, 0),
+        (0, 7, 0, 0), (1, 17, 0, 0)]
+
+
+def _seeded_collinear(c, k, seed):
+    return collinear_extension_kernel(c, k, [((1, r), 1) for r in seeded_line_values(seed, c - k)])
+
+
+U_FREE_SHEAF = "K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h={})@H2,e=id)"
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: (_seeded_collinear(5, 2, 1), _seeded_collinear(5, 2, 2)),
+    lambda: tuple(build(parse(U_FREE_SHEAF.format(h))) for h in ("u+v", "u+2*v")),
+    lambda: (_not_acm_kernel(), _not_acm_kernel(u ** 2 + u * v)),
+], ids=["collinear seeds", "u-free h", "not aCM h"])
+def test_equal_degree_data_give_equal_checked_tables(pair):
+    """A table is a function of the degree data: two kernel sheaves with
+    different forms and equal ``DegreeData`` pass the checks on their own forms
+    with the same rows."""
+    k1, k2 = pair()
+    assert k1.other != k2.other and k1.degree_data == k2.degree_data
+    lo, hi = acm_window(k1)
+    assert coh_table(k1, lo, hi) == coh_table(k2, lo, hi)
+
+
+def test_h1_vanishes_outside_the_acm_window():
+    """Over [-250, 250], h1 from the degrees is 0 outside ``acm_window`` on 100
+    kernel sheaves: the scan pairs with c <= 16, the split pairs, both point
+    extensions, the non-aCM sheaf and the u-free README kernel."""
+    sheaves = ([_seeded_collinear(c, k, 0) for c, k in classify_pairs(16)]
+               + [split_pair_kernel(c) for c in range(17)]
+               + [point_extension_kernel(1), point_extension_kernel(2), _not_acm_kernel(),
+                  build(parse(U_FREE_SHEAF.format("u+v")))])
+    assert len(sheaves) == 100
+    for k in sheaves:
+        lo, hi = acm_window(k)
+        outside = [r.t for r in degree_table(k.degree_data, -250, 250).rows
+                   if r.h1 and not lo <= r.t <= hi]
+        assert outside == [], k
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +471,7 @@ def test_rank_one_h1_vanishes_everywhere():
 
 
 def test_rank_one_table_chi():
-    table = rank_one_table(RankOneSheaf(1, -2, 1), -3, 3)
+    table = plane_table(RankOneSheaf(1, -2, 1), -3, 3)
     for row in table.rows:
         assert row.chi == row.h0 - row.h1 + row.h2
 

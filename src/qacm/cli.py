@@ -24,14 +24,12 @@ from . import mf as mfmod
 from .descriptor import (DescriptorParseError, build, parse, parse_ambient_form,
                          parse_gluing, to_text)
 from .errors import InternalCheckError
-from .plane import (CohTable, cb_condition_check, coh_table as plane_table,
+from .plane import (cb_condition_check, coh_table as plane_table,
                     cohomology as plane_cohomology, ideals_match,
                     recover_subscheme)
 from .quadric import (KernelSheaf, RankOneSheaf, acm_check, check_twist_window,
-                      coh_table as kernel_table, collinear_extension_kernel,
-                      gluing_variation_report, point_extension_kernel,
-                      restriction_invariants, split_pair_kernel,
-                      ulrich_check)
+                      coh_table as kernel_table, gluing_variation_report,
+                      restriction_invariants, ulrich_check)
 
 
 @dataclass
@@ -39,9 +37,6 @@ class ScanConfig:
     c_max: int = 6
     point_seed: int = 0
     window_margin: int = 8
-    output: str = None
-    format: str = "json"
-    timestamp: bool = True
 
     def __post_init__(self):
         if self.c_max < 1:
@@ -82,27 +77,31 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-def _emit(payload: dict, fmt: str, out_path, csv_rows=None, csv_header=None) -> None:
-    if fmt == "json":
+def _emit(args, payload: dict, csv_rows=(), header=()) -> None:
+    """Write one report to ``args.out`` or stdout: ``payload`` as JSON, with
+    ``timestamp`` as its last key unless --no-timestamp, or, with --format
+    csv, the ``header`` columns of each dict in ``csv_rows``, a list cell
+    joined by ";"."""
+    if args.timestamp:
+        payload["timestamp"] = _now()
+    if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header)
+        writer.writerow(header)
         for row in csv_rows:
-            writer.writerow(row)
+            writer.writerow([";".join(map(str, row[h])) if isinstance(row[h], list) else row[h]
+                             for h in header])
         text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _table_csv(table: CohTable):
-    header = ["t", "h0", "h1", "h2", "chi"]
-    rows = [[r.t, r.h0, r.h1, r.h2, r.chi] for r in table.rows]
-    return rows, header
+TABLE_HEADER = ["t", "h0", "h1", "h2", "chi"]
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +125,7 @@ def cmd_cohomology(args) -> int:
         "flags": {"kind": kind, "cross_checked": kind == "kernel"},
         "seedpoints": [],
     }
-    if args.timestamp:
-        payload["timestamp"] = _now()
-    rows, header = _table_csv(table)
-    _emit(payload, args.format, args.out, rows, header)
+    _emit(args, payload, payload["rows"], TABLE_HEADER)
     return 0
 
 
@@ -143,13 +139,34 @@ def classify_pairs(c_max: int):
     return [(c, k) for c in range(2, c_max + 1) for k in range(c) if c <= 2 * k + 2]
 
 
-def _row_common(kind, descriptor, kernel, margin):
+def scan_descriptors(config: ScanConfig):
+    """(kind, seed values, descriptor) of every classify row, in report order:
+    the split pairs O(c) + O against O(c) + O, the two point extensions (the
+    point on H1, then on H2) and the collinear family, Z the c - k seeded
+    points of the row on L."""
+    for c in range(config.c_max + 1):
+        yield "split", [], f"K(F1=O({c})+O(0)@H1,F2=O({c})+O(0)@H2,e=id)"
+    for plane in (1, 2):
+        yield "point_ext", [], (f"K(F1=O(1)+O(0)@H{3 - plane},"
+                                f"F2=G(c=1,k=0,Z=[v,w],h=auto)@H{plane},e=id)")
+    for c, k in classify_pairs(config.c_max):
+        values = seeded_line_values(config.point_seed, c - k)
+        pts = ";".join(f"[0:1:{r}]" for r in values)
+        yield "collinear_ext", values, (f"K(F1=O({c})+O(0)@H1,"
+                                        f"F2=G(c={c},k={k},Z=points({pts}),h=auto)@H2,e=id)")
+
+
+def _row(kind, values, text, margin) -> dict:
+    """The classify row of the sheaf ``build(parse(text))``, ``text`` the
+    descriptor it prints: every column is read from that one object."""
+    kernel = build(parse(text))
     rep = acm_check(kernel, margin)
     ur = ulrich_check(kernel, rep.table)
     inv1, inv2 = restriction_invariants(kernel)
-    return {
+    c, g = kernel.c, kernel.other
+    row = {
         "kind": kind,
-        "descriptor": descriptor,
+        "descriptor": text,
         "acm": rep.is_acm,
         "window": list(rep.window),
         "ulrich": ur.is_ulrich,
@@ -157,58 +174,33 @@ def _row_common(kind, descriptor, kernel, margin):
         "h0_after_t0": ur.h0_after,
         "chern_h1": list(inv1),
         "chern_h2": list(inv2),
+        "c": c,
     }
+    if kind == "split":
+        row.update({"k": None, "z": None, "constraint_ok": None, "cb": None})
+    else:
+        k = g.k
+        # the point extension's Z is one point off L, with d = c - 2k - 3 < 0
+        row.update({"k": k, "z": g.ci.degree, "constraint_ok": 0 <= k < c <= 2 * k + 2,
+                    "cb": kind == "point_ext" or cb_condition_check(c, k, g.ci)})
+    if kind != "collinear_ext":
+        row.update({"recover": None, "boundary": False, "seed_values": values})
+        return row
+    row.update({"h0_g_minus_k": plane_cohomology(g, 0, -k), "boundary": c == 2 * k + 2,
+                "seed_values": values})
+    if c <= 2 * k:
+        row["recover"] = "ok" if ideals_match(recover_subscheme(g), g.ci, c) else "mismatch"
+    else:
+        row["recover"] = "skipped (c > 2k)"
+    if row["boundary"]:
+        row["h0_g_minus_k_minus_1"] = plane_cohomology(g, 0, -k - 1)
+    return row
 
 
 def run_classify(config: ScanConfig) -> dict:
-    rows = []
-    # split pairs
-    for c in range(0, config.c_max + 1):
-        k = split_pair_kernel(c)
-        desc = f"K(F1=O({c})+O(0)@H1,F2=O({c})+O(0)@H2,e=id)"
-        row = _row_common("split", desc, k, config.window_margin)
-        row.update({"c": c, "k": None, "z": None, "constraint_ok": None, "cb": None,
-                    "recover": None, "boundary": False, "seed_values": []})
-        rows.append(row)
-    # the two point-extension sheaves
-    for component in (1, 2):
-        k = point_extension_kernel(component)
-        pt_plane = 1 if component == 1 else 2
-        split_plane = 3 - pt_plane
-        desc = (f"K(F1=O(1)+O(0)@H{split_plane},"
-                f"F2=G(c=1,k=0,Z=[v,w],h=auto)@H{pt_plane},e=id)")
-        row = _row_common("point_ext", desc, k, config.window_margin)
-        row.update({"c": 1, "k": 0, "z": 1, "constraint_ok": True, "cb": True,
-                    "recover": None, "boundary": False, "seed_values": []})
-        rows.append(row)
-    # collinear extension family
-    for (c, k) in classify_pairs(config.c_max):
-        z = c - k
-        values = seeded_line_values(config.point_seed, z)
-        pts = [((1, r), 1) for r in values]
-        kernel = collinear_extension_kernel(c, k, pts)
-        g = kernel.other
-        desc = to_text(parse(
-            "K(F1=O({c})+O(0)@H1,F2=G(c={c},k={k},Z=points({pts}),h=auto)@H2,e=id)".format(
-                c=c, k=k, pts=";".join(f"[0:1:{r}]" for r in values))))
-        row = _row_common("collinear_ext", desc, kernel, config.window_margin)
-        row.update({
-            "c": c, "k": k, "z": z,
-            "constraint_ok": 0 <= k < c <= 2 * k + 2,
-            "cb": cb_condition_check(c, k, g.ci),
-            "h0_g_minus_k": plane_cohomology(g, 0, -k),
-            "boundary": c == 2 * k + 2,
-            "seed_values": values,
-        })
-        if c <= 2 * k:
-            rec = recover_subscheme(g)
-            row["recover"] = "ok" if ideals_match(rec, g.ci, c) else "mismatch"
-        else:
-            row["recover"] = "skipped (c > 2k)"
-        if row["boundary"]:
-            row["h0_g_minus_k_minus_1"] = plane_cohomology(g, 0, -k - 1)
-        rows.append(row)
-    report = {
+    rows = [_row(kind, values, text, config.window_margin)
+            for kind, values, text in scan_descriptors(config)]
+    return {
         "config": {"c_max": config.c_max, "seed": config.point_seed,
                    "window_margin": config.window_margin},
         "seedpoints": _seedpoint_strings(seeded_line_values(config.point_seed, config.c_max)),
@@ -219,51 +211,29 @@ def run_classify(config: ScanConfig) -> dict:
             "ulrich_true": sum(1 for r in rows if r["ulrich"]),
         },
     }
-    if config.timestamp:
-        report["timestamp"] = _now()
-    return report
 
 
-def _classify_csv(report):
-    header = ["kind", "descriptor", "c", "k", "z", "constraint_ok", "cb", "acm",
-              "ulrich", "t0", "h0_after_t0", "chern_h1", "chern_h2", "recover",
-              "boundary", "seed_values"]
-    rows = []
-    for r in report["rows"]:
-        rows.append([r["kind"], r["descriptor"], r["c"], r["k"], r["z"],
-                     r["constraint_ok"], r["cb"], r["acm"], r["ulrich"], r["t0"],
-                     r["h0_after_t0"],
-                     ";".join(map(str, r["chern_h1"])), ";".join(map(str, r["chern_h2"])),
-                     r["recover"], r["boundary"], ";".join(map(str, r["seed_values"]))])
-    return rows, header
+CLASSIFY_HEADER = ["kind", "descriptor", "c", "k", "z", "constraint_ok", "cb", "acm", "ulrich",
+                   "t0", "h0_after_t0", "chern_h1", "chern_h2", "recover", "boundary",
+                   "seed_values"]
+ULRICH_HEADER = ["kind", "descriptor", "c", "k", "z", "ulrich", "t0"]
 
 
 def cmd_classify(args) -> int:
-    config = ScanConfig(args.cmax, args.seed, args.margin, args.out, args.format,
-                        args.timestamp)
-    report = run_classify(config)
-    rows, header = _classify_csv(report)
-    _emit(report, config.format, config.output, rows, header)
+    report = run_classify(ScanConfig(args.cmax, args.seed, args.margin))
+    _emit(args, report, report["rows"], CLASSIFY_HEADER)
     return 0
 
 
 def cmd_ulrich_scan(args) -> int:
-    config = ScanConfig(args.cmax, args.seed, args.margin, args.out, args.format,
-                        args.timestamp)
-    full = run_classify(config)
-    rows = [{"kind": r["kind"], "descriptor": r["descriptor"], "c": r["c"],
-             "k": r["k"], "z": r["z"], "ulrich": r["ulrich"], "t0": r["t0"]}
-            for r in full["rows"]]
+    full = run_classify(ScanConfig(args.cmax, args.seed, args.margin))
+    rows = [{h: r[h] for h in ULRICH_HEADER} for r in full["rows"]]
     report = {
         "config": full["config"],
         "rows": rows,
         "counts": {"rows": len(rows), "ulrich_true": sum(1 for r in rows if r["ulrich"])},
     }
-    if config.timestamp:
-        report["timestamp"] = _now()
-    header = ["kind", "descriptor", "c", "k", "z", "ulrich", "t0"]
-    csv_rows = [[r[h] for h in header] for r in rows]
-    _emit(report, config.format, config.output, csv_rows, header)
+    _emit(args, report, rows, ULRICH_HEADER)
     return 0
 
 
@@ -288,11 +258,7 @@ def cmd_mf_example(args) -> int:
                   for pt, locus, rk in report.ranks_at_samples],
         "hilbert": [{"t": t, "h0": h} for t, h in report.hilbert],
     }
-    if args.timestamp:
-        payload["timestamp"] = _now()
-    header = ["point", "locus", "rank"]
-    rows = [[";".join(map(str, pt)), locus, rk] for pt, locus, rk in report.ranks_at_samples]
-    _emit(payload, args.format, args.out, rows, header)
+    _emit(args, payload, payload["ranks"], ["point", "locus", "rank"])
     return 0
 
 
@@ -324,7 +290,7 @@ def cmd_mf_verify(args) -> int:
         raise ValueError("invalid pair file: 'q' must be a nonzero form")
     ok = mfmod.verify_mf(mfmod.MFPair(a, b, q))
     payload = {"file": args.file, "ok": ok}
-    _emit(payload, "json", args.out)
+    _emit(args, payload)
     return 0 if ok else 2
 
 
@@ -333,14 +299,12 @@ def cmd_mf_hilbert(args) -> int:
         raise ValueError(f"twist {args.tmax} is beyond the mf hilbert limit "
                          f"t <= {mfmod.MAX_HILBERT_TWIST}")
     a = mfmod.ulrich_example_matrix(args.component)
-    rows = [(t, mfmod.cokernel_hilbert(a, t)) for t in range(args.tmin, args.tmax + 1)]
     payload = {
         "component": args.component,
-        "rows": [{"t": t, "h0": h} for t, h in rows],
+        "rows": [{"t": t, "h0": mfmod.cokernel_hilbert(a, t)}
+                 for t in range(args.tmin, args.tmax + 1)],
     }
-    if args.timestamp:
-        payload["timestamp"] = _now()
-    _emit(payload, args.format, args.out, [[t, h] for t, h in rows], ["t", "h0"])
+    _emit(args, payload, payload["rows"], ["t", "h0"])
     return 0
 
 
@@ -363,12 +327,8 @@ def cmd_gluing_report(args) -> int:
             "rows": row.table.as_dicts(),
         } for row in rows],
     }
-    if args.timestamp:
-        payload["timestamp"] = _now()
-    header = ["e", "t", "h0", "h1", "h2", "chi"]
-    csv_rows = [[row.gluing, r.t, r.h0, r.h1, r.h2, r.chi]
-                for row in rows for r in row.table.rows]
-    _emit(payload, args.format, args.out, csv_rows, header)
+    csv_rows = [{"e": g["e"], **r} for g in payload["gluings"] for r in g["rows"]]
+    _emit(args, payload, csv_rows, ["e"] + TABLE_HEADER)
     return 0
 
 
@@ -453,7 +413,7 @@ def _mf_verify_arguments(p):
     p.add_argument("--file", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_mf_verify, timestamp=True)
+    p.set_defaults(func=cmd_mf_verify, format="json", timestamp=False)
 
 
 def _mf_hilbert_arguments(p):

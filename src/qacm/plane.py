@@ -48,7 +48,7 @@ U = Form.variable(3, "u")
 class CISubscheme:
     """Zero-dimensional Z = V(f1, f2) in the plane.  ``points`` optionally
     records ((v, w), multiplicity) data when Z lies on L = {u = 0} and was
-    built from explicit points; several checks need it."""
+    built from explicit points."""
 
     f1: Form
     f2: Form
@@ -532,22 +532,14 @@ def chern(sheaf):
 
 def cb_condition_check(c: int, k: int, ci: CISubscheme) -> bool:
     """Cayley-Bacharach for the pair (c, k): every colength-1 subscheme Z' of
-    the collinear Z must satisfy h0(I_{Z'}(d)) = 0, d = c - 2k - 3, read
-    through the Koszul presentation of I_{Z'}.  An empty Z' fails once
-    d >= 0, as h0(O(d)) >= 1."""
+    the collinear Z must satisfy h0(I_{Z'}(d)) = 0, d = c - 2k - 3.  A collinear
+    Z' of degree m imposes min(d + 1, m) conditions on the (d + 1)(d + 2)/2 forms
+    of degree d >= 0, so none is left exactly when d < 0, or d = 0 and Z' is not
+    empty (deg Z >= 2)."""
     if not ci.is_collinear():
         raise ValueError("Cayley-Bacharach check needs a collinear subscheme")
     d = c - 2 * k - 3
-    if d < 0:
-        return True
-    if ci.points is None:
-        raise ValueError("explicit point data required for a nonnegative twist")
-    for drop in range(len(ci.points)):
-        sub = [(pt, m - (i == drop)) for i, (pt, m) in enumerate(ci.points)]
-        sub = [(pt, m) for pt, m in sub if m]
-        if not sub or cohomology(CIIdealSheaf(2, ci_from_line_points(sub), d), 0, 0):
-            return False
-    return True
+    return d < 0 or (d == 0 and ci.degree >= 2)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,13 @@ def upper_gluing(alpha, delta, beta: Form) -> GluingData:
     return GluingData("upper", alpha, delta, beta)
 
 
+def check_gluing(e: GluingData, c: int) -> None:
+    """Refuse a gluing that is no isomorphism of O_L(c) + O_L: an upper form
+    beta must be zero or of degree c.  The only check that depends on e."""
+    if e.kind == "upper" and not e.beta.is_zero and e.beta.degree != c:
+        raise ValueError(f"upper gluing form must have degree {c}")
+
+
 # ---------------------------------------------------------------------------
 # kernel sheaves
 
@@ -124,8 +131,7 @@ def make_kernel_sheaf(f_split: SplitBundle, f_other, e: GluingData = None) -> Ke
         raise ValueError(
             f"mismatched splitting types on L: split side gives (c, 0) = ({c}, 0), "
             f"other side gives {triv_other.degrees}")
-    if e.kind == "upper" and not e.beta.is_zero and e.beta.degree != c:
-        raise ValueError(f"upper gluing form must have degree {c}")
+    check_gluing(e, c)
     (s_hi, s_lo), (o_hi, o_lo) = triv_split.rows, triv_other.rows
     beta = e.beta if e.beta is not None else Form.zero(2)
     line_map = (tuple(r * e.alpha + beta * q for r, q in zip(s_hi, s_lo)) + tuple(-r for r in o_hi),
@@ -307,11 +313,11 @@ def check_twist_window(tmin, tmax) -> None:
 
 def gluing_variation_report(k: KernelSheaf, gluings, tmin: int = None, tmax: int = None):
     """Cohomology tables of the same (F_split, F_other) pair under different
-    gluings.  Each gluing is validated by ``make_kernel_sheaf``, but the table is
-    computed once: no row reads e (h0 is a count of degrees and both h1 routes
-    read only F_other), so every gluing has the identity's table and
-    ``equal_to_identity`` holds.  A missing bound of the twist window is taken
-    from ``acm_window``."""
+    gluings.  Each gluing is validated by ``check_gluing``, the only check of
+    ``make_kernel_sheaf`` that depends on it, and the table is computed once: no
+    row reads e (h0 is a count of degrees and both h1 routes read only F_other),
+    so every gluing has the identity's table and ``equal_to_identity`` holds.
+    A missing bound of the twist window is taken from ``acm_window``."""
     lo, hi = acm_window(k)
     tmin = lo if tmin is None else tmin
     tmax = hi if tmax is None else tmax
@@ -319,7 +325,7 @@ def gluing_variation_report(k: KernelSheaf, gluings, tmin: int = None, tmax: int
     table = coh_table(k, tmin, tmax)
     rows = []
     for g in gluings:
-        make_kernel_sheaf(k.split, k.other, g)      # refuses an upper form of the wrong degree
+        check_gluing(g, k.c)
         rows.append(GluingVariationRow(g.describe(), table, True))
     return rows
 
@@ -372,13 +378,12 @@ def global_generation_surjective(k: KernelSheaf) -> bool:
 
 @dataclass(frozen=True)
 class RankOneSheaf:
-    """Extension of O_{H_(3-i)}(b) by O_{H_i}(a) on X; ``extension_class`` is
-    informational (dimensions do not depend on it)."""
+    """Extension of O_{H_(3-i)}(b) by O_{H_i}(a) on X; its dimensions do not
+    depend on the extension class."""
 
     inner_side: int
     a: int
     b: int
-    extension_class: str = "nonzero"
 
     @property
     def degree_data(self) -> DegreeData:

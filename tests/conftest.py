@@ -14,4 +14,4 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 @pytest.fixture(scope="session")
 def classify_report():
     """The desk-scale classification scan, computed once per session."""
-    return run_classify(ScanConfig(c_max=6, point_seed=0, timestamp=False))
+    return run_classify(ScanConfig(c_max=6, point_seed=0))

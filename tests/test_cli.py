@@ -8,6 +8,7 @@ import pytest
 import qacm.cli as cli
 import qacm.quadric
 from qacm.cli import ScanConfig, classify_pairs, main, seeded_line_values
+from qacm.descriptor import parse, to_text
 from qacm.errors import InternalCheckError
 from qacm.quadric import check_twist_window
 
@@ -145,6 +146,31 @@ def test_classify_report_shape(classify_report):
     collinear = [(r["c"], r["k"]) for r in rows if r["kind"] == "collinear_ext"]
     assert collinear == classify_pairs(6)
     assert all(r["constraint_ok"] for r in rows if r["kind"] == "collinear_ext")
+
+
+def test_each_scan_row_is_built_from_the_descriptor_it_prints(monkeypatch):
+    """run_classify parses exactly the descriptors its rows print, one per row."""
+    parsed, real = [], cli.parse
+    monkeypatch.setattr(cli, "parse", lambda text: parsed.append(text) or real(text))
+    rows = cli.run_classify(ScanConfig(c_max=3, point_seed=4))["rows"]
+    assert parsed == [r["descriptor"] for r in rows]
+
+
+def test_each_scan_row_descriptor_reproduces_its_row(classify_report, capsys):
+    """Every descriptor of the c_max = 6 scan is canonical text, and its
+    cohomology table over the row's window gives the row's aCM status, t0 and
+    h0 after t0."""
+    for row in classify_report["rows"]:
+        desc, (lo, hi) = row["descriptor"], row["window"]
+        assert to_text(parse(desc)) == desc
+        code, out, _ = run(capsys, ["cohomology", "--sheaf", desc, "--tmin", str(lo),
+                                    "--tmax", str(hi), "--no-timestamp"])
+        assert code == 0
+        table = json.loads(out)["rows"]
+        assert [r["t"] for r in table] == list(range(lo, hi + 1))
+        assert all(r["h1"] == 0 for r in table) == row["acm"], desc
+        first = next(i for i, r in enumerate(table) if r["h0"])
+        assert (table[first - 1]["t"], table[first]["h0"]) == (row["t0"], row["h0_after_t0"])
 
 
 def test_ulrich_scan(capsys):

@@ -383,12 +383,31 @@ def test_cb_fails_for_one_simple_point():
                 max_size=4, unique_by=lambda p: p[0]), st.integers(-1, 7))
 @settings(max_examples=60, deadline=None)
 def test_cb_check_agrees_with_the_point_condition_oracle(pts, d):
-    """Cayley-Bacharach through the Koszul presentation against the oracle's
-    h0 from vanishing conditions, for every colength-1 Z' of a collinear Z."""
+    """Cayley-Bacharach as a count of degrees against the oracle's h0 from
+    vanishing conditions, for every colength-1 Z' of a collinear Z."""
+    assert cb_condition_check(d + 3, 0, ci_from_line_points(pts)) == _oracle_cb(pts, d)
+
+
+def _oracle_cb(pts, d) -> bool:
+    """h0(I_{Z'}(d)) = 0 by the oracle for every colength-1 Z' of the points."""
     subs = [[(p, m - (i == drop)) for i, (p, m) in enumerate(pts) if m - (i == drop)]
             for drop in range(len(pts))]
-    expected = all(oracle_h0_collinear(sub, d) == 0 for sub in subs)
-    assert cb_condition_check(d + 3, 0, ci_from_line_points(pts)) == expected
+    return all(oracle_h0_collinear(sub, d) == 0 for sub in subs)
+
+
+@pytest.mark.parametrize("pts", [[((1, 1), 1)], [((0, 1), 2)], [((1, 1), 1), ((1, 2), 1)],
+                                 [((1, 0), 1), ((1, 3), 2)]])
+@pytest.mark.parametrize("d", [0, 1])
+def test_cb_check_of_a_collinear_z_given_as_forms(pts, d):
+    """A collinear Z given as forms, with no point data, is checked as well: it
+    holds at d = 0 exactly when deg Z >= 2, and never at d = 1, as the oracle
+    finds for its points."""
+    ci = ci_from_line_points(pts)
+    forms = ci_from_forms(ci.f1, ci.f2)
+    assert forms.points is None
+    expected = d == 0 and ci.degree >= 2
+    assert _oracle_cb(pts, d) == expected
+    assert cb_condition_check(d + 3, 0, forms) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,24 @@ def test_a_gluing_report_computes_one_table(monkeypatch):
         gluing_variation_report(k, gluings + [upper_gluing(1, 1, v2 ** 2)], -6, 3)
 
 
+def test_gluing_report_trivializes_the_pair_once_whatever_the_gluings(monkeypatch, capsys):
+    """Each --e is checked by the degree of its upper form alone, so the two
+    trivializations of the pair (a mu-basis for this u-free G) are computed when
+    the descriptor is built and never again, however many gluings are listed."""
+    sheaf = "K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)"
+    calls, real = [], qacm.quadric.trivialize_on_line
+    monkeypatch.setattr(qacm.quadric, "trivialize_on_line",
+                        lambda s: calls.append(s) or real(s))
+    counts = []
+    for gluings in (["id"], ["id", "diag(2,3)", "upper(1,1,v^2)", "upper(2,-1,v^2-w^2)"]):
+        calls.clear()
+        argv = ["gluing-report", "--sheaf", sheaf, "--tmin", "-4", "--tmax", "2", "--no-timestamp"]
+        assert main(argv + [a for g in gluings for a in ("--e", g)]) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts == [2, 2]
+
+
 def test_empty_gluing_list():
     assert gluing_variation_report(collinear_kernel(2, 1), [], -2, 2) == []
 

@@ -4,7 +4,7 @@ factorization reports, machine-readable JSON/CSV output.
 Exit codes: 0 success, 2 input error (parse or semantic), 3 internal
 cross-check failure.  Reports are byte-deterministic for a fixed config and
 seed once timestamps are disabled (--no-timestamp); QACM_SEED overrides the
---seed flag, and --config PATH supplies defaults with the same keys as the
+--seed flag, and --config PATH supplies defaults keyed by the command's own
 flags.
 """
 
@@ -289,8 +289,8 @@ def cmd_mf_verify(args) -> int:
     if q.is_zero:
         raise ValueError("invalid pair file: 'q' must be a nonzero form")
     ok = mfmod.verify_mf(mfmod.MFPair(a, b, q))
-    payload = {"file": args.file, "ok": ok}
-    _emit(args, payload)
+    args.format, args.timestamp = "json", False     # flags mf verify does not take
+    _emit(args, {"file": args.file, "ok": ok})
     return 0 if ok else 2
 
 
@@ -358,6 +358,7 @@ _CONFIG_TYPES = {"format": (lambda v: v in ("json", "csv"), '"json" or "csv"'), 
 
 def _apply_config(args):
     """Precedence: QACM_SEED env > explicit flag > config file > default."""
+    keys = [key for key in _CONFIG_DEFAULTS if hasattr(args, key)]     # the command's flags
     file_conf = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -371,13 +372,15 @@ def _apply_config(args):
             ok, kind = _CONFIG_TYPES[key]
             if not ok(value):
                 raise ValueError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
-    for key, default in _CONFIG_DEFAULTS.items():
-        if not hasattr(args, key):
-            continue
+        unknown = set(file_conf) - set(keys)
+        if unknown:
+            raise ValueError(f"config keys {sorted(unknown)} are not flags of this command "
+                             f"(its keys: {', '.join(keys)})")
+    for key in keys:
         if getattr(args, key) is None:
-            setattr(args, key, file_conf.get(key, default))
+            setattr(args, key, file_conf.get(key, _CONFIG_DEFAULTS[key]))
     env_seed = os.environ.get("QACM_SEED")
-    if env_seed is not None and hasattr(args, "seed"):
+    if env_seed is not None and "seed" in keys:
         try:
             args.seed = int(env_seed)
         except ValueError:
@@ -413,7 +416,7 @@ def _mf_verify_arguments(p):
     p.add_argument("--file", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_mf_verify, format="json", timestamp=False)
+    p.set_defaults(func=cmd_mf_verify)
 
 
 def _mf_hilbert_arguments(p):

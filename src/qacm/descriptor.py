@@ -15,10 +15,10 @@ Grammar (whitespace insignificant, keywords case-sensitive):
     pt     := "[" rat ":" rat ":" rat "]"
 
 Plane forms use (u, v, w), forms on the line use (v, w), ambient forms
-(x, y, z, w); products need an explicit "*", powers use "^".  Parsing is
-total: any input produces either a Descriptor or a positioned
-DescriptorParseError.  Semantic validation (regular sequences, degree
-constraints, Cayley-Bacharach) happens in the constructing modules.
+(x, y, z, w); products need an explicit "*", powers use "^"; a number is
+ASCII digits.  Parsing is total: any input produces either a Descriptor or a
+positioned DescriptorParseError.  Semantic validation (regular sequences,
+degree constraints, Cayley-Bacharach) happens in the constructing modules.
 """
 
 from __future__ import annotations
@@ -115,9 +115,9 @@ def _tokenize(text: str):
             i += 1
             continue
         start = (line, col)
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("NUM", text[i:j], start))
             col += j - i
@@ -162,79 +162,86 @@ class _Parser:
         kind, text, (line, col) = self.peek()
         raise DescriptorParseError(message, line, col, expected)
 
+    def _got(self, expected):
+        text = self.peek()[1]
+        self.error(f"got {text!r}" if text else "unexpected end of input", expected)
+
     def expect_end(self):
         kind, text, _ = self.peek()
         if kind != "EOF":
             self.error(f"trailing input {text!r}")
 
+    def accept(self, text) -> bool:
+        """Consume the next token if its text is ``text`` (a punctuation mark
+        or a name: the two never share a text)."""
+        if self.peek()[1] != text:
+            return False
+        self.pos += 1
+        return True
+
     def expect_punct(self, ch):
-        kind, text, _ = self.peek()
-        if kind != "PUNCT" or text != ch:
-            self.error(f"got {text!r}" if text else "unexpected end of input", expected=(repr(ch),))
-        return self.advance()
+        if not self.accept(ch):
+            self._got((repr(ch),))
 
     def expect_name(self, *names):
-        kind, text, _ = self.peek()
-        if kind != "NAME" or (names and text not in names):
-            self.error(f"got {text!r}" if text else "unexpected end of input",
-                       expected=names or ("a name",))
-        return self.advance()[1]
+        text = self.peek()[1]
+        if text not in names:
+            self._got(names)
+        self.pos += 1
+        return text
 
-    def at_punct(self, ch) -> bool:
-        kind, text, _ = self.peek()
-        return kind == "PUNCT" and text == ch
+    def args(self, brackets, *fields):
+        """Read ``open field {sep field} close``, ``brackets`` the three marks
+        (as "(,)"); a field is a parse method, or a (key, method) pair read as
+        ``key=value``.  Returns the values read."""
+        open_, sep, close = brackets
+        self.expect_punct(open_)
+        values = []
+        for i, field in enumerate(fields):
+            if i:
+                self.expect_punct(sep)
+            if isinstance(field, tuple):
+                key, field = field
+                self.expect_name(key)
+                self.expect_punct("=")
+            values.append(field())
+        self.expect_punct(close)
+        return values
 
     def parse_int(self) -> int:
-        neg = False
-        if self.at_punct("-"):
-            self.advance()
-            neg = True
+        neg = self.accept("-")
         kind, text, _ = self.peek()
         if kind != "NUM":
-            self.error(f"got {text!r}" if text else "unexpected end of input",
-                       expected=("an integer",))
+            self._got(("an integer",))
         self.advance()
-        val = int(text)
-        return -val if neg else val
+        return -int(text) if neg else int(text)
 
     def parse_rat(self) -> Fraction:
         num = self.parse_int()
-        if self.at_punct("/"):
-            self.advance()
-            kind, text, _ = self.peek()
-            if kind != "NUM":
-                self.error("denominator must be a positive integer", expected=("an integer",))
-            self.advance()
-            den = int(text)
-            if den == 0:
-                self.error("zero denominator")
-            return QQ(num, den)
-        return QQ(num)
+        if not self.accept("/"):
+            return QQ(num)
+        kind, text, _ = self.peek()
+        if kind != "NUM":
+            self.error("denominator must be a positive integer", expected=("an integer",))
+        self.advance()
+        if int(text) == 0:
+            self.error("zero denominator")
+        return QQ(num, int(text))
 
     def parse_form(self, num_vars: int) -> Form:
         names = VAR_NAMES[num_vars]
-        total = Form.zero(num_vars)
-        sign = 1
-        if self.at_punct("-"):
-            self.advance()
-            sign = -1
-        elif self.at_punct("+"):
-            self.advance()
-        while True:
+        total, sign = Form.zero(num_vars), self._sign() or 1
+        while sign:
             total = total + self._parse_term(num_vars, names) * sign
-            if self.at_punct("+"):
-                self.advance()
-                sign = 1
-            elif self.at_punct("-"):
-                self.advance()
-                sign = -1
-            else:
-                return total
+            sign = self._sign()
+        return total
+
+    def _sign(self):
+        return 1 if self.accept("+") else -1 if self.accept("-") else None
 
     def _parse_term(self, num_vars, names) -> Form:
         out = self._parse_factor(num_vars, names)
-        while self.at_punct("*"):
-            self.advance()
+        while self.accept("*"):
             f = self._parse_factor(num_vars, names)
             degree = (out.degree or 0) + (f.degree or 0)
             if degree > MAX_FORM_DEGREE:
@@ -250,8 +257,7 @@ class _Parser:
         if kind == "NAME" and text in names:
             self.advance()
             exp = 1
-            if self.at_punct("^"):
-                self.advance()
+            if self.accept("^"):
                 k2, t2, _ = self.peek()
                 if k2 != "NUM":
                     self.error("exponent must be a nonnegative integer", expected=("an integer",))
@@ -261,165 +267,97 @@ class _Parser:
                 self.advance()
                 exp = int(digits)
             return Form.variable(num_vars, text) ** exp
-        self.error(f"got {text!r}" if text else "unexpected end of input",
-                   expected=tuple(names) + ("a coefficient",))
+        self._got(tuple(names) + ("a coefficient",))
+
+    def _plane_form(self) -> Form:
+        return self.parse_form(3)
 
     def parse_plane(self) -> int:
         self.expect_punct("@")
-        name = self.expect_name("H1", "H2")
-        return 1 if name == "H1" else 2
+        return 1 if self.expect_name("H1", "H2") == "H1" else 2
 
     def parse_point(self):
-        self.expect_punct("[")
-        a = self.parse_rat()
-        self.expect_punct(":")
-        b = self.parse_rat()
-        self.expect_punct(":")
-        c = self.parse_rat()
-        self.expect_punct("]")
-        return (a, b, c)
+        return tuple(self.args("[:]", self.parse_rat, self.parse_rat, self.parse_rat))
 
     def parse_ci(self):
-        if self.at_punct("["):
-            self.advance()
-            f1 = self.parse_form(3)
-            self.expect_punct(",")
-            f2 = self.parse_form(3)
-            self.expect_punct("]")
-            return DCIForms(f1, f2)
-        kind, text, _ = self.peek()
-        if kind == "NAME" and text == "points":
-            self.advance()
-            self.expect_punct("(")
-            pts = [self.parse_point()]
-            while self.at_punct(";"):
-                self.advance()
-                if len(pts) == MAX_DEGREE_SUM:
-                    self.error(f"more than {MAX_DEGREE_SUM} points: the form through them "
-                               f"would pass the degree-sum limit {MAX_DEGREE_SUM}")
-                pts.append(self.parse_point())
-            self.expect_punct(")")
-            return DCIPoints(tuple(pts))
-        self.error(f"got {text!r}" if text else "unexpected end of input",
-                   expected=("'['", "points"))
+        if self.peek()[1] == "[":
+            return DCIForms(*self.args("[,]", self._plane_form, self._plane_form))
+        if not self.accept("points"):
+            self._got(("'['", "points"))
+        self.expect_punct("(")
+        pts = [self.parse_point()]
+        while self.accept(";"):
+            if len(pts) == MAX_DEGREE_SUM:
+                self.error(f"more than {MAX_DEGREE_SUM} points: the form through them "
+                           f"would pass the degree-sum limit {MAX_DEGREE_SUM}")
+            pts.append(self.parse_point())
+        self.expect_punct(")")
+        return DCIPoints(tuple(pts))
 
     def parse_gluing(self) -> GluingData:
         name = self.expect_name("id", "diag", "upper")
         if name == "id":
             return GluingData("identity")
-        self.expect_punct("(")
-        alpha = self.parse_rat()
-        self.expect_punct(",")
-        delta = self.parse_rat()
         if name == "diag":
-            self.expect_punct(")")
-            return GluingData("diagonal", alpha, delta)
-        self.expect_punct(",")
-        beta = self.parse_form(2)
-        self.expect_punct(")")
-        return GluingData("upper", alpha, delta, beta)
+            return GluingData("diagonal", *self.args("(,)", self.parse_rat, self.parse_rat))
+        return GluingData("upper", *self.args("(,)", self.parse_rat, self.parse_rat,
+                                              lambda: self.parse_form(2)))
 
-    def _parse_keyed(self, key):
-        self.expect_name(key)
-        self.expect_punct("=")
+    def _class(self):
+        """G's extension class: "auto" or a plane form."""
+        return "auto" if self.accept("auto") else self._plane_form()
+
+    def _side(self) -> int:
+        side = self.parse_int()
+        if side not in (1, 2):
+            self.error("side must be 1 or 2")
+        return side
 
     def parse_sheaf(self):
-        kind, text, _ = self.peek()
-        if kind != "NAME":
-            self.error(f"got {text!r}" if text else "unexpected end of input",
-                       expected=("O", "I", "G", "K", "R1"))
-        if text == "O":
-            self.advance()
-            twists = []
-            self.expect_punct("(")
-            twists.append(self.parse_int())
-            self.expect_punct(")")
-            while self.at_punct("+"):
-                self.advance()
+        name = self.expect_name("O", "I", "G", "K", "R1")
+        if name == "O":
+            twists = self.args("(,)", self.parse_int)
+            while self.accept("+"):
                 self.expect_name("O")
-                self.expect_punct("(")
-                twists.append(self.parse_int())
-                self.expect_punct(")")
+                twists += self.args("(,)", self.parse_int)
             return DLBSum(tuple(twists), self.parse_plane())
-        if text == "I":
-            self.advance()
-            self.expect_punct("(")
-            ci = self.parse_ci()
-            self.expect_punct(")")
-            self.expect_punct("(")
-            m = self.parse_int()
-            self.expect_punct(")")
+        if name == "I":
+            (ci,), (m,) = self.args("(,)", self.parse_ci), self.args("(,)", self.parse_int)
             return DIdeal(ci, m, self.parse_plane())
-        if text == "G":
-            self.advance()
-            self.expect_punct("(")
-            self._parse_keyed("c")
-            c = self.parse_int()
-            self.expect_punct(",")
-            self._parse_keyed("k")
-            k = self.parse_int()
-            self.expect_punct(",")
-            self._parse_keyed("Z")
-            ci = self.parse_ci()
-            self.expect_punct(",")
-            self._parse_keyed("h")
-            nk, ntext, _ = self.peek()
-            if nk == "NAME" and ntext == "auto":
-                self.advance()
-                h = "auto"
-            else:
-                h = self.parse_form(3)
-            self.expect_punct(")")
+        if name == "G":
+            c, k, ci, h = self.args("(,)", ("c", self.parse_int), ("k", self.parse_int),
+                                    ("Z", self.parse_ci), ("h", self._class))
             return DExt(c, k, ci, h, self.parse_plane())
-        if text == "K":
-            self.advance()
-            self.expect_punct("(")
-            self._parse_keyed("F1")
-            f1 = self._parse_kernel_child()
-            self.expect_punct(",")
-            self._parse_keyed("F2")
-            f2 = self._parse_kernel_child()
-            self.expect_punct(",")
-            self._parse_keyed("e")
-            e = self.parse_gluing()
-            self.expect_punct(")")
+        if name == "K":
+            f1, f2, e = self.args("(,)", ("F1", self._parse_kernel_child),
+                                  ("F2", self._parse_kernel_child), ("e", self.parse_gluing))
             if f1.plane == f2.plane:
                 self.error("F1 and F2 must live on different planes")
             return DKernel(f1, f2, e)
-        if text == "R1":
-            self.advance()
-            self.expect_punct("(")
-            self._parse_keyed("side")
-            side = self.parse_int()
-            if side not in (1, 2):
-                self.error("side must be 1 or 2")
-            self.expect_punct(",")
-            self._parse_keyed("a")
-            a = self.parse_int()
-            self.expect_punct(",")
-            self._parse_keyed("b")
-            b = self.parse_int()
-            self.expect_punct(")")
-            return DRankOne(side, a, b)
-        self.error(f"got {text!r}", expected=("O", "I", "G", "K", "R1"))
+        return DRankOne(*self.args("(,)", ("side", self._side), ("a", self.parse_int),
+                                   ("b", self.parse_int)))
 
     def _parse_kernel_child(self):
         """A plane sheaf; refusing K and R1 before descending bounds the
         nesting depth at one."""
-        kind, text, _ = self.peek()
-        if kind == "NAME" and text in ("K", "R1"):
+        if self.peek()[1] in ("K", "R1"):
             self.error("kernel components must be sheaves on a single plane")
         return self.parse_sheaf()
 
 
-def parse(text: str):
-    """Parse a descriptor; raises DescriptorParseError on any malformed input."""
+def _whole(text, production):
+    """``production`` (a _Parser method) run over the whole of ``text``."""
     if not isinstance(text, str):
         raise DescriptorParseError("input must be a string", 1, 1)
     p = _Parser(text)
-    node = p.parse_sheaf()
+    node = production(p)
     p.expect_end()
     return node
+
+
+def parse(text: str):
+    """Parse a descriptor; raises DescriptorParseError on any malformed input."""
+    return _whole(text, _Parser.parse_sheaf)
 
 
 # --- printer -----------------------------------------------------------------
@@ -522,16 +460,10 @@ def build(node):
 
 def parse_gluing(text: str) -> GluingData:
     """Parse and build a lone gluing: "id", "diag(a,d)" or "upper(a,d,form)"."""
-    p = _Parser(text)
-    node = p.parse_gluing()
-    p.expect_end()
-    return _build_gluing(node)
+    return _build_gluing(_whole(text, _Parser.parse_gluing))
 
 
 def parse_ambient_form(text: str) -> Form:
     """Standalone parser for forms in (x, y, z, w), used by the matrix-
     factorization file interface."""
-    p = _Parser(text)
-    f = p.parse_form(4)
-    p.expect_end()
-    return f
+    return _whole(text, lambda p: p.parse_form(4))

@@ -113,6 +113,37 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert code == 2 and "unknown config keys" in err
 
 
+@pytest.mark.parametrize("argv, conf, refused", [
+    (["mf", "verify", "--file", "PAIR"], {"format": "csv", "cmax": 9, "timestamp": True},
+     "['cmax', 'format', 'timestamp'] are not flags of this command (its keys: out)"),
+    (["cohomology", "--sheaf", "O(1)+O(0)@H1", "--tmin", "0", "--tmax", "1"], {"cmax": 9},
+     "['cmax'] are not flags of this command (its keys: format, out, timestamp, tmin, tmax)"),
+    (["classify"], {"cmax": 2, "tmin": 0},
+     "['tmin'] are not flags of this command (its keys: format, out, timestamp, seed, cmax, "
+     "margin)"),
+])
+def test_config_rejects_a_key_the_command_has_no_flag_for(tmp_path, capsys, argv, conf,
+                                                          refused):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"q": "x*y", "A": [["x"]], "B": [["y"]]}))
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    argv = [str(pair) if a == "PAIR" else a for a in argv]
+    code, out, err = run(capsys, argv + ["--config", str(path)])
+    assert (code, out) == (2, "")
+    assert f"error: config keys {refused}" in err and "Traceback" not in err
+
+
+def test_config_keys_of_the_command_flags_are_read(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"cmax": 2, "seed": 9}))
+    code, out, _ = run(capsys, ["classify", "--config", str(path)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"] == {"c_max": 2, "seed": 9, "window_margin": 8}
+    assert "timestamp" in payload
+
+
 @pytest.mark.parametrize("conf, message", [
     ({"cmax": "6"}, "'cmax' must be an integer"),
     ({"seed": 1.5}, "'seed' must be an integer"),

@@ -13,7 +13,7 @@ import qacm.plane
 from qacm.cli import main
 from qacm.descriptor import (DCIForms, DCIPoints, DExt, DIdeal,
                              DKernel, DLBSum, DRankOne, DescriptorParseError,
-                             build, parse, parse_ambient_form,
+                             build, parse, parse_ambient_form, parse_gluing,
                              to_text)
 from qacm.monomials import Form, h0_exponents
 from qacm.plane import CIIdealSheaf
@@ -153,6 +153,7 @@ def test_ambient_form_parser():
     "G(c=2,k=0,Z=[u,v*w],h=1/0)@H1",
     "O(2)+@H1", "I([u])(0)@H1", "R1(side=3,a=0,b=0)",
     "K(F1=K(F1=O(0)@H1,F2=O(0)@H2,e=id),F2=O(0)@H2,e=id)",
+    "O(\u00b2)@H1", "I([v^\u00b2,w])(0)@H1", "R1(side=1,a=\u00b2,b=0)", "O(\u0663)@H1",
 ])
 def test_parse_errors_are_positioned(bad):
     with pytest.raises(DescriptorParseError) as err:
@@ -161,6 +162,80 @@ def test_parse_errors_are_positioned(bad):
     lines = bad.split("\n")
     assert err.value.line <= max(1, len(lines))
     assert err.value.col <= len(lines[err.value.line - 1]) + 1
+
+
+def _points(n):
+    return "points(" + ";".join(f"[0:1:{i}]" for i in range(1, n + 1)) + ")"
+
+
+@pytest.mark.parametrize("entry, text, message", [
+    (parse, "G(c 1,k=0,Z=[v,w],h=auto)@H2", "1:5: got '1' (expected '=')"),
+    (parse, "G(c=1,q=0,Z=[v,w],h=auto)@H2", "1:7: got 'q' (expected k)"),
+    (parse, "G(c=1 k=0,Z=[v,w],h=auto)@H2", "1:7: got 'k' (expected ',')"),
+    (parse, "G(c=1,k=0,Z=[v,w],h=auto@H2", "1:25: got '@' (expected ')')"),
+    (parse, "G(c=1,k=0,Z=[v,w],h=)@H2", "1:21: got ')' (expected u, v, w, a coefficient)"),
+    (parse, "O(3)@H3", "1:6: got 'H3' (expected H1, H2)"),
+    (parse, "O(3)+O(@H1", "1:8: got '@' (expected an integer)"),
+    (parse, "O(3)+P(1)@H1", "1:6: got 'P' (expected O)"),
+    (parse, "I([u,v](0)@H1", "1:8: got '(' (expected ')')"),
+    (parse, "I([u v])(0)@H1", "1:6: got 'v' (expected ',')"),
+    (parse, "I(line)(0)@H1", "1:3: got 'line' (expected '[', points)"),
+    (parse, "I(points([0:1 1]))(0)@H1", "1:15: got '1' (expected ':')"),
+    (parse, "I(points([0:1:1],[0:1:2]))(0)@H1", "1:17: got ',' (expected ')')"),
+    (parse, "I(points([0:1:2:3]))(0)@H1", "1:16: got ':' (expected ']')"),
+    pytest.param(parse, "I(" + _points(601) + ")(0)@H1", "1:5902: more than 600 points: "
+                 "the form through them would pass the degree-sum limit 600", id="601 points"),
+    (parse, "I([u,1/0*v])(0)@H1", "1:9: zero denominator"),
+    (parse, "I([u,1/-2*v])(0)@H1", "1:8: denominator must be a positive integer "
+                                   "(expected an integer)"),
+    (parse, "I([u,v^2001])(0)@H1", "1:8: exponent 2001 is beyond the form-degree limit 2000"),
+    (parse, "I([u,v^w])(0)@H1", "1:8: exponent must be a nonnegative integer "
+                                "(expected an integer)"),
+    (parse, "K(F1=O(0)@H1;F2=O(0)@H2,e=id)", "1:13: got ';' (expected ',')"),
+    (parse, "K(F1=O(0)@H1,F2=O(0)@H2,e=id", "1:28: unexpected end of input (expected ')')"),
+    (parse, "K(F1=O(0)@H1,\nF2=O(0)@H2,\ne=id", "3:4: unexpected end of input "
+                                                "(expected ')')"),
+    (parse, "K(F1=O(0)@H1,F2=O(0)@H1,e=id)", "1:29: F1 and F2 must live on different planes"),
+    (parse, "K(F1=K(F1=O(0)@H1,F2=O(0)@H2,e=id),F2=O(0)@H2,e=id)",
+     "1:6: kernel components must be sheaves on a single plane"),
+    (parse, "K(F1=O(0)@H1,F2=O(0)@H2,e=diag(1,2,3))", "1:35: got ',' (expected ')')"),
+    (parse, "R1(side=3,a=0,b=0)", "1:10: side must be 1 or 2"),
+    (parse, "R1(side=3 a=0,b=0)", "1:11: side must be 1 or 2"),
+    (parse, "R1(side=1,a=0 b=0)", "1:15: got 'b' (expected ',')"),
+    (parse, "R1(side=1,b=0,a=0)", "1:11: got 'b' (expected a)"),
+    (parse, "O(3)@H1 junk", "1:9: trailing input 'junk'"),
+    (parse, "", "1:1: unexpected end of input (expected O, I, G, K, R1)"),
+    (parse, "Q(3)", "1:1: got 'Q' (expected O, I, G, K, R1)"),
+    (parse, "(3)", "1:1: got '(' (expected O, I, G, K, R1)"),
+    (parse, "O(3)@H1 !", "1:9: unexpected character '!'"),
+    (parse_gluing, "diag(1;2)", "1:7: got ';' (expected ',')"),
+    (parse_gluing, "upper(1,2)", "1:10: got ')' (expected ',')"),
+    (parse_gluing, "upper(1,2,u)", "1:11: got 'u' (expected v, w, a coefficient)"),
+    (parse_gluing, "swap", "1:1: got 'swap' (expected id, diag, upper)"),
+    (parse_gluing, "id(1)", "1:3: trailing input '('"),
+    (parse_ambient_form, "x*u", "1:3: got 'u' (expected x, y, z, w, a coefficient)"),
+    (parse_ambient_form, "x+", "1:2: unexpected end of input (expected x, y, z, w, a coefficient)"),
+    (parse_ambient_form, "x y", "1:3: trailing input 'y'"),
+    (parse_ambient_form, "", "1:1: unexpected end of input (expected x, y, z, w, a coefficient)"),
+])
+def test_parse_error_text_is_pinned(entry, text, message):
+    """The exact message, position and expected set of each production's and
+    each separator's refusal, through all three entry points."""
+    with pytest.raises(DescriptorParseError) as err:
+        entry(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, col", [
+    ("O(\u00b2)@H1", 3), ("I([v^\u00b2,w])(0)@H1", 6), ("R1(side=1,a=\u00b2,b=0)", 13),
+    ("O(\u0663)@H1", 3),
+])
+def test_a_non_ascii_digit_is_an_unexpected_character(text, col):
+    """A number is ASCII digits only: str.isdigit() admits digits that int()
+    refuses or reads as another number."""
+    with pytest.raises(DescriptorParseError) as err:
+        parse(text)
+    assert str(err.value) == f"1:{col}: unexpected character {text[col - 1]!r}"
 
 
 def test_deep_nesting_is_a_parse_error():
@@ -298,10 +373,6 @@ def test_cohomology_of_a_point_off_the_line_exits_2(text):
 
 # ---------------------------------------------------------------------------
 # the degree limits
-
-
-def _points(n):
-    return "points(" + ";".join(f"[0:1:{i}]" for i in range(1, n + 1)) + ")"
 
 
 @pytest.mark.parametrize("text, message", [

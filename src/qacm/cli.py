@@ -11,14 +11,11 @@ flags.
 from __future__ import annotations
 
 import argparse
-import csv
-import datetime
 import io
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import mf as mfmod
 from .descriptor import (DescriptorParseError, build, parse, parse_ambient_form,
@@ -30,9 +27,10 @@ from .plane import (cb_condition_check, coh_table as plane_table,
 from .quadric import (KernelSheaf, RankOneSheaf, acm_check, check_twist_window,
                       coh_table as kernel_table, gluing_variation_report,
                       restriction_invariants, ulrich_check)
+from .record import record
 
 
-@dataclass
+@record
 class ScanConfig:
     c_max: int = 6
     point_seed: int = 0
@@ -74,6 +72,7 @@ def _seedpoint_strings(values):
 
 
 def _now() -> str:
+    import datetime  # imported here: a --no-timestamp run needs neither it nor csv
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
@@ -87,6 +86,7 @@ def _emit(args, payload: dict, csv_rows=(), header=()) -> None:
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

@@ -23,7 +23,6 @@ degree constraints, Cayley-Bacharach) happens in the constructing modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import QQ
@@ -32,6 +31,7 @@ from .plane import U, CIIdealSheaf, SplitBundle, ci_from_forms, ci_from_line_poi
     make_extension_bundle, make_split_bundle
 from .quadric import MAX_DEGREE_SUM, MAX_FORM_DEGREE, GluingData, RankOneSheaf, \
     diagonal_gluing, identity_gluing, make_kernel_sheaf, upper_gluing
+from .record import record
 
 
 class DescriptorParseError(Exception):
@@ -47,31 +47,31 @@ class DescriptorParseError(Exception):
 # --- AST ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DCIForms:
     f1: Form
     f2: Form
 
 
-@dataclass(frozen=True)
+@record
 class DCIPoints:
     points: tuple  # ((u, v, w) rational triples)
 
 
-@dataclass(frozen=True)
+@record
 class DLBSum:
     twists: tuple
     plane: int
 
 
-@dataclass(frozen=True)
+@record
 class DIdeal:
     ci: object
     m: int
     plane: int
 
 
-@dataclass(frozen=True)
+@record
 class DExt:
     c: int
     k: int
@@ -80,14 +80,14 @@ class DExt:
     plane: int
 
 
-@dataclass(frozen=True)
+@record
 class DKernel:
     f1: object
     f2: object
     e: GluingData       # as parsed; ``build`` validates it
 
 
-@dataclass(frozen=True)
+@record
 class DRankOne:
     side: int
     a: int

@@ -33,9 +33,10 @@ accessors (``entry``, ``row``, ``column``) return
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+
+from .record import record
 
 QQ = Fraction
 
@@ -48,7 +49,7 @@ def _fr(x) -> Fraction:
     raise TypeError(f"matrix entries must be rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+@record
 class RatMatrix:
     """Immutable sparse matrix of rationals: ``data`` is a tuple of row dicts
     ``{col: nonzero int}`` over the common denominator ``den``.  Build it with

@@ -17,11 +17,11 @@ degrees: a linear matrix with nonzero determinant is injective on sections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import QQ, RatMatrix, rank
 from .monomials import Form
+from .record import record
 
 X4, Y4, Z4, W4 = (Form.variable(4, n) for n in ("x", "y", "z", "w"))
 Q_DEFAULT = X4 * Y4
@@ -119,7 +119,7 @@ def divide_by_monomial_power(f: Form, q: Form, power: int) -> Form:
     return Form.from_dict(4, d)
 
 
-@dataclass(frozen=True)
+@record
 class MFPair:
     a: tuple
     b: tuple
@@ -241,7 +241,7 @@ def cokernel_hilbert(a, t: int) -> int:
     return len(a) * (t + 1) * (t + 2) // 2
 
 
-@dataclass(frozen=True)
+@record
 class MFReport:
     matrix: tuple
     partner: tuple

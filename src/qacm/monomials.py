@@ -16,13 +16,13 @@ matrix is reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, lcm
 from operator import add, le, sub
 
 from .linalg import QQ, RatMatrix
+from .record import record
 
 VAR_NAMES = {2: ("v", "w"), 3: ("u", "v", "w"), 4: ("x", "y", "z", "w")}
 
@@ -35,7 +35,7 @@ def _fr(x) -> Fraction:
     raise TypeError(f"coefficients must be rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+@record
 class Form:
     """A homogeneous polynomial: ``terms`` maps exponent tuples to nonzero
     rational coefficients, stored as a reverse-lex sorted tuple of pairs."""
@@ -345,7 +345,7 @@ def _suffix_sums(e) -> list:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class GradedPiece:
     """A cohomology group H^i(space, O(d)) with its ordered monomial basis, or
     the span of a part of that basis.  As the target of ``multiplication_matrix``

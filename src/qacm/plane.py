@@ -26,7 +26,6 @@ Serre dual to (S/(p))_(-b-t-3) for the relation forms (p), a regular sequence
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
@@ -36,6 +35,7 @@ from .linalg import QQ, RatMatrix, kernel_basis, rank
 from .monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_zero_free,
                         cohomology_dim, dual_exponents, euler_char_p2, multiplication_matrix,
                         restrict_to_line as form_on_line)
+from .record import record
 
 U = Form.variable(3, "u")
 
@@ -44,7 +44,7 @@ U = Form.variable(3, "u")
 # complete-intersection subschemes
 
 
-@dataclass(frozen=True)
+@record
 class CISubscheme:
     """Zero-dimensional Z = V(f1, f2) in the plane.  ``points`` optionally
     records ((v, w), multiplicity) data when Z lies on L = {u = 0} and was
@@ -123,7 +123,7 @@ def ci_from_line_points(pts) -> CISubscheme:
 # presentations
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     target_twists: tuple        # twists a_i of the free cover
     relation_twist: object      # twist b of the single relation, or None
@@ -135,7 +135,7 @@ class Presentation:
                             tuple(form_on_line(f) for f in self.relation))
 
 
-@dataclass(frozen=True)
+@record
 class DegreeData:
     """What a table counts: the twists a_i of the free cover, the relation twist b
     (None without a relation; the relation forms, a regular sequence, have degrees
@@ -152,7 +152,7 @@ class _Presented:
     each built once per instance: the sheaves are frozen and a ``Presentation``
     holds only frozen forms, so every caller can share them.  Whether the
     relation has a common zero, on L or on the plane, is decided at most once.
-    Equality and hashing stay those of the dataclass fields."""
+    Equality and hashing stay those of the ``record`` fields."""
 
     @cached_property
     def presentation(self) -> Presentation:
@@ -192,7 +192,7 @@ class _Presented:
         return no_common_zero(self.presentation.relation)
 
 
-@dataclass(frozen=True)
+@record
 class SplitBundle(_Presented):
     side: int
     twists: tuple
@@ -201,7 +201,7 @@ class SplitBundle(_Presented):
         return Presentation(self.twists, None, ())
 
 
-@dataclass(frozen=True)
+@record
 class CIIdealSheaf(_Presented):
     """I_Z(m) with Koszul presentation 0 -> O(m-d1-d2) -> O(m-d1)+O(m-d2)."""
 
@@ -215,7 +215,7 @@ class CIIdealSheaf(_Presented):
                             (-self.ci.f2, self.ci.f1))
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionBundle(_Presented):
     """Rank-2 bundle from 0 -> O(k) -> G -> I_Z(c-k) -> 0 with extension
     class realized by the form h of degree 2k - c + d1 + d2."""
@@ -321,7 +321,7 @@ def make_extension_bundle(c: int, k: int, ci: CISubscheme, h="auto", side: int =
             raise ValueError("extension not locally free (Cayley-Bacharach violated by h)")
     g = ExtensionBundle(side, c, k, ci, h)
     # the relation (-f2, f1, h) has the zeros of (f1, f2, h); the cached property is no
-    # dataclass field, so equality and hashing do not see it
+    # ``record`` field, so equality and hashing do not see it
     vars(g)["relation_common_zero_free"] = True
     return g
 
@@ -451,7 +451,7 @@ def check_h2_kernel(sheaf, t: int, ker: RatMatrix) -> None:
                                  f"{ker.cols}, its Hilbert function {n}")
 
 
-@dataclass(frozen=True)
+@record
 class CohRow:
     t: int
     h0: int
@@ -463,7 +463,7 @@ class CohRow:
         return self.h0 - self.h1 + self.h2
 
 
-@dataclass(frozen=True)
+@record
 class CohTable:
     rows: tuple
 
@@ -546,7 +546,7 @@ def cb_condition_check(c: int, k: int, ci: CISubscheme) -> bool:
 # restriction to L and trivialization
 
 
-@dataclass(frozen=True)
+@record
 class Trivialization:
     """Splitting data for F|_L = O_L(c1) + O_L(c2) (c1 >= c2): ``rows[e]`` is
     a tuple of binary forms, one per presentation summand, expressing the

@@ -30,7 +30,6 @@ middle cohomology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InternalCheckError
@@ -41,6 +40,7 @@ from .plane import (CohRow, CohTable, DegreeData, SplitBundle, check_h2_kernel, 
                     ci_from_forms, ci_from_line_points, cohomology as plane_cohomology,
                     degree_table, dual_prefix, make_extension_bundle, make_split_bundle,
                     relation_h2_kernel, relation_h2_prefix_matrix, trivialize_on_line)
+from .record import record
 
 AMBIENT_LINEAR = tuple(Form.variable(4, n) for n in ("x", "y", "z", "w"))
 
@@ -49,7 +49,7 @@ AMBIENT_LINEAR = tuple(Form.variable(4, n) for n in ("x", "y", "z", "w"))
 # gluing data
 
 
-@dataclass(frozen=True)
+@record
 class GluingData:
     """Automorphism-shaped isomorphism of O_L(c) + O_L used to glue the two
     restrictions: (s_hi, s_lo) -> (alpha s_hi + beta s_lo, delta s_lo)."""
@@ -98,7 +98,7 @@ def check_gluing(e: GluingData, c: int) -> None:
 # kernel sheaves
 
 
-@dataclass(frozen=True)
+@record
 class KernelSheaf:
     split: SplitBundle
     other: object
@@ -109,7 +109,8 @@ class KernelSheaf:
 
     @property
     def degree_data(self) -> DegreeData:
-        return replace(self.other.degree_data, c=self.c)
+        d = self.other.degree_data
+        return DegreeData(d.cover, d.relation, self.c)
 
 
 def make_kernel_sheaf(f_split: SplitBundle, f_other, e: GluingData = None) -> KernelSheaf:
@@ -220,7 +221,7 @@ def h2(k: KernelSheaf, t: int) -> int:
 # aCM / Ulrich
 
 
-@dataclass(frozen=True)
+@record
 class ACMReport:
     is_acm: bool
     table: CohTable
@@ -248,7 +249,7 @@ def acm_check(k: KernelSheaf, margin: int = 8) -> ACMReport:
     return ACMReport(all(r.h1 == 0 for r in table.rows), table, (lo, hi))
 
 
-@dataclass(frozen=True)
+@record
 class UlrichResult:
     is_ulrich: bool
     t0: int
@@ -278,7 +279,7 @@ def restriction_invariants(k: KernelSheaf):
 # gluing variation
 
 
-@dataclass(frozen=True)
+@record
 class GluingVariationRow:
     gluing: str
     table: CohTable
@@ -376,7 +377,7 @@ def global_generation_surjective(k: KernelSheaf) -> bool:
 # rank-one sheaves
 
 
-@dataclass(frozen=True)
+@record
 class RankOneSheaf:
     """Extension of O_{H_(3-i)}(b) by O_{H_i}(a) on X; its dimensions do not
     depend on the extension class."""

@@ -398,17 +398,26 @@ def relation_h2_kernel(sheaf, t: int) -> RatMatrix:
       n < 0 the source is empty; once n reaches ``_socle_bound`` and the forms
       have no common zero (decided once per sheaf) that piece is everything.
     """
+    if sheaf.h2_depth:
+        return relation_h2_kernel_on_line(sheaf, t)[0]
     pres = sheaf.presentation
     b = pres.relation_twist
-    if sheaf.h2_depth:
-        n, bound = -(b + t + 1) - 2, _socle_bound(sheaf.line_presentation.relation, 2)
-        if n < 0 or bound is not None and n >= bound and sheaf.line_relation_coprime:
-            return RatMatrix.zero(cohomology_dim(P1, 1, b + t + 1), 0)
-        return kernel_basis(_line_relation_matrix(sheaf, t + 1, 1))
     n, bound = -(b + t) - 3, _socle_bound(pres.relation, 3)
     if n < 0 or bound is not None and n >= bound and sheaf.relation_common_zero_free:
         return RatMatrix.zero(cohomology_dim(P2, 2, b + t), 0)
     return kernel_basis(relation_h2_matrix(sheaf, t))
+
+
+def relation_h2_kernel_on_line(sheaf, t: int) -> tuple:
+    """(``relation_h2_kernel(sheaf, t)``, the matrix it is the kernel of) for a sheaf
+    with a relation form c*u: that matrix is ``line_relation_matrix(sheaf, t + 1, 1)``,
+    or None where the kernel is zero by its degrees and nothing is built."""
+    b = sheaf.presentation.relation_twist
+    n, bound = -(b + t + 1) - 2, _socle_bound(sheaf.line_presentation.relation, 2)
+    if n < 0 or bound is not None and n >= bound and sheaf.line_relation_coprime:
+        return RatMatrix.zero(cohomology_dim(P1, 1, b + t + 1), 0), None
+    line = line_relation_matrix(sheaf, t + 1, 1)
+    return kernel_basis(line), line
 
 
 def ci_hilbert(degrees, n: int) -> int:
@@ -480,25 +489,35 @@ def degree_table(d: DegreeData, tmin: int, tmax: int) -> CohTable:
     -> 0, F|_L = O_L(c) + O_L, h1 is the image of u on H1(F(t-1)): P(t-1).h1 less the
     cokernel of H0(F(t)) -> H0(F|_L(t)).  h0 = h0(O(c) + O)(t) + P(t).h0 - h0(F|_L(t)),
     the H0-level map onto L being onto; h2 is the cokernel of the H1-level restriction,
-    h1(F|_L(t)) - P(t).h1 + h1, plus P(t).h2 and h2(O(c) + O)(t)."""
+    h1(F|_L(t)) - P(t).h1 + h1, plus P(t).h2 and h2(O(c) + O)(t).
+
+    Each count is inline: on P2 h0(O(n)) and h2(O(n)) are chi(O(n)) = (n+1)(n+2)/2 for
+    n >= 0 and n < 0 (it is 0 at n = -1, -2); on L h0(O_L(n)) and h1(O_L(n)) are n + 1
+    and -(n + 1), each where it is positive."""
     def plane(d, t):
-        h0 = sum(cohomology_dim(P2, 0, a + t) for a in d.cover)
-        h2 = sum(cohomology_dim(P2, 2, a + t) for a in d.cover)
+        h0 = h2 = 0
+        for a in d.cover:
+            n = a + t
+            if n >= 0:
+                h0 += (n + 1) * (n + 2) // 2
+            else:
+                h2 += (n + 1) * (n + 2) // 2
         if d.relation is None:
             return h0, 0, h2
-        h1 = h2_kernel_dim(d, t)
-        return (h0 - cohomology_dim(P2, 0, d.relation + t), h1,
-                h2 - cohomology_dim(P2, 2, d.relation + t) + h1)
+        n, h1 = d.relation + t, h2_kernel_dim(d, t)
+        if n >= 0:
+            return h0 - (n + 1) * (n + 2) // 2, h1, h2 + h1
+        return h0, h1, h2 - (n + 1) * (n + 2) // 2 + h1
 
     if d.c is None:
         return CohTable(tuple(CohRow(t, *plane(d, t)) for t in range(tmin, tmax + 1)))
     split, rows, (b0, b1, _) = DegreeData((d.c, 0)), [], plane(d, tmin - 1)
     for t in range(tmin, tmax + 1):
         (p0, p1, p2), (s0, _, s2) = plane(d, t), plane(split, t)
-        line_h0 = cohomology_dim(P1, 0, d.c + t) + cohomology_dim(P1, 0, t)
+        line_h0 = max(d.c + t + 1, 0) + max(t + 1, 0)
+        line_h1 = max(-d.c - t - 1, 0) + max(-t - 1, 0)
         h1 = b1 + p0 - b0 - line_h0
-        h2 = cohomology_dim(P1, 1, d.c + t) + cohomology_dim(P1, 1, t) + h1 + s2 + p2 - p1
-        rows.append(CohRow(t, s0 + p0 - line_h0, h1, h2))
+        rows.append(CohRow(t, s0 + p0 - line_h0, h1, line_h1 + h1 + s2 + p2 - p1))
         b0, b1 = p0, p1
     return CohTable(tuple(rows))
 
@@ -560,7 +579,7 @@ class Trivialization:
         return self.degrees[0] - self.degrees[-1]
 
 
-def _line_relation_matrix(sheaf, t: int, i: int) -> RatMatrix:
+def line_relation_matrix(sheaf, t: int, i: int) -> RatMatrix:
     """H^i-level (i = 0 or 1) matrix of the restricted relation on L."""
     return _relation_matrix(P1, i, sheaf.line_presentation, t)
 

@@ -18,7 +18,8 @@ built forms of F_other:
 * the H2-level kernel of F_other at t, eliminated once, has the dimension the
   Hilbert function of the relation forms gives;
 * h1, the kernel of the H1-level restriction of F_other, equals a zig-zag
-  through the presentation (the LES check).
+  through the presentation (the LES check), all on L when a relation form of
+  F_other is c*u.
 
 chi = h0 - h1 + h2 holds identically (h1 enters h2 as well) and is not checked.
 
@@ -38,8 +39,9 @@ from .monomials import (P1, P2, Form, GradedPiece, basis, multiplication_matrix,
                         restrict_to_plane, restriction_matrix)
 from .plane import (CohRow, CohTable, DegreeData, SplitBundle, check_h2_kernel, chern,
                     ci_from_forms, ci_from_line_points, cohomology as plane_cohomology,
-                    degree_table, dual_prefix, make_extension_bundle, make_split_bundle,
-                    relation_h2_kernel, relation_h2_prefix_matrix, trivialize_on_line)
+                    degree_table, dual_prefix, line_relation_matrix, make_extension_bundle,
+                    make_split_bundle, relation_h2_kernel, relation_h2_kernel_on_line,
+                    relation_h2_prefix_matrix, trivialize_on_line)
 from .record import record
 
 AMBIENT_LINEAR = tuple(Form.variable(4, n) for n in ("x", "y", "z", "w"))
@@ -178,25 +180,84 @@ def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int, ker: RatMatrix) -> int:
     return kernel_dim(hstack(a_mat, d_mat)) - kernel_dim(d_mat)
 
 
+def _u_coefficients(pres) -> tuple:
+    """q_i|_L for each relation form p_i = p_i|_L + u q_i + u^2 (...): its terms of
+    u-exponent 1 with u dropped, a binary form of degree a_i - b - 1."""
+    return tuple(Form.from_dict(2, {e[1:]: c for e, c in f.terms if e[0] == 1})
+                 for f in pres.relation)
+
+
+def _h1_kernel_on_line(k: KernelSheaf, t: int, ker: RatMatrix, line: RatMatrix,
+                       line_kernel: int, q: tuple) -> int:
+    """``_h1_kernel_of_line_map_full`` when a relation form of F_other is c*u, on L:
+    dim ker [U_t K | L_t] - dim ker L_t.  ``ker`` = K, the H2-level kernel of F_other
+    at t, is ker L_(t+1) on H1(O_L(b+t+1)), the u-exponent -1 part of H2(O(b+t));
+    ``line`` = L_t is ``line_relation_matrix(F_other, t, 1)``, ``line_kernel`` the
+    dimension of its kernel; U_t multiplies by the u-coefficients ``q`` (q_i|_L,
+    ``_u_coefficients``) from H1(O_L(b+t+1)) into the sum of H1(O_L(a_i+t)).
+
+    The zig-zag's lifted block acts on u-exponent -2 columns: terms of p_i free of
+    u keep the exponent, terms in u move it to -1, and u^2 kills.  So its rows of
+    u-exponent -2 are L_(t+1), zero on K, and those of -1 are U_t.  Its other block,
+    on the u-exponent -1 columns, is L_t and reaches rows of u-exponent -1 only."""
+    if not ker.cols:
+        return 0
+    pres = k.other.presentation
+    u_map = multiplication_matrix([(f,) for f in q], [basis(P1, 1, pres.relation_twist + t + 1)],
+                                  [basis(P1, 1, a + t) for a in pres.target_twists])
+    return kernel_dim(hstack(u_map @ ker, line)) - line_kernel
+
+
+def _zigzag_walk(k: KernelSheaf, tmin: int, tmax: int):
+    """The full-route h1 of K(t), t = tmin..tmax, for an F_other with a relation and no
+    relation form c*u: each H2 kernel is computed once and checked against its
+    Hilbert function (the relation forms of a glued other side are a regular
+    sequence, as it is locally free), then ``_h1_kernel_of_line_map_full``."""
+    other = k.other
+    for t in range(tmin, tmax + 1):
+        ker = relation_h2_kernel(other, t)
+        check_h2_kernel(other, t, ker)
+        yield _h1_kernel_of_line_map_full(k, t, ker)
+
+
+def _line_walk(k: KernelSheaf, tmin: int, tmax: int):
+    """As ``_zigzag_walk`` when a relation form of F_other is c*u, by
+    ``_h1_kernel_on_line``: every matrix is one on L.  Step t builds and eliminates
+    L_(t+1) for its kernel K_t and hands L_(t+1) and dim K_t to step t + 1, as its
+    L_t and dim ker L_t; the u-coefficients are read once.  Only at tmin, or after a step whose kernel
+    was zero by its degrees, is L_t built here, and only at tmin is it eliminated."""
+    other = k.other
+    q = _u_coefficients(other.presentation)
+    line, below = None, None        # L_t from the step before, and its kernel's dimension
+    for t in range(tmin, tmax + 1):
+        ker, above = relation_h2_kernel_on_line(other, t)
+        check_h2_kernel(other, t, ker)
+        full = 0
+        if ker.cols:
+            if line is None:
+                line = line_relation_matrix(other, t, 1)
+            full = _h1_kernel_on_line(k, t, ker, line,
+                                      kernel_dim(line) if below is None else below, q)
+        yield full
+        line, below = above, ker.cols
+
+
 def coh_table(k: KernelSheaf, tmin: int, tmax: int) -> CohTable:
     """The rows of K(t) for t in [tmin, tmax]: ``degree_table`` of its degree
-    data, each row checked against the built forms (InternalCheckError).  The H2
-    kernel of the other side at t is computed once and checked against its
-    Hilbert function (the relation forms of a glued other side are a regular
-    sequence, as it is locally free); h1 must equal the zig-zag of the full route
-    on that kernel (LES).  Without a relation no kernel is computed."""
+    data, each row checked against the built forms (InternalCheckError): the H2
+    kernels of the other side by their Hilbert function and h1 by the zig-zag of
+    the full route (LES), ``_line_walk`` or ``_zigzag_walk``.  Without a relation
+    no kernel is computed and h1 must be 0."""
     table = degree_table(k.degree_data, tmin, tmax)
     other = k.other
-    walk = other.presentation.relation_twist is not None
-    for row in table.rows:
-        t = row.t
-        ker = relation_h2_kernel(other, t) if walk else RatMatrix.zero(0, 0)
-        if walk:
-            check_h2_kernel(other, t, ker)
-        full = _h1_kernel_of_line_map_full(k, t, ker)
+    if other.presentation.relation_twist is None:
+        walk = (0 for _ in table.rows)
+    else:
+        walk = (_line_walk if other.h2_depth else _zigzag_walk)(k, tmin, tmax)
+    for row, full in zip(table.rows, walk):
         if row.h1 != full:
             raise InternalCheckError(
-                f"LES inconsistency at twist {t}: fast path {row.h1}, full path {full}")
+                f"LES inconsistency at twist {row.t}: fast path {row.h1}, full path {full}")
     return table
 
 

@@ -16,18 +16,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qacm.linalg
 import qacm.monomials
 import qacm.plane
 import qacm.quadric
-from qacm.cli import classify_pairs, seeded_line_values
+from qacm.cli import ScanConfig, classify_pairs, scan_descriptors, seeded_line_values
 from qacm.descriptor import build, parse
-from qacm.linalg import RatMatrix, kernel_basis
+from qacm.linalg import RatMatrix, kernel_basis, kernel_dim
 from qacm.monomials import P2, Form, cohomology_dim, h0_exponents
 from qacm.plane import (CIIdealSheaf, CISubscheme, ExtensionBundle, ci_from_forms,
                         ci_from_line_points, cohomology, degree_table, dual_prefix, euler_char,
                         make_extension_bundle, make_split_bundle, relation_h2_kernel,
                         relation_h2_matrix, trivialize_on_line)
-from qacm.quadric import (_h1_kernel_of_line_map_full, acm_window, coh_table,
+from qacm.quadric import (_h1_kernel_of_line_map_full, _h1_kernel_on_line, _line_walk,
+                          _u_coefficients, acm_window, coh_table,
                           collinear_extension_kernel, make_kernel_sheaf)
 from test_linalg import vstack
 from test_plane import h1_restriction_kernel_dim
@@ -196,6 +198,56 @@ def test_u_free_fast_route_equals_the_full_route(sheaf, total):
     assert sum(fast) == total
 
 
+def test_line_walk_equals_the_full_route_on_the_c14_scans():
+    """The collinear walk's zig-zag on L, with each line relation handed from one
+    step to the next, equals the zig-zag of the full route on the dual prefixes
+    of P2 at every twist of the aCM window widened by 5 on each side, for every
+    point-extension and collinear row of ``classify --cmax 14``, seeds 1 and 3."""
+    twists = nonzero = rows = 0
+    for seed in (1, 3):
+        for kind, _, text in scan_descriptors(ScanConfig(c_max=14, point_seed=seed)):
+            if kind == "split":
+                continue
+            k = build(parse(text))
+            lo, hi = acm_window(k)
+            window = range(lo - 5, hi + 6)
+            kernels = [relation_h2_kernel(k.other, t) for t in window]
+            full = [_h1_kernel_of_line_map_full(k, t, ker) for t, ker in zip(window, kernels)]
+            assert list(_line_walk(k, lo - 5, hi + 5)) == full, text
+            rows, twists = rows + 1, twists + len(full)
+            nonzero += sum(ker.cols > 0 for ker in kernels)
+    assert (rows, twists, nonzero) == (128, 5162, 1178)
+
+
+@pytest.mark.parametrize("c, k", [(4, 2), (6, 2), (7, 3)])
+def test_line_walk_from_any_first_twist(c, k):
+    """A walk that starts inside the range of nonzero kernels has no step before
+    it to hand L_t over: it builds and eliminates L_t itself, and gives the
+    full route's value at every twist whatever its first twist."""
+    kernel = collinear_extension_kernel(c, k, [((1, r), 1) for r in seeded_line_values(3, c - k)])
+    lo, hi = acm_window(kernel)
+    full = {t: _h1_kernel_of_line_map_full(kernel, t, relation_h2_kernel(kernel.other, t))
+            for t in range(lo, hi + 1)}
+    starts = [t for t in range(lo, hi + 1) if relation_h2_kernel(kernel.other, t).cols]
+    assert len(starts) >= 3
+    for t0 in starts:
+        assert list(_line_walk(kernel, t0, hi)) == [full[t] for t in range(t0, hi + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_u_presentations(), st.integers(-12, 1))
+def test_route_on_line_equals_the_full_route(sheaf, t):
+    """On any sheaf whose relation holds s*u, the u-coefficients of its forms
+    drawn free or u-homogeneous, the zig-zag on L at t equals the full route on
+    the same H2 kernel, L_t built and eliminated here."""
+    k = SimpleNamespace(other=sheaf)
+    ker = relation_h2_kernel(sheaf, t)
+    line = qacm.plane.line_relation_matrix(sheaf, t, 1)
+    q = _u_coefficients(sheaf.presentation)
+    assert _h1_kernel_on_line(k, t, ker, line, kernel_dim(line), q) == \
+        _h1_kernel_of_line_map_full(k, t, ker)
+
+
 def _u_free_g():
     """G(c=4,k=1,Z=[v,w^3],h=auto): the relation (-w^3, v, h) is three forms
     with no common zero, of degrees summing to 6, so with b = -1 the kernel
@@ -297,34 +349,60 @@ def test_fewer_forms_than_variables_take_the_elimination(monkeypatch, sheaf):
         if sheaf.h2_depth is None:
             assert ker == kernel_basis(relation_h2_matrix(sheaf, t))
         else:
-            assert ker == kernel_basis(qacm.plane._line_relation_matrix(sheaf, t + 1, 1))
+            assert ker == kernel_basis(qacm.plane.line_relation_matrix(sheaf, t + 1, 1))
     assert relation_h2_kernel(sheaf, -30).cols > 0
 
 
-def _kernel_twists(monkeypatch, k) -> tuple:
+def _kernel_twists(monkeypatch, k, name="relation_h2_kernel") -> tuple:
     """The twists at which one table of K over its aCM window computes an H2
-    kernel, each checked to be of the other side, and the window."""
+    kernel by the plane function ``name``, each checked to be of the other side,
+    and the window."""
     calls = []
-    compute = qacm.plane.relation_h2_kernel
+    compute = getattr(qacm.plane, name)
 
     def counted(sheaf, t):
         calls.append((sheaf, t))
         return compute(sheaf, t)
 
     for mod in (qacm.plane, qacm.quadric):
-        monkeypatch.setattr(mod, "relation_h2_kernel", counted)
+        monkeypatch.setattr(mod, name, counted)
     lo, hi = acm_window(k)
     coh_table(k, lo, hi)
     assert all(sheaf is k.other for sheaf, _ in calls)
     return [t for _, t in calls], lo, hi
 
 
+def _collinear_k():
+    return collinear_extension_kernel(4, 2, [((1, r), 1) for r in seeded_line_values(3, 2)])
+
+
 def test_collinear_table_walks_each_kernel_once(monkeypatch):
     """The checks ask for the H2 kernel of the other side once at every twist t,
-    for the Hilbert check and the full route; the rows are a count of degrees."""
-    k = collinear_extension_kernel(4, 2, [((1, r), 1) for r in seeded_line_values(3, 2)])
-    twists, lo, hi = _kernel_twists(monkeypatch, k)
+    for the Hilbert check and the full route on L, through the helper that also
+    hands over the line relation it eliminated; the rows are a count of degrees."""
+    twists, lo, hi = _kernel_twists(monkeypatch, _collinear_k(), "relation_h2_kernel_on_line")
     assert twists == list(range(lo, hi + 1))
+
+
+def test_collinear_table_eliminates_once_per_nonzero_kernel(monkeypatch):
+    """A collinear table over its window builds no dual-prefix matrix of P2, and
+    its LES check ranks one matrix per twist whose H2 kernel is nonzero: rank L_t
+    is read off the kernel of the step before, which handed L_t over."""
+    k = _collinear_k()
+    lo, hi = acm_window(k)
+    nonzero = sum(relation_h2_kernel(k.other, t).cols > 0 for t in range(lo, hi + 1))
+    ranks = []
+    real_rank = qacm.linalg.rank
+
+    def forbidden(*args):
+        raise AssertionError("dual-prefix matrix built on a collinear walk")
+
+    for mod in (qacm.plane, qacm.quadric):
+        monkeypatch.setattr(mod, "relation_h2_prefix_matrix", forbidden)
+    for mod in (qacm.linalg, qacm.plane, qacm.quadric):
+        monkeypatch.setattr(mod, "rank", lambda m: ranks.append(m) or real_rank(m))
+    coh_table(k, lo, hi)
+    assert nonzero == 4 and len(ranks) == nonzero
 
 
 def test_u_free_table_walks_each_kernel_once(monkeypatch):

@@ -20,10 +20,9 @@ from qacm.linalg import kernel_dim, rank
 from qacm.monomials import P1, Form, basis, binary_forms_common_zero_free, cohomology_dim, \
     h0_exponents, multiplication_matrix
 from qacm.plane import (U, CISubscheme, ExtensionBundle, _auto_extension_form,
-                        _hom_row_candidates, _koszul_rows, _line_relation_matrix,
-                        _mu_basis_rows, ci_from_forms,
-                        ci_from_line_points, make_extension_bundle, make_split_bundle,
-                        no_common_zero, trivialize_on_line)
+                        _hom_row_candidates, _koszul_rows, _mu_basis_rows, ci_from_forms,
+                        ci_from_line_points, line_relation_matrix, make_extension_bundle,
+                        make_split_bundle, no_common_zero, trivialize_on_line)
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 
@@ -48,7 +47,7 @@ def reference_line_h0_dim(sheaf, t: int) -> int:
     total = sum(cohomology_dim(P1, 0, a + t) for a in pres.target_twists)
     if pres.relation_twist is None:
         return total
-    return total - rank(_line_relation_matrix(sheaf, t, 0)) + kernel_dim(_line_relation_matrix(sheaf, t, 1))
+    return total - rank(line_relation_matrix(sheaf, t, 0)) + kernel_dim(line_relation_matrix(sheaf, t, 1))
 
 
 def reference_splitting_degrees(sheaf) -> tuple:

@@ -222,17 +222,30 @@ SCAN_SHEAF = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:{}];[0:1:{}]),h=auto)
 
 def test_les_cross_check_fails_when_the_full_route_is_perturbed(monkeypatch, capsys):
     """On the collinear family h1 is 0, so the degree count of the fast route
-    holds the full route to 0: one more there must be refused, by coh_row and
-    by ``qacm cohomology`` with exit 3."""
+    holds the full route to 0: one more in the route the collinear walk runs,
+    the zig-zag on L, must be refused, by coh_row and by ``qacm cohomology``
+    with exit 3."""
     k = build(parse(SCAN_SHEAF))
     t = -3
     assert acm_check(k).is_acm and coh_row(k, t).h1 == 0
-    real = qacm.quadric._h1_kernel_of_line_map_full
-    monkeypatch.setattr(qacm.quadric, "_h1_kernel_of_line_map_full",
-                        lambda k, t, ker: real(k, t, ker) + 1)
+    real = qacm.quadric._h1_kernel_on_line
+    monkeypatch.setattr(qacm.quadric, "_h1_kernel_on_line", lambda *args: real(*args) + 1)
     with pytest.raises(InternalCheckError, match="LES inconsistency"):
         coh_row(k, t)
     code = main(["cohomology", "--sheaf", SCAN_SHEAF, "--tmin", str(t), "--tmax", str(t),
+                 "--no-timestamp"])
+    assert code == 3 and "LES inconsistency" in capsys.readouterr().err
+
+
+def test_les_cross_check_fails_when_the_u_coefficients_are_zeroed(monkeypatch, capsys):
+    """The LES check on L reads the built forms: with the u-coefficient map U_t
+    zeroed, the zig-zag gives dim K where the count gives 0, and ``qacm
+    cohomology`` of the collinear sheaf over its aCM window exits 3."""
+    k = build(parse(SCAN_SHEAF))
+    lo, hi = acm_window(k)
+    monkeypatch.setattr(qacm.quadric, "_u_coefficients",
+                        lambda pres: tuple(Form.zero(2) for _ in pres.relation))
+    code = main(["cohomology", "--sheaf", SCAN_SHEAF, "--tmin", str(lo), "--tmax", str(hi),
                  "--no-timestamp"])
     assert code == 3 and "LES inconsistency" in capsys.readouterr().err
 
@@ -289,8 +302,15 @@ def _add_one_at_the_corner(m):
                           m.den)
 
 
+def _drop_last_kernel_column(kernel_and_line):
+    """``_drop_last_column`` of the kernel that ``relation_h2_kernel_on_line`` returns."""
+    ker, line = kernel_and_line
+    return _drop_last_column(ker), line
+
+
 @pytest.mark.parametrize("target, name, mutate", [
-    pytest.param(qacm.quadric, "relation_h2_kernel", _drop_last_column, id="kernel-column"),
+    pytest.param(qacm.quadric, "relation_h2_kernel_on_line", _drop_last_kernel_column,
+                 id="kernel-column"),
     pytest.param(qacm.plane, "multiplication_matrix", _add_one_at_the_corner, id="builder-entry")])
 def test_hilbert_check_fails_when_an_h2_kernel_is_perturbed(monkeypatch, capsys, target, name,
                                                             mutate):
@@ -312,18 +332,19 @@ def test_hilbert_check_fails_when_an_h2_kernel_is_perturbed(monkeypatch, capsys,
     assert code == 3 and "Hilbert function" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sheaf", [
-    README_SHEAF, "K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)"],
+@pytest.mark.parametrize("sheaf, kernel", [
+    (README_SHEAF, "relation_h2_kernel_on_line"),
+    ("K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)", "relation_h2_kernel")],
     ids=["collinear", "u-free"])
-def test_each_h2_kernel_is_hilbert_checked_once(monkeypatch, sheaf):
+def test_each_h2_kernel_is_hilbert_checked_once(monkeypatch, sheaf, kernel):
     """A table checks each H2 kernel of the other side once, where it computes
     it: the twists checked are the twists computed, each twist of the window
-    once and none below it, collinear or u-free."""
+    once and none below it, collinear (on L, by the helper that also hands over
+    the line relation) or u-free."""
     k = build(parse(sheaf))
     computed, checked = [], []
-    compute, check = qacm.quadric.relation_h2_kernel, qacm.quadric.check_h2_kernel
-    monkeypatch.setattr(qacm.quadric, "relation_h2_kernel",
-                        lambda s, t: computed.append(t) or compute(s, t))
+    compute, check = getattr(qacm.quadric, kernel), qacm.quadric.check_h2_kernel
+    monkeypatch.setattr(qacm.quadric, kernel, lambda s, t: computed.append(t) or compute(s, t))
     monkeypatch.setattr(qacm.quadric, "check_h2_kernel",
                         lambda s, t, ker: checked.append(t) or check(s, t, ker))
     lo, hi = acm_window(k)

@@ -1,5 +1,11 @@
 """Exact linear algebra over the rationals.
 
+The package has one number representation: int numerators over one canonical
+denominator, here for a matrix and in ``monomials.Form`` for a polynomial, from
+the descriptor parser to the elimination.  ``fractions.Fraction`` appears only
+where a rational comes in or goes out: the parser's literals, the printers, a
+scalar that multiplies (``as_ratio`` folds it into the ints) and the accessors.
+
 A matrix is stored in one form from the moment it is built until it is
 eliminated: sparse rows of Python ints over one common denominator.  Row i is
 a dict ``{col: nonzero int}`` and entry (i, j) is ``data[i].get(j, 0) / den``;
@@ -26,8 +32,7 @@ columns, first nonzero positive.  That basis depends only on which columns
 are pivots (column j is one exactly when it is not a combination of the
 columns before it), and a peeled column always is one, so the peel changes
 no basis, and identical inputs always produce identical bases.  The public
-accessors (``entry``, ``row``, ``column``) return
-``fractions.Fraction`` values.
+accessors (``entry``, ``row``, ``column``) return ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -41,12 +46,13 @@ from .record import record
 QQ = Fraction
 
 
-def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def as_ratio(x) -> tuple:
+    """(numerator, positive denominator) of a rational, an int or a Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"matrix entries must be rational, got {type(x).__name__}")
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"expected a rational (int or Fraction), got {type(x).__name__}")
 
 
 @record
@@ -75,10 +81,10 @@ class RatMatrix:
     @staticmethod
     def from_dicts(rows: int, cols: int, data) -> "RatMatrix":
         """Matrix from row dicts ``{col: rational}``; zero values are dropped."""
-        data = [{j: _fr(x) for j, x in r.items()} for r in data]
-        den = lcm(*(x.denominator for r in data for x in r.values()))
-        return RatMatrix.make(rows, cols, [{j: x.numerator * (den // x.denominator)
-                                            for j, x in r.items() if x} for r in data], den)
+        data = [{j: as_ratio(x) for j, x in r.items()} for r in data]
+        den = lcm(*(d for r in data for _, d in r.values()))
+        return RatMatrix.make(rows, cols, [{j: n * (den // d) for j, (n, d) in r.items() if n}
+                                           for r in data], den)
 
     @staticmethod
     def from_rows(rows) -> "RatMatrix":
@@ -152,13 +158,11 @@ class RatMatrix:
         return self + (-other)
 
     def scale(self, s) -> "RatMatrix":
-        s = _fr(s)
-        if s == 0:
+        p, q = as_ratio(s)
+        if p == 0:
             return RatMatrix.zero(self.rows, self.cols)
-        p = s.numerator
         return RatMatrix.make(self.rows, self.cols,
-                              [{j: v * p for j, v in r.items()} for r in self.data],
-                              self.den * s.denominator)
+                              [{j: v * p for j, v in r.items()} for r in self.data], self.den * q)
 
     def is_zero(self) -> bool:
         return not any(self.data)

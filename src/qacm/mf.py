@@ -115,8 +115,8 @@ def divide_by_monomial_power(f: Form, q: Form, power: int) -> Form:
         ne = tuple(a - b for a, b in zip(e, qexp))
         if any(x < 0 for x in ne):
             raise ValueError("no adjugate partner")
-        d[ne] = c / qc
-    return Form.from_dict(4, d)
+        d[ne] = c * qp.den
+    return Form.from_ints(4, d, f.den * qc)
 
 
 @record
@@ -168,13 +168,8 @@ def ulrich_example_matrix(component: int = 1):
     if component == 1:
         return n
     if component == 2:
-        swapped = []
-        for row in n:
-            r = []
-            for f in row:
-                r.append(Form.from_dict(4, {(e[1], e[0], e[2], e[3]): c for e, c in f.terms}))
-            swapped.append(tuple(r))
-        return tuple(swapped)
+        return tuple(tuple(Form.from_ints(4, {(e[1], e[0]) + e[2:]: c for e, c in f.terms}, f.den)
+                           for f in row) for row in n)
     raise ValueError("component must be 1 or 2")
 
 

@@ -18,75 +18,77 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from math import comb, lcm
+from math import comb, gcd, lcm, prod
 from operator import add, le, sub
 
-from .linalg import QQ, RatMatrix
+from .linalg import RatMatrix, as_ratio
 from .record import record
 
 VAR_NAMES = {2: ("v", "w"), 3: ("u", "v", "w"), 4: ("x", "y", "z", "w")}
 
 
-def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"coefficients must be rational, got {type(x).__name__}")
-
-
 @record
 class Form:
-    """A homogeneous polynomial: ``terms`` maps exponent tuples to nonzero
-    rational coefficients, stored as a reverse-lex sorted tuple of pairs."""
+    """A homogeneous polynomial over Q, held as ``RatMatrix`` holds a matrix:
+    ``terms`` is a reverse-lex sorted tuple of (exponent tuple, nonzero int)
+    pairs over one denominator ``den``, kept canonical (positive, coprime to
+    the numerators as a whole), so equal forms compare and hash equal.
+    ``coeff``, ``evaluate`` and ``str`` give the coefficients as ``Fraction``s."""
 
     num_vars: int
     terms: tuple
+    den: int = 1
+
+    @staticmethod
+    def from_ints(num_vars: int, nums: dict, den: int = 1) -> "Form":
+        """The form sum nums[e] x^e / den, from int numerators of one degree
+        over a nonzero ``den``: zeros dropped, terms sorted, den made canonical."""
+        terms = [(e, c) for e, c in nums.items() if c]
+        if not terms:
+            return Form(num_vars, ())
+        if den < 0:
+            terms, den = [(e, -c) for e, c in terms], -den
+        g = gcd(den, *(c for _, c in terms)) if den != 1 else 1
+        if g > 1:
+            terms, den = [(e, c // g) for e, c in terms], den // g
+        terms.sort(reverse=True)
+        return Form(num_vars, tuple(terms), den)
 
     @staticmethod
     def from_dict(num_vars: int, coeffs: dict) -> "Form":
+        """The form with the rational (int or Fraction) coefficients ``coeffs``,
+        validated: exponent vectors of one degree, nonnegative, of length num_vars."""
         if num_vars not in VAR_NAMES:
             raise ValueError(f"unsupported variable count {num_vars}")
-        clean = {}
-        deg = None
-        for exp, c in coeffs.items():
-            c = _fr(c)
-            if c == 0:
+        vals = [(exp, *as_ratio(c)) for exp, c in coeffs.items()]
+        den, nums, deg = lcm(*(d for _, n, d in vals if n)), {}, None
+        for exp, n, d in vals:
+            if not n:
                 continue
             exp = tuple(int(e) for e in exp)
             if len(exp) != num_vars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp}")
-            d = sum(exp)
-            if deg is None:
-                deg = d
-            elif d != deg:
+            deg = sum(exp) if deg is None else deg
+            if sum(exp) != deg:
                 raise ValueError("form is not homogeneous")
-            clean[exp] = clean.get(exp, QQ(0)) + c
-        clean = {e: c for e, c in clean.items() if c != 0}
-        return Form(num_vars, tuple(sorted(clean.items(), reverse=True)))
+            nums[exp] = nums.get(exp, 0) + n * (den // d)
+        return Form.from_ints(num_vars, nums, den)
 
     @staticmethod
     def zero(num_vars: int) -> "Form":
         return Form(num_vars, ())
 
     @staticmethod
-    def monomial(num_vars: int, exp, coeff=1) -> "Form":
-        return Form.from_dict(num_vars, {tuple(exp): coeff})
-
-    @staticmethod
     def variable(num_vars: int, name: str) -> "Form":
         names = VAR_NAMES[num_vars]
         if name not in names:
             raise ValueError(f"no variable {name!r} among {names}")
-        exp = tuple(1 if n == name else 0 for n in names)
-        return Form(num_vars, ((exp, QQ(1)),))
+        return Form(num_vars, ((tuple(int(n == name) for n in names), 1),))
 
     @staticmethod
     def constant(num_vars: int, c) -> "Form":
-        c = _fr(c)
-        if c == 0:
-            return Form.zero(num_vars)
-        return Form(num_vars, (((0,) * num_vars, c),))
+        n, d = as_ratio(c)
+        return Form(num_vars, (((0,) * num_vars, n),), d) if n else Form(num_vars, ())
 
     @property
     def is_zero(self) -> bool:
@@ -94,19 +96,16 @@ class Form:
 
     @cached_property
     def _mult_terms(self) -> tuple:
-        """The form as ``multiplication_matrix`` reads it: (den, terms), den
-        the common denominator of the coefficients.  With s_k the sum of the
-        last k exponents of a term e in n variables, each term is (its
-        coefficient times den, s_1, s_2, (s_k + k - 1 for k = 2..n-1),
-        (-1 - s_k for k = 2..n-1), (-1 - e_i for i < n - 2))."""
-        den = lcm(*(c.denominator for _, c in self.terms))
+        """The form as ``multiplication_matrix`` reads it: (den, terms).  With s_k
+        the sum of the last k exponents of a term e in n variables, each term is
+        (its numerator, s_1, s_2, (s_k + k - 1 for k = 2..n-1), (-1 - s_k for
+        k = 2..n-1), (-1 - e_i for i < n - 2))."""
         terms = []
         for e, c in self.terms:
             sums = _suffix_sums(e)
-            terms.append((c.numerator * (den // c.denominator), sums[0], sums[1],
-                          tuple(s + k for k, s in enumerate(sums[1:-1], 1)),
+            terms.append((c, sums[0], sums[1], tuple(s + k for k, s in enumerate(sums[1:-1], 1)),
                           tuple(-1 - s for s in sums[1:-1]), tuple(-1 - x for x in e[:-2])))
-        return den, tuple(terms)
+        return self.den, tuple(terms)
 
     @property
     def degree(self):
@@ -114,42 +113,42 @@ class Form:
         return sum(self.terms[0][0]) if self.terms else None
 
     def coeff(self, exp) -> Fraction:
-        exp = tuple(exp)
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return QQ(0)
+        return Fraction(dict(self.terms).get(tuple(exp), 0), self.den)
 
     def __add__(self, other: "Form") -> "Form":
         if self.num_vars != other.num_vars:
             raise ValueError("variable-count mismatch")
-        d = dict(self.terms)
-        for e, c in other.terms:
-            d[e] = d.get(e, QQ(0)) + c
-        if self.terms and other.terms and sum(self.terms[0][0]) != sum(other.terms[0][0]):
+        if not (self.terms and other.terms):
+            return self if other.is_zero else other
+        if sum(self.terms[0][0]) != sum(other.terms[0][0]):
             raise ValueError("adding forms of different degrees")
-        return Form(self.num_vars, tuple(sorted(((e, c) for e, c in d.items() if c != 0), reverse=True)))
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        d = dict(self.terms) if fa == 1 else {e: c * fa for e, c in self.terms}
+        for e, c in other.terms:
+            d[e] = d.get(e, 0) + c * fb
+        return Form.from_ints(self.num_vars, d, den)
 
     def __neg__(self) -> "Form":
-        return Form(self.num_vars, tuple((e, -c) for e, c in self.terms))
+        return Form(self.num_vars, tuple((e, -c) for e, c in self.terms), self.den)
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def __mul__(self, other):
+        """The product with a form, or with a rational scalar folded into the
+        numerators and ``den``."""
         if isinstance(other, Form):
             if self.num_vars != other.num_vars:
                 raise ValueError("variable-count mismatch")
             d = {}
             for e1, c1 in self.terms:
                 for e2, c2 in other.terms:
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    d[e] = d.get(e, QQ(0)) + c1 * c2
-            return Form(self.num_vars, tuple(sorted(((e, c) for e, c in d.items() if c != 0), reverse=True)))
-        c = _fr(other)
-        if c == 0:
-            return Form.zero(self.num_vars)
-        return Form(self.num_vars, tuple((e, c * v) for e, v in self.terms))
+                    e = tuple(map(add, e1, e2))
+                    d[e] = d.get(e, 0) + c1 * c2
+            return Form.from_ints(self.num_vars, d, self.den * other.den)
+        n, d = as_ratio(other)
+        return Form.from_ints(self.num_vars, {e: c * n for e, c in self.terms}, self.den * d)
 
     __rmul__ = __mul__
 
@@ -162,25 +161,22 @@ class Form:
         return out
 
     def evaluate(self, point) -> Fraction:
-        pt = [_fr(x) for x in point]
+        """f(point): with the point m / D over the common denominator D of its
+        coordinates, f homogeneous of degree n, sum c_e m^e / (den D^n)."""
+        pt = [as_ratio(x) for x in point]
         if len(pt) != self.num_vars:
             raise ValueError("point dimension mismatch")
-        total = QQ(0)
-        for e, c in self.terms:
-            v = c
-            for x, k in zip(pt, e):
-                for _ in range(k):
-                    v *= x
-            total += v
-        return total
+        common = lcm(*(d for _, d in pt))
+        m = [n * (common // d) for n, d in pt]
+        total = sum(c * prod(map(pow, m, e)) for e, c in self.terms)
+        return Fraction(total, self.den * common ** (self.degree or 0))
 
     def drop_variable(self, index: int) -> "Form":
         """Substitute variable ``index`` := 0 and reindex onto one fewer variable."""
-        d = {}
-        for e, c in self.terms:
-            if e[index] == 0:
-                d[e[:index] + e[index + 1:]] = c
-        return Form.from_dict(self.num_vars - 1, d)
+        if self.num_vars - 1 not in VAR_NAMES:
+            raise ValueError(f"unsupported variable count {self.num_vars - 1}")
+        return Form.from_ints(self.num_vars - 1, {e[:index] + e[index + 1:]: c
+                                                  for e, c in self.terms if e[index] == 0}, self.den)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -194,7 +190,7 @@ class Form:
                     factors.append(name)
                 elif k > 1:
                     factors.append(f"{name}^{k}")
-            mag = abs(c)
+            mag = Fraction(abs(c), self.den)
             if not factors:
                 body = str(mag)
             elif mag == 1:
@@ -221,23 +217,41 @@ def restrict_to_plane(f: Form, side: int) -> Form:
     (u, v, w): on H1 set x := 0, u := y; on H2 set y := 0, u := x."""
     if f.num_vars != 4:
         raise ValueError("expected an ambient form in (x, y, z, w)")
-    kill = 0 if side == 1 else 1
-    keep = 1 if side == 1 else 0
-    d = {}
-    for (ex, ey, ez, ew), c in f.terms:
-        e4 = (ex, ey, ez, ew)
-        if e4[kill] != 0:
-            continue
-        d[(e4[keep], ez, ew)] = c
-    return Form.from_dict(3, d)
+    kill, keep = (0, 1) if side == 1 else (1, 0)
+    return Form.from_ints(3, {(e[keep], e[2], e[3]): c for e, c in f.terms if e[kill] == 0},
+                          f.den)
 
 
 # ---------------------------------------------------------------------------
 # binary forms on L
 
 
+def _primitive(a: list) -> list:
+    """An int coefficient list divided by its content; [] stays []."""
+    g = gcd(*a)
+    return a if g <= 1 else [x // g for x in a]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """prem(a, b) on dense int coefficient lists, leading coefficient first:
+    each step replaces a by lc(b) a - lc(a) b s^k, which cancels its leading
+    term, so the result is a nonzero constant times the remainder over Q."""
+    a, lb = a[:], b[0]
+    while len(a) >= len(b):
+        la = a[0]
+        a = [lb * x - la * y for x, y in zip(a, b)] + [lb * x for x in a[len(b):]]
+        while a and a[0] == 0:
+            a.pop(0)
+    return a
+
+
 def binary_gcd(f: Form, g: Form) -> Form:
-    """gcd of two binary forms in (v, w), up to a scalar; gcd(0, g) = g."""
+    """gcd of two binary forms in (v, w), up to a scalar; gcd(0, g) = g.
+
+    The factors v^a w^b are split off first; the cores, dehomogenized at w = 1,
+    run through the primitive pseudo-remainder sequence on their int numerators
+    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 6): the content of each
+    remainder is removed, so coefficients do not compound from step to step."""
     for h in (f, g):
         if h.num_vars != 2:
             raise ValueError("binary_gcd expects forms in (v, w)")
@@ -250,46 +264,18 @@ def binary_gcd(f: Form, g: Form) -> Form:
         # h = v^av * w^aw * core with core(1,0) != 0 and core(0,1) != 0
         av = min(e[0] for e, _ in h.terms)
         aw = min(e[1] for e, _ in h.terms)
-        deg = h.degree - av - aw
-        coeffs = [QQ(0)] * (deg + 1)  # coefficient of v^(deg-i) w^i
-        for (e0, e1), c in h.terms:
+        coeffs = [0] * (h.degree - av - aw + 1)  # coefficient of v^(deg-i) w^i
+        for (_, e1), c in h.terms:
             coeffs[e1 - aw] = c
-        return av, aw, coeffs
+        return av, aw, _primitive(coeffs)
 
-    av1, aw1, p = split(f)
-    av2, aw2, q = split(g)
-
-    def poly_mod(a, b):
-        # univariate remainder, dense lists low..high are reversed here: store
-        # coefficients with index = w-exponent, so the "leading" term is index 0.
-        a = a[:]
-        while len(a) >= len(b) and any(x != 0 for x in a):
-            while a and a[0] == 0:
-                a.pop(0)
-            if len(a) < len(b):
-                break
-            factor = a[0] / b[0]
-            for i in range(len(b)):
-                a[i] -= factor * b[i]
-            a.pop(0)
-        while a and a[0] == 0:
-            a.pop(0)
-        return a
-
-    a, b = p, q
+    av1, aw1, a = split(f)
+    av2, aw2, b = split(g)
     while b:
-        a, b = b, poly_mod(a, b)
-    core = a
-    deg = len(core) - 1
-    d = {}
-    for i, c in enumerate(core):
-        if c != 0:
-            d[(deg - i, i)] = c
-    result = Form.from_dict(2, d)
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    deg = len(a) - 1
     av, aw = min(av1, av2), min(aw1, aw2)
-    if av or aw:
-        result = result * Form.monomial(2, (av, aw))
-    return result
+    return Form.from_ints(2, {(deg - i + av, i + aw): c for i, c in enumerate(a)})
 
 
 def binary_forms_common_zero_free(forms) -> bool:

@@ -28,10 +28,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InternalCheckError
-from .linalg import QQ, RatMatrix, kernel_basis, rank
+from .linalg import RatMatrix, kernel_basis, rank
 from .monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_zero_free,
                         cohomology_dim, dual_exponents, euler_char_p2, multiplication_matrix,
                         restrict_to_line as form_on_line)
@@ -97,26 +97,25 @@ def ci_from_forms(f1: Form, f2: Form, points=None) -> CISubscheme:
 
 def ci_from_line_points(pts) -> CISubscheme:
     """Collinear subscheme on L from ((v, w), multiplicity) pairs: the ideal
-    (u, prod (w_i v - v_i w)^mu_i)."""
+    (u, prod (w_i v - v_i w)^mu_i).  A point is told apart from the others by its
+    primitive int coordinates, w > 0, or v > 0 when w = 0."""
     pts = tuple(((Fraction(v), Fraction(w)), int(m)) for (v, w), m in pts)
     if not pts:
         raise ValueError("need at least one point")
     seen = set()
-    for (v, w), m in pts:
-        if (v, w) == (0, 0):
-            raise ValueError("invalid point [0:0]")
-        key = (v / w, 1) if w != 0 else (1, 0)
-        if key in seen:
-            raise ValueError("repeated point; use a multiplicity instead")
-        seen.add(key)
-        if m < 1:
-            raise ValueError("multiplicity must be >= 1")
     g = Form.constant(2, 1)
     for (v, w), m in pts:
-        lin = Form.from_dict(2, {(1, 0): w, (0, 1): -v})
-        g = g * lin ** m
-    g3 = Form.from_dict(3, {(0,) + e: c for e, c in g.terms})
-    return CISubscheme(U, g3, pts)
+        vn, wn = v.numerator * w.denominator, w.numerator * v.denominator
+        if (vn, wn) == (0, 0):
+            raise ValueError("invalid point [0:0]")
+        k = gcd(vn, wn) if wn > 0 or wn == 0 and vn > 0 else -gcd(vn, wn)
+        if (vn // k, wn // k) in seen:
+            raise ValueError("repeated point; use a multiplicity instead")
+        seen.add((vn // k, wn // k))
+        if m < 1:
+            raise ValueError("multiplicity must be >= 1")
+        g = g * Form.from_dict(2, {(1, 0): w, (0, 1): -v}) ** m
+    return CISubscheme(U, Form(3, tuple(((0,) + e, c) for e, c in g.terms), g.den), pts)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +593,7 @@ def _form_rows(vectors, srcs) -> list:
         for k, val in vec.items():
             i, m = col_meta[k]
             parts[i][m] = val
-        out.append(tuple(Form.from_dict(2, p) for p in parts))
+        out.append(tuple(Form.from_ints(2, p) for p in parts))
     return out
 
 
@@ -631,8 +630,10 @@ def _is_syzygy_basis(hi: tuple, lo: tuple, p: tuple) -> bool:
     cross = tuple(hi[j] * lo[k] - hi[k] * lo[j] for j, k in ((1, 2), (2, 0), (0, 1)))
     i = next(i for i, f in enumerate(p) if not f.is_zero)
     exp, coef = p[i].terms[0]
-    lam = cross[i].coeff(exp) / coef
-    return lam != 0 and all(x == f * lam for x, f in zip(cross, p))
+    num = dict(cross[i].terms).get(exp, 0)
+    # lambda, the ratio of the two coefficients at exp, each over its own den
+    return num != 0 and all(x == f * Fraction(num * p[i].den, coef * cross[i].den)
+                            for x, f in zip(cross, p))
 
 
 def _koszul_rows(pres: Presentation):
@@ -706,12 +707,12 @@ def trivialize_on_line(sheaf) -> Trivialization:
 
 
 def _normalize_form(f: Form) -> Form:
-    """Scale to primitive integer coefficients with positive leading term."""
+    """Scale to primitive integer coefficients with positive leading term: the
+    numerators divided by their content, signed as the leading one."""
     if f.is_zero:
         return f
-    den = lcm(*(c.denominator for _, c in f.terms))
-    scale = QQ(den, gcd(*(int(c * den) for _, c in f.terms)))
-    return f * (-scale if f.terms[0][1] < 0 else scale)
+    g = gcd(*(c for _, c in f.terms)) * (1 if f.terms[0][1] > 0 else -1)
+    return Form(f.num_vars, tuple((e, c // g) for e, c in f.terms))
 
 
 def recover_subscheme(g: ExtensionBundle) -> CISubscheme:
@@ -741,8 +742,10 @@ def recover_subscheme(g: ExtensionBundle) -> CISubscheme:
 def ideals_match(a: CISubscheme, b: CISubscheme, up_to: int) -> bool:
     """Equality of the graded pieces of the two ideals in all degrees <= up_to.
     A piece of degree d is spanned by multiples of the generators of degree <= d,
-    so they agree iff each generator f of degree <= up_to of either ideal lies in
-    the other's piece J_d of its degree: rank([J_d | f]) == rank(J_d)."""
-    pairs = (((a.f1, a.f2), (b.f1, b.f2)), ((b.f1, b.f2), (a.f1, a.f2)))
-    return all(f.degree > up_to or rank(_ideal_piece_matrix(gens + (f,), f.degree))
-               == rank(_ideal_piece_matrix(gens, f.degree)) for fs, gens in pairs for f in fs)
+    so they agree iff each generator of degree <= up_to of either ideal lies in
+    the other: iff at each such generator degree d the pieces A_d and B_d have
+    rank(A_d) == rank(B_d) == rank([A_d | B_d])."""
+    gens = (a.f1, a.f2, b.f1, b.f2)
+    return all(rank(_ideal_piece_matrix(gens[:2], d)) == rank(_ideal_piece_matrix(gens[2:], d))
+               == rank(_ideal_piece_matrix(gens, d))
+               for d in sorted({f.degree for f in gens if f.degree <= up_to}))

@@ -183,7 +183,7 @@ def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int, ker: RatMatrix) -> int:
 def _u_coefficients(pres) -> tuple:
     """q_i|_L for each relation form p_i = p_i|_L + u q_i + u^2 (...): its terms of
     u-exponent 1 with u dropped, a binary form of degree a_i - b - 1."""
-    return tuple(Form.from_dict(2, {e[1:]: c for e, c in f.terms if e[0] == 1})
+    return tuple(Form.from_ints(2, {e[1:]: c for e, c in f.terms if e[0] == 1}, f.den)
                  for f in pres.relation)
 
 

@@ -1,15 +1,19 @@
 import argparse
 import csv
+import fractions
 import hashlib
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 import qacm.cli as cli
 import qacm.quadric
-from qacm.cli import ScanConfig, classify_pairs, main, seeded_line_values
-from qacm.descriptor import parse, to_text
+from qacm.cli import ScanConfig, classify_pairs, main, run_classify, seeded_line_values
+from qacm.descriptor import _Parser, parse, to_text
 from qacm.errors import InternalCheckError
+from qacm.monomials import Form
 from qacm.quadric import check_twist_window
 
 
@@ -202,6 +206,47 @@ def test_each_scan_row_descriptor_reproduces_its_row(classify_report, capsys):
         assert all(r["h1"] == 0 for r in table) == row["acm"], desc
         first = next(i for i, r in enumerate(table) if r["h0"])
         assert (table[first - 1]["t"], table[first]["h0"]) == (row["t0"], row["h0_after_t0"])
+
+
+def _fraction_arithmetic(fn):
+    """Run ``fn`` under ``sys.setprofile``: the nearest caller outside ``fractions``
+    of every operator of it entered outside the descriptor parser, and the number
+    of form products, which shows that the hook saw the run."""
+    ops = {"_add", "_mul", "_sub", "_div", "forward", "reverse"}
+    parsing = {f.__code__ for f in vars(_Parser).values() if hasattr(f, "__code__")}
+    hits, products = [], [0]
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event != "call":
+            return
+        products[0] += code is Form.__mul__.__code__
+        if code.co_name in ops and code.co_filename == fractions.__file__:
+            f = frame.f_back
+            while f is not None and f.f_code not in parsing:
+                f = f.f_back
+            if f is None:
+                f = frame.f_back
+                while f.f_code.co_filename == fractions.__file__:
+                    f = f.f_back
+                hits.append(f"{f.f_code.co_filename.rsplit('/', 1)[-1]}:{f.f_code.co_name}")
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return hits, products[0]
+
+
+def test_a_classify_scan_runs_no_fraction_arithmetic_off_the_parser():
+    """Forms and matrices hold int numerators over one denominator, so building,
+    checking and recovering every row of a scan enters no ``fractions`` operator;
+    only the descriptor parser may.  The hook itself catches a Fraction sum."""
+    hits, products = _fraction_arithmetic(lambda: run_classify(ScanConfig(c_max=6)))
+    assert hits == [] and products > 100
+    hits, _ = _fraction_arithmetic(lambda: Fraction(1, 2) + 1)
+    assert set(hits) == {"test_cli.py:<lambda>"}
 
 
 def test_ulrich_scan(capsys):

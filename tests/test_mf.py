@@ -232,7 +232,7 @@ def _graded_piece_dim(gens, t):
         for m in h0_exponents(4, t - g.degree):
             row = [QQ(0)] * len(mons_t)
             for e, cf in g.terms:
-                row[index[tuple(a + b for a, b in zip(e, m))]] += cf
+                row[index[tuple(a + b for a, b in zip(e, m))]] += QQ(cf, g.den)
             rows.append(row)
     if not rows:
         return 0

@@ -1,9 +1,12 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qacm.linalg import QQ, RatMatrix, hstack, rank
-from qacm.monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_zero_free,
+from qacm.monomials import (P1, P2, VAR_NAMES, Form, GradedPiece, basis,
+                            binary_forms_common_zero_free,
                             binary_gcd, cohomology_dim, dual_exponents, h0_exponents,
                             multiplication_matrix, restrict_to_plane,
                             restriction_matrix)
@@ -157,14 +160,15 @@ def test_rank_rule_places_each_monomial_at_its_position(nv, top):
 
 
 def _reference_block(f, src, tgt, top):
-    """Multiplication by f from src to tgt, entry by entry in Fractions."""
+    """Multiplication by f from src to tgt, entry by entry in Fractions, each
+    coefficient read as its numerator over the form's ``den``."""
     index = {m: i for i, m in enumerate(tgt.basis)}
     rows = [{} for _ in tgt.basis]
     for j, m in enumerate(src.basis):
         for e, c in f.terms:
             prod = tuple(a + b for a, b in zip(m, e))
             if not top or max(prod) < 0:
-                rows[index[prod]][j] = c
+                rows[index[prod]][j] = QQ(c, f.den)
     return RatMatrix.from_dicts(len(tgt.basis), len(src.basis), rows)
 
 
@@ -327,3 +331,109 @@ def test_common_zero_free():
     assert binary_forms_common_zero_free([v2, w2])
     assert not binary_forms_common_zero_free([v2, v2 * w2])
     assert not binary_forms_common_zero_free([Form.zero(2)])
+
+
+# --- forms against sympy --------------------------------------------------------
+# Each operation of Form, on int numerators over one denominator, against
+# sympy.Poly over QQ.  Coefficients include non-unit denominators, so the
+# canonical den is exercised, and every result is checked to be canonical.
+
+_rationals = st.one_of(st.integers(-4, 4),
+                       st.fractions(min_value=-4, max_value=4, max_denominator=9))
+
+
+@st.composite
+def _forms(draw, nv=None, degree=None, max_degree=3):
+    """A form of nv variables (2, 3 or 4) and the given degree, possibly zero."""
+    nv = draw(st.sampled_from([2, 3, 4])) if nv is None else nv
+    degree = draw(st.integers(0, max_degree)) if degree is None else degree
+    mons = draw(st.lists(st.sampled_from(h0_exponents(nv, degree)), max_size=4, unique=True))
+    return Form.from_dict(nv, {m: draw(_rationals) for m in mons})
+
+
+def _poly(f):
+    """f as a sympy.Poly over QQ, each coefficient its numerator over f.den."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(" ".join(VAR_NAMES[f.num_vars]))
+    return sympy.Poly.from_dict({e: sympy.Rational(c, f.den) for e, c in f.terms}
+                                or {(0,) * f.num_vars: 0}, gens, domain=sympy.QQ)
+
+
+def _canonical(f):
+    """The representation invariants: den positive and coprime to the numerators,
+    no zero numerator, terms reverse-lex sorted, one degree."""
+    nums = [c for _, c in f.terms]
+    exps = [e for e, _ in f.terms]
+    return (f.den > 0 and all(nums) and exps == sorted(exps, reverse=True)
+            and len({sum(e) for e in exps}) <= 1 and gcd(f.den, *nums) == 1
+            and (f.terms or f.den == 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_form_arithmetic_agrees_with_sympy(data):
+    f = data.draw(_forms())
+    g = data.draw(_forms(nv=f.num_vars))
+    h = data.draw(_forms(nv=f.num_vars, degree=f.degree or 0))
+    s = data.draw(_rationals)
+    n = data.draw(st.integers(0, 3))
+    results = [(f * g, _poly(f) * _poly(g)), (f + h, _poly(f) + _poly(h)),
+               (f - h, _poly(f) - _poly(h)), (-f, -_poly(f)), (f * s, _poly(f) * s),
+               (s * f, _poly(f) * s), (f ** n, _poly(f) ** n)]
+    for got, want in results:
+        assert _canonical(got)
+        assert _poly(got) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_form_accessors_and_restriction_agree_with_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    f = data.draw(_forms(nv=data.draw(st.sampled_from([3, 4]))))
+    p = _poly(f)
+    for e in h0_exponents(f.num_vars, f.degree or 0):
+        assert f.coeff(e) == p.coeff_monomial(e)
+    point = data.draw(st.lists(_rationals, min_size=f.num_vars, max_size=f.num_vars))
+    assert f.evaluate(point) == p.eval(dict(zip(p.gens, point)))
+    i = data.draw(st.integers(0, f.num_vars - 1))
+    dropped = f.drop_variable(i)
+    assert _canonical(dropped)
+    # compared by coefficients: the dropped form renames its variables
+    want = sympy.Poly(p.as_expr().subs(p.gens[i], 0), *(p.gens[:i] + p.gens[i + 1:]))
+    assert _poly(dropped).as_dict() == want.as_dict()
+
+
+@st.composite
+def _binary_pairs(draw):
+    """Two binary forms, often with a drawn common factor (possibly v^a w^b)."""
+    common = draw(_forms(nv=2, max_degree=2))
+    common = common if not common.is_zero else Form.constant(2, 1)
+    f, g = draw(_forms(nv=2)), draw(_forms(nv=2))
+    return (f * common, g * common) if draw(st.booleans()) else (f, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_binary_pairs(), _forms(nv=2))
+def test_binary_gcd_agrees_with_sympy(pair, third):
+    sympy = pytest.importorskip("sympy")
+    f, g = pair
+    got, want = binary_gcd(f, g), sympy.gcd(_poly(f), _poly(g))
+    assert got.degree == (None if want.is_zero else want.total_degree())
+    if not got.is_zero:
+        assert sympy.rem(_poly(f), _poly(got)).is_zero and sympy.rem(_poly(g), _poly(got)).is_zero
+    forms = [f, g, third]
+    whole = sympy.gcd(sympy.gcd(_poly(f), _poly(g)), _poly(third))
+    assert binary_forms_common_zero_free(forms) == (not whole.is_zero
+                                                    and whole.total_degree() == 0)
+
+
+def test_equal_forms_built_by_different_routes_compare_and_hash_equal():
+    half = QQ(1, 2)
+    routes = [u, (2 * u) * half, half * (2 * u), (u + v) - v,
+              Form.from_dict(3, {(1, 0, 0): QQ(4, 4)}), Form.from_ints(3, {(1, 0, 0): 6}, 6), Form.from_ints(3, {(1, 0, 0): -3}, -3),
+              restrict_to_plane(Form.variable(4, "y") * QQ(3, 7), 1) * QQ(7, 3)]
+    assert all(f == u and hash(f) == hash(u) and f.den == 1 for f in routes)
+    third = Form.from_dict(3, {(1, 0, 0): QQ(1, 3), (0, 1, 0): QQ(2, 3)})
+    assert (third.terms, third.den) == ((((1, 0, 0), 1), ((0, 1, 0), 2)), 3)
+    assert third * 3 == u + 2 * v and hash(third * 6) == hash(2 * u + 4 * v)
+    assert len({third, third * 1, Form.from_ints(3, {(0, 1, 0): 4, (1, 0, 0): 2}, 6)}) == 1

@@ -21,7 +21,7 @@ from qacm.linalg import rank
 from qacm.monomials import (Form, P1, P2, basis, cohomology_dim, h0_exponents,
                             multiplication_matrix)
 from qacm.plane import (CISubscheme, CohRow, DegreeData, ExtensionBundle, Presentation,
-                        _ideal_piece_matrix, _relation_matrix,
+                        _ideal_piece_matrix, _is_syzygy_basis, _relation_matrix,
                         cb_condition_check, chern,
                         ci_from_forms, ci_from_line_points, ci_hilbert, coh_table, cohomology,
                         degree_table, euler_char, h2_kernel_dim,
@@ -548,6 +548,18 @@ def test_trivialization_check_fails_on_a_wrong_syzygy_row(monkeypatch, capsys, g
     assert code == 3 and "not a basis of the syzygies" in capsys.readouterr().err
 
 
+def test_syzygy_check_reads_each_coefficient_over_its_den():
+    """hi x lo = lambda (p_i) with lambda = -1/2, the minors and the relation
+    holding their coefficients over different denominators (4 and 2 at v): the
+    ratio lambda is read from both numerators, each over its own den."""
+    v2, w2, zero = Form.variable(2, "v"), Form.variable(2, "w"), Form.zero(2)
+    p = (v2 * QQ(1, 2), w2 * QQ(1, 3), zero)
+    hi, lo = (p[1], -p[0], zero), (zero, zero, Form.constant(2, QQ(1, 2)))
+    assert _is_syzygy_basis(hi, lo, p)
+    assert not _is_syzygy_basis((p[1], p[0], zero), lo, p)
+    assert not _is_syzygy_basis(hi, (zero,) * 3, p)
+
+
 def test_trivialize_split_needs_normalization():
     triv = trivialize_on_line(make_split_bundle(1, (5, 2)))
     assert triv.degrees == (5, 2)
@@ -714,6 +726,19 @@ def test_ideals_match_by_generators_agrees_with_every_degree(pair, up_to):
 def test_ideals_match_examples(a, b, up_to, expected):
     a, b = ci_from_forms(*a), ci_from_forms(*b)
     assert ideals_match(a, b, up_to) == reference_ideals_match(a, b, up_to) == expected
+
+
+def test_ideals_match_ranks_once_per_generator_degree(monkeypatch):
+    """Two collinear Z of degree c - k = 3 (c = 5, k = 2) agree in degree 1, where
+    both pieces are spanned by u, and differ in degree 3: a mismatch.
+    Each generator degree, 1 and 3, takes three ranks, A_d, B_d and [A_d | B_d]."""
+    a = ci_from_line_points([((1, r), 1) for r in (1, 2, 3)])
+    b = ci_from_line_points([((1, r), 1) for r in (1, 2, 4)])
+    ranks = []
+    monkeypatch.setattr(qacm.plane, "rank", lambda m: ranks.append(m.cols) or rank(m))
+    assert ideals_match(a, b, 1) and len(ranks) == 3
+    assert not ideals_match(a, b, 5) and len(ranks) == 3 + 6
+    assert not reference_ideals_match(a, b, 5)
 
 
 # ---------------------------------------------------------------------------

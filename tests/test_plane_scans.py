@@ -122,7 +122,7 @@ def reference_rows(sheaf, e: int) -> list:
     if sheaf.line_presentation.relation_twist is not None:
         return _hom_row_candidates(sheaf, e)
     targets = sheaf.line_presentation.target_twists
-    return [tuple(Form.monomial(2, m) if j == i else Form.zero(2) for j in range(len(targets)))
+    return [tuple(Form.from_dict(2, {m: 1}) if j == i else Form.zero(2) for j in range(len(targets)))
             for i, a in enumerate(targets) for m in basis(P1, 0, e - a).basis]
 
 

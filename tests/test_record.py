@@ -23,9 +23,10 @@ def test_form_equality_and_hash_are_those_of_its_fields():
     u = Form.variable(3, "u")
     same = Form(3, u.terms)
     assert same == u and same is not u
-    assert hash(u) == hash((3, u.terms))
+    assert hash(u) == hash((3, u.terms, u.den))
     assert u != Form.variable(3, "v") and u != Form(2, u.terms)
-    assert len({u, same, Form(num_vars=3, terms=u.terms)}) == 1
+    assert len({u, same, Form(num_vars=3, terms=u.terms, den=1)}) == 1
+    assert u * Fraction(1, 2) == Form(3, u.terms, 2) != u
 
 
 def test_degree_data_defaults_equality_and_hash():

@@ -502,12 +502,21 @@ def test_upper_gluing_reports_are_pinned(capsys, sheaf, gluings, digest):
      "388a78b29588d82f0d4c046af99e2c6e4e3860b768616e994d8d4dfce1c33414"),
     (["classify", "--cmax", "12", "--seed", "3"],
      "d18614a8641a250ffb8e6705c96bed8b7e0ab05e0bc4b6e641cb04c073746902"),
-], ids=["u-free-h2", "classify-c10", "classify-c12"])
+    (["cohomology", "--sheaf", "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=0,Z=[v,w^3+u^2*v],h=u+v)@H2,e=id)",
+      "--tmin", "-250", "--tmax", "9"],
+     "78fa8ede33f72edd440265dcec6bebcadb5059d4e9b3321c50c80381af7e1e25"),
+    (["cohomology", "--sheaf", "K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)",
+      "--tmin", "-250", "--tmax", "9"],
+     "f0c100d0a7016f698b9551a3a7d494d8f41aa8442190d4e2df9b388d834d122e"),
+], ids=["u-free-h2", "classify-c10", "classify-c12", "u-free-kernel-u2", "u-free-kernel"])
 def test_reports_off_the_benchmark_are_pinned(capsys, argv, digest):
     """Reports of paths no benchmark workload runs, pinned by sha256: the
     u-free H2 path builds whole dual P2 matrices (no relation form is a multiple
     of u alone), and c_max = 10 and 12 reach larger scan rows than the c_max = 8
-    workload; c_max = 12 is the north-star scan and recovers Z on the most rows."""
+    workload; c_max = 12 is the north-star scan and recovers Z on the most rows.
+    The two u-free kernel sheaves run the LES check on H2 kernels of the whole
+    dual basis (nonzero at t = -4..-2 and -3..-2); a relation form of the first,
+    -u^2 v - w^3, has a u^2 term."""
     code, out, _ = run(capsys, argv + ["--no-timestamp"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

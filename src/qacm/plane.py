@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import gcd
 
 from .errors import InternalCheckError
 from .linalg import RatMatrix, kernel_basis, rank
-from .monomials import (P1, P2, Form, GradedPiece, basis, binary_forms_common_zero_free,
-                        cohomology_dim, dual_exponents, euler_char_p2, multiplication_matrix,
-                        restrict_to_line as form_on_line)
+from .monomials import (P1, P2, Form, basis, binary_forms_common_zero_free, cohomology_dim,
+                        euler_char_p2, multiplication_matrix, restrict_to_line as form_on_line)
 from .record import record
 
 U = Form.variable(3, "u")
@@ -169,8 +168,8 @@ class _Presented:
 
     @cached_property
     def h2_depth(self):
-        """1 when a relation form is c*u, else None: the ``dual_prefix`` depth
-        off which every ``relation_h2_kernel`` vector vanishes."""
+        """1 when a relation form is c*u, else None: the rows of ``relation_h2_kernel``
+        are the dual monomials of u-exponent -1 to -depth, or all of them for None."""
         return 1 if any([e for e, _ in f.terms] == [(1, 0, 0)]
                         for f in self.presentation.relation) else None
 
@@ -344,25 +343,6 @@ def relation_h2_matrix(sheaf, t: int) -> RatMatrix:
     return _relation_matrix(P2, 2, sheaf.presentation, t)
 
 
-@cache
-def dual_prefix(d: int, depth) -> GradedPiece:
-    """H2(O(d)) on its dual monomials of u-exponent -1, ..., -depth, which
-    reverse-lex order lists first, in basis order; None means all of them.
-    Built once per (d, depth), like ``basis``: callers ask for depth 1 or 2,
-    so an entry holds O(|d|) monomials."""
-    if depth is None:
-        return basis(P2, 2, d)
-    return GradedPiece(P2, 2, d, tuple((-j,) + e for j in range(1, depth + 1)
-                                       for e in dual_exponents(2, d + j)))
-
-
-def relation_h2_prefix_matrix(pres: Presentation, t: int, src: GradedPiece, depth) -> RatMatrix:
-    """The H2-level relation at twist t on ``src``, dual monomials of degree
-    b + t, into the depth prefix of each target summand, which holds every product."""
-    return multiplication_matrix([(f,) for f in pres.relation], [src],
-                                 [dual_prefix(a + t, depth) for a in pres.target_twists])
-
-
 def _socle_bound(forms, count: int):
     """sum(deg) - count + 1 when exactly ``count`` of the forms (count = number
     of variables) are nonzero, else None.  If those forms have no common zero
@@ -374,9 +354,10 @@ def _socle_bound(forms, count: int):
 
 
 def relation_h2_kernel(sheaf, t: int) -> RatMatrix:
-    """The kernel of ``relation_h2_matrix(sheaf, t)``, whose vectors vanish
-    off ``dual_prefix(b + t, sheaf.h2_depth)``, by rows on that prefix.  The
-    depth is None (the whole basis) unless a relation form is c*u:
+    """The kernel of ``relation_h2_matrix(sheaf, t)``.  Its rows run over the whole
+    dual basis of H2(O(b + t)), unless a relation form is c*u (``h2_depth`` 1): then
+    every kernel vector vanishes off the dual monomials of u-exponent -1, which the
+    reverse-lex basis lists first, and the rows run over those alone:
 
     * Exact.  If form i is c*u, a dual monomial (a, v, w) with a <= -2 maps
       to c*(a+1, v, w) in summand i, a row no other monomial reaches; the
@@ -386,16 +367,16 @@ def relation_h2_kernel(sheaf, t: int) -> RatMatrix:
       H1-level relation on L at t + 1, i.e. 0 -> F(-1) -> F -> F|_L -> 0.
     * Bit-identical.  The reduced-echelon basis of ``kernel_basis`` depends
       only on the pivot columns, j being one when it is no combination of
-      the columns before it.  The columns before a prefix column lie in the
-      prefix, so it is a pivot of the block exactly when it is one of the
-      whole matrix, and every later column is a pivot.  The block kernel,
+      the columns before it.  The columns before a u-exponent -1 column are of
+      u-exponent -1 too, so it is a pivot of the block exactly when it is one of
+      the whole matrix, and every later column is a pivot.  The block kernel,
       padded with zeros, is the whole kernel vector for vector.
     * Zero below degree 0 and past the socle, with no matrix built.  By Serre
       duality the kernel is the orthogonal of the degree-n piece of the ideal
       of the forms that act: the restrictions to L in n = -(b+t+1) - 2 on the
-      prefix, the relation itself in n = -(b+t) - 3 on the whole basis.  For
-      n < 0 the source is empty; once n reaches ``_socle_bound`` and the forms
-      have no common zero (decided once per sheaf) that piece is everything.
+      u-exponent -1 monomials, the relation itself in n = -(b+t) - 3 on the whole
+      basis.  For n < 0 the source is empty; once n reaches ``_socle_bound`` and
+      the forms have no common zero (decided once per sheaf) that piece is everything.
     """
     if sheaf.h2_depth:
         return relation_h2_kernel_on_line(sheaf, t)[0]

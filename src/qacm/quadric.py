@@ -13,13 +13,25 @@ The table of K(t) is a count of degrees: ``degree_table`` of its degree data,
 the other side's with c, reads h0, h1 and h2 off the long exact sequences of
 the plane sheaves.  No H0-level map is built and no row reads e, so a table
 does not depend on the gluing.  ``coh_table`` then checks every row against the
-built forms of F_other:
+built forms of F_other, 0 -> O(b) -> O(a_1) + ... -> F_other -> 0 with relation
+forms p_i = sum_j u^j p_(i,j), p_(i,j) free of u:
 
-* the H2-level kernel of F_other at t, eliminated once, has the dimension the
-  Hilbert function of the relation forms gives;
-* h1, the kernel of the H1-level restriction of F_other, equals a zig-zag
-  through the presentation (the LES check), all on L when a relation form of
-  F_other is c*u.
+* the H2-level kernel K of F_other at t, eliminated once, has the dimension
+  the Hilbert function of the relation forms gives;
+* h1, the kernel of the H1-level restriction H1(F_other(t)) -> H1(F_other|_L(t))
+  in 0 -> F_other(t-1) -> F_other(t) -> F_other|_L(t) -> 0, equals
+  dim ker [Q K | L_t] - dim ker L_t, all of it on L (the LES check).
+
+The LES check is exact.  With P_t the H2-level relation at t and L_t the
+H1-level relation on L at t, the restriction H1(F_other(t)) = K ->
+H1(F_other|_L(t)) = coker L_t sends x to the class of P_(t-1) x', x' the lift of
+x along u (each u-exponent one lower).  Since u P_(t-1) x' = P_t x = 0, P_(t-1) x'
+lies in the u-exponent -1 rows of H2(O(a_i + t - 1)), which are H1(O_L(a_i + t)),
+and there it is sum_(j>=1) (p_(i,j)|_L) x_(-j), with x_(-j) the u-exponent -j
+slice of x, a vector on H1(O_L(b + t + j)).  That is Q x, Q the multiplication by
+the grid of the p_(i,j)|_L (``_u_coefficients``) from the slices K covers, so h1
+is dim {x in K : Q x in im L_t}.  When a relation form is c*u, K lies in one
+slice and is the kernel of L_(t+1) (``relation_h2_kernel``).
 
 chi = h0 - h1 + h2 holds identically (h1 enters h2 as well) and is not checked.
 
@@ -35,13 +47,13 @@ from fractions import Fraction
 
 from .errors import InternalCheckError
 from .linalg import QQ, RatMatrix, block_diag, hstack, kernel_basis, kernel_dim, rank
-from .monomials import (P1, P2, Form, GradedPiece, basis, multiplication_matrix,
-                        restrict_to_plane, restriction_matrix)
+from .monomials import (P1, P2, Form, basis, multiplication_matrix, restrict_to_plane,
+                        restriction_matrix)
 from .plane import (CohRow, CohTable, DegreeData, SplitBundle, check_h2_kernel, chern,
                     ci_from_forms, ci_from_line_points, cohomology as plane_cohomology,
-                    degree_table, dual_prefix, line_relation_matrix, make_extension_bundle,
+                    degree_table, line_relation_matrix, make_extension_bundle,
                     make_split_bundle, relation_h2_kernel, relation_h2_kernel_on_line,
-                    relation_h2_prefix_matrix, trivialize_on_line)
+                    trivialize_on_line)
 from .record import record
 
 AMBIENT_LINEAR = tuple(Form.variable(4, n) for n in ("x", "y", "z", "w"))
@@ -158,79 +170,54 @@ def _restriction(k: KernelSheaf, t: int) -> RatMatrix:
     return block_diag(*[restriction_matrix(a + t) for a in k.twists])
 
 
-def _h1_kernel_of_line_map_full(k: KernelSheaf, t: int, ker: RatMatrix) -> int:
-    """dim ker(H1(F_other(t)) -> H1(F_other|_L(t))) by the zig-zag through the
-    presentation: lift along u, push through the relation at t-1, and kill the
-    image of the restricted relation.  Independent of the degree count.
-    ``ker`` is the H2-level kernel of F_other at t (no columns without a relation).
-
-    The lift sends (a, v, w) to (a-1, v, w) and H1(O_L(b+t)) is the u-exponent
-    -1 part of H2(O(b+t-1)), so the relation at t-1 is only applied to, and
-    only reaches, the prefix one deeper than the kernel's."""
-    if not ker.cols:
-        return 0
-    pres = k.other.presentation
-    b = pres.relation_twist
-    depth = k.other.h2_depth
-    rows = None if depth is None else depth + 1
-    lifted = GradedPiece(P2, 2, b + t - 1,
-                         tuple((a - 1, v, w) for a, v, w in dual_prefix(b + t, depth).basis))
-    a_mat = relation_h2_prefix_matrix(pres, t - 1, lifted, rows) @ ker
-    d_mat = relation_h2_prefix_matrix(pres, t - 1, dual_prefix(b + t - 1, 1), rows)
-    return kernel_dim(hstack(a_mat, d_mat)) - kernel_dim(d_mat)
-
-
 def _u_coefficients(pres) -> tuple:
-    """q_i|_L for each relation form p_i = p_i|_L + u q_i + u^2 (...): its terms of
-    u-exponent 1 with u dropped, a binary form of degree a_i - b - 1."""
-    return tuple(Form.from_ints(2, {e[1:]: c for e, c in f.terms if e[0] == 1}, f.den)
-                 for f in pres.relation)
+    """The grid of p_(i,j)|_L, j = 1 up to the top power of u, one row per relation
+    form p_i = sum_j u^j p_(i,j): its terms of u-exponent j with u^j dropped, a
+    binary form of degree a_i - b - j."""
+    top = max((e[0] for f in pres.relation for e, _ in f.terms), default=0)
+    return tuple(tuple(Form.from_ints(2, {e[1:]: c for e, c in f.terms if e[0] == j}, f.den)
+                       for j in range(1, top + 1)) for f in pres.relation)
 
 
 def _h1_kernel_on_line(k: KernelSheaf, t: int, ker: RatMatrix, line: RatMatrix,
                        line_kernel: int, q: tuple) -> int:
-    """``_h1_kernel_of_line_map_full`` when a relation form of F_other is c*u, on L:
-    dim ker [U_t K | L_t] - dim ker L_t.  ``ker`` = K, the H2-level kernel of F_other
-    at t, is ker L_(t+1) on H1(O_L(b+t+1)), the u-exponent -1 part of H2(O(b+t));
-    ``line`` = L_t is ``line_relation_matrix(F_other, t, 1)``, ``line_kernel`` the
-    dimension of its kernel; U_t multiplies by the u-coefficients ``q`` (q_i|_L,
-    ``_u_coefficients``) from H1(O_L(b+t+1)) into the sum of H1(O_L(a_i+t)).
-
-    The zig-zag's lifted block acts on u-exponent -2 columns: terms of p_i free of
-    u keep the exponent, terms in u move it to -1, and u^2 kills.  So its rows of
-    u-exponent -2 are L_(t+1), zero on K, and those of -1 are U_t.  Its other block,
-    on the u-exponent -1 columns, is L_t and reaches rows of u-exponent -1 only."""
+    """dim ker(H1(F_other(t)) -> H1(F_other|_L(t))) = dim ker [Q K | L_t] - dim ker L_t
+    (the module docstring).  ``ker`` = K, the H2-level kernel of F_other at t, on the
+    leading u-exponent slices of H2(O(b+t)); ``line`` = L_t is
+    ``line_relation_matrix(F_other, t, 1)``, ``line_kernel`` the dimension of its
+    kernel; Q multiplies by the grid ``q`` (``_u_coefficients``) from the slices
+    H1(O_L(b+t+j)) that K's rows cover into the sum of H1(O_L(a_i+t))."""
     if not ker.cols:
         return 0
     pres = k.other.presentation
-    u_map = multiplication_matrix([(f,) for f in q], [basis(P1, 1, pres.relation_twist + t + 1)],
+    srcs, n = [], 0
+    while n < ker.rows:
+        srcs.append(basis(P1, 1, pres.relation_twist + t + len(srcs) + 1))
+        n += srcs[-1].dim
+    u_map = multiplication_matrix([row[:len(srcs)] for row in q], srcs,
                                   [basis(P1, 1, a + t) for a in pres.target_twists])
     return kernel_dim(hstack(u_map @ ker, line)) - line_kernel
 
 
-def _zigzag_walk(k: KernelSheaf, tmin: int, tmax: int):
-    """The full-route h1 of K(t), t = tmin..tmax, for an F_other with a relation and no
-    relation form c*u: each H2 kernel is computed once and checked against its
-    Hilbert function (the relation forms of a glued other side are a regular
-    sequence, as it is locally free), then ``_h1_kernel_of_line_map_full``."""
-    other = k.other
-    for t in range(tmin, tmax + 1):
-        ker = relation_h2_kernel(other, t)
-        check_h2_kernel(other, t, ker)
-        yield _h1_kernel_of_line_map_full(k, t, ker)
-
-
 def _line_walk(k: KernelSheaf, tmin: int, tmax: int):
-    """As ``_zigzag_walk`` when a relation form of F_other is c*u, by
-    ``_h1_kernel_on_line``: every matrix is one on L.  Step t builds and eliminates
-    L_(t+1) for its kernel K_t and hands L_(t+1) and dim K_t to step t + 1, as its
-    L_t and dim ker L_t; the u-coefficients are read once.  Only at tmin, or after a step whose kernel
-    was zero by its degrees, is L_t built here, and only at tmin is it eliminated."""
+    """The LES check's h1 of K(t), t = tmin..tmax, by ``_h1_kernel_on_line``: every
+    H2 kernel is computed once and checked against its Hilbert function (the
+    relation forms of a glued other side are a regular sequence, as it is locally
+    free), and the u-coefficients are read once.  When a relation form of F_other
+    is c*u the kernel K_t comes from ``relation_h2_kernel_on_line``: step t builds
+    and eliminates L_(t+1) for it and hands L_(t+1) and dim K_t to step t + 1, as
+    its L_t and dim ker L_t.  Only at tmin, or after a step whose kernel was zero by
+    its degrees, is L_t built here, and only at tmin is it eliminated.  Otherwise
+    K_t is ``relation_h2_kernel`` and L_t is built and eliminated per nonzero kernel."""
     other = k.other
+    on_line = other.h2_depth
     q = _u_coefficients(other.presentation)
     line, below = None, None        # L_t from the step before, and its kernel's dimension
     for t in range(tmin, tmax + 1):
-        ker, above = relation_h2_kernel_on_line(other, t)
+        if on_line:
+            ker, above = relation_h2_kernel_on_line(other, t)
+        else:
+            ker, above = relation_h2_kernel(other, t), None
         check_h2_kernel(other, t, ker)
         full = 0
         if ker.cols:
@@ -239,21 +226,19 @@ def _line_walk(k: KernelSheaf, tmin: int, tmax: int):
             full = _h1_kernel_on_line(k, t, ker, line,
                                       kernel_dim(line) if below is None else below, q)
         yield full
-        line, below = above, ker.cols
+        line, below = (above, ker.cols) if on_line else (None, None)
 
 
 def coh_table(k: KernelSheaf, tmin: int, tmax: int) -> CohTable:
     """The rows of K(t) for t in [tmin, tmax]: ``degree_table`` of its degree
     data, each row checked against the built forms (InternalCheckError): the H2
-    kernels of the other side by their Hilbert function and h1 by the zig-zag of
-    the full route (LES), ``_line_walk`` or ``_zigzag_walk``.  Without a relation
-    no kernel is computed and h1 must be 0."""
+    kernels of the other side by their Hilbert function and h1 by the LES check on
+    L, ``_line_walk``.  Without a relation no kernel is computed and h1 must be 0."""
     table = degree_table(k.degree_data, tmin, tmax)
-    other = k.other
-    if other.presentation.relation_twist is None:
+    if k.other.presentation.relation_twist is None:
         walk = (0 for _ in table.rows)
     else:
-        walk = (_line_walk if other.h2_depth else _zigzag_walk)(k, tmin, tmax)
+        walk = _line_walk(k, tmin, tmax)
     for row, full in zip(table.rows, walk):
         if row.h1 != full:
             raise InternalCheckError(
@@ -377,7 +362,7 @@ def gluing_variation_report(k: KernelSheaf, gluings, tmin: int = None, tmax: int
     """Cohomology tables of the same (F_split, F_other) pair under different
     gluings.  Each gluing is validated by ``check_gluing``, the only check of
     ``make_kernel_sheaf`` that depends on it, and the table is computed once: no
-    row reads e (h0 is a count of degrees and both h1 routes read only F_other),
+    row reads e (h0 is a count of degrees and the LES check reads only F_other),
     so every gluing has the identity's table and ``equal_to_identity`` holds.
     A missing bound of the twist window is taken from ``acm_window``."""
     lo, hi = acm_window(k)

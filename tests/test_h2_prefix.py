@@ -23,14 +23,15 @@ import qacm.quadric
 from qacm.cli import ScanConfig, classify_pairs, scan_descriptors, seeded_line_values
 from qacm.descriptor import build, parse
 from qacm.linalg import RatMatrix, kernel_basis, kernel_dim
-from qacm.monomials import P2, Form, cohomology_dim, h0_exponents
+from qacm.monomials import P1, P2, Form, cohomology_dim, h0_exponents
 from qacm.plane import (CIIdealSheaf, CISubscheme, ExtensionBundle, ci_from_forms,
-                        ci_from_line_points, cohomology, degree_table, dual_prefix, euler_char,
+                        ci_from_line_points, cohomology, degree_table, euler_char,
                         make_extension_bundle, make_split_bundle, relation_h2_kernel,
                         relation_h2_matrix, trivialize_on_line)
-from qacm.quadric import (_h1_kernel_of_line_map_full, _h1_kernel_on_line, _line_walk,
-                          _u_coefficients, acm_window, coh_table,
-                          collinear_extension_kernel, make_kernel_sheaf)
+from qacm.quadric import (_h1_kernel_on_line, _line_walk, _u_coefficients, acm_window,
+                          coh_table, collinear_extension_kernel, make_kernel_sheaf)
+import p2_route
+from p2_route import dual_prefix, h1_kernel_of_line_map_full
 from test_linalg import vstack
 from test_plane import h1_restriction_kernel_dim
 
@@ -70,27 +71,29 @@ def _u_presentations(draw):
 
 
 @st.composite
-def _u_free_presentations(draw):
+def _u_free_presentations(draw, locally_free=False):
     """Sheaves whose relation holds no scalar multiple of u: the forms may
     contain u (u + v, u^2), but never as u alone.  I_Z(m), or an extension
     bundle whose h is drawn freely (then (f1, f2, h) almost never share a
     zero) or from (f1, f2), so that V(f1, f2) is a common zero; h may be 0.
+    ``locally_free`` keeps only the extension bundles whose three forms share no zero.
     An extension bundle is past its socle bound at t <= -k - deg f1 - deg f2 - 1 >= -9."""
     f1 = draw(st.sampled_from([v, v + w, u + v, v - 2 * u, u * u + v * w]))
     f2 = draw(_form(draw(st.integers(1, 3)), w_term=True))
     ci = CISubscheme(f1, f2)
-    if draw(st.booleans()):
+    if not locally_free and draw(st.booleans()):
         return CIIdealSheaf(2, ci, draw(st.integers(-2, 4)))
     (d1, d2), c_minus_k = ci.degrees, ci.degree
     k_min = max(0, c_minus_k - d1 - d2)
     k = draw(st.integers(k_min, k_min + 2))
     deg_h = 2 * k - (k + c_minus_k) + d1 + d2
-    if draw(st.booleans()):
+    if not locally_free and draw(st.booleans()):
         h = f1 * draw(_form(deg_h - d1)) + f2 * draw(_form(deg_h - d2))
     else:
         h = draw(_form(deg_h, w_term=True))
     sheaf = ExtensionBundle(2, k + c_minus_k, k, ci, h)
     assume(sheaf.h2_depth is None)      # h from (f1, f2) can be c*u: (v + w) + (u - v - w)
+    assume(not locally_free or sheaf.relation_common_zero_free)
     return sheaf
 
 
@@ -141,9 +144,9 @@ def _forbid_deep_plane_dual_bases(monkeypatch):
 
     dual3 = lambda nv, d: nv == 3 and d < -200                  # noqa: E731
     basis_p2 = lambda space, i, d: (space, i) == (P2, 2) and d < -200   # noqa: E731
-    for mod in (qacm.monomials, qacm.plane):
+    for mod in (qacm.monomials, p2_route):
         monkeypatch.setattr(mod, "dual_exponents", guard(mod.dual_exponents, dual3))
-    for mod in (qacm.monomials, qacm.plane, qacm.quadric):
+    for mod in (qacm.monomials, qacm.plane, qacm.quadric, p2_route):
         monkeypatch.setattr(mod, "basis", guard(mod.basis, basis_p2))
 
 
@@ -169,7 +172,7 @@ def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
     with pytest.raises(ValueError, match="common zero"):
         cohomology(sheaf, 0, t)
     fast = h1_restriction_kernel_dim(sheaf, t, relation_h2_kernel(sheaf, t - 1))
-    full = _h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t, ker)
+    full = h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t, ker)
     assert fast == full == 0
 
 
@@ -193,9 +196,25 @@ def test_u_free_fast_route_equals_the_full_route(sheaf, total):
     kernels = {t: relation_h2_kernel(g, t) for t in range(lo - 1, hi + 1)}
     fast = [r.h1 for r in degree_table(k.degree_data, lo, hi).rows]
     assert fast == [h1_restriction_kernel_dim(g, t, kernels[t - 1]) for t in range(lo, hi + 1)]
-    assert fast == [_h1_kernel_of_line_map_full(k, t, kernels[t]) for t in range(lo, hi + 1)]
+    assert fast == [h1_kernel_of_line_map_full(k, t, kernels[t]) for t in range(lo, hi + 1)]
     assert fast == [r.h1 for r in coh_table(k, lo, hi).rows]
     assert sum(fast) == total
+
+
+@settings(max_examples=100, deadline=None)
+@given(_u_free_presentations(locally_free=True))
+def test_u_free_table_equals_the_p2_route(g):
+    """On every locally free u-free G, twisted by -c2 and glued to O(c1 - c2) + O(0)
+    as in ``test_u_free_fast_route_equals_the_full_route``, the rows of the checked
+    table equal the zig-zag on P2 at every twist of the aCM window, which holds
+    every nonzero H2 kernel.  The relation forms may hold u^2 (u^2 + v*w, or from
+    f2), so the LES check on L reads the u-exponent slices past -1."""
+    c1, c2 = trivialize_on_line(g).degrees
+    g = ExtensionBundle(g.side, g.c - 2 * c2, g.k - c2, g.ci, g.h)
+    k = make_kernel_sheaf(make_split_bundle(1, (c1 - c2, 0)), g)
+    lo, hi = acm_window(k)
+    full = [h1_kernel_of_line_map_full(k, t, relation_h2_kernel(g, t)) for t in range(lo, hi + 1)]
+    assert [r.h1 for r in coh_table(k, lo, hi).rows] == full
 
 
 def test_line_walk_equals_the_full_route_on_the_c14_scans():
@@ -212,7 +231,7 @@ def test_line_walk_equals_the_full_route_on_the_c14_scans():
             lo, hi = acm_window(k)
             window = range(lo - 5, hi + 6)
             kernels = [relation_h2_kernel(k.other, t) for t in window]
-            full = [_h1_kernel_of_line_map_full(k, t, ker) for t, ker in zip(window, kernels)]
+            full = [h1_kernel_of_line_map_full(k, t, ker) for t, ker in zip(window, kernels)]
             assert list(_line_walk(k, lo - 5, hi + 5)) == full, text
             rows, twists = rows + 1, twists + len(full)
             nonzero += sum(ker.cols > 0 for ker in kernels)
@@ -226,7 +245,7 @@ def test_line_walk_from_any_first_twist(c, k):
     full route's value at every twist whatever its first twist."""
     kernel = collinear_extension_kernel(c, k, [((1, r), 1) for r in seeded_line_values(3, c - k)])
     lo, hi = acm_window(kernel)
-    full = {t: _h1_kernel_of_line_map_full(kernel, t, relation_h2_kernel(kernel.other, t))
+    full = {t: h1_kernel_of_line_map_full(kernel, t, relation_h2_kernel(kernel.other, t))
             for t in range(lo, hi + 1)}
     starts = [t for t in range(lo, hi + 1) if relation_h2_kernel(kernel.other, t).cols]
     assert len(starts) >= 3
@@ -245,7 +264,7 @@ def test_route_on_line_equals_the_full_route(sheaf, t):
     line = qacm.plane.line_relation_matrix(sheaf, t, 1)
     q = _u_coefficients(sheaf.presentation)
     assert _h1_kernel_on_line(k, t, ker, line, kernel_dim(line), q) == \
-        _h1_kernel_of_line_map_full(k, t, ker)
+        h1_kernel_of_line_map_full(k, t, ker)
 
 
 def _u_free_g():
@@ -275,7 +294,7 @@ def test_deep_u_free_twist_builds_no_plane_dual_basis(monkeypatch):
     assert cohomology(sheaf, 1, t) == 0
     assert cohomology(sheaf, 2, t) == euler_char(sheaf, t)
     assert h1_restriction_kernel_dim(sheaf, t, relation_h2_kernel(sheaf, t - 1)) == 0
-    assert _h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t, ker) == 0
+    assert h1_kernel_of_line_map_full(SimpleNamespace(other=sheaf), t, ker) == 0
 
 
 @pytest.mark.parametrize("make, bound", [(_u_free_g, -6), (lambda: _collinear_g(5, 2), -7)])
@@ -385,20 +404,21 @@ def test_collinear_table_walks_each_kernel_once(monkeypatch):
 
 
 def test_collinear_table_eliminates_once_per_nonzero_kernel(monkeypatch):
-    """A collinear table over its window builds no dual-prefix matrix of P2, and
-    its LES check ranks one matrix per twist whose H2 kernel is nonzero: rank L_t
-    is read off the kernel of the step before, which handed L_t over."""
+    """A collinear table over its window builds no matrix on P2, and its LES
+    check ranks one matrix per twist whose H2 kernel is nonzero: rank L_t is
+    read off the kernel of the step before, which handed L_t over."""
     k = _collinear_k()
     lo, hi = acm_window(k)
     nonzero = sum(relation_h2_kernel(k.other, t).cols > 0 for t in range(lo, hi + 1))
     ranks = []
-    real_rank = qacm.linalg.rank
+    real_rank, real_mult = qacm.linalg.rank, qacm.monomials.multiplication_matrix
 
-    def forbidden(*args):
-        raise AssertionError("dual-prefix matrix built on a collinear walk")
+    def on_line(grid, srcs, tgts):
+        assert all(p.space == P1 for p in srcs + tgts), "P2 matrix built on a collinear walk"
+        return real_mult(grid, srcs, tgts)
 
     for mod in (qacm.plane, qacm.quadric):
-        monkeypatch.setattr(mod, "relation_h2_prefix_matrix", forbidden)
+        monkeypatch.setattr(mod, "multiplication_matrix", on_line)
     for mod in (qacm.linalg, qacm.plane, qacm.quadric):
         monkeypatch.setattr(mod, "rank", lambda m: ranks.append(m) or real_rank(m))
     coh_table(k, lo, hi)

@@ -10,7 +10,7 @@ from qacm.monomials import (P1, P2, VAR_NAMES, Form, GradedPiece, basis,
                             binary_gcd, cohomology_dim, dual_exponents, h0_exponents,
                             multiplication_matrix, restrict_to_plane,
                             restriction_matrix)
-from qacm.plane import dual_prefix
+from p2_route import dual_prefix
 from test_linalg import vstack
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
@@ -101,7 +101,7 @@ def test_mult_degree_bookkeeping_error():
 
 
 def _lifted(d, depth):
-    """The shape of ``lifted`` in ``quadric._h1_kernel_of_line_map_full``: the
+    """The shape of ``lifted`` in ``p2_route.h1_kernel_of_line_map_full``: the
     depth prefix of H2(O(d)) moved one u-exponent down, a slice of H2(O(d - 1))
     that is not a prefix of it."""
     return GradedPiece(P2, 2, d - 1, tuple((a - 1, b, c) for a, b, c in dual_prefix(d, depth).basis))

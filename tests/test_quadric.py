@@ -244,7 +244,7 @@ def test_les_cross_check_fails_when_the_u_coefficients_are_zeroed(monkeypatch, c
     k = build(parse(SCAN_SHEAF))
     lo, hi = acm_window(k)
     monkeypatch.setattr(qacm.quadric, "_u_coefficients",
-                        lambda pres: tuple(Form.zero(2) for _ in pres.relation))
+                        lambda pres: tuple((Form.zero(2),) for _ in pres.relation))
     code = main(["cohomology", "--sheaf", SCAN_SHEAF, "--tmin", str(lo), "--tmax", str(hi),
                  "--no-timestamp"])
     assert code == 3 and "LES inconsistency" in capsys.readouterr().err

@@ -206,9 +206,9 @@ def test_u_free_fast_route_equals_the_full_route(sheaf, total):
 def test_u_free_table_equals_the_p2_route(g):
     """On every locally free u-free G, twisted by -c2 and glued to O(c1 - c2) + O(0)
     as in ``test_u_free_fast_route_equals_the_full_route``, the rows of the checked
-    table equal the zig-zag on P2 at every twist of the aCM window, which holds
-    every nonzero H2 kernel.  The relation forms may hold u^2 (u^2 + v*w, or from
-    f2), so the LES check on L reads the u-exponent slices past -1."""
+    table equal the zig-zag on P2 at every twist of the aCM window.  The relation
+    forms may hold u^2 (u^2 + v*w, or from f2), so the LES check on L reads the
+    u-exponent slices past -1."""
     c1, c2 = trivialize_on_line(g).degrees
     g = ExtensionBundle(g.side, g.c - 2 * c2, g.k - c2, g.ci, g.h)
     k = make_kernel_sheaf(make_split_bundle(1, (c1 - c2, 0)), g)

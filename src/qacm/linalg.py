@@ -3,8 +3,9 @@
 The package has one number representation: int numerators over one canonical
 denominator, here for a matrix and in ``monomials.Form`` for a polynomial, from
 the descriptor parser to the elimination.  ``fractions.Fraction`` appears only
-where a rational comes in or goes out: the parser's literals, the printers, a
-scalar that multiplies (``as_ratio`` folds it into the ints) and the accessors.
+where a rational comes in or goes out: the parser's literals, the printers and
+a scalar that multiplies.  Here it enters only through ``as_ratio``, which
+folds a rational into the ints.
 
 A matrix is stored in one form from the moment it is built until it is
 eliminated: sparse rows of Python ints over one common denominator.  Row i is
@@ -31,8 +32,7 @@ vector per non-pivot column, with 1 there and 0 in the other non-pivot
 columns, first nonzero positive.  That basis depends only on which columns
 are pivots (column j is one exactly when it is not a combination of the
 columns before it), and a peeled column always is one, so the peel changes
-no basis, and identical inputs always produce identical bases.  The public
-accessors (``entry``, ``row``, ``column``) return ``Fraction`` values.
+no basis, and identical inputs always produce identical bases.
 """
 
 from __future__ import annotations
@@ -99,23 +99,9 @@ class RatMatrix:
         """Every row is the same empty dict, as rows are never mutated."""
         return RatMatrix(rows, cols, ({},) * rows)
 
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix(n, n, tuple({i: 1} for i in range(n)))
-
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self.den,
                      tuple(frozenset(r.items()) for r in self.data)))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.data[i].get(j, 0), self.den)
-
-    def row(self, i: int) -> tuple:
-        r = self.data[i]
-        return tuple(Fraction(r.get(j, 0), self.den) for j in range(self.cols))
-
-    def column(self, j: int) -> tuple:
-        return tuple(Fraction(r.get(j, 0), self.den) for r in self.data)
 
     def transpose(self) -> "RatMatrix":
         out = [{} for _ in range(self.cols)]
@@ -136,33 +122,6 @@ class RatMatrix:
                     acc[t] = acc.get(t, 0) + a * b
             out.append({t: v for t, v in acc.items() if v})
         return RatMatrix.make(self.rows, other.cols, out, self.den * other.den)
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in +")
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        out = []
-        for ra, rb in zip(self.data, other.data):
-            acc = {j: v * fa for j, v in ra.items()}
-            for j, v in rb.items():
-                acc[j] = acc.get(j, 0) + v * fb
-            out.append({j: v for j, v in acc.items() if v})
-        return RatMatrix.make(self.rows, self.cols, out, den)
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols,
-                         tuple({j: -v for j, v in r.items()} for r in self.data), self.den)
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
-
-    def scale(self, s) -> "RatMatrix":
-        p, q = as_ratio(s)
-        if p == 0:
-            return RatMatrix.zero(self.rows, self.cols)
-        return RatMatrix.make(self.rows, self.cols,
-                              [{j: v * p for j, v in r.items()} for r in self.data], self.den * q)
 
     def is_zero(self) -> bool:
         return not any(self.data)

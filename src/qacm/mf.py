@@ -18,6 +18,7 @@ degrees: a linear matrix with nonzero determinant is injective on sections.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .linalg import QQ, RatMatrix, rank
 from .monomials import Form
@@ -28,6 +29,12 @@ Q_DEFAULT = X4 * Y4
 # Largest twist of `qacm mf hilbert`.  Cost no longer motivates it: cokernel_hilbert
 # is a count of degrees, so every twist costs the same one determinant.
 MAX_HILBERT_TWIST = 40
+# Most term products (verify_cost) `qacm mf verify` may form for A B and B A
+# together: the largest admitted pair runs in under 2 s.  The other two
+# constants are costs in term products, measured as verify_cost describes.
+MAX_VERIFY_TERM_PRODUCTS = 3_000_000
+ENTRY_PRODUCT_COST = 7
+DEN_WORD_COST = 5
 
 
 def form_matrix(rows) -> tuple:
@@ -52,18 +59,59 @@ def form_matrix(rows) -> tuple:
 
 
 def mat_mul(a, b):
-    n = len(a)
+    """A B over the nonzero entries, each entry of the product summed once, so
+    that A B costs its term products however many zeros and distinct
+    monomials the matrices hold."""
+    nonzero = [[(j, g) for j, g in enumerate(row) if not g.is_zero] for row in b]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = Form.zero(4)
-            for k in range(n):
-                if not a[i][k].is_zero and not b[k][j].is_zero:
-                    s = s + a[i][k] * b[k][j]
-            row.append(s)
-        out.append(tuple(row))
+    for row in a:
+        sums = [[] for _ in row]
+        for k, f in enumerate(row):
+            if not f.is_zero:
+                for j, g in nonzero[k]:
+                    sums[j].append(f * g)
+        out.append(tuple(map(_form_sum, sums)))
     return tuple(out)
+
+
+def _form_sum(forms) -> Form:
+    """The sum of ambient forms of one degree, over their common denominator."""
+    if len({f.degree for f in forms}) > 1:
+        raise ValueError("adding forms of different degrees")
+    den, acc = lcm(*(f.den for f in forms)), {}
+    for f in forms:
+        s = den // f.den
+        for e, c in f.terms:
+            acc[e] = acc.get(e, 0) + c * s
+    return Form.from_ints(4, acc, den)
+
+
+def verify_cost(a, b) -> int:
+    """The cost of forming A B and B A, in term products:
+    - over k, the terms of column k of one matrix times the terms of row k of
+      the other, a term counting 1 plus 1 per 1024 bits of its numerator and
+      den, as one product of large ints costs about as much as that many
+      products of small ones;
+    - ENTRY_PRODUCT_COST per product of two nonzero entries;
+    - DEN_WORD_COST per squared 1024-bit word of each entry's sum: its den can
+      have as many bits as the dens of its products together, and bringing
+      the sum to its canonical form costs about their square."""
+    cost, n = 0, len(a)
+    for x, y in ((a, b), (b, a)):
+        for k in range(n):
+            col, row = [_size(r[k]) for r in x], [_size(f) for f in y[k]]
+            cost += (sum(col) * sum(row)
+                     + ENTRY_PRODUCT_COST * sum(map(bool, col)) * sum(map(bool, row)))
+        rows = [sum(f.den.bit_length() for f in r if f.den > 1) >> 10 for r in x]
+        cols = [sum(r[j].den.bit_length() for r in y if r[j].den > 1) >> 10 for j in range(n)]
+        cost += DEN_WORD_COST * sum((p + q) ** 2 for p in rows for q in cols)
+    return cost
+
+
+def _size(f: Form) -> int:
+    """The terms of f, each counting 1 plus 1 per 1024 bits of its numerator
+    and den."""
+    return sum(1 + (abs(c).bit_length() + f.den.bit_length()) // 1024 for _, c in f.terms)
 
 
 def scalar_matrix(q: Form, n: int):
@@ -131,7 +179,13 @@ class MFPair:
 
 
 def verify_mf(pair: MFPair) -> bool:
-    """A B = B A = q I as exact polynomial identities."""
+    """A B = B A = q I as exact polynomial identities.  A pair whose two
+    products need more than MAX_VERIFY_TERM_PRODUCTS term products is refused
+    before any is formed."""
+    cost = verify_cost(pair.a, pair.b)
+    if cost > MAX_VERIFY_TERM_PRODUCTS:
+        raise ValueError(f"the pair needs {cost} term products, over the mf verify limit "
+                         f"MAX_VERIFY_TERM_PRODUCTS = {MAX_VERIFY_TERM_PRODUCTS}")
     n = pair.size
     target = scalar_matrix(pair.q, n)
     return mat_mul(pair.a, pair.b) == target and mat_mul(pair.b, pair.a) == target

@@ -33,7 +33,7 @@ class Form:
     ``terms`` is a reverse-lex sorted tuple of (exponent tuple, nonzero int)
     pairs over one denominator ``den``, kept canonical (positive, coprime to
     the numerators as a whole), so equal forms compare and hash equal.
-    ``coeff``, ``evaluate`` and ``str`` give the coefficients as ``Fraction``s."""
+    ``evaluate`` and ``str`` give the coefficients as ``Fraction``s."""
 
     num_vars: int
     terms: tuple
@@ -111,9 +111,6 @@ class Form:
     def degree(self):
         """Total degree, or None for the zero form."""
         return sum(self.terms[0][0]) if self.terms else None
-
-    def coeff(self, exp) -> Fraction:
-        return Fraction(dict(self.terms).get(tuple(exp), 0), self.den)
 
     def __add__(self, other: "Form") -> "Form":
         if self.num_vars != other.num_vars:

@@ -554,10 +554,6 @@ class Trivialization:
     degrees: tuple
     rows: tuple
 
-    @property
-    def c(self) -> int:
-        return self.degrees[0] - self.degrees[-1]
-
 
 def line_relation_matrix(sheaf, t: int, i: int) -> RatMatrix:
     """H^i-level (i = 0 or 1) matrix of the restricted relation on L."""

@@ -4,13 +4,15 @@ import fractions
 import hashlib
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import qacm.cli as cli
+import qacm.mf
 import qacm.quadric
-from qacm.cli import ScanConfig, classify_pairs, main, run_classify, seeded_line_values
+from qacm.cli import ScanConfig, classify_pairs, main, seeded_line_values
 from qacm.descriptor import _Parser, parse, to_text
 from qacm.errors import InternalCheckError
 from qacm.monomials import Form
@@ -239,12 +241,27 @@ def _fraction_arithmetic(fn):
     return hits, products[0]
 
 
-def test_a_classify_scan_runs_no_fraction_arithmetic_off_the_parser():
-    """Forms and matrices hold int numerators over one denominator, so building,
-    checking and recovering every row of a scan enters no ``fractions`` operator;
-    only the descriptor parser may.  The hook itself catches a Fraction sum."""
-    hits, products = _fraction_arithmetic(lambda: run_classify(ScanConfig(c_max=6)))
-    assert hits == [] and products > 100
+KERNEL_SHEAF = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)@H2,e=id)"
+U2_SHEAF = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=0,Z=[v,w^3+u^2*v],h=u+v)@H2,e=id)"
+
+
+@pytest.mark.parametrize("argv, min_products", [
+    (["classify", "--cmax", "6"], 100),
+    (["cohomology", "--sheaf", KERNEL_SHEAF, "--tmin", "-40", "--tmax", "4"], 10),
+    (["cohomology", "--sheaf", U2_SHEAF, "--tmin", "-30", "--tmax", "9"], 10),
+    (["mf", "hilbert", "--tmax", "14"], 10),
+    (["mf", "example"], 10),
+    (["gluing-report", "--sheaf", KERNEL_SHEAF, "--e", "diag(2/3,-5)", "--e", "upper(1,2,v^3)"],
+     10),
+], ids=["classify-c6", "cohomology-deep", "cohomology-u2", "mf-hilbert", "mf-example",
+        "gluing-report"])
+def test_commands_run_no_fraction_arithmetic_off_the_parser(capsys, argv, min_products):
+    """Forms and matrices hold int numerators over one denominator, so a
+    command enters no ``fractions`` operator; only the descriptor parser may.
+    The count of form products shows that the hook saw the run, and the hook
+    itself catches a Fraction sum."""
+    hits, products = _fraction_arithmetic(lambda: main(argv + ["--no-timestamp"]))
+    assert capsys.readouterr().out and hits == [] and products > min_products
     hits, _ = _fraction_arithmetic(lambda: Fraction(1, 2) + 1)
     assert set(hits) == {"test_cli.py:<lambda>"}
 
@@ -300,6 +317,38 @@ def test_mf_verify_invalid_file(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, ["mf", "verify", "--file", str(bad)])
     assert code == 2 and "invalid pair file" in err
+
+
+def test_mf_verify_admits_a_pair_at_its_bound(tmp_path, capsys, monkeypatch):
+    """The pair of test_mf_verify_ok costs 4 * (1 + 7) term products: one
+    term product and one entry product per k, each way."""
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"q": "x*y", "A": [["x", "0"], ["0", "y"]],
+                                "B": [["y", "0"], ["0", "x"]]}))
+    monkeypatch.setattr("qacm.mf.MAX_VERIFY_TERM_PRODUCTS", 32)
+    code, out, _ = run(capsys, ["mf", "verify", "--file", str(pair)])
+    assert code == 0 and json.loads(out)["ok"]
+    monkeypatch.setattr("qacm.mf.MAX_VERIFY_TERM_PRODUCTS", 31)
+    code, out, err = run(capsys, ["mf", "verify", "--file", str(pair)])
+    assert code == 2 and out == ""
+    assert "needs 32 term products" in err and "MAX_VERIFY_TERM_PRODUCTS = 31" in err
+
+
+def test_mf_verify_refuses_an_oversized_pair_before_any_product(tmp_path, capsys, monkeypatch):
+    """A dense 41 x 41 pair of 4-term linear forms costs 46 * 41^3 term
+    products, just over the bound: it is refused without forming A B."""
+    def forbidden(*args):
+        raise AssertionError("mat_mul called on a pair over the bound")
+
+    monkeypatch.setattr("qacm.mf.mat_mul", forbidden)
+    rows = [["x+y+z+w"] * 41 for _ in range(41)]
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"q": "x*y", "A": rows, "B": rows}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["mf", "verify", "--file", str(pair)])
+    assert code == 2 and out == "" and time.perf_counter() - start < 1
+    assert f"needs {46 * 41 ** 3} term products" in err
+    assert f"MAX_VERIFY_TERM_PRODUCTS = {qacm.mf.MAX_VERIFY_TERM_PRODUCTS}" in err
 
 
 @pytest.mark.parametrize("pair, message", [

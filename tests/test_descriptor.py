@@ -126,7 +126,7 @@ def test_a_zero_gluing_scalar_parses_and_fails_to_build():
 def test_parse_rational_coefficients():
     d = parse("I([u,3/2*v^2+w^2])(0)@H1")
     f2 = d.ci.f2
-    assert f2.coeff((0, 2, 0)) == QQ(3, 2)
+    assert (f2.terms, f2.den) == ((((0, 2, 0), 3), ((0, 0, 2), 2)), 2)
 
 
 def test_whitespace_insensitive():

@@ -51,9 +51,14 @@ def oracle_matrix(k, t: int) -> RatMatrix:
     beta = k.e.beta
     m_beta = (RatMatrix.zero(hi, lo) if beta is None or beta.is_zero
               else multiplication_matrix([[beta]], [basis(P1, 0, t)], [basis(P1, 0, k.c + t)]))
-    g = vstack(hstack(RatMatrix.identity(hi).scale(k.e.alpha), m_beta),
-               hstack(RatMatrix.zero(lo, hi), RatMatrix.identity(lo).scale(k.e.delta)))
-    return hstack(g @ _restricted(k.split, t), -_restricted(k.other, t))
+    g = vstack(hstack(_scalar(hi, k.e.alpha), m_beta),
+               hstack(RatMatrix.zero(lo, hi), _scalar(lo, k.e.delta)))
+    return hstack(g @ _restricted(k.split, t), _scalar(hi + lo, -1) @ _restricted(k.other, t))
+
+
+def _scalar(n: int, s) -> RatMatrix:
+    """s times the n x n identity."""
+    return RatMatrix.from_dicts(n, n, [{i: s} for i in range(n)])
 
 
 def _scan_sheaves():
@@ -130,5 +135,5 @@ def test_oracle_refuses_a_miscomposed_line_map(drop):
 def test_split_restriction_is_two_restriction_blocks():
     k = split_pair_kernel(3)
     r = block_diag(restriction_matrix(3), restriction_matrix(0))
-    assert _assembled_matrix(k, 0) @ _restriction(k, 0) == hstack(r, -r)
+    assert _assembled_matrix(k, 0) @ _restriction(k, 0) == hstack(r, _scalar(r.rows, -1) @ r)
     assert h1_restriction_kernel_dim(k.split, 0, None) == 0

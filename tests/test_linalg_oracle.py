@@ -89,8 +89,7 @@ def chains(draw, max_len=25):
 
 
 def to_sympy(m: RatMatrix):
-    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
-                                         for i in range(m.rows) for x in m.row(i)])
+    return sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m.data[i].get(j, 0), m.den))
 
 
 def primitive(vec) -> tuple:
@@ -108,7 +107,8 @@ def assert_matches_sympy(m: RatMatrix):
     s = to_sympy(m)
     assert rank(m) == s.rank()
     basis = kernel_basis(m)
-    ours = [basis.column(j) for j in range(basis.cols)]
+    assert basis.den == 1
+    ours = [tuple(r.get(j, 0) for r in basis.data) for j in range(basis.cols)]
     assert ours == [primitive([Fraction(int(x.p), int(x.q)) for x in v]) for v in s.nullspace()]
 
 
@@ -116,7 +116,7 @@ def assert_matches_sympy(m: RatMatrix):
 @example(RatMatrix.zero(0, 0))
 @example(RatMatrix.zero(0, 4))
 @example(RatMatrix.zero(4, 0))
-@example(RatMatrix.identity(3))
+@example(RatMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 @settings(max_examples=120, deadline=None)
 def test_integer_matrices_match_sympy(m):
     assert_matches_sympy(m)

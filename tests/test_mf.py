@@ -13,7 +13,7 @@ from qacm.linalg import QQ, RatMatrix, rank
 from qacm.mf import (MFPair, SAMPLE_POINTS, cokernel_hilbert, determinant,
                      form_matrix, is_linear_matrix, mf_report,
                      partner_from_adjugate, rank_at_point,
-                     ulrich_example_matrix, ulrich_linear_check, verify_mf)
+                     ulrich_example_matrix, ulrich_linear_check, verify_cost, verify_mf)
 from qacm.monomials import Form, GradedPiece, h0_exponents, multiplication_matrix
 from qacm.quadric import RankOneSheaf, point_extension_kernel, h0 as kernel_h0, \
     rank_one_cohomology
@@ -67,6 +67,31 @@ def test_verify_rejects_non_partner():
 def test_verify_symmetry():
     pair = MFPair(form_matrix([[x, 0], [0, y]]), form_matrix([[y, 0], [0, x]]), x * y)
     assert verify_mf(pair)
+
+
+def test_verify_cost_counts_terms_entry_products_and_den_words():
+    """[[x + y]] against [[z]] forms 2 term products and one entry product
+    each way.  A 2048-bit den counts each term 3 times and adds its 2 words,
+    squared, per entry of the sum.  A dense n x n matrix of 4-term linear
+    forms against itself costs 2 n (4 n)^2 + 2 * 7 n^3 = 46 n^3."""
+    one = form_matrix([[z]])
+    assert verify_cost(form_matrix([[x + y]]), one) == 2 * (2 + 7)
+    d = 2 ** 2047 + 1
+    assert verify_cost(form_matrix([[x * QQ(1, d)]]), one) == 2 * (3 + 7 + 5 * 2 ** 2)
+    dense = form_matrix([[x + y + z + w] * 3 for _ in range(3)])
+    assert verify_cost(dense, dense) == 46 * 3 ** 3
+
+
+def test_verify_refuses_a_product_entry_of_mixed_degrees():
+    a = form_matrix([[x, 1], [0, 1]])
+    b = form_matrix([[x, 0], [y, 0]])
+    with pytest.raises(ValueError, match="adding forms of different degrees"):
+        verify_mf(MFPair(a, b, x * y))
+
+
+def test_verify_bound_is_far_above_the_distinguished_pair():
+    n = ulrich_example_matrix(1)
+    assert verify_cost(n, partner_from_adjugate(n)) * 10 ** 4 < qacm.mf.MAX_VERIFY_TERM_PRODUCTS
 
 
 def test_rank_at_points():

@@ -74,12 +74,12 @@ def test_mult_embedding():
 def test_mult_contraction_rule():
     src = basis(P2, 2, -4)
     m = multiplication_matrix([[u]], [src], [basis(P2, 2, -3)])
-    cols = {src.basis[j]: m.column(j) for j in range(src.dim)}
+    cols = dict(zip(src.basis, m.transpose().data))
     # u * u^-1 v^-2 w^-1 has a nonnegative exponent: dies
-    assert all(x == 0 for x in cols[(-1, -2, -1)])
+    assert not cols[(-1, -2, -1)]
     tgt = basis(P2, 2, -3)
     j = tgt.basis.index((-1, -1, -1))
-    assert cols[(-2, -1, -1)][j] == 1
+    assert cols[(-2, -1, -1)] == {j: 1} and m.den == 1
 
 
 def test_mult_zero_form():
@@ -151,7 +151,8 @@ def test_rank_rule_places_each_monomial_at_its_position(nv, top):
         piece = GradedPiece(space, i, d, (dual_exponents if top else h0_exponents)(nv, d))
         flipped = GradedPiece(space, i, d, piece.basis[::-1])
         n = piece.dim
-        assert multiplication_matrix([[one]], [piece], [piece]) == RatMatrix.identity(n)
+        assert multiplication_matrix([[one]], [piece], [piece]) == \
+            RatMatrix(n, n, tuple({r: 1} for r in range(n)))
         assert multiplication_matrix([[one]], [flipped], [piece]) == \
             RatMatrix(n, n, tuple({n - 1 - r: 1} for r in range(n)))
 
@@ -249,7 +250,7 @@ def test_restriction_surjective():
 
 
 def test_restriction_degree_zero():
-    assert restriction_matrix(0) == restriction_matrix(0).identity(1)
+    assert restriction_matrix(0) == RatMatrix(1, 1, ({0: 1},))
 
 
 def test_restriction_negative_degree_empty():
@@ -317,7 +318,8 @@ def test_binary_gcd_common_factor():
     f = Form.from_dict(2, {(2, 0): 1, (0, 2): -1})   # (v-w)(v+w)
     g = Form.from_dict(2, {(1, 0): 1, (0, 1): -1})
     got = binary_gcd(f, g)
-    assert got.degree == 1 and got.coeff((1, 0)) == -got.coeff((0, 1))
+    coeffs = dict(got.terms)
+    assert got.degree == 1 and coeffs[(1, 0)] == -coeffs[(0, 1)]
 
 
 def test_binary_gcd_with_monomial_factors():
@@ -391,8 +393,6 @@ def test_form_accessors_and_restriction_agree_with_sympy(data):
     sympy = pytest.importorskip("sympy")
     f = data.draw(_forms(nv=data.draw(st.sampled_from([3, 4]))))
     p = _poly(f)
-    for e in h0_exponents(f.num_vars, f.degree or 0):
-        assert f.coeff(e) == p.coeff_monomial(e)
     point = data.draw(st.lists(_rationals, min_size=f.num_vars, max_size=f.num_vars))
     assert f.evaluate(point) == p.eval(dict(zip(p.gens, point)))
     i = data.draw(st.integers(0, f.num_vars - 1))

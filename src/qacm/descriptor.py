@@ -24,6 +24,7 @@ degree constraints, Cayley-Bacharach) happens in the constructing modules.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .linalg import QQ
 from .monomials import VAR_NAMES, Form
@@ -229,12 +230,23 @@ class _Parser:
         return QQ(num, int(text))
 
     def parse_form(self, num_vars: int) -> Form:
+        """One sum of the terms, as int numerators over one den; a term of a degree
+        other than the nonzero sum's is refused as it comes."""
         names = VAR_NAMES[num_vars]
-        total, sign = Form.zero(num_vars), self._sign() or 1
+        acc, den, sign = {}, 1, self._sign() or 1
         while sign:
-            total = total + self._parse_term(num_vars, names) * sign
+            term = self._parse_term(num_vars, names)
+            for e, c in term.terms:             # one term, or none for a zero term
+                if acc and sum(e) != sum(next(iter(acc))):
+                    raise ValueError("adding forms of different degrees")
+                if den % term.den:
+                    scale = term.den // gcd(den, term.den)
+                    acc, den = {x: y * scale for x, y in acc.items()}, den * scale
+                acc[e] = acc.get(e, 0) + sign * c * (den // term.den)
+                if not acc[e]:
+                    del acc[e]
             sign = self._sign()
-        return total
+        return Form.from_ints(num_vars, acc, den)
 
     def _sign(self):
         return 1 if self.accept("+") else -1 if self.accept("-") else None
@@ -266,7 +278,7 @@ class _Parser:
                     self.error(f"exponent {t2} is beyond the form-degree limit {MAX_FORM_DEGREE}")
                 self.advance()
                 exp = int(digits)
-            return Form.variable(num_vars, text) ** exp
+            return Form.from_ints(num_vars, {tuple(exp * (n == text) for n in names): 1})
         self._got(tuple(names) + ("a coefficient",))
 
     def _plane_form(self) -> Form:

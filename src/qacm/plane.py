@@ -373,31 +373,21 @@ def relation_h2_kernel(sheaf, t: int) -> RatMatrix:
       padded with zeros, is the whole kernel vector for vector.
     * Zero below degree 0 and past the socle, with no matrix built.  By Serre
       duality the kernel is the orthogonal of the degree-n piece of the ideal
-      of the forms that act: the restrictions to L in n = -(b+t+1) - 2 on the
-      u-exponent -1 monomials, the relation itself in n = -(b+t) - 3 on the whole
-      basis.  For n < 0 the source is empty; once n reaches ``_socle_bound`` and
-      the forms have no common zero (decided once per sheaf) that piece is everything.
+      of the forms that act, n = -(b+t) - 3: the restrictions to L on the
+      u-exponent -1 monomials, the relation itself on the whole basis.  For
+      n < 0 the source is empty; once n reaches ``_socle_bound`` and the forms
+      have no common zero (decided once per sheaf) that piece is everything.
     """
-    if sheaf.h2_depth:
-        return relation_h2_kernel_on_line(sheaf, t)[0]
-    pres = sheaf.presentation
-    b = pres.relation_twist
-    n, bound = -(b + t) - 3, _socle_bound(pres.relation, 3)
-    if n < 0 or bound is not None and n >= bound and sheaf.relation_common_zero_free:
-        return RatMatrix.zero(cohomology_dim(P2, 2, b + t), 0)
-    return kernel_basis(relation_h2_matrix(sheaf, t))
-
-
-def relation_h2_kernel_on_line(sheaf, t: int) -> tuple:
-    """(``relation_h2_kernel(sheaf, t)``, the matrix it is the kernel of) for a sheaf
-    with a relation form c*u: that matrix is ``line_relation_matrix(sheaf, t + 1, 1)``,
-    or None where the kernel is zero by its degrees and nothing is built."""
     b = sheaf.presentation.relation_twist
-    n, bound = -(b + t + 1) - 2, _socle_bound(sheaf.line_presentation.relation, 2)
-    if n < 0 or bound is not None and n >= bound and sheaf.line_relation_coprime:
-        return RatMatrix.zero(cohomology_dim(P1, 1, b + t + 1), 0), None
-    line = line_relation_matrix(sheaf, t + 1, 1)
-    return kernel_basis(line), line
+    on_line = sheaf.h2_depth
+    pres = sheaf.line_presentation if on_line else sheaf.presentation
+    n, bound = -(b + t) - 3, _socle_bound(pres.relation, 3 - bool(on_line))
+    if n < 0 or bound is not None and n >= bound and (
+            sheaf.line_relation_coprime if on_line else sheaf.relation_common_zero_free):
+        return RatMatrix.zero(cohomology_dim(P1, 1, b + t + 1) if on_line
+                              else cohomology_dim(P2, 2, b + t), 0)
+    return kernel_basis(line_relation_matrix(sheaf, t + 1, 1) if on_line
+                        else relation_h2_matrix(sheaf, t))
 
 
 def ci_hilbert(degrees, n: int) -> int:

@@ -20,7 +20,7 @@ forms p_i = sum_j u^j p_(i,j), p_(i,j) free of u:
   the Hilbert function of the relation forms gives;
 * h1, the kernel of the H1-level restriction H1(F_other(t)) -> H1(F_other|_L(t))
   in 0 -> F_other(t-1) -> F_other(t) -> F_other|_L(t) -> 0, equals
-  dim ker [Q K | L_t] - dim ker L_t, all of it on L (the LES check).
+  dim ker (T_t Q K), all of it on L (the LES check).
 
 The LES check is exact.  With P_t the H2-level relation at t and L_t the
 H1-level relation on L at t, the restriction H1(F_other(t)) = K ->
@@ -30,8 +30,17 @@ lies in the u-exponent -1 rows of H2(O(a_i + t - 1)), which are H1(O_L(a_i + t))
 and there it is sum_(j>=1) (p_(i,j)|_L) x_(-j), with x_(-j) the u-exponent -j
 slice of x, a vector on H1(O_L(b + t + j)).  That is Q x, Q the multiplication by
 the grid of the p_(i,j)|_L (``_u_coefficients``) from the slices K covers, so h1
-is dim {x in K : Q x in im L_t}.  When a relation form is c*u, K lies in one
-slice and is the kernel of L_(t+1) (``relation_h2_kernel``).
+is dim {x in K : Q x in im L_t}.  On L, H1 is right exact:
+
+    H1(O_L(b+t)) --L_t--> sum H1(O_L(a_i+t)) --T_t--> H1(O_L(c+t)) + H1(O_L(t)) -> 0
+
+with T_t the H1-level map of the other side's trivialization rows (hi, lo): they
+are a basis of the syzygies of the restricted relation (Hilbert-Burch, checked by
+``trivialize_on_line``) of type (c, 0) (checked by ``make_kernel_sheaf``), so
+they map sum O_L(a_i) onto F_other|_L = O_L(c) + O_L with kernel the relation.
+Hence im L_t = ker T_t, and h1 = dim ker (T_t Q K): T_t Q is multiplication by
+the 2 x J grid T q (``_les_grid``), so no L_t is built.  When a relation form is
+c*u, K lies in one slice and is the kernel of L_(t+1) (``relation_h2_kernel``).
 
 chi = h0 - h1 + h2 holds identically (h1 enters h2 as well) and is not checked.
 
@@ -51,9 +60,8 @@ from .monomials import (P1, P2, Form, basis, multiplication_matrix, restrict_to_
                         restriction_matrix)
 from .plane import (CohRow, CohTable, DegreeData, SplitBundle, check_h2_kernel, chern,
                     ci_from_forms, ci_from_line_points, cohomology as plane_cohomology,
-                    degree_table, line_relation_matrix, make_extension_bundle,
-                    make_split_bundle, relation_h2_kernel, relation_h2_kernel_on_line,
-                    trivialize_on_line)
+                    degree_table, make_extension_bundle, make_split_bundle,
+                    relation_h2_kernel, trivialize_on_line)
 from .record import record
 
 AMBIENT_LINEAR = tuple(Form.variable(4, n) for n in ("x", "y", "z", "w"))
@@ -179,54 +187,43 @@ def _u_coefficients(pres) -> tuple:
                        for j in range(1, top + 1)) for f in pres.relation)
 
 
-def _h1_kernel_on_line(k: KernelSheaf, t: int, ker: RatMatrix, line: RatMatrix,
-                       line_kernel: int, q: tuple) -> int:
-    """dim ker(H1(F_other(t)) -> H1(F_other|_L(t))) = dim ker [Q K | L_t] - dim ker L_t
-    (the module docstring).  ``ker`` = K, the H2-level kernel of F_other at t, on the
-    leading u-exponent slices of H2(O(b+t)); ``line`` = L_t is
-    ``line_relation_matrix(F_other, t, 1)``, ``line_kernel`` the dimension of its
-    kernel; Q multiplies by the grid ``q`` (``_u_coefficients``) from the slices
-    H1(O_L(b+t+j)) that K's rows cover into the sum of H1(O_L(a_i+t))."""
+def _les_grid(k: KernelSheaf) -> tuple:
+    """T q: the other side's trivialization rows (hi, lo), its columns of ``k.line_map``
+    (negated, which changes no kernel; e does not reach them), times the grid
+    ``_u_coefficients``; entry (e, j) has degree c_e - b - j, (c_0, c_1) = (c, 0)."""
+    q = _u_coefficients(k.other.presentation)
+    n, zero = len(k.split.twists), Form.zero(2)
+    return tuple(tuple(sum((r * qi[j] for r, qi in zip(row[n:], q)), zero)
+                       for j in range(len(q[0]))) for row in k.line_map)
+
+
+def _h1_kernel_on_line(k: KernelSheaf, t: int, ker: RatMatrix, grid: tuple) -> int:
+    """dim ker(H1(F_other(t)) -> H1(F_other|_L(t))) = dim ker (T_t Q K) (the module
+    docstring).  ``ker`` = K, the H2-level kernel of F_other at t, on the leading
+    u-exponent slices of H2(O(b+t)); T_t Q multiplies by ``grid`` (``_les_grid``)
+    from the slices H1(O_L(b+t+j)) that K's rows cover into H1(O_L(c+t)) + H1(O_L(t))."""
     if not ker.cols:
         return 0
-    pres = k.other.presentation
     srcs, n = [], 0
     while n < ker.rows:
-        srcs.append(basis(P1, 1, pres.relation_twist + t + len(srcs) + 1))
+        srcs.append(basis(P1, 1, k.other.presentation.relation_twist + t + len(srcs) + 1))
         n += srcs[-1].dim
-    u_map = multiplication_matrix([row[:len(srcs)] for row in q], srcs,
-                                  [basis(P1, 1, a + t) for a in pres.target_twists])
-    return kernel_dim(hstack(u_map @ ker, line)) - line_kernel
+    m = multiplication_matrix([row[:len(srcs)] for row in grid], srcs,
+                              [basis(P1, 1, k.c + t), basis(P1, 1, t)])
+    return kernel_dim(m @ ker)
 
 
 def _line_walk(k: KernelSheaf, tmin: int, tmax: int):
     """The LES check's h1 of K(t), t = tmin..tmax, by ``_h1_kernel_on_line``: every
-    H2 kernel is computed once and checked against its Hilbert function (the
-    relation forms of a glued other side are a regular sequence, as it is locally
-    free), and the u-coefficients are read once.  When a relation form of F_other
-    is c*u the kernel K_t comes from ``relation_h2_kernel_on_line``: step t builds
-    and eliminates L_(t+1) for it and hands L_(t+1) and dim K_t to step t + 1, as
-    its L_t and dim ker L_t.  Only at tmin, or after a step whose kernel was zero by
-    its degrees, is L_t built here, and only at tmin is it eliminated.  Otherwise
-    K_t is ``relation_h2_kernel`` and L_t is built and eliminated per nonzero kernel."""
+    H2 kernel (``relation_h2_kernel``) is computed once and checked against its Hilbert
+    function (the relation forms of a glued other side are a regular sequence, as it
+    is locally free); T q is formed once, and a nonzero K_t costs one product and rank."""
     other = k.other
-    on_line = other.h2_depth
-    q = _u_coefficients(other.presentation)
-    line, below = None, None        # L_t from the step before, and its kernel's dimension
+    grid = _les_grid(k)
     for t in range(tmin, tmax + 1):
-        if on_line:
-            ker, above = relation_h2_kernel_on_line(other, t)
-        else:
-            ker, above = relation_h2_kernel(other, t), None
+        ker = relation_h2_kernel(other, t)
         check_h2_kernel(other, t, ker)
-        full = 0
-        if ker.cols:
-            if line is None:
-                line = line_relation_matrix(other, t, 1)
-            full = _h1_kernel_on_line(k, t, ker, line,
-                                      kernel_dim(line) if below is None else below, q)
-        yield full
-        line, below = (above, ker.cols) if on_line else (None, None)
+        yield _h1_kernel_on_line(k, t, ker, grid)
 
 
 def coh_table(k: KernelSheaf, tmin: int, tmax: int) -> CohTable:

@@ -440,6 +440,23 @@ def test_degrees_at_the_limits_are_admitted():
     assert build(parse("G(c=598,k=298,Z=[u,v^300],h=auto)@H2")).h.degree == 299
 
 
+def test_parsing_forms_one_product_per_star_and_no_sum_of_forms(monkeypatch):
+    """A power is one monomial built from its exponent vector, and a form one sum
+    over its terms: parsing x^2000 forms no product, and parsing the 1,000-term
+    form x^999 + x^998*z + ... forms one product per "*" and adds no two forms."""
+    products, real_mul = [], Form.__mul__
+    monkeypatch.setattr(Form, "__mul__", lambda f, g: products.append(g) or real_mul(f, g))
+    monkeypatch.setattr(Form, "__add__", lambda f, g: pytest.fail("two forms added"))
+    assert parse_ambient_form("x^2000") == Form.from_ints(4, {(2000, 0, 0, 0): 1})
+    assert products == []
+    text = "+".join("*".join(m for m in (f"x^{999 - i}" * (i < 999), f"z^{i}" * (i > 0)) if m)
+                    for i in range(1000))
+    assert text.startswith("x^999+x^998*z^1+") and text.endswith("+x^1*z^998+z^999")
+    assert parse_ambient_form(text) == Form.from_ints(4, {(999 - i, 0, i, 0): 1
+                                                          for i in range(1000)})
+    assert len(products) == 998
+
+
 def test_mf_verify_refuses_a_form_beyond_the_degree_limit(tmp_path, capsys):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"q": "x*y", "A": [["x^2001"]], "B": [["y"]]}))

@@ -22,16 +22,16 @@ import qacm.plane
 import qacm.quadric
 from qacm.cli import ScanConfig, classify_pairs, scan_descriptors, seeded_line_values
 from qacm.descriptor import build, parse
-from qacm.linalg import RatMatrix, kernel_basis, kernel_dim
+from qacm.linalg import RatMatrix, kernel_basis
 from qacm.monomials import P1, P2, Form, cohomology_dim, h0_exponents
 from qacm.plane import (CIIdealSheaf, CISubscheme, ExtensionBundle, ci_from_forms,
                         ci_from_line_points, cohomology, degree_table, euler_char,
                         make_extension_bundle, make_split_bundle, relation_h2_kernel,
                         relation_h2_matrix, trivialize_on_line)
-from qacm.quadric import (_h1_kernel_on_line, _line_walk, _u_coefficients, acm_window,
-                          coh_table, collinear_extension_kernel, make_kernel_sheaf)
+from qacm.quadric import (_h1_kernel_on_line, _les_grid, _line_walk, acm_window, coh_table,
+                          collinear_extension_kernel, make_kernel_sheaf)
 import p2_route
-from p2_route import dual_prefix, h1_kernel_of_line_map_full
+from p2_route import dual_prefix, h1_kernel_of_line_map_full, h1_kernel_stacked
 from test_linalg import vstack
 from test_plane import h1_restriction_kernel_dim
 
@@ -201,26 +201,31 @@ def test_u_free_fast_route_equals_the_full_route(sheaf, total):
     assert sum(fast) == total
 
 
+def _glued(g):
+    """The kernel sheaf of G, twisted by -c2 so that it splits as O_L(c1 - c2) + O_L
+    on L, glued to O(c1 - c2) + O(0), as in ``test_u_free_fast_route_equals_the_full_route``."""
+    c1, c2 = trivialize_on_line(g).degrees
+    g = ExtensionBundle(g.side, g.c - 2 * c2, g.k - c2, g.ci, g.h)
+    return make_kernel_sheaf(make_split_bundle(1, (c1 - c2, 0)), g)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_u_free_presentations(locally_free=True))
 def test_u_free_table_equals_the_p2_route(g):
-    """On every locally free u-free G, twisted by -c2 and glued to O(c1 - c2) + O(0)
-    as in ``test_u_free_fast_route_equals_the_full_route``, the rows of the checked
-    table equal the zig-zag on P2 at every twist of the aCM window.  The relation
+    """On every locally free u-free G, ``_glued``, the rows of the checked table
+    equal the zig-zag on P2 at every twist of the aCM window.  The relation
     forms may hold u^2 (u^2 + v*w, or from f2), so the LES check on L reads the
     u-exponent slices past -1."""
-    c1, c2 = trivialize_on_line(g).degrees
-    g = ExtensionBundle(g.side, g.c - 2 * c2, g.k - c2, g.ci, g.h)
-    k = make_kernel_sheaf(make_split_bundle(1, (c1 - c2, 0)), g)
+    k = _glued(g)
     lo, hi = acm_window(k)
+    g = k.other
     full = [h1_kernel_of_line_map_full(k, t, relation_h2_kernel(g, t)) for t in range(lo, hi + 1)]
     assert [r.h1 for r in coh_table(k, lo, hi).rows] == full
 
 
 def test_line_walk_equals_the_full_route_on_the_c14_scans():
-    """The collinear walk's zig-zag on L, with each line relation handed from one
-    step to the next, equals the zig-zag of the full route on the dual prefixes
-    of P2 at every twist of the aCM window widened by 5 on each side, for every
+    """The collinear walk's LES route on L, the kernel of T_t Q on each H2 kernel,
+    equals the zig-zag of the full route on the dual prefixes of P2 at every twist of the aCM window widened by 5 on each side, for every
     point-extension and collinear row of ``classify --cmax 14``, seeds 1 and 3."""
     twists = nonzero = rows = 0
     for seed in (1, 3):
@@ -240,9 +245,9 @@ def test_line_walk_equals_the_full_route_on_the_c14_scans():
 
 @pytest.mark.parametrize("c, k", [(4, 2), (6, 2), (7, 3)])
 def test_line_walk_from_any_first_twist(c, k):
-    """A walk that starts inside the range of nonzero kernels has no step before
-    it to hand L_t over: it builds and eliminates L_t itself, and gives the
-    full route's value at every twist whatever its first twist."""
+    """A walk that starts inside the range of nonzero kernels gives the full
+    route's value at every twist, whatever its first twist: no step reads
+    anything from the step before it."""
     kernel = collinear_extension_kernel(c, k, [((1, r), 1) for r in seeded_line_values(3, c - k)])
     lo, hi = acm_window(kernel)
     full = {t: h1_kernel_of_line_map_full(kernel, t, relation_h2_kernel(kernel.other, t))
@@ -256,15 +261,32 @@ def test_line_walk_from_any_first_twist(c, k):
 @settings(max_examples=80, deadline=None)
 @given(_u_presentations(), st.integers(-12, 1))
 def test_route_on_line_equals_the_full_route(sheaf, t):
-    """On any sheaf whose relation holds s*u, the u-coefficients of its forms
-    drawn free or u-homogeneous, the zig-zag on L at t equals the full route on
-    the same H2 kernel, L_t built and eliminated here."""
-    k = SimpleNamespace(other=sheaf)
-    ker = relation_h2_kernel(sheaf, t)
-    line = qacm.plane.line_relation_matrix(sheaf, t, 1)
-    q = _u_coefficients(sheaf.presentation)
-    assert _h1_kernel_on_line(k, t, ker, line, kernel_dim(line), q) == \
-        h1_kernel_of_line_map_full(k, t, ker)
+    """On any extension bundle whose relation holds s*u, the u-coefficients of its
+    forms drawn free or u-homogeneous, and whose restriction to L is a bundle (so
+    that it has a trivialization), ``_glued``, the kernel of T_t Q on K at t equals
+    the full route on the same H2 kernel."""
+    assume(isinstance(sheaf, ExtensionBundle) and sheaf.line_relation_coprime)
+    k = _glued(sheaf)
+    ker = relation_h2_kernel(k.other, t)
+    assert _h1_kernel_on_line(k, t, ker, _les_grid(k)) == h1_kernel_of_line_map_full(k, t, ker)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_u_presentations(), _u_free_presentations(locally_free=True)))
+def test_les_route_equals_the_stacked_route_and_the_full_route(g):
+    """On extension bundles with a relation form s*u or without one (K then covers
+    several u-exponent slices) whose restriction to L is a bundle, ``_glued``, three
+    routes agree at every twist of the aCM window widened by 3: the kernel of T_t Q
+    on K, the stacked route [Q K | L_t] that reads no trivialization, and the
+    zig-zag on P2."""
+    assume(isinstance(g, ExtensionBundle) and g.line_relation_coprime)
+    k = _glued(g)
+    grid = _les_grid(k)
+    lo, hi = acm_window(k)
+    for t in range(lo - 3, hi + 4):
+        ker = relation_h2_kernel(k.other, t)
+        assert _h1_kernel_on_line(k, t, ker, grid) == h1_kernel_stacked(k, t, ker) == \
+            h1_kernel_of_line_map_full(k, t, ker), t
 
 
 def _u_free_g():
@@ -372,19 +394,18 @@ def test_fewer_forms_than_variables_take_the_elimination(monkeypatch, sheaf):
     assert relation_h2_kernel(sheaf, -30).cols > 0
 
 
-def _kernel_twists(monkeypatch, k, name="relation_h2_kernel") -> tuple:
+def _kernel_twists(monkeypatch, k) -> tuple:
     """The twists at which one table of K over its aCM window computes an H2
-    kernel by the plane function ``name``, each checked to be of the other side,
-    and the window."""
+    kernel, each checked to be of the other side, and the window."""
     calls = []
-    compute = getattr(qacm.plane, name)
+    compute = qacm.plane.relation_h2_kernel
 
     def counted(sheaf, t):
         calls.append((sheaf, t))
         return compute(sheaf, t)
 
     for mod in (qacm.plane, qacm.quadric):
-        monkeypatch.setattr(mod, name, counted)
+        monkeypatch.setattr(mod, "relation_h2_kernel", counted)
     lo, hi = acm_window(k)
     coh_table(k, lo, hi)
     assert all(sheaf is k.other for sheaf, _ in calls)
@@ -397,16 +418,15 @@ def _collinear_k():
 
 def test_collinear_table_walks_each_kernel_once(monkeypatch):
     """The checks ask for the H2 kernel of the other side once at every twist t,
-    for the Hilbert check and the full route on L, through the helper that also
-    hands over the line relation it eliminated; the rows are a count of degrees."""
-    twists, lo, hi = _kernel_twists(monkeypatch, _collinear_k(), "relation_h2_kernel_on_line")
+    for the Hilbert check and the LES route on L; the rows are a count of degrees."""
+    twists, lo, hi = _kernel_twists(monkeypatch, _collinear_k())
     assert twists == list(range(lo, hi + 1))
 
 
 def test_collinear_table_eliminates_once_per_nonzero_kernel(monkeypatch):
-    """A collinear table over its window builds no matrix on P2, and its LES
-    check ranks one matrix per twist whose H2 kernel is nonzero: rank L_t is
-    read off the kernel of the step before, which handed L_t over."""
+    """A collinear table over its window builds no matrix on P2 and stacks none,
+    and its LES check ranks one matrix per twist whose H2 kernel is nonzero,
+    T_t Q K: no L_t is built or eliminated for it."""
     k = _collinear_k()
     lo, hi = acm_window(k)
     nonzero = sum(relation_h2_kernel(k.other, t).cols > 0 for t in range(lo, hi + 1))
@@ -421,6 +441,7 @@ def test_collinear_table_eliminates_once_per_nonzero_kernel(monkeypatch):
         monkeypatch.setattr(mod, "multiplication_matrix", on_line)
     for mod in (qacm.linalg, qacm.plane, qacm.quadric):
         monkeypatch.setattr(mod, "rank", lambda m: ranks.append(m) or real_rank(m))
+    monkeypatch.setattr(qacm.quadric, "hstack", lambda *m: pytest.fail("hstack on a table"))
     coh_table(k, lo, hi)
     assert nonzero == 4 and len(ranks) == nonzero
 

@@ -238,8 +238,8 @@ def test_les_cross_check_fails_when_the_full_route_is_perturbed(monkeypatch, cap
 
 
 def test_les_cross_check_fails_when_the_u_coefficients_are_zeroed(monkeypatch, capsys):
-    """The LES check on L reads the built forms: with the u-coefficient map U_t
-    zeroed, the zig-zag gives dim K where the count gives 0, and ``qacm
+    """The LES check on L reads the built forms: with the u-coefficients zeroed,
+    T_t Q is zero and the route gives dim K where the count gives 0, and ``qacm
     cohomology`` of the collinear sheaf over its aCM window exits 3."""
     k = build(parse(SCAN_SHEAF))
     lo, hi = acm_window(k)
@@ -248,6 +248,30 @@ def test_les_cross_check_fails_when_the_u_coefficients_are_zeroed(monkeypatch, c
     code = main(["cohomology", "--sheaf", SCAN_SHEAF, "--tmin", str(lo), "--tmax", str(hi),
                  "--no-timestamp"])
     assert code == 3 and "LES inconsistency" in capsys.readouterr().err
+
+
+def _zero_lo_row(grid):
+    """The grid T q with its lo row, the trivialization's O_L factor, zeroed."""
+    return grid[0], tuple(Form.zero(2) for _ in grid[1])
+
+
+def test_les_cross_check_fails_when_the_lo_row_is_zeroed(monkeypatch, capsys):
+    """The LES check reads the trivialization rows: with the lo row of T q zeroed,
+    T_t no longer maps onto H1(O_L(t)), its kernel grows past im L_t, and the
+    route is refused on the collinear sheaf over its aCM window (h1 = 0
+    everywhere; ``qacm cohomology`` exits 3) and on the sheaf that is not aCM
+    (h1 = 1 at t = -3, -2, -1)."""
+    real = qacm.quadric._les_grid
+    monkeypatch.setattr(qacm.quadric, "_les_grid", lambda k: _zero_lo_row(real(k)))
+    k = build(parse(SCAN_SHEAF))
+    lo, hi = acm_window(k)
+    with pytest.raises(InternalCheckError, match="LES inconsistency"):
+        coh_table(k, lo, hi)
+    code = main(["cohomology", "--sheaf", SCAN_SHEAF, "--tmin", str(lo), "--tmax", str(hi),
+                 "--no-timestamp"])
+    assert code == 3 and "LES inconsistency" in capsys.readouterr().err
+    with pytest.raises(InternalCheckError, match="LES inconsistency"):
+        acm_check(_not_acm_kernel())
 
 
 README_SHEAF = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)@H2,e=id)"
@@ -302,15 +326,8 @@ def _add_one_at_the_corner(m):
                           m.den)
 
 
-def _drop_last_kernel_column(kernel_and_line):
-    """``_drop_last_column`` of the kernel that ``relation_h2_kernel_on_line`` returns."""
-    ker, line = kernel_and_line
-    return _drop_last_column(ker), line
-
-
 @pytest.mark.parametrize("target, name, mutate", [
-    pytest.param(qacm.quadric, "relation_h2_kernel_on_line", _drop_last_kernel_column,
-                 id="kernel-column"),
+    pytest.param(qacm.quadric, "relation_h2_kernel", _drop_last_column, id="kernel-column"),
     pytest.param(qacm.plane, "multiplication_matrix", _add_one_at_the_corner, id="builder-entry")])
 def test_hilbert_check_fails_when_an_h2_kernel_is_perturbed(monkeypatch, capsys, target, name,
                                                             mutate):
@@ -332,19 +349,18 @@ def test_hilbert_check_fails_when_an_h2_kernel_is_perturbed(monkeypatch, capsys,
     assert code == 3 and "Hilbert function" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sheaf, kernel", [
-    (README_SHEAF, "relation_h2_kernel_on_line"),
-    ("K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)", "relation_h2_kernel")],
+@pytest.mark.parametrize("sheaf", [
+    README_SHEAF, "K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)"],
     ids=["collinear", "u-free"])
-def test_each_h2_kernel_is_hilbert_checked_once(monkeypatch, sheaf, kernel):
+def test_each_h2_kernel_is_hilbert_checked_once(monkeypatch, sheaf):
     """A table checks each H2 kernel of the other side once, where it computes
     it: the twists checked are the twists computed, each twist of the window
-    once and none below it, collinear (on L, by the helper that also hands over
-    the line relation) or u-free."""
+    once and none below it, collinear (on L) or u-free."""
     k = build(parse(sheaf))
     computed, checked = [], []
-    compute, check = getattr(qacm.quadric, kernel), qacm.quadric.check_h2_kernel
-    monkeypatch.setattr(qacm.quadric, kernel, lambda s, t: computed.append(t) or compute(s, t))
+    compute, check = qacm.quadric.relation_h2_kernel, qacm.quadric.check_h2_kernel
+    monkeypatch.setattr(qacm.quadric, "relation_h2_kernel",
+                        lambda s, t: computed.append(t) or compute(s, t))
     monkeypatch.setattr(qacm.quadric, "check_h2_kernel",
                         lambda s, t, ker: checked.append(t) or check(s, t, ker))
     lo, hi = acm_window(k)

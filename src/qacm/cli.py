@@ -246,17 +246,18 @@ def _forms_to_strings(mat):
 
 
 def cmd_mf_example(args) -> int:
-    report = mfmod.mf_report(args.component, tmin=-1, tmax=2)
+    a = mfmod.ulrich_example_matrix(args.component)
+    b = mfmod.partner_from_adjugate(a)
     payload = {
         "component": args.component,
-        "matrix": _forms_to_strings(report.matrix),
-        "partner": _forms_to_strings(report.partner),
-        "det": str(report.det),
-        "partner_linear": report.partner_linear,
-        "ulrich_linear": mfmod.ulrich_linear_check(report.matrix),
-        "ranks": [{"point": list(map(str, pt)), "locus": locus, "rank": rk}
-                  for pt, locus, rk in report.ranks_at_samples],
-        "hilbert": [{"t": t, "h0": h} for t, h in report.hilbert],
+        "matrix": _forms_to_strings(a),
+        "partner": _forms_to_strings(b),
+        "det": str(mfmod.determinant(a)),
+        "partner_linear": mfmod.is_linear_matrix(b),
+        "ulrich_linear": mfmod.ulrich_linear_check(a),
+        "ranks": [{"point": list(map(str, pt)), "locus": locus, "rank": mfmod.rank_at_point(a, pt)}
+                  for pt, locus in mfmod.SAMPLE_POINTS],
+        "hilbert": [{"t": t, "h0": mfmod.cokernel_hilbert(a, t)} for t in range(-1, 3)],
     }
     _emit(args, payload, payload["ranks"], ["point", "locus", "rank"])
     return 0
@@ -295,9 +296,6 @@ def cmd_mf_verify(args) -> int:
 
 
 def cmd_mf_hilbert(args) -> int:
-    if args.tmax > mfmod.MAX_HILBERT_TWIST:
-        raise ValueError(f"twist {args.tmax} is beyond the mf hilbert limit "
-                         f"t <= {mfmod.MAX_HILBERT_TWIST}")
     a = mfmod.ulrich_example_matrix(args.component)
     payload = {
         "component": args.component,

@@ -18,7 +18,6 @@ degrees: a linear matrix with nonzero determinant is injective on sections.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .linalg import QQ, RatMatrix, rank
 from .monomials import Form
@@ -26,9 +25,6 @@ from .record import record
 
 X4, Y4, Z4, W4 = (Form.variable(4, n) for n in ("x", "y", "z", "w"))
 Q_DEFAULT = X4 * Y4
-# Largest twist of `qacm mf hilbert`.  Cost no longer motivates it: cokernel_hilbert
-# is a count of degrees, so every twist costs the same one determinant.
-MAX_HILBERT_TWIST = 40
 # Most term products (verify_cost) `qacm mf verify` may form for A B and B A
 # together: the largest admitted pair runs in under 2 s.  The other two
 # constants are costs in term products, measured as verify_cost describes.
@@ -70,20 +66,8 @@ def mat_mul(a, b):
             if not f.is_zero:
                 for j, g in nonzero[k]:
                     sums[j].append(f * g)
-        out.append(tuple(map(_form_sum, sums)))
+        out.append(tuple(Form.sum(4, s) for s in sums))
     return tuple(out)
-
-
-def _form_sum(forms) -> Form:
-    """The sum of ambient forms of one degree, over their common denominator."""
-    if len({f.degree for f in forms}) > 1:
-        raise ValueError("adding forms of different degrees")
-    den, acc = lcm(*(f.den for f in forms)), {}
-    for f in forms:
-        s = den // f.den
-        for e, c in f.terms:
-            acc[e] = acc.get(e, 0) + c * s
-    return Form.from_ints(4, acc, den)
 
 
 def verify_cost(a, b) -> int:
@@ -288,21 +272,3 @@ def cokernel_hilbert(a, t: int) -> int:
     if t < 0:
         return 0
     return len(a) * (t + 1) * (t + 2) // 2
-
-
-@record
-class MFReport:
-    matrix: tuple
-    partner: tuple
-    det: Form
-    partner_linear: bool
-    ranks_at_samples: tuple     # ((point, locus, rank), ...)
-    hilbert: tuple              # ((t, h0), ...)
-
-
-def mf_report(component: int = 1, tmin: int = -1, tmax: int = 2) -> MFReport:
-    a = ulrich_example_matrix(component)
-    b = partner_from_adjugate(a)
-    ranks = tuple((pt, locus, rank_at_point(a, pt)) for pt, locus in SAMPLE_POINTS)
-    hil = tuple((t, cokernel_hilbert(a, t)) for t in range(tmin, tmax + 1))
-    return MFReport(a, b, determinant(a), is_linear_matrix(b), ranks, hil)

@@ -112,19 +112,26 @@ class Form:
         """Total degree, or None for the zero form."""
         return sum(self.terms[0][0]) if self.terms else None
 
-    def __add__(self, other: "Form") -> "Form":
-        if self.num_vars != other.num_vars:
+    @staticmethod
+    def sum(num_vars: int, forms) -> "Form":
+        """The sum of forms in num_vars variables, of one degree but for zero
+        forms, added once over the lcm of their denominators."""
+        forms = tuple(forms)
+        if any(f.num_vars != num_vars for f in forms):
             raise ValueError("variable-count mismatch")
-        if not (self.terms and other.terms):
-            return self if other.is_zero else other
-        if sum(self.terms[0][0]) != sum(other.terms[0][0]):
+        if len({f.degree for f in forms if f.terms}) > 1:
             raise ValueError("adding forms of different degrees")
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        d = dict(self.terms) if fa == 1 else {e: c * fa for e, c in self.terms}
-        for e, c in other.terms:
-            d[e] = d.get(e, 0) + c * fb
-        return Form.from_ints(self.num_vars, d, den)
+        den, acc = lcm(*(f.den for f in forms)), {}
+        for f in forms:
+            s = den // f.den
+            for e, c in f.terms:
+                acc[e] = acc.get(e, 0) + c * s
+        return Form.from_ints(num_vars, acc, den)
+
+    def __add__(self, other: "Form") -> "Form":
+        if self.num_vars == other.num_vars and not (self.terms and other.terms):
+            return self if other.is_zero else other
+        return Form.sum(self.num_vars, (self, other))
 
     def __neg__(self) -> "Form":
         return Form(self.num_vars, tuple((e, -c) for e, c in self.terms), self.den)
@@ -168,13 +175,6 @@ class Form:
         total = sum(c * prod(map(pow, m, e)) for e, c in self.terms)
         return Fraction(total, self.den * common ** (self.degree or 0))
 
-    def drop_variable(self, index: int) -> "Form":
-        """Substitute variable ``index`` := 0 and reindex onto one fewer variable."""
-        if self.num_vars - 1 not in VAR_NAMES:
-            raise ValueError(f"unsupported variable count {self.num_vars - 1}")
-        return Form.from_ints(self.num_vars - 1, {e[:index] + e[index + 1:]: c
-                                                  for e, c in self.terms if e[index] == 0}, self.den)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -202,11 +202,12 @@ class Form:
         return out
 
 
-def restrict_to_line(f: Form) -> Form:
-    """Plane form (u, v, w) with u := 0, as a binary form on L in (v, w)."""
+def restrict_to_line(f: Form, j: int = 0) -> Form:
+    """The coefficient of u^j in a plane form (u, v, w), a binary form on L in
+    (v, w); j = 0 is the restriction u := 0."""
     if f.num_vars != 3:
         raise ValueError("expected a plane form in (u, v, w)")
-    return f.drop_variable(0)
+    return Form.from_ints(2, {e[1:]: c for e, c in f.terms if e[0] == j}, f.den)
 
 
 def restrict_to_plane(f: Form, side: int) -> Form:

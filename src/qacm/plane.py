@@ -673,15 +673,6 @@ def trivialize_on_line(sheaf) -> Trivialization:
 # recovering Z from an extension bundle
 
 
-def _normalize_form(f: Form) -> Form:
-    """Scale to primitive integer coefficients with positive leading term: the
-    numerators divided by their content, signed as the leading one."""
-    if f.is_zero:
-        return f
-    g = gcd(*(c for _, c in f.terms)) * (1 if f.terms[0][1] > 0 else -1)
-    return Form(f.num_vars, tuple((e, c // g) for e, c in f.terms))
-
-
 def recover_subscheme(g: ExtensionBundle) -> CISubscheme:
     """Recover Z from G when c <= 2k: the unique section of G(-k) has a free
     cokernel presentation whose 2x2 minors generate Z's ideal."""
@@ -699,11 +690,10 @@ def recover_subscheme(g: ExtensionBundle) -> CISubscheme:
     for i, j in itertools.combinations(range(len(pres.relation)), 2):
         m = pres.relation[i] * section[j] - pres.relation[j] * section[i]
         if not m.is_zero:
-            minors.append(_normalize_form(m))
+            minors.append(m)
     if len(minors) != 2:
         raise InternalCheckError("expected exactly two nonzero recovery minors")
-    minors.sort(key=lambda f: f.degree)
-    return ci_from_forms(minors[0], minors[1])
+    return ci_from_forms(*minors)
 
 
 def ideals_match(a: CISubscheme, b: CISubscheme, up_to: int) -> bool:

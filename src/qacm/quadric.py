@@ -56,8 +56,8 @@ from fractions import Fraction
 
 from .errors import InternalCheckError
 from .linalg import QQ, RatMatrix, block_diag, hstack, kernel_basis, kernel_dim, rank
-from .monomials import (P1, P2, Form, basis, multiplication_matrix, restrict_to_plane,
-                        restriction_matrix)
+from .monomials import (P1, P2, Form, basis, multiplication_matrix, restrict_to_line,
+                        restrict_to_plane, restriction_matrix)
 from .plane import (CohRow, CohTable, DegreeData, SplitBundle, check_h2_kernel, chern,
                     ci_from_forms, ci_from_line_points, cohomology as plane_cohomology,
                     degree_table, make_extension_bundle, make_split_bundle,
@@ -180,11 +180,10 @@ def _restriction(k: KernelSheaf, t: int) -> RatMatrix:
 
 def _u_coefficients(pres) -> tuple:
     """The grid of p_(i,j)|_L, j = 1 up to the top power of u, one row per relation
-    form p_i = sum_j u^j p_(i,j): its terms of u-exponent j with u^j dropped, a
-    binary form of degree a_i - b - j."""
+    form p_i = sum_j u^j p_(i,j): its coefficient of u^j, ``restrict_to_line(p_i, j)``,
+    a binary form of degree a_i - b - j."""
     top = max((e[0] for f in pres.relation for e, _ in f.terms), default=0)
-    return tuple(tuple(Form.from_ints(2, {e[1:]: c for e, c in f.terms if e[0] == j}, f.den)
-                       for j in range(1, top + 1)) for f in pres.relation)
+    return tuple(tuple(restrict_to_line(f, j) for j in range(1, top + 1)) for f in pres.relation)
 
 
 def _les_grid(k: KernelSheaf) -> tuple:
@@ -192,8 +191,8 @@ def _les_grid(k: KernelSheaf) -> tuple:
     (negated, which changes no kernel; e does not reach them), times the grid
     ``_u_coefficients``; entry (e, j) has degree c_e - b - j, (c_0, c_1) = (c, 0)."""
     q = _u_coefficients(k.other.presentation)
-    n, zero = len(k.split.twists), Form.zero(2)
-    return tuple(tuple(sum((r * qi[j] for r, qi in zip(row[n:], q)), zero)
+    n = len(k.split.twists)
+    return tuple(tuple(Form.sum(2, (r * qi[j] for r, qi in zip(row[n:], q)))
                        for j in range(len(q[0]))) for row in k.line_map)
 
 
@@ -239,7 +238,7 @@ def coh_table(k: KernelSheaf, tmin: int, tmax: int) -> CohTable:
     for row, full in zip(table.rows, walk):
         if row.h1 != full:
             raise InternalCheckError(
-                f"LES inconsistency at twist {row.t}: fast path {row.h1}, full path {full}")
+                f"LES inconsistency at twist {row.t}: degree count {row.h1}, LES route {full}")
     return table
 
 

@@ -430,7 +430,7 @@ BIG_PAIR = "K(F1=O(300)+O(0)@H1,F2=O(300)+O(0)@H2,e=id)"
      "margin 300 at c_max 2: twist -304 is beyond the limit |t| <= 250"),
     (["ulrich-scan", "--cmax", "97", "--margin", "57"],
      "margin 57 at c_max 97: twist -251 is beyond the limit |t| <= 250"),
-    (["mf", "hilbert", "--tmax", "41"], "twist 41 is beyond the mf hilbert limit t <= 40"),
+    (["mf", "hilbert", "--tmax", "251"], "twist 251 is beyond the limit |t| <= 250"),
 ])
 def test_work_limits_from_flags_exit_2(monkeypatch, capsys, argv, message):
     def no_scan(config):
@@ -444,7 +444,7 @@ def test_work_limits_from_flags_exit_2(monkeypatch, capsys, argv, message):
 @pytest.mark.parametrize("argv, conf, message", [
     (["classify"], {"margin": 300}, "margin 300 at c_max 6: twist -312 is beyond"),
     (["classify"], {"cmax": 97, "margin": 57}, "twist -251 is beyond the limit"),
-    (["mf", "hilbert"], {"tmax": 41}, "limit t <= 40"),
+    (["mf", "hilbert"], {"tmax": 251}, "twist 251 is beyond the limit |t| <= 250"),
     (["mf", "hilbert"], {"tmin": -251, "tmax": 0}, "twist -251 is beyond"),
     (["gluing-report", "--sheaf", GLUING_DESC, "--e", "id"], {"tmin": -300},
      "twist -300 is beyond"),

@@ -11,7 +11,7 @@ import qacm.mf
 from qacm.cli import main
 from qacm.linalg import QQ, RatMatrix, rank
 from qacm.mf import (MFPair, SAMPLE_POINTS, cokernel_hilbert, determinant,
-                     form_matrix, is_linear_matrix, mf_report,
+                     form_matrix, is_linear_matrix,
                      partner_from_adjugate, rank_at_point,
                      ulrich_example_matrix, ulrich_linear_check, verify_cost, verify_mf)
 from qacm.monomials import Form, GradedPiece, h0_exponents, multiplication_matrix
@@ -174,11 +174,11 @@ def test_mf_hilbert_builds_and_ranks_no_matrix(monkeypatch, capsys):
 
     monkeypatch.setattr(qacm.mf, "rank", refuse)
     monkeypatch.setattr(qacm.mf, "multiplication_matrix", refuse, raising=False)
-    assert main(["mf", "hilbert", "--component", "2", "--tmin", "-1", "--tmax", "40",
+    assert main(["mf", "hilbert", "--component", "2", "--tmin", "-1", "--tmax", "250",
                  "--no-timestamp"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert rows == [{"t": t, "h0": 4 * (t + 1) * (t + 2) // 2 if t >= 0 else 0}
-                    for t in range(-1, 41)]
+                    for t in range(-1, 251)]
 
 
 def test_ulrich_linear_check():
@@ -228,17 +228,6 @@ def test_mf_example_builds_the_matrix_and_its_partner_once(monkeypatch, capsys, 
     a = ulrich_example_matrix(component)
     assert payload["matrix"] == [[str(f) for f in row] for row in a]
     assert payload["partner"] == [[str(f) for f in row] for row in partner_from_adjugate(a)]
-
-
-def test_report():
-    rep = mf_report(1)
-    assert rep.matrix == ulrich_example_matrix(1)
-    assert rep.partner == partner_from_adjugate(rep.matrix)
-    assert rep.partner_linear
-    assert rep.det == (x * y) ** 2
-    assert dict(rep.hilbert)[0] == 4
-    assert sum(1 for _, locus, _ in rep.ranks_at_samples if locus != "off") == 8
-    assert sum(1 for _, locus, _ in rep.ranks_at_samples if locus == "off") == 4
 
 
 # ---------------------------------------------------------------------------

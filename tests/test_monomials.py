@@ -8,7 +8,7 @@ from qacm.linalg import QQ, RatMatrix, hstack, rank
 from qacm.monomials import (P1, P2, VAR_NAMES, Form, GradedPiece, basis,
                             binary_forms_common_zero_free,
                             binary_gcd, cohomology_dim, dual_exponents, h0_exponents,
-                            multiplication_matrix, restrict_to_plane,
+                            multiplication_matrix, restrict_to_line, restrict_to_plane,
                             restriction_matrix)
 from p2_route import dual_prefix
 from test_linalg import vstack
@@ -377,11 +377,13 @@ def test_form_arithmetic_agrees_with_sympy(data):
     f = data.draw(_forms())
     g = data.draw(_forms(nv=f.num_vars))
     h = data.draw(_forms(nv=f.num_vars, degree=f.degree or 0))
+    hs = data.draw(st.lists(_forms(nv=f.num_vars, degree=f.degree or 0), max_size=4))
     s = data.draw(_rationals)
     n = data.draw(st.integers(0, 3))
     results = [(f * g, _poly(f) * _poly(g)), (f + h, _poly(f) + _poly(h)),
                (f - h, _poly(f) - _poly(h)), (-f, -_poly(f)), (f * s, _poly(f) * s),
-               (s * f, _poly(f) * s), (f ** n, _poly(f) ** n)]
+               (s * f, _poly(f) * s), (f ** n, _poly(f) ** n),
+               (Form.sum(f.num_vars, hs), sum(map(_poly, hs), _poly(Form.zero(f.num_vars))))]
     for got, want in results:
         assert _canonical(got)
         assert _poly(got) == want
@@ -395,12 +397,30 @@ def test_form_accessors_and_restriction_agree_with_sympy(data):
     p = _poly(f)
     point = data.draw(st.lists(_rationals, min_size=f.num_vars, max_size=f.num_vars))
     assert f.evaluate(point) == p.eval(dict(zip(p.gens, point)))
-    i = data.draw(st.integers(0, f.num_vars - 1))
-    dropped = f.drop_variable(i)
-    assert _canonical(dropped)
-    # compared by coefficients: the dropped form renames its variables
-    want = sympy.Poly(p.as_expr().subs(p.gens[i], 0), *(p.gens[:i] + p.gens[i + 1:]))
-    assert _poly(dropped).as_dict() == want.as_dict()
+    if f.num_vars == 3:
+        for j in range(4):
+            got = restrict_to_line(f, j)
+            assert _canonical(got) and got.num_vars == 2
+            # compared by coefficients: the restriction renames (v, w)
+            want = sympy.Poly(p.as_expr().coeff(p.gens[0], j), *p.gens[1:])
+            assert _poly(got).as_dict() == want.as_dict()
+
+
+def test_form_sum_refuses_mixed_degrees_and_variable_counts():
+    v2 = Form.variable(2, "v")
+    with pytest.raises(ValueError, match="adding forms of different degrees"):
+        Form.sum(3, [u, v, v * w])
+    with pytest.raises(ValueError, match="adding forms of different degrees"):
+        u + v * w
+    for forms in ([u, v2], [v2, Form.zero(3)], [Form.zero(2), Form.zero(3)]):
+        with pytest.raises(ValueError, match="variable-count mismatch"):
+            Form.sum(forms[0].num_vars, forms)
+        with pytest.raises(ValueError, match="variable-count mismatch"):
+            forms[0] + forms[1]
+    # a zero form has no degree, so it never counts as a degree of its own
+    assert Form.sum(3, [Form.zero(3), u * v, Form.zero(3), -v * w]) == u * v - v * w
+    assert Form.sum(3, [u, Form.zero(3)]) == u + Form.zero(3) == Form.zero(3) + u == u
+    assert Form.sum(3, []) == Form.zero(3)
 
 
 @st.composite

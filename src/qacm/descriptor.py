@@ -415,9 +415,9 @@ def _build_ci(ci):
 
 def _check_degree_sum(node) -> None:
     """Refuse, before anything is built, a plane sheaf whose validation would
-    multiply its forms past MAX_DEGREE_SUM: a pair without u is ranked at
-    d1 + d2, and G's class h, of degree 2k - c + d1 + d2 whether given or
-    searched (h=auto), is tested with Z up to d1 + d2 + deg h - 2."""
+    multiply its forms past MAX_DEGREE_SUM: a pair other than (u, g) with u and not
+    coprime on L is ranked at d1 + d2, and G's class h, of degree 2k - c + d1 + d2
+    whether given or searched (h=auto), is tested with Z up to d1 + d2 + deg h - 2."""
     ci = node.ci
     if isinstance(ci, DCIForms):
         d1, d2 = (f.degree or 0 for f in (ci.f1, ci.f2))

@@ -77,8 +77,9 @@ def _ideal_piece_matrix(forms, d: int) -> RatMatrix:
 def ci_from_forms(f1: Form, f2: Form, points=None) -> CISubscheme:
     """Validate that (f1, f2) is a regular sequence (Z zero-dimensional) and
     return the subscheme.  (u, g) is one exactly when g|_L is nonzero, the test
-    ``no_common_zero`` uses; any other pair is tested by Hilbert-function
-    stabilization."""
+    ``no_common_zero`` uses.  Another pair is one if coprime on L, which every
+    common curve meets, and is not if it has no u and is not coprime on L; any
+    other pair is tested by Hilbert-function stabilization."""
     for f in (f1, f2):
         if f.is_zero or f.num_vars != 3 or f.degree < 1:
             raise ValueError("Z not zero-dimensional: generators must be nonconstant plane forms")
@@ -86,6 +87,10 @@ def ci_from_forms(f1: Form, f2: Form, points=None) -> CISubscheme:
         if form_on_line(f2 if f1 == U else f1).is_zero:
             raise ValueError("Z not zero-dimensional")
         return CISubscheme(f1, f2, points)
+    if binary_forms_common_zero_free([form_on_line(f1), form_on_line(f2)]):
+        return CISubscheme(f1, f2, points)
+    if not any(e[0] for f in (f1, f2) for e, _ in f.terms):
+        raise ValueError("Z not zero-dimensional")
     d1, d2 = f1.degree, f2.degree
     for d in (d1 + d2 - 1, d1 + d2):
         expected = cohomology_dim(P2, 0, d) - d1 * d2
@@ -550,20 +555,6 @@ def line_relation_matrix(sheaf, t: int, i: int) -> RatMatrix:
     return _relation_matrix(P1, i, sheaf.line_presentation, t)
 
 
-def _form_rows(vectors, srcs) -> list:
-    """Each vector, a dict whose coordinates run over the monomial bases of
-    ``srcs`` in order, as a tuple of binary forms, one per piece."""
-    col_meta = [(i, m) for i, src in enumerate(srcs) for m in src.basis]
-    out = []
-    for vec in vectors:
-        parts = [{} for _ in srcs]
-        for k, val in vec.items():
-            i, m = col_meta[k]
-            parts[i][m] = val
-        out.append(tuple(Form.from_ints(2, p) for p in parts))
-    return out
-
-
 def _hom_row_candidates(sheaf, e: int) -> list:
     """All rows (r_1, ..., r_n) of binary forms, deg r_i = e - a_i, with
     sum r_i * p_i = 0 for the restricted relation (p_i): the maps F|_L -> O_L(e),
@@ -572,35 +563,30 @@ def _hom_row_candidates(sheaf, e: int) -> list:
     srcs = [basis(P1, 0, e - a) for a in pres.target_twists]
     ker = kernel_basis(multiplication_matrix([pres.relation], srcs,
                                              [basis(P1, 0, e - pres.relation_twist)]))
-    return _form_rows(ker.transpose().data, srcs)
+    # each coordinate, a row of the basis matrix, is a monomial of one piece
+    parts = [[{} for _ in srcs] for _ in range(ker.cols)]
+    coords = ((i, m) for i, src in enumerate(srcs) for m in src.basis)
+    for (i, m), row in zip(coords, ker.data):
+        for j, val in row.items():
+            parts[j][i][m] = val
+    return [tuple(Form.from_ints(2, p) for p in vec) for vec in parts]
 
 
-def _high_row(sheaf, lo: tuple, c1: int) -> tuple:
-    """A row hi of degree c1 with hi x lo = lambda * (p_i), by one elimination
-    of [lo]_x | -(p_i) on (hi, lambda).  The kernel holds every f * lo (with
-    lambda = 0), so it is not empty; when a solution with lambda != 0 exists,
-    the lambda column is free and its vector, the last, is the only one with
-    lambda != 0."""
-    pres = sheaf.line_presentation
-    (p0, p1, p2), (l0, l1, l2), zero = pres.relation, lo, Form.zero(2)
-    srcs = [basis(P1, 0, c1 - a) for a in pres.target_twists] + [basis(P1, 0, 0)]
-    tgts = [basis(P1, 0, a - pres.relation_twist) for a in pres.target_twists]
-    grid = [(zero, l2, -l1, -p0), (-l2, zero, l0, -p1), (l1, -l0, zero, -p2)]
-    ker = kernel_basis(multiplication_matrix(grid, srcs, tgts))
-    return _form_rows(ker.transpose().data[-1:], srcs)[0][:3]
-
-
-def _is_syzygy_basis(hi: tuple, lo: tuple, p: tuple) -> bool:
-    """The 2x2 minors of (hi, lo), as the cross product hi x lo, are one
-    nonzero constant times (p_i).  For (p_i) with no common zero this holds
-    exactly when (hi, lo) is a basis of the module of syzygies (Hilbert-Burch)."""
+def _syzygy_ratio(hi: tuple, lo: tuple, p: tuple) -> Fraction:
+    """lambda when the 2x2 minors of (hi, lo), as the cross product hi x lo,
+    are lambda * (p_i) for a constant lambda, else 0.  lambda is the ratio of
+    the two coefficients at one exponent, each over its own den."""
     cross = tuple(hi[j] * lo[k] - hi[k] * lo[j] for j, k in ((1, 2), (2, 0), (0, 1)))
     i = next(i for i, f in enumerate(p) if not f.is_zero)
     exp, coef = p[i].terms[0]
-    num = dict(cross[i].terms).get(exp, 0)
-    # lambda, the ratio of the two coefficients at exp, each over its own den
-    return num != 0 and all(x == f * Fraction(num * p[i].den, coef * cross[i].den)
-                            for x, f in zip(cross, p))
+    lam = Fraction(dict(cross[i].terms).get(exp, 0) * p[i].den, coef * cross[i].den)
+    return lam if all(x == f * lam for x, f in zip(cross, p)) else Fraction(0)
+
+
+def _is_syzygy_basis(hi: tuple, lo: tuple, p: tuple) -> bool:
+    """hi x lo is one nonzero constant times (p_i): for (p_i) with no common zero,
+    exactly when (hi, lo) is a basis of the module of syzygies (Hilbert-Burch)."""
+    return _syzygy_ratio(hi, lo, p) != 0
 
 
 def _koszul_rows(pres: Presentation):
@@ -630,8 +616,11 @@ def _mu_basis_rows(sheaf) -> tuple:
     relation (p_i), which has no common zero on L (Cox-Sederberg-Chen 1998;
     Song-Goldman 2009).  At e = floor((deg - 1) / 2) < c1 there are
     e + 1 - c2 syzygies, or none when c1 = c2 = deg / 2; lo spans those of
-    degree c2 (when c1 = c2 the two syzygies of degree c2 are the rows), and
-    hi solves hi x lo = lambda * (p_i)."""
+    degree c2 (when c1 = c2 the two syzygies of degree c2 are the rows).  A
+    syzygy of degree c1 > c2 is a * hi + f * lo, a constant, whose cross product
+    with lo is a * lambda * (p_i): hi is the first with lambda != 0, times the
+    denominator of lambda so that (hi, lambda) is a primitive int vector; with
+    none, lo stands in for hi and ``_is_syzygy_basis`` refuses it."""
     pres = sheaf.line_presentation
     deg = sum(pres.target_twists) - pres.relation_twist
     e = (deg - 1) // 2
@@ -640,7 +629,13 @@ def _mu_basis_rows(sheaf) -> tuple:
     c1 = deg - c2
     if c2 != e:
         rows = _hom_row_candidates(sheaf, c2)
-    return (c1, c2), (tuple(rows) if c1 == c2 else (_high_row(sheaf, rows[0], c1), rows[0]))
+    if c1 == c2:
+        return (c1, c2), tuple(rows)
+    for hi in _hom_row_candidates(sheaf, c1):
+        lam = _syzygy_ratio(hi, rows[0], pres.relation)
+        if lam:
+            return (c1, c2), (tuple(f * lam.denominator for f in hi), rows[0])
+    return (c1, c2), (rows[0], rows[0])
 
 
 def trivialize_on_line(sheaf) -> Trivialization:

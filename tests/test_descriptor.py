@@ -74,14 +74,8 @@ def test_points_off_line_rejected_at_build():
         build(parse("I(points([1:0:0]))(1)@H1"))
 
 
-@pytest.mark.parametrize("text, validations, ranks", [
-    ("I([u,v^2000])(0)@H1", 1, 0), ("I([v^2000+u*w^1999,u])(0)@H2", 1, 0),
-    ("I([v,w+u])(1)@H2", 1, 2), ("I(points([0:1:3];[0:1:5]))(2)@H2", 0, 0),
-], ids=["u-first", "u-second", "plane-pair", "points"])
-def test_an_ideal_descriptor_is_validated_once(monkeypatch, text, validations, ranks):
-    """(u, g) is a regular sequence exactly when g|_L != 0, decided with no
-    rank of a P2 matrix whatever the degree of g; any other pair takes two
-    ranks.  I(...) is validated once, by the subscheme it names."""
+def _count_validations(monkeypatch) -> dict:
+    """Counts of the calls to ci_from_forms and to the plane's rank."""
     counts = {"ci_from_forms": 0, "rank": 0}
 
     def counting(module, name):
@@ -94,8 +88,34 @@ def test_an_ideal_descriptor_is_validated_once(monkeypatch, text, validations, r
     counting(qacm.descriptor, "ci_from_forms")
     counting(qacm.plane, "ci_from_forms")
     counting(qacm.plane, "rank")
+    return counts
+
+
+@pytest.mark.parametrize("text, validations, ranks", [
+    ("I([u,v^2000])(0)@H1", 1, 0), ("I([v^2000+u*w^1999,u])(0)@H2", 1, 0),
+    ("I([v,w+u])(1)@H2", 1, 0), ("I([v,v+u])(0)@H2", 1, 2),
+    ("I(points([0:1:3];[0:1:5]))(2)@H2", 0, 0),
+], ids=["u-first", "u-second", "plane-pair", "plane-pair-sharing-a-root-on-L", "points"])
+def test_an_ideal_descriptor_is_validated_once(monkeypatch, text, validations, ranks):
+    """(u, g) is a regular sequence exactly when g|_L != 0, and another pair is
+    one when it is coprime on L; both are decided with no rank of a P2 matrix
+    whatever the degrees.  A pair with u that shares a root on L takes two
+    ranks.  I(...) is validated once, by the subscheme it names."""
+    counts = _count_validations(monkeypatch)
     assert isinstance(build(parse(text)), CIIdealSheaf)
     assert counts == {"ci_from_forms": validations, "rank": ranks}
+
+
+def test_a_u_free_pair_with_a_common_factor_exits_2_with_no_rank(monkeypatch):
+    """Two forms without u that share a root on L share a line through
+    [1:0:0], so the pair is refused from its gcd on L, with no rank."""
+    text = "I([v*w+w^2,v^2+v*w])(0)@H2"
+    counts = _count_validations(monkeypatch)
+    with pytest.raises(ValueError, match="Z not zero-dimensional"):
+        build(parse(text))
+    assert counts == {"ci_from_forms": 1, "rank": 0}
+    code, out, err = _cohomology_exit(text)
+    assert (code, out) == (2, "") and "Z not zero-dimensional" in err
 
 
 @pytest.mark.parametrize("text", ["I([u,u*v])(0)@H1", "I([w*u^2,u])(1)@H2"])

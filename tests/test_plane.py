@@ -21,7 +21,7 @@ from qacm.linalg import rank
 from qacm.monomials import (Form, P1, P2, basis, cohomology_dim, h0_exponents,
                             multiplication_matrix)
 from qacm.plane import (CISubscheme, CohRow, DegreeData, ExtensionBundle, Presentation,
-                        _ideal_piece_matrix, _is_syzygy_basis, _relation_matrix,
+                        Trivialization, _ideal_piece_matrix, _is_syzygy_basis, _relation_matrix,
                         cb_condition_check, chern,
                         ci_from_forms, ci_from_line_points, ci_hilbert, coh_table, cohomology,
                         degree_table, euler_char, h2_kernel_dim,
@@ -478,6 +478,56 @@ def test_collinear_gcd_shortcut_agrees_with_rank_route(case):
     assert no_common_zero([ci.f1, ci.f2, h]) == no_common_zero([2 * u, ci.f2, h])
 
 
+def _without_u(f):
+    return Form.from_dict(3, {e: QQ(c, f.den) for e, c in f.terms if e[0] == 0})
+
+
+@st.composite
+def _gate_pair(draw):
+    """Two plane forms for ci_from_forms: both without u, or drawn on the whole
+    plane; then as drawn, with a common factor (a linear form, without u for a
+    u-free pair), or with f2 = m * f1 + u * h, which shares f1's roots on L."""
+    u_free = draw(st.booleans())
+    drawn = [draw(_plane_form(d)) for d in (draw(st.integers(1, 3)), draw(st.integers(1, 3)))]
+    f1, f2 = [_without_u(f) for f in drawn] if u_free else drawn
+    assume(not f1.is_zero and not f2.is_zero)
+    kind = draw(st.sampled_from(["drawn", "common factor", "shared on L"]))
+    if kind == "common factor":
+        factor = draw(_plane_form(1))
+        factor = _without_u(factor) if u_free else factor
+        f1, f2 = factor * f1, factor * f2
+    elif kind == "shared on L" and not u_free and f1.degree <= f2.degree:
+        f2 = draw(_plane_form(f2.degree - f1.degree)) * f1 + u * draw(_plane_form(f2.degree - 1))
+    assume(not f1.is_zero and not f2.is_zero)
+    return f1, f2
+
+
+def _two_rank_regular(f1, f2) -> bool:
+    """(f1, f2) is a regular sequence exactly when the degree-d piece of its ideal
+    has codimension d1 * d2 at d = d1 + d2 - 1 and d1 + d2."""
+    d1, d2 = f1.degree, f2.degree
+    return all(rank(_ideal_piece_matrix((f1, f2), d)) == cohomology_dim(P2, 0, d) - d1 * d2
+               for d in (d1 + d2 - 1, d1 + d2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gate_pair())
+@example((v * w, v * v))                      # no u, a common factor
+@example((v, v + u))                          # u in one form, one root on L shared
+@example((v * (v + w), (v + w) * (w + u)))    # a common factor with u in one form
+def test_ci_gate_on_l_agrees_with_the_two_ranks(pair):
+    """ci_from_forms decides a pair coprime on L, and a pair without u that is
+    not, with no rank; its verdict must equal the two-rank test's."""
+    f1, f2 = pair
+    try:
+        ci_from_forms(f1, f2)
+        regular = True
+    except ValueError as exc:
+        assert "Z not zero-dimensional" in str(exc)
+        regular = False
+    assert regular == _two_rank_regular(f1, f2)
+
+
 @pytest.mark.parametrize("others", [[], [u * v], [Form.zero(3), u * w * w]])
 def test_forms_vanishing_on_line_have_common_zero(others):
     """Forms that all vanish on L: every restriction is zero, so the gcd is
@@ -521,10 +571,16 @@ def koszul_row_scaled_by_v(real):
     return wrong
 
 
+def mu_basis_hi_a_multiple_of_lo(real):
+    def wrong(sheaf):
+        degrees, (hi, lo) = real(sheaf)
+        return degrees, (tuple(f * V2 for f in lo), lo)
+    return wrong
+
+
 @pytest.mark.parametrize("g_text, split, name, wrong", [
     # mu-basis, c1 = 3 > c2 = 2: a syzygy of degree c1 that is a multiple of lo, in place of hi
-    (MU_G, "O(1)+O(0)", "_high_row",
-     lambda real: lambda sheaf, lo, c1: tuple(f * V2 for f in lo)),
+    (MU_G, "O(1)+O(0)", "_mu_basis_rows", mu_basis_hi_a_multiple_of_lo),
     # closed form, collinear Z: the Koszul row (hi, of degree 3) scaled by v
     (TRIV_G, "O(3)+O(0)", "_koszul_rows", koszul_row_scaled_by_v),
 ], ids=["hi-a-multiple-of-lo", "row-scaled-by-v"])
@@ -544,6 +600,18 @@ def test_trivialization_check_fails_on_a_wrong_syzygy_row(monkeypatch, capsys, g
     code = main(["cohomology", "--sheaf", f"K(F1={split}@H1,F2={g_text},e=id)",
                  "--tmin", "0", "--tmax", "0", "--no-timestamp"])
     assert code == 3 and "not a basis of the syzygies" in capsys.readouterr().err
+
+
+def test_mu_basis_hi_is_scaled_to_an_int_lambda():
+    """hi is the first syzygy of degree c1 whose cross product with lo is
+    lambda * (p_i), lambda != 0, times the denominator of lambda.  Here the
+    primitive row (v, -w, 0) has lambda = 1/2 against (2w, 2v, 2v + 2w), so hi
+    is (2v, -2w, 0) and (hi, lambda) is a primitive int vector."""
+    g = build(parse("G(c=1,k=0,Z=[u + 2*v,u - 2*w],h=-3*u + 2*v + 2*w)@H2"))
+    w2, one, zero = Form.variable(2, "w"), Form.constant(2, 1), Form.zero(2)
+    assert g.line_presentation.relation == (2 * w2, 2 * V2, 2 * V2 + 2 * w2)
+    assert trivialize_on_line(g) == Trivialization((1, 0), ((2 * V2, -2 * w2, zero),
+                                                            (one, one, -one)))
 
 
 def test_syzygy_check_reads_each_coefficient_over_its_den():

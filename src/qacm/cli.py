@@ -63,10 +63,6 @@ def seeded_line_values(seed: int, count: int):
     return pool[:count]
 
 
-def _seedpoint_strings(values):
-    return [["0", "1", str(r)] for r in values]
-
-
 # ---------------------------------------------------------------------------
 # emitters
 
@@ -111,16 +107,12 @@ TABLE_HEADER = ["t", "h0", "h1", "h2", "chi"]
 def cmd_cohomology(args) -> int:
     node = parse(args.sheaf)
     obj = build(node)
-    tmin, tmax = args.tmin, args.tmax
-    if isinstance(obj, KernelSheaf):
-        table = kernel_table(obj, tmin, tmax)
-        kind = "kernel"
-    else:
-        table = plane_table(obj, tmin, tmax)
-        kind = "rank-one" if isinstance(obj, RankOneSheaf) else "plane"
+    kernel = isinstance(obj, KernelSheaf)
+    table = (kernel_table if kernel else plane_table)(obj, args.tmin, args.tmax)
+    kind = "kernel" if kernel else "rank-one" if isinstance(obj, RankOneSheaf) else "plane"
     payload = {
         "descriptor": to_text(node),
-        "window": [tmin, tmax],
+        "window": [args.tmin, args.tmax],
         "rows": table.as_dicts(),
         "flags": {"kind": kind, "cross_checked": kind == "kernel"},
         "seedpoints": [],
@@ -203,7 +195,8 @@ def run_classify(config: ScanConfig) -> dict:
     return {
         "config": {"c_max": config.c_max, "seed": config.point_seed,
                    "window_margin": config.window_margin},
-        "seedpoints": _seedpoint_strings(seeded_line_values(config.point_seed, config.c_max)),
+        "seedpoints": [["0", "1", str(r)]
+                       for r in seeded_line_values(config.point_seed, config.c_max)],
         "rows": rows,
         "counts": {
             "rows": len(rows),
@@ -228,11 +221,8 @@ def cmd_classify(args) -> int:
 def cmd_ulrich_scan(args) -> int:
     full = run_classify(ScanConfig(args.cmax, args.seed, args.margin))
     rows = [{h: r[h] for h in ULRICH_HEADER} for r in full["rows"]]
-    report = {
-        "config": full["config"],
-        "rows": rows,
-        "counts": {"rows": len(rows), "ulrich_true": sum(1 for r in rows if r["ulrich"])},
-    }
+    report = {"config": full["config"], "rows": rows,
+              "counts": {"rows": len(rows), "ulrich_true": sum(1 for r in rows if r["ulrich"])}}
     _emit(args, report, rows, ULRICH_HEADER)
     return 0
 
@@ -273,8 +263,7 @@ def _pair_matrix(data: dict, key: str):
 
 def cmd_mf_verify(args) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(args.file)
         if not isinstance(data, dict):
             raise ValueError("invalid pair file: expected a JSON object with keys q, A, B")
         if not isinstance(data["q"], str):
@@ -319,11 +308,8 @@ def cmd_gluing_report(args) -> int:
     rows = gluing_variation_report(obj, gluings, args.tmin, args.tmax)
     payload = {
         "descriptor": to_text(node),
-        "gluings": [{
-            "e": row.gluing,
-            "equal_to_identity": row.equal_to_identity,
-            "rows": row.table.as_dicts(),
-        } for row in rows],
+        "gluings": [{"e": row.gluing, "equal_to_identity": row.equal_to_identity,
+                     "rows": row.table.as_dicts()} for row in rows],
     }
     csv_rows = [{"e": g["e"], **r} for g in payload["gluings"] for r in g["rows"]]
     _emit(args, payload, csv_rows, ["e"] + TABLE_HEADER)
@@ -334,40 +320,38 @@ def cmd_gluing_report(args) -> int:
 # argument plumbing
 
 
-def _add_common(p, with_seed=False):
-    p.add_argument("--format", choices=("json", "csv"), default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--no-timestamp", dest="timestamp", action="store_false", default=None)
-    p.add_argument("--config", default=None, help="JSON file with flag defaults")
-    if with_seed:
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--cmax", type=int, default=None)
-        p.add_argument("--margin", type=int, default=None)
+def _read_json(path):
+    """The JSON value in file ``path``; too deep a nesting is a ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
-_CONFIG_DEFAULTS = {"format": "json", "out": None, "timestamp": True,
-                    "seed": 0, "cmax": 6, "margin": 8, "tmin": None, "tmax": None}
-_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-_STR = (lambda v: v is None or isinstance(v, str), "a string or null")
-_CONFIG_TYPES = {"format": (lambda v: v in ("json", "csv"), '"json" or "csv"'), "out": _STR,
-                 "timestamp": (lambda v: isinstance(v, bool), "a boolean"),
-                 "seed": _INT, "cmax": _INT, "margin": _INT, "tmin": _INT, "tmax": _INT}
+# config key: (default, the test of a --config value, the words for its error)
+_CONFIG = {"format": ("json", lambda v: v in ("json", "csv"), '"json" or "csv"'),
+           "out": (None, lambda v: v is None or isinstance(v, str), "a string or null"),
+           "timestamp": (True, lambda v: isinstance(v, bool), "a boolean"),
+           **{key: (default, lambda v: isinstance(v, int) and not isinstance(v, bool),
+                    "an integer") for key, default in
+              (("seed", 0), ("cmax", 6), ("margin", 8), ("tmin", None), ("tmax", None))}}
 
 
 def _apply_config(args):
-    """Precedence: QACM_SEED env > explicit flag > config file > default."""
-    keys = [key for key in _CONFIG_DEFAULTS if hasattr(args, key)]     # the command's flags
+    """Precedence: QACM_SEED env > explicit flag > config file > the
+    command's own default > _CONFIG's default."""
+    keys = [key for key in _CONFIG if hasattr(args, key)]     # the command's flags
     file_conf = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_conf = json.load(fh)
+        file_conf = _read_json(args.config)
         if not isinstance(file_conf, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_conf) - set(_CONFIG_DEFAULTS)
+        unknown = set(file_conf) - set(_CONFIG)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_conf.items():
-            ok, kind = _CONFIG_TYPES[key]
+            _, ok, kind = _CONFIG[key]
             if not ok(value):
                 raise ValueError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
         unknown = set(file_conf) - set(keys)
@@ -376,7 +360,7 @@ def _apply_config(args):
                              f"(its keys: {', '.join(keys)})")
     for key in keys:
         if getattr(args, key) is None:
-            setattr(args, key, file_conf.get(key, _CONFIG_DEFAULTS[key]))
+            setattr(args, key, file_conf.get(key, args.own_defaults.get(key, _CONFIG[key][0])))
     env_seed = os.environ.get("QACM_SEED")
     if env_seed is not None and "seed" in keys:
         try:
@@ -386,91 +370,69 @@ def _apply_config(args):
     return args
 
 
-def _cohomology_arguments(p):
-    p.add_argument("--sheaf", required=True)
-    p.add_argument("--tmin", type=int, required=True)
-    p.add_argument("--tmax", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_cohomology)
+# flag groups of (flag, add_argument keywords); a None default is _apply_config's
+_REPORT = (("--format", {"choices": ("json", "csv")}), ("--out", {}),
+           ("--no-timestamp", {"dest": "timestamp", "action": "store_false", "default": None}),
+           ("--config", {"help": "JSON file with flag defaults"}))
+_SCAN = (("--seed", {"type": int}), ("--cmax", {"type": int}), ("--margin", {"type": int}))
+_SHEAF = (("--sheaf", {"required": True}),)
+_COMPONENT = (("--component", {"type": int, "choices": (1, 2), "default": 1}),)
 
 
-def _classify_arguments(p):
-    _add_common(p, with_seed=True)
-    p.set_defaults(func=cmd_classify)
+def _window(**kw):
+    return tuple((flag, {"type": int, **kw}) for flag in ("--tmin", "--tmax"))
 
 
-def _ulrich_scan_arguments(p):
-    _add_common(p, with_seed=True)
-    p.set_defaults(func=cmd_ulrich_scan)
-
-
-def _mf_example_arguments(p):
-    p.add_argument("--component", type=int, choices=(1, 2), default=1)
-    _add_common(p)
-    p.set_defaults(func=cmd_mf_example)
-
-
-def _mf_verify_arguments(p):
-    p.add_argument("--file", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_mf_verify)
-
-
-def _mf_hilbert_arguments(p):
-    p.add_argument("--component", type=int, choices=(1, 2), default=1)
-    p.add_argument("--tmin", type=int, default=None)
-    p.add_argument("--tmax", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_mf_hilbert)
-
-
+# (name, help, function, flags, the command's own config defaults); a row
+# with no function is a command of subcommands, its rows in place of flags
 MF_COMMANDS = (
-    ("example", "the distinguished linear factorization", _mf_example_arguments),
-    ("verify", "check A*B = B*A = q*I from a JSON file", _mf_verify_arguments),
-    ("hilbert", "h0 of the cokernel across twists", _mf_hilbert_arguments),
+    ("example", "the distinguished linear factorization", cmd_mf_example,
+     _COMPONENT + _REPORT, {}),
+    ("verify", "check A*B = B*A = q*I from a JSON file", cmd_mf_verify,
+     (("--file", {"required": True}), ("--out", {}), ("--config", {})), {}),
+    ("hilbert", "h0 of the cokernel across twists", cmd_mf_hilbert,
+     _COMPONENT + _window() + _REPORT, {"tmin": -1, "tmax": 2}),
 )
 
-
-def _mf_arguments(p):
-    sub = p.add_subparsers(dest="mf_command", required=True)
-    for name, help_text, add_arguments in MF_COMMANDS:
-        add_arguments(sub.add_parser(name, help=help_text))
-
-
-def _gluing_report_arguments(p):
-    p.add_argument("--sheaf", required=True)
-    p.add_argument("--e", action="append", required=True,
-                   help="gluing: id | diag(a,d) | upper(a,d,form); repeatable")
-    p.add_argument("--tmin", type=int, default=None)
-    p.add_argument("--tmax", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_gluing_report)
-
-
-# (name, help, the function that adds the command's arguments to its parser)
 COMMANDS = (
-    ("cohomology", "cohomology table of a descriptor", _cohomology_arguments),
-    ("classify", "scan the rank-2 classification at desk scale", _classify_arguments),
-    ("ulrich-scan", "Ulrich statuses over the classify scan", _ulrich_scan_arguments),
-    ("mf", "matrix factorizations of q = xy", _mf_arguments),
-    ("gluing-report", "tables of one pair under several gluings", _gluing_report_arguments),
+    ("cohomology", "cohomology table of a descriptor", cmd_cohomology,
+     _SHEAF + _window(required=True) + _REPORT, {}),
+    ("classify", "scan the rank-2 classification at desk scale", cmd_classify,
+     _REPORT + _SCAN, {}),
+    ("ulrich-scan", "Ulrich statuses over the classify scan", cmd_ulrich_scan,
+     _REPORT + _SCAN, {}),
+    ("mf", "matrix factorizations of q = xy", None, MF_COMMANDS, {}),
+    ("gluing-report", "tables of one pair under several gluings", cmd_gluing_report,
+     _SHEAF + (("--e", {"action": "append", "required": True,
+                        "help": "gluing: id | diag(a,d) | upper(a,d,form); repeatable"}),)
+     + _window() + _REPORT, {}),
 )
+
+
+def _add_commands(parser, rows, dest, argv):
+    """Add ``rows`` to ``parser`` as positional ``dest``: only the row ``argv``
+    starts with is filled in, or every row if it starts with none."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    chosen = argv[0] if argv and argv[0] in [row[0] for row in rows] else None
+    for name, help_text, func, flags, defaults in rows:
+        p = sub.add_parser(name, help=help_text)
+        if chosen in (None, name) and func is None:
+            _add_commands(p, flags, f"{name}_command", argv[1:] if chosen else [])
+        elif chosen in (None, name):
+            for flag, kw in flags:
+                p.add_argument(flag, **kw)
+            p.set_defaults(func=func, own_defaults=defaults)
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The qacm parser.  Every command is listed, but when ``argv`` starts
-    with a command name only that command gets its arguments: the others are
-    never parsed.  Otherwise (no argv, ``-h``, an unknown name) all of them do."""
+    with a command name only that command gets its arguments (and ``mf``
+    only the named subcommand's): the others are never parsed.  Otherwise
+    (no argv, ``-h``, an unknown name) all of them do."""
     ap = argparse.ArgumentParser(prog="qacm",
                                  description="Exact cohomology and aCM/Ulrich scans "
                                              "on the reducible quadric surface")
-    sub = ap.add_subparsers(dest="command", required=True)
-    chosen = argv[0] if argv and argv[0] in [name for name, _, _ in COMMANDS] else None
-    for name, help_text, add_arguments in COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        if chosen in (None, name):
-            add_arguments(p)
+    _add_commands(ap, COMMANDS, "command", argv)
     return ap
 
 
@@ -479,10 +441,6 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         args = _apply_config(args)
-        if getattr(args, "tmin", None) is None and args.func is cmd_mf_hilbert:
-            args.tmin = -1
-        if getattr(args, "tmax", None) is None and args.func is cmd_mf_hilbert:
-            args.tmax = 2
         check_twist_window(getattr(args, "tmin", None), getattr(args, "tmax", None))
         return args.func(args)
     except (DescriptorParseError, ValueError, OSError) as exc:

@@ -23,6 +23,7 @@ degree constraints, Cayley-Bacharach) happens in the constructing modules.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -209,25 +210,35 @@ class _Parser:
         self.expect_punct(close)
         return values
 
+    def _numeral(self) -> int:
+        """The value of the NUM token at hand, consumed; a numeral longer than
+        the interpreter converts to an int is refused at its token."""
+        text = self.peek()[1]
+        try:
+            value = int(text)
+        except ValueError:
+            self.error(f"numeral of {len(text)} digits is beyond the integer conversion "
+                       f"limit of {sys.get_int_max_str_digits()} digits")
+        self.advance()
+        return value
+
     def parse_int(self) -> int:
         neg = self.accept("-")
-        kind, text, _ = self.peek()
-        if kind != "NUM":
+        if self.peek()[0] != "NUM":
             self._got(("an integer",))
-        self.advance()
-        return -int(text) if neg else int(text)
+        value = self._numeral()
+        return -value if neg else value
 
     def parse_rat(self) -> Fraction:
         num = self.parse_int()
         if not self.accept("/"):
             return QQ(num)
-        kind, text, _ = self.peek()
-        if kind != "NUM":
+        if self.peek()[0] != "NUM":
             self.error("denominator must be a positive integer", expected=("an integer",))
-        self.advance()
-        if int(text) == 0:
+        den = self._numeral()
+        if den == 0:
             self.error("zero denominator")
-        return QQ(num, int(text))
+        return QQ(num, den)
 
     def parse_form(self, num_vars: int) -> Form:
         """One sum of the terms, as int numerators over one den; a term of a degree

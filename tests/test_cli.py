@@ -593,8 +593,8 @@ def _subparser(parser, name):
     return action.choices[name]
 
 
-_COMMAND_PATHS = [[name] for name, _, _ in cli.COMMANDS] + \
-    [["mf", name] for name, _, _ in cli.MF_COMMANDS]
+_COMMAND_PATHS = [[name] for name, *_ in cli.COMMANDS] + \
+    [["mf", name] for name, *_ in cli.MF_COMMANDS]
 
 
 @pytest.mark.parametrize("path", _COMMAND_PATHS, ids=" ".join)
@@ -659,12 +659,113 @@ def test_usage_errors_name_the_command_argument(capsys):
 ])
 def test_a_call_fills_in_only_its_own_command(monkeypatch, capsys, argv, command):
     """``main`` adds the arguments of the named command only: with every other
-    command's argument function raising, the call still runs."""
-    def refuse(parser):
-        raise AssertionError("arguments of another command were added")
+    command's flags raising when they are read, the call still runs."""
+    class Refuse:
+        def __iter__(self):
+            raise AssertionError("arguments of another command were added")
 
     monkeypatch.setattr(cli, "COMMANDS", tuple(
-        (name, help_text, add if name == command else refuse)
-        for name, help_text, add in cli.COMMANDS))
+        (name, help_text, func, flags if name == command else Refuse(), defaults)
+        for name, help_text, func, flags, defaults in cli.COMMANDS))
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["rows"]
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) of ``qacm PATH --help`` and
+# ``qacm PATH --bogus`` for every command path, recorded under CPython 3.11
+# with COLUMNS=80 before the command table replaced the argument functions
+_HELP_PINS = {(3, 11): {
+    "--help": "1627a2c4410edeb67d2de4495bc21fd22f3ff2d5e4fef24a63845b7ae470c552",
+    "--bogus": "009d403b96ad93c0f6c9593aa564e6519d226c41920a309bbf3fc948fa91358f",
+    "cohomology --help": "b85b156cc1d6075544bd10b836d277aba27c5c708efe905a553e492048491b88",
+    "cohomology --bogus": "eee4a0a496d9b3010cd5411898ad2f6eebc493e87a38f23e96d52957a7eef97c",
+    "classify --help": "0329c13ec612ca4fd3878d31cdeb6e18d3b6028433588fef469c4f7d7fc47816",
+    "classify --bogus": "4156f1e967e73c3416f961ac9bd390c87d17110a6a1c15aa20380cd43470249d",
+    "ulrich-scan --help": "f51abd905ecee43ea8acb71fc40ef4f7fccff8d3779e569c05ee5bacb4c77849",
+    "ulrich-scan --bogus": "4156f1e967e73c3416f961ac9bd390c87d17110a6a1c15aa20380cd43470249d",
+    "mf --help": "cf8611f4607019e5902af1d8e7901ec7a6cc245b5016e2b333bb0a3ab3b7beaf",
+    "mf --bogus": "7b9de9d1cd2ef8e4711f94020568ed3aea54f0c0c8feae72134aae33f41d4097",
+    "mf example --help": "63b0ea2d4351e09e9a681813d5cfe8dcb79e9cd348bc55fac3471569e2842da2",
+    "mf example --bogus": "4156f1e967e73c3416f961ac9bd390c87d17110a6a1c15aa20380cd43470249d",
+    "mf verify --help": "2d7a0609e600ad412f25622738240ca5c97c598b5958f69a6aff655fc24c9874",
+    "mf verify --bogus": "2eab5125b4da8062b404d0b2bee18b4c7fa01d280b551b9dfba1057d30596ab5",
+    "mf hilbert --help": "9b12a782d5be6950dcfd18768b4d6132819358012382ca01123e99a4b4aee6b7",
+    "mf hilbert --bogus": "4156f1e967e73c3416f961ac9bd390c87d17110a6a1c15aa20380cd43470249d",
+    "gluing-report --help": "654cbb8fb4ee728137a52de46665f3f50b7b819f6e4a5afbd95aaa9f9d2b6a63",
+    "gluing-report --bogus": "47168299a929c0bf445272783f4c5639e849999afd585dc4315bf2b01fc83a2c",
+}}
+
+
+@pytest.mark.parametrize("path", [[]] + _COMMAND_PATHS, ids=lambda p: " ".join(p) or "qacm")
+@pytest.mark.parametrize("extra", ["--help", "--bogus"])
+def test_help_and_a_usage_error_are_pinned(monkeypatch, capsys, path, extra):
+    """The help and one usage error of every command path, byte for byte: a
+    flag dropped, reordered or reworded in the one-command and the full
+    parser alike changes the digest.  Argparse's wording differs between
+    Python versions, so the bytes are pinned for the version they were
+    recorded under."""
+    pins = _HELP_PINS.get(sys.version_info[:2])
+    if pins is None:
+        pytest.skip("help bytes are pinned for CPython 3.11 only")
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = path + [extra]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    blob = json.dumps([code, out.out, out.err]).encode()
+    assert hashlib.sha256(blob).hexdigest() == pins[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv, config, first", [
+    ([], None, -1), ([], {"tmin": 0}, 0), (["--tmin", "1"], {"tmin": 0}, 1),
+], ids=["own-default", "config", "flag"])
+def test_mf_hilbert_window_precedence(tmp_path, capsys, argv, config, first):
+    """mf hilbert's own window -1..2 gives way to a config file, and a flag
+    beats both."""
+    if config is not None:
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, _ = run(capsys, ["mf", "hilbert", "--no-timestamp"] + argv)
+    assert code == 0
+    assert [r["t"] for r in json.loads(out)["rows"]] == list(range(first, 3))
+
+
+@pytest.mark.parametrize("argv", [["mf", "verify", "--file"], ["classify", "--config"]],
+                         ids=["mf-verify", "config"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    """JSON nested past the decoder's recursion limit is an input error that
+    names the file, not a RecursionError."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, argv + [str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: JSON nested too deeply to read\n"
+
+
+_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, col", [
+    (["cohomology", "--sheaf", f"O({_LONG})@H1"], 3),
+    (["cohomology", "--sheaf", f"I([{_LONG}*v,w])(0)@H2"], 4),
+    (["cohomology", "--sheaf", f"I(points([0:1:1/{_LONG}]))(0)@H2"], 17),
+    (["mf", "verify", "--file", "PAIR"], 3),
+], ids=["integer", "coefficient", "denominator", "ambient-form"])
+def test_a_numeral_past_the_int_limit_is_a_positioned_parse_error(tmp_path, capsys, argv, col):
+    """A numeral longer than int() converts is refused at its token, with the
+    limit named, rather than as an unpositioned ValueError."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"q": "x*y", "A": [[f"x-{_LONG}*y"]], "B": [["y"]]}))
+        argv = [str(pair) if a == "PAIR" else a for a in argv]
+        code, out, err = run(capsys, argv + ["--tmin", "0", "--tmax", "0"] * (argv[0] != "mf"))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err == (f"error: 1:{col}: numeral of 5000 digits is beyond the integer conversion "
+                   "limit of 4300 digits\n")

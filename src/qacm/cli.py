@@ -134,15 +134,16 @@ def classify_pairs(c_max: int):
 def scan_descriptors(config: ScanConfig):
     """(kind, seed values, descriptor) of every classify row, in report order:
     the split pairs O(c) + O against O(c) + O, the two point extensions (the
-    point on H1, then on H2) and the collinear family, Z the c - k seeded
-    points of the row on L."""
+    point on H1, then on H2) and the collinear family, Z the first c - k of the
+    c_max seeded points on L, drawn once."""
+    pool = seeded_line_values(config.point_seed, config.c_max)
     for c in range(config.c_max + 1):
         yield "split", [], f"K(F1=O({c})+O(0)@H1,F2=O({c})+O(0)@H2,e=id)"
     for plane in (1, 2):
         yield "point_ext", [], (f"K(F1=O(1)+O(0)@H{3 - plane},"
                                 f"F2=G(c=1,k=0,Z=[v,w],h=auto)@H{plane},e=id)")
     for c, k in classify_pairs(config.c_max):
-        values = seeded_line_values(config.point_seed, c - k)
+        values = pool[:c - k]
         pts = ";".join(f"[0:1:{r}]" for r in values)
         yield "collinear_ext", values, (f"K(F1=O({c})+O(0)@H1,"
                                         f"F2=G(c={c},k={k},Z=points({pts}),h=auto)@H2,e=id)")

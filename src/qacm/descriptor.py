@@ -31,8 +31,7 @@ from .linalg import QQ
 from .monomials import VAR_NAMES, Form
 from .plane import U, CIIdealSheaf, SplitBundle, ci_from_forms, ci_from_line_points, \
     make_extension_bundle, make_split_bundle
-from .quadric import MAX_DEGREE_SUM, MAX_FORM_DEGREE, GluingData, RankOneSheaf, \
-    diagonal_gluing, identity_gluing, make_kernel_sheaf, upper_gluing
+from .quadric import MAX_DEGREE_SUM, MAX_FORM_DEGREE, GluingData, RankOneSheaf, make_kernel_sheaf
 from .record import record
 
 
@@ -222,6 +221,17 @@ class _Parser:
         self.advance()
         return value
 
+    def _check_digits(self, nums, den, at):
+        """Refuse at ``at`` a coefficient num/den, num in ``nums``, whose numerator or
+        denominator in lowest terms has more digits than ``str`` converts (a limit of 0
+        is none).  From bit lengths: n < 8^limit is short; only a longer n meets 10^limit."""
+        limit = sys.get_int_max_str_digits()
+        for num in nums:
+            n = max(abs(num), den)
+            if limit and n.bit_length() > 3 * limit and n // gcd(num, den) >= 10 ** limit:
+                raise DescriptorParseError("coefficient of more digits than the integer "
+                                           f"conversion limit of {limit} digits", *at)
+
     def parse_int(self) -> int:
         neg = self.accept("-")
         if self.peek()[0] != "NUM":
@@ -242,10 +252,12 @@ class _Parser:
 
     def parse_form(self, num_vars: int) -> Form:
         """One sum of the terms, as int numerators over one den; a term of a degree
-        other than the nonzero sum's is refused as it comes."""
+        other than the nonzero sum's is refused as it comes, and a coefficient past
+        ``_check_digits`` at the factor or term that takes it there."""
         names = VAR_NAMES[num_vars]
         acc, den, sign = {}, 1, self._sign() or 1
         while sign:
+            at = self.peek()[2]
             term = self._parse_term(num_vars, names)
             for e, c in term.terms:             # one term, or none for a zero term
                 if acc and sum(e) != sum(next(iter(acc))):
@@ -254,6 +266,7 @@ class _Parser:
                     scale = term.den // gcd(den, term.den)
                     acc, den = {x: y * scale for x, y in acc.items()}, den * scale
                 acc[e] = acc.get(e, 0) + sign * c * (den // term.den)
+                self._check_digits([acc[e]], den, at)
                 if not acc[e]:
                     del acc[e]
             sign = self._sign()
@@ -265,12 +278,14 @@ class _Parser:
     def _parse_term(self, num_vars, names) -> Form:
         out = self._parse_factor(num_vars, names)
         while self.accept("*"):
+            at = self.peek()[2]
             f = self._parse_factor(num_vars, names)
             degree = (out.degree or 0) + (f.degree or 0)
             if degree > MAX_FORM_DEGREE:
                 self.error(f"term of degree {degree} is beyond the form-degree limit "
                            f"{MAX_FORM_DEGREE}")
             out = out * f
+            self._check_digits([c for _, c in out.terms], out.den, at)
         return out
 
     def _parse_factor(self, num_vars, names) -> Form:
@@ -446,14 +461,6 @@ def _check_degree_sum(node) -> None:
                          f"the degree-sum limit {MAX_DEGREE_SUM}")
 
 
-def _build_gluing(e: GluingData) -> GluingData:
-    if e.kind == "identity":
-        return identity_gluing()
-    if e.kind == "diagonal":
-        return diagonal_gluing(e.alpha, e.delta)
-    return upper_gluing(e.alpha, e.delta, e.beta)
-
-
 def build(node):
     """Turn a parsed descriptor into the corresponding sheaf object; semantic
     constraints are enforced by the constructors and surface as ValueError."""
@@ -475,15 +482,16 @@ def build(node):
             f_split, f_other = s2, s1
         else:
             raise ValueError("a kernel sheaf of simple type needs one split side")
-        return make_kernel_sheaf(f_split, f_other, _build_gluing(node.e))
+        return make_kernel_sheaf(f_split, f_other, node.e)
     if isinstance(node, DRankOne):
         return RankOneSheaf(node.side, node.a, node.b)
     raise ValueError(f"not a descriptor node: {node!r}")
 
 
 def parse_gluing(text: str) -> GluingData:
-    """Parse and build a lone gluing: "id", "diag(a,d)" or "upper(a,d,form)"."""
-    return _build_gluing(_whole(text, _Parser.parse_gluing))
+    """Parse a lone gluing, "id", "diag(a,d)" or "upper(a,d,form)", as written;
+    ``check_gluing`` validates it."""
+    return _whole(text, _Parser.parse_gluing)
 
 
 def parse_ambient_form(text: str) -> Form:

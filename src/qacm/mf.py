@@ -134,14 +134,10 @@ def adjugate(a):
 def divide_by_monomial_power(f: Form, q: Form, power: int) -> Form:
     """Exact division of f by q^power where q^power is a single monomial
     (q = xy here); raises if not divisible."""
-    if power == 0:
-        return f
     qp = q ** power
     if len(qp.terms) != 1:
         raise ValueError("divisor must be a monomial power")
     (qexp, qc) = qp.terms[0]
-    if f.is_zero:
-        return f
     d = {}
     for e, c in f.terms:
         ne = tuple(a - b for a, b in zip(e, qexp))

@@ -94,26 +94,25 @@ def identity_gluing() -> GluingData:
 
 
 def diagonal_gluing(alpha, delta) -> GluingData:
-    alpha, delta = QQ(alpha), QQ(delta)
-    if alpha == 0 or delta == 0:
-        raise ValueError("gluing scalars must be nonzero")
-    return GluingData("diagonal", alpha, delta)
+    return check_gluing(GluingData("diagonal", QQ(alpha), QQ(delta)))
 
 
 def upper_gluing(alpha, delta, beta: Form) -> GluingData:
-    alpha, delta = QQ(alpha), QQ(delta)
-    if alpha == 0 or delta == 0:
+    return check_gluing(GluingData("upper", QQ(alpha), QQ(delta), beta))
+
+
+def check_gluing(e: GluingData, c: int = None) -> GluingData:
+    """Refuse a gluing that is no isomorphism of O_L(c) + O_L, and return it: its
+    scalars must be nonzero, and an upper beta a binary form, zero or (when c is
+    given) of degree c.  The one check of a gluing."""
+    if e.alpha == 0 or e.delta == 0:
         raise ValueError("gluing scalars must be nonzero")
-    if not isinstance(beta, Form) or beta.num_vars != 2:
-        raise ValueError("beta must be a binary form on L")
-    return GluingData("upper", alpha, delta, beta)
-
-
-def check_gluing(e: GluingData, c: int) -> None:
-    """Refuse a gluing that is no isomorphism of O_L(c) + O_L: an upper form
-    beta must be zero or of degree c.  The only check that depends on e."""
-    if e.kind == "upper" and not e.beta.is_zero and e.beta.degree != c:
-        raise ValueError(f"upper gluing form must have degree {c}")
+    if e.kind == "upper":
+        if not isinstance(e.beta, Form) or e.beta.num_vars != 2:
+            raise ValueError("beta must be a binary form on L")
+        if c is not None and not e.beta.is_zero and e.beta.degree != c:
+            raise ValueError(f"upper gluing form must have degree {c}")
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +136,7 @@ class KernelSheaf:
 
 def make_kernel_sheaf(f_split: SplitBundle, f_other, e: GluingData = None) -> KernelSheaf:
     """Validate the gluing data and the matching of splitting types on L."""
-    if e is None:
-        e = identity_gluing()
+    e = check_gluing(identity_gluing() if e is None else e)
     if not isinstance(f_split, SplitBundle) or f_split.rank != 2:
         raise ValueError("the split side must be a rank-2 split bundle")
     c = f_split.twists[0]
@@ -148,23 +146,23 @@ def make_kernel_sheaf(f_split: SplitBundle, f_other, e: GluingData = None) -> Ke
         raise ValueError("the other side must have rank 2")
     if f_other.side == f_split.side:
         raise ValueError("the two sides must live on different planes")
-    triv_split = trivialize_on_line(f_split)
-    triv_other = trivialize_on_line(f_other)
-    if triv_other.degrees != (c, 0):
+    triv = trivialize_on_line(f_other)
+    if triv.degrees != (c, 0):
         raise ValueError(
             f"mismatched splitting types on L: split side gives (c, 0) = ({c}, 0), "
-            f"other side gives {triv_other.degrees}")
+            f"other side gives {triv.degrees}")
     check_gluing(e, c)
-    (s_hi, s_lo), (o_hi, o_lo) = triv_split.rows, triv_other.rows
-    beta = e.beta if e.beta is not None else Form.zero(2)
-    line_map = (tuple(r * e.alpha + beta * q for r, q in zip(s_hi, s_lo)) + tuple(-r for r in o_hi),
-                tuple(q * e.delta for q in s_lo) + tuple(-q for q in o_lo))
+    # F_split|_L = O_L(c) + O_L by its unit rows, so its columns are e's own matrix
+    (o_hi, o_lo), zero = triv.rows, Form.zero(2)
+    beta = zero if e.beta is None else e.beta
+    line_map = ((Form.constant(2, e.alpha), beta) + tuple(-r for r in o_hi),
+                (zero, Form.constant(2, e.delta)) + tuple(-q for q in o_lo))
     return KernelSheaf(f_split, f_other, e, c, f_split.twists + f_other.presentation.target_twists,
                        line_map)
 
 
 def _assembled_matrix(k: KernelSheaf, t: int) -> RatMatrix:
-    """H0-level map of K(t) on L: ``k.line_map``, Phi = [e o tau_split | -tau_other],
+    """H0-level map of K(t) on L: ``k.line_map``, Phi = [e | -tau_other],
     on the sections H0(O_L(a + t)) of each summand, into H0(O_L(c + t)) + H0(O_L(t)).
     Exact: composed with ``_restriction(k, t)`` it is the gluing matrix times the
     trivialized restrictions entry for entry, as M_beta M_r = M_(beta r) on monomial
@@ -356,21 +354,18 @@ def check_twist_window(tmin, tmax) -> None:
 
 def gluing_variation_report(k: KernelSheaf, gluings, tmin: int = None, tmax: int = None):
     """Cohomology tables of the same (F_split, F_other) pair under different
-    gluings.  Each gluing is validated by ``check_gluing``, the only check of
-    ``make_kernel_sheaf`` that depends on it, and the table is computed once: no
-    row reads e (h0 is a count of degrees and the LES check reads only F_other),
-    so every gluing has the identity's table and ``equal_to_identity`` holds.
+    gluings.  Each gluing is validated by ``check_gluing`` first, and the table is
+    computed once: no row reads e (h0 is a count of degrees and the LES check
+    reads only F_other), so every gluing has the identity's table and
+    ``equal_to_identity`` holds.
     A missing bound of the twist window is taken from ``acm_window``."""
+    gluings = [check_gluing(g, k.c) for g in gluings]
     lo, hi = acm_window(k)
     tmin = lo if tmin is None else tmin
     tmax = hi if tmax is None else tmax
     check_twist_window(tmin, tmax)
     table = coh_table(k, tmin, tmax)
-    rows = []
-    for g in gluings:
-        check_gluing(g, k.c)
-        rows.append(GluingVariationRow(g.describe(), table, True))
-    return rows
+    return [GluingVariationRow(g.describe(), table, True) for g in gluings]
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +444,9 @@ def point_extension_kernel(component: int, e: GluingData = None) -> KernelSheaf:
     L by O_X.  Component 1 carries the point on H1, component 2 on H2."""
     if component not in (1, 2):
         raise ValueError("component must be 1 or 2")
-    point_side = 1 if component == 1 else 2
-    split_side = 3 - point_side
     ci = ci_from_forms(Form.variable(3, "v"), Form.variable(3, "w"))
-    g = make_extension_bundle(1, 0, ci, h="auto", side=point_side)
-    f_split = make_split_bundle(split_side, (1, 0))
-    return make_kernel_sheaf(f_split, g, e)
+    g = make_extension_bundle(1, 0, ci, h="auto", side=component)
+    return make_kernel_sheaf(make_split_bundle(3 - component, (1, 0)), g, e)
 
 
 def collinear_extension_kernel(c: int, k: int, points, h="auto",

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -484,3 +485,57 @@ def test_mf_verify_refuses_a_form_beyond_the_degree_limit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exponent 2001 is beyond the form-degree limit 2000" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# the coefficient limit
+
+
+@pytest.fixture
+def int_limit():
+    """Set the interpreter's int-to-text digit limit for one test."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+_N = "9" * 3000
+
+
+@pytest.mark.parametrize("text, col", [
+    (f"I([{_N}*{_N}*v,w])(0)@H2", 3005),
+    (f"K(F1=O(1)+O(0)@H1,F2=O(1)+O(0)@H2,e=upper(1,1,{_N}*{_N}*v))", 3048),
+], ids=["ideal", "gluing form"])
+def test_a_coefficient_past_the_int_limit_is_refused_at_its_factor(int_limit, text, col):
+    """A product of numerals whose coefficient has more digits than str()
+    converts is a parse error at the factor that crosses the limit, not the
+    printer's unpositioned ValueError after the table."""
+    int_limit(4300)
+    code, out, err = _cohomology_exit(text)
+    assert (code, out) == (2, "")
+    assert err == (f"error: 1:{col}: coefficient of more digits than the integer "
+                   "conversion limit of 4300 digits\n")
+
+
+def test_the_coefficient_limit_is_exact_and_covers_every_form(int_limit, tmp_path, capsys):
+    """10^640 - 1 has 640 digits and 10^640 has 641: at a limit of 640 the one
+    is admitted and the other refused, as a numerator, a denominator or a sum of
+    like terms, in plane forms and ambient forms alike.  A limit of 0 is none."""
+    int_limit(640)
+    h = 10 ** 320
+    node = parse(f"I([{h - 1}*{h + 1}*v,w])(0)@H2")
+    assert node.ci.f1 == Form.from_ints(3, {(0, 1, 0): h * h - 1})
+    assert to_text(node).startswith(f"I([{h * h - 1}*v,")
+    assert parse_ambient_form(f"1/{h + 1}*x+1/{h + 3}*y").den == (h + 1) * (h + 3)
+    message = "coefficient of more digits than the integer conversion limit of 640 digits"
+    for text, col in [(f"{h}*{h}*x", 323), (f"1/{h}*1/{h}*x", 325),
+                      (f"1/{h + 1}*x+1/{h + 3}*x", 327)]:
+        with pytest.raises(DescriptorParseError) as err:
+            parse_ambient_form(text)
+        assert str(err.value) == f"1:{col}: {message}"
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"q": "x*y", "A": [[f"{h}*{h}*x"]], "B": [["y"]]}))
+    assert main(["mf", "verify", "--file", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: 1:323: {message}\n")
+    int_limit(0)
+    assert parse_ambient_form(f"{h}*{h}*x") == Form.from_ints(4, {(1, 0, 0, 0): h * h})

@@ -483,9 +483,10 @@ def test_a_gluing_report_computes_one_table(monkeypatch):
 
 
 def test_gluing_report_trivializes_the_pair_once_whatever_the_gluings(monkeypatch, capsys):
-    """Each --e is checked by the degree of its upper form alone, so the two
-    trivializations of the pair (a mu-basis for this u-free G) are computed when
-    the descriptor is built and never again, however many gluings are listed."""
+    """Each --e is checked by ``check_gluing`` alone, and the split side's columns
+    are the gluing matrix itself, so the one trivialization of the pair, the other
+    side's (a mu-basis for this u-free G), is computed when the descriptor is built
+    and never again, however many gluings are listed."""
     sheaf = "K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)"
     calls, real = [], qacm.quadric.trivialize_on_line
     monkeypatch.setattr(qacm.quadric, "trivialize_on_line",
@@ -497,7 +498,35 @@ def test_gluing_report_trivializes_the_pair_once_whatever_the_gluings(monkeypatc
         assert main(argv + [a for g in gluings for a in ("--e", g)]) == 0
         counts.append(len(calls))
     capsys.readouterr()
-    assert counts == [2, 2]
+    assert counts == [1, 1]
+
+
+def test_a_gluing_report_checks_its_gluings_before_the_table(monkeypatch, capsys):
+    """An upper form of the wrong degree is refused before the one table is
+    computed, so the run exits 2 with no table built."""
+    monkeypatch.setattr(qacm.quadric, "coh_table", lambda *a: pytest.fail("a table was computed"))
+    sheaf = "K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)"
+    argv = ["gluing-report", "--sheaf", sheaf, "--e", "upper(1,1,v^3)", "--no-timestamp"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: upper gluing form must have degree 2\n")
+
+
+def test_a_zero_gluing_scalar_is_reported_before_the_sides():
+    """A zero scalar on an unnormalized split side is reported as the bad gluing."""
+    with pytest.raises(ValueError, match="gluing scalars must be nonzero"):
+        build(parse("K(F1=O(3)+O(1)@H1,F2=O(3)+O(0)@H2,e=diag(0,1))"))
+
+
+@pytest.mark.parametrize("e, message", [
+    (("diagonal", 0, 1), "gluing scalars must be nonzero"),
+    (("upper", 1, 1, u), "beta must be a binary form on L"),
+], ids=["zero scalar", "plane beta"])
+def test_make_kernel_sheaf_checks_an_unchecked_gluing_before_the_sides(e, message):
+    """A gluing built without ``check_gluing`` is refused by ``make_kernel_sheaf``
+    first, before the sides are looked at."""
+    with pytest.raises(ValueError, match=message):
+        make_kernel_sheaf(make_split_bundle(1, (3, 1)), make_split_bundle(2, (3, 0)),
+                          qacm.quadric.GluingData(*e))
 
 
 def test_empty_gluing_list():

@@ -29,9 +29,9 @@ from math import gcd
 
 from .linalg import QQ
 from .monomials import VAR_NAMES, Form
-from .plane import U, CIIdealSheaf, SplitBundle, ci_from_forms, ci_from_line_points, \
+from .plane import MAX_DEGREE_SUM, CIIdealSheaf, SplitBundle, ci_from_forms, ci_from_line_points, \
     make_extension_bundle, make_split_bundle
-from .quadric import MAX_DEGREE_SUM, MAX_FORM_DEGREE, GluingData, RankOneSheaf, make_kernel_sheaf
+from .quadric import MAX_FORM_DEGREE, GluingData, RankOneSheaf, make_kernel_sheaf
 from .record import record
 
 
@@ -439,26 +439,17 @@ def _build_ci(ci):
     return ci_from_line_points(pts)
 
 
-def _check_degree_sum(node) -> None:
-    """Refuse, before anything is built, a plane sheaf whose validation would
-    multiply its forms past MAX_DEGREE_SUM: a pair other than (u, g) with u and not
-    coprime on L is ranked at d1 + d2, and G's class h, of degree 2k - c + d1 + d2
-    whether given or searched (h=auto), is tested with Z up to d1 + d2 + deg h - 2."""
+def _check_degree_sum(node: DExt) -> None:
+    """Refuse, before Z is built, a G whose class h, of degree 2k - c + d1 + d2
+    whether given or searched (h=auto), would be tested with Z up to a sum of
+    degrees past MAX_DEGREE_SUM; ``ci_from_forms`` bounds the pair itself."""
     ci = node.ci
-    if isinstance(ci, DCIForms):
-        d1, d2 = (f.degree or 0 for f in (ci.f1, ci.f2))
-    else:
-        d1, d2 = 1, len(ci.points)
-    if isinstance(node, DExt):
-        deg_h = 2 * node.k - node.c + d1 + d2
-        total, what = d1 + d2 + deg_h, f"Z and h (h of degree {deg_h})"
-    elif isinstance(ci, DCIForms) and U not in (ci.f1, ci.f2):
-        total, what = d1 + d2, "Z"
-    else:
-        return
-    if total > MAX_DEGREE_SUM:
-        raise ValueError(f"the forms of {what} have degrees summing to {total}, beyond "
-                         f"the degree-sum limit {MAX_DEGREE_SUM}")
+    d1, d2 = (f.degree or 0 for f in (ci.f1, ci.f2)) if isinstance(ci, DCIForms) \
+        else (1, len(ci.points))
+    deg_h = 2 * node.k - node.c + d1 + d2
+    if d1 + d2 + deg_h > MAX_DEGREE_SUM:
+        raise ValueError(f"the forms of Z and h (h of degree {deg_h}) have degrees summing to "
+                         f"{d1 + d2 + deg_h}, beyond the degree-sum limit {MAX_DEGREE_SUM}")
 
 
 def build(node):
@@ -467,7 +458,6 @@ def build(node):
     if isinstance(node, DLBSum):
         return make_split_bundle(node.plane, node.twists)
     if isinstance(node, DIdeal):
-        _check_degree_sum(node)
         return CIIdealSheaf(node.plane, _build_ci(node.ci), node.m)
     if isinstance(node, DExt):
         _check_degree_sum(node)

@@ -37,6 +37,12 @@ from .monomials import (P1, P2, Form, basis, binary_forms_common_zero_free, coho
 from .record import record
 
 U = Form.variable(3, "u")
+MAX_DEGREE_SUM = 600    # of a pair (``ci_from_forms``) and of G's forms with h (README)
+
+
+def is_u(f: Form) -> bool:
+    """f is a nonzero scalar multiple of u: one term, of exponent (1, 0, 0)."""
+    return len(f.terms) == 1 and f.terms[0][0] == (1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +68,9 @@ class CISubscheme:
         return self.f1.degree * self.f2.degree
 
     def is_collinear(self) -> bool:
-        """Z is cut out by u and a binary form in (v, w)."""
-        return (self.f1 == U and not any(e[0] for e, _ in self.f2.terms)) or \
-               (self.f2 == U and not any(e[0] for e, _ in self.f1.terms))
+        """Z is cut out by a multiple of u and a binary form in (v, w)."""
+        return any(is_u(f) and not any(e[0] for e, _ in g.terms)
+                   for f, g in ((self.f1, self.f2), (self.f2, self.f1)))
 
 
 def _ideal_piece_matrix(forms, d: int) -> RatMatrix:
@@ -76,22 +82,25 @@ def _ideal_piece_matrix(forms, d: int) -> RatMatrix:
 
 def ci_from_forms(f1: Form, f2: Form, points=None) -> CISubscheme:
     """Validate that (f1, f2) is a regular sequence (Z zero-dimensional) and
-    return the subscheme.  (u, g) is one exactly when g|_L is nonzero, the test
-    ``no_common_zero`` uses.  Another pair is one if coprime on L, which every
-    common curve meets, and is not if it has no u and is not coprime on L; any
-    other pair is tested by Hilbert-function stabilization."""
+    return the subscheme.  (c*u, g), c != 0, is one exactly when g|_L is nonzero,
+    as in ``no_common_zero``.  Another pair is refused past MAX_DEGREE_SUM; it is
+    one if coprime on L, which every common curve meets, and not if it has no u and
+    is not coprime on L; any other pair is tested by Hilbert-function stabilization."""
     for f in (f1, f2):
         if f.is_zero or f.num_vars != 3 or f.degree < 1:
             raise ValueError("Z not zero-dimensional: generators must be nonconstant plane forms")
-    if U in (f1, f2):
-        if form_on_line(f2 if f1 == U else f1).is_zero:
+    if is_u(f1) or is_u(f2):
+        if form_on_line(f2 if is_u(f1) else f1).is_zero:
             raise ValueError("Z not zero-dimensional")
         return CISubscheme(f1, f2, points)
+    d1, d2 = f1.degree, f2.degree
+    if d1 + d2 > MAX_DEGREE_SUM:
+        raise ValueError(f"the forms of Z have degrees summing to {d1 + d2}, beyond "
+                         f"the degree-sum limit {MAX_DEGREE_SUM}")
     if binary_forms_common_zero_free([form_on_line(f1), form_on_line(f2)]):
         return CISubscheme(f1, f2, points)
     if not any(e[0] for f in (f1, f2) for e, _ in f.terms):
         raise ValueError("Z not zero-dimensional")
-    d1, d2 = f1.degree, f2.degree
     for d in (d1 + d2 - 1, d1 + d2):
         expected = cohomology_dim(P2, 0, d) - d1 * d2
         if rank(_ideal_piece_matrix((f1, f2), d)) != expected:
@@ -175,8 +184,7 @@ class _Presented:
     def h2_depth(self):
         """1 when a relation form is c*u, else None: the rows of ``relation_h2_kernel``
         are the dual monomials of u-exponent -1 to -depth, or all of them for None."""
-        return 1 if any([e for e, _ in f.terms] == [(1, 0, 0)]
-                        for f in self.presentation.relation) else None
+        return 1 if any(is_u(f) for f in self.presentation.relation) else None
 
     @cached_property
     def line_presentation(self) -> Presentation:
@@ -260,11 +268,11 @@ def make_ci_ideal(f1: Form, f2: Form, m: int, side: int = 2, points=None) -> CII
 def no_common_zero(forms) -> bool:
     """True iff the plane forms have no common zero on P2.
 
-    If one of the forms is ``u`` (a collinear Z = V(u, g) and its extension
-    class), every common zero lies on L = {u = 0}, and a point [0 : v : w]
-    is a common zero iff every restriction f|_L vanishes there.  The answer
-    is then "the restrictions of the other forms have a constant gcd"; if
-    they all restrict to zero the gcd is zero and the answer is False.
+    If one of the forms is c*u (``is_u``: a collinear Z and its extension class),
+    every common zero lies on L = {u = 0}, and a point [0 : v : w] is a common
+    zero iff every restriction f|_L vanishes there.  The answer is then "the
+    restrictions (u's is zero) have a constant gcd"; if they all restrict to zero
+    the gcd is zero and the answer is False.
 
     Otherwise the test is a rank: three (or more) forms with empty zero locus
     contain a regular sequence, so the quotient vanishes in degree
@@ -272,8 +280,8 @@ def no_common_zero(forms) -> bool:
     of the quotient positive from that degree on.  A single nonconstant form
     always has zeros.  Both routes are exact."""
     forms = list(forms)
-    if U in forms:
-        return binary_forms_common_zero_free([form_on_line(f) for f in forms if f != U])
+    if any(is_u(f) for f in forms):
+        return binary_forms_common_zero_free([form_on_line(f) for f in forms])
     forms = [f for f in forms if not f.is_zero]
     if any(f.degree == 0 for f in forms):
         return True
@@ -286,14 +294,15 @@ def no_common_zero(forms) -> bool:
 def _auto_extension_form(ci: CISubscheme, deg_h: int) -> Form:
     """Deterministic first h of degree deg_h with (f1, f2, h) common-zero
     free: support sizes 1..3 over the monomial basis in order, coefficients
-    from (1, -1, 2, -2).  For Z = V(u, g) a support of monomials that all contain
+    from (1, -1, 2, -2).  For Z = V(c*u, g) a support of monomials that all contain
     u is skipped: h|_L = 0 and gcd(g, 0) = g, so ``no_common_zero`` rejects it."""
     if deg_h == 0:
         return Form.constant(3, 1)
     mons = basis(P2, 0, deg_h).basis
+    on_line = is_u(ci.f1) or is_u(ci.f2)
     for support in range(1, 4):
         for pos in itertools.combinations(range(len(mons)), support):
-            if all(mons[p][0] for p in pos) and U in (ci.f1, ci.f2):
+            if on_line and all(mons[p][0] for p in pos):
                 continue
             for coefs in itertools.product((1, -1, 2, -2), repeat=support):
                 h = Form.from_dict(3, {mons[p]: c for p, c in zip(pos, coefs)})

@@ -332,11 +332,10 @@ class GluingVariationRow:
 # starts at -202.
 MAX_ABS_TWIST = 250
 MAX_WINDOW = 260
-# Degree bounds of a descriptor, checked before any product is formed: a form has
-# degree <= MAX_FORM_DEGREE ((u, g) is validated with no product), and building a plane
-# sheaf multiplies its forms up to a sum of degrees <= MAX_DEGREE_SUM (README).
+# A form of a descriptor has degree <= MAX_FORM_DEGREE, checked before any product is
+# formed; a pair (c*u, g) is validated with no product, and every other pair and G's
+# forms are bounded by ``plane.MAX_DEGREE_SUM`` (README).
 MAX_FORM_DEGREE = 2000
-MAX_DEGREE_SUM = 600
 
 
 def check_twist_window(tmin, tmax) -> None:

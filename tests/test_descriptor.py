@@ -17,7 +17,7 @@ from qacm.descriptor import (DCIForms, DCIPoints, DExt, DIdeal,
                              build, parse, parse_ambient_form, parse_gluing,
                              to_text)
 from qacm.monomials import Form, h0_exponents
-from qacm.plane import CIIdealSheaf
+from qacm.plane import CIIdealSheaf, ci_from_forms
 from qacm.quadric import GluingData, KernelSheaf, RankOneSheaf
 
 QQ = Fraction
@@ -420,7 +420,8 @@ def test_cohomology_of_a_point_off_the_line_exits_2(text):
 def test_a_degree_beyond_the_limits_exits_2_before_any_product(monkeypatch, text, message):
     """Each refusal of MAX_FORM_DEGREE and MAX_DEGREE_SUM exits 2 with a message
     naming the limit, in well under a second, before a product past it is formed
-    or a subscheme is validated."""
+    or a subscheme is validated.  A pair is refused by ``ci_from_forms`` itself,
+    before its gcd on L or any rank; G before its Z is built."""
     real_pow, real_mul = Form.__pow__, Form.__mul__
 
     def degree(f):
@@ -435,16 +436,34 @@ def test_a_degree_beyond_the_limits_exits_2_before_any_product(monkeypatch, text
         return real_mul(f, g)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a subscheme or an extension was built past the limits")
+        raise AssertionError("a subscheme was validated or built past the limits")
 
     monkeypatch.setattr(Form, "__pow__", bounded_pow)
     monkeypatch.setattr(Form, "__mul__", bounded_mul)
-    for name in ("ci_from_forms", "ci_from_line_points", "make_extension_bundle"):
+    for name in ("rank", "binary_forms_common_zero_free"):
+        monkeypatch.setattr(qacm.plane, name, refuse)
+    pair = text.startswith("I([")
+    for name in ("ci_from_line_points", "make_extension_bundle") + ("ci_from_forms",) * (not pair):
         monkeypatch.setattr(qacm.descriptor, name, refuse)
     start = time.perf_counter()
     code, out, err = _cohomology_exit(text)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "") and message in err and "Traceback" not in err
+
+
+def test_ci_from_forms_refuses_a_pair_past_the_degree_sum_before_any_gcd(monkeypatch):
+    """A direct caller of ``ci_from_forms`` is bounded too: the pair is refused
+    before its gcd on L or a rank is taken."""
+    u, v, w = (Form.variable(3, n) for n in "uvw")
+
+    def refuse(*args):
+        raise AssertionError("a pair past the limit was validated")
+
+    for name in ("rank", "binary_forms_common_zero_free"):
+        monkeypatch.setattr(qacm.plane, name, refuse)
+    with pytest.raises(ValueError, match="the forms of Z have degrees summing to 601, beyond "
+                                         "the degree-sum limit 600"):
+        ci_from_forms(v ** 300, w ** 301 + u ** 301)
 
 
 def test_degrees_at_the_limits_are_admitted():

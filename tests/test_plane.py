@@ -471,11 +471,15 @@ def _collinear_case(draw):
 @example((ci_from_line_points([((1, 0), 1), ((1, 2), 1)]), u * v))  # a multiple of u
 @example((ci_from_line_points([((0, 1), 1)]), Form.constant(3, 3)))
 def test_collinear_gcd_shortcut_agrees_with_rank_route(case):
-    """With u among the forms, no_common_zero decides on L by a gcd; 2u is not
-    u, so the same question with 2u goes through the rank test."""
+    """With u among the forms, no_common_zero decides on L by a gcd; the rank
+    route, taken directly, must agree: three forms have no common zero exactly
+    when the degree-d piece of their ideal is everything at d = sum(deg) - 2."""
     ci, h = case
     assert ci.f1 == u
-    assert no_common_zero([ci.f1, ci.f2, h]) == no_common_zero([2 * u, ci.f2, h])
+    forms = [f for f in (ci.f1, ci.f2, h) if not f.is_zero]
+    d = sum(f.degree for f in forms) - 2
+    assert no_common_zero([ci.f1, ci.f2, h]) == \
+        (rank(_ideal_piece_matrix(forms, d)) == cohomology_dim(P2, 0, d))
 
 
 def _without_u(f):
@@ -540,6 +544,78 @@ def test_single_nonconstant_form_has_zeros():
     assert not no_common_zero([v + w, Form.zero(3)])
     assert not no_common_zero([v * w])
     assert no_common_zero([Form.constant(3, 2), v])
+
+
+# ---------------------------------------------------------------------------
+# a nonzero multiple of u is the (u, g) case, in either order
+
+_U_MULTIPLES = pytest.mark.parametrize("c, swap", [
+    pytest.param(c, swap, id=f"{c}*u-{'second' if swap else 'first'}")
+    for c in (-1, 2, QQ(1, 3)) for swap in (False, True)])
+G6 = v ** 6 + w ** 6
+
+
+def _pair(c, g, swap):
+    return (g, c * u) if swap else (c * u, g)
+
+
+@pytest.fixture
+def ranks(monkeypatch):
+    """The matrices whose rank plane.py takes, by column count."""
+    calls = []
+    monkeypatch.setattr(qacm.plane, "rank", lambda m: calls.append(m.cols) or rank(m))
+    return calls
+
+
+@_U_MULTIPLES
+def test_ci_from_forms_takes_no_rank_for_a_multiple_of_u(ranks, c, swap):
+    assert ci_from_forms(*_pair(c, G6, swap)) == CISubscheme(*_pair(c, G6, swap))
+    with pytest.raises(ValueError, match="Z not zero-dimensional"):
+        ci_from_forms(*_pair(c, u * v, swap))
+    assert ranks == []
+
+
+@_U_MULTIPLES
+def test_no_common_zero_decides_a_multiple_of_u_on_l(ranks, c, swap):
+    """h = v^2 is coprime to g on L, v^2 + w^2 divides g."""
+    for h, free in ((v * v, True), (v * v + w * w, False)):
+        assert no_common_zero(_pair(c, G6, swap) + (h,)) == free
+        assert no_common_zero(_pair(1, G6, swap) + (h,)) == free
+    assert ranks == []
+
+
+@_U_MULTIPLES
+def test_a_multiple_of_u_and_a_binary_form_are_collinear(c, swap):
+    ci, ref = ci_from_forms(*_pair(c, G6, swap)), ci_from_forms(*_pair(1, G6, swap))
+    assert ci.is_collinear() and ref.is_collinear()
+    assert not ci_from_forms(*_pair(c, G6 + u * v ** 5, swap)).is_collinear()
+    assert cb_condition_check(10, 4, ci) == cb_condition_check(10, 4, ref) is True
+
+
+@_U_MULTIPLES
+def test_the_auto_class_of_a_multiple_of_u_is_that_of_u(ranks, c, swap):
+    ref = make_extension_bundle(10, 4, ci_from_forms(*_pair(1, G6, swap)), h="auto")
+    g = make_extension_bundle(10, 4, ci_from_forms(*_pair(c, G6, swap)), h="auto")
+    assert g.h == ref.h and g.h.degree == 5
+    assert ranks == []
+
+
+@_U_MULTIPLES
+def test_h2_depth_of_a_multiple_of_u_is_one(c, swap):
+    ci = ci_from_forms(*_pair(c, G6, swap))
+    assert make_ci_ideal(ci.f1, ci.f2, 0).h2_depth == 1
+    assert make_extension_bundle(10, 4, ci, h="auto").h2_depth == 1
+
+
+@_U_MULTIPLES
+def test_cohomology_of_a_multiple_of_u_prints_the_rows_of_u(capsys, c, swap):
+    def rows(c):
+        f1, f2 = _pair(c, v ** 700, swap)
+        assert main(["cohomology", "--sheaf", f"I([{f1},{f2}])(0)@H2",
+                     "--tmin", "-4", "--tmax", "4", "--no-timestamp"]) == 0
+        return json.loads(capsys.readouterr().out)["rows"]
+
+    assert rows(c) == rows(1)
 
 
 # ---------------------------------------------------------------------------

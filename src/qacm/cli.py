@@ -10,12 +10,12 @@ flags.
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
 import random
 import sys
+import types
 
 from . import mf as mfmod
 from .descriptor import (DescriptorParseError, build, parse, parse_ambient_form,
@@ -67,18 +67,14 @@ def seeded_line_values(seed: int, count: int):
 # emitters
 
 
-def _now() -> str:
-    import datetime  # imported here: a --no-timestamp run needs neither it nor csv
-    return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-
-
 def _emit(args, payload: dict, csv_rows=(), header=()) -> None:
     """Write one report to ``args.out`` or stdout: ``payload`` as JSON, with
     ``timestamp`` as its last key unless --no-timestamp, or, with --format
     csv, the ``header`` columns of each dict in ``csv_rows``, a list cell
     joined by ";"."""
     if args.timestamp:
-        payload["timestamp"] = _now()
+        from datetime import datetime, timezone  # a --no-timestamp run needs neither it nor csv
+        payload["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -232,17 +228,13 @@ def cmd_ulrich_scan(args) -> int:
 # matrix factorization commands
 
 
-def _forms_to_strings(mat):
-    return [[str(f) for f in row] for row in mat]
-
-
 def cmd_mf_example(args) -> int:
     a = mfmod.ulrich_example_matrix(args.component)
     b = mfmod.partner_from_adjugate(a)
     payload = {
         "component": args.component,
-        "matrix": _forms_to_strings(a),
-        "partner": _forms_to_strings(b),
+        "matrix": [list(map(str, row)) for row in a],
+        "partner": [list(map(str, row)) for row in b],
         "det": str(mfmod.determinant(a)),
         "partner_linear": mfmod.is_linear_matrix(b),
         "ulrich_linear": mfmod.ulrich_linear_check(a),
@@ -320,14 +312,20 @@ def cmd_gluing_report(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+MAX_JSON_BYTES = 2 ** 20      # the largest --config or mf verify file read
+
 
 def _read_json(path):
-    """The JSON value in file ``path``; too deep a nesting is a ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    """The JSON value in file ``path``, its bytes decoded as text mode would;
+    a file over MAX_JSON_BYTES (refused undecoded) or too deep a nesting is a ValueError."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_JSON_BYTES + 1)
+    if len(data) > MAX_JSON_BYTES:
+        raise ValueError(f"{path}: file is over MAX_JSON_BYTES = {MAX_JSON_BYTES} bytes")
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 # config key: (default, the test of a --config value, the words for its error)
@@ -410,36 +408,68 @@ COMMANDS = (
 )
 
 
-def _add_commands(parser, rows, dest, argv):
-    """Add ``rows`` to ``parser`` as positional ``dest``: only the row ``argv``
-    starts with is filled in, or every row if it starts with none."""
+def _table_args(argv):
+    """The namespace argparse makes of ``argv``, read from the table: a command
+    path, then full flag names, each but a store_false flag with a value that
+    starts with "-" only as an ASCII negative integer.  None for anything else
+    (help, abbreviations, --flag=value, bad values): argparse reads those."""
+    func, flags, dest, ns, tokens = None, COMMANDS, "command", {}, iter(argv)
+    while func is None:
+        ns[dest] = name = next(tokens, None)
+        row = next((r for r in flags if r[0] == name), None)
+        if row is None:
+            return None
+        _, _, func, flags, defaults = row
+        dest = f"{name}_command"
+    actions = {flag: (kw.get("dest", flag[2:].replace("-", "_")), kw) for flag, kw in flags}
+    ns.update((key, kw.get("default")) for key, kw in actions.values())
+    for flag in tokens:
+        key, kw = actions.get(flag, (None, {}))
+        if kw.get("action") == "store_false":
+            ns[key] = False
+            continue
+        value = next(tokens, "-")                   # a missing value declines as "-"
+        if key is None or value[:1] == "-" and not (value.isascii() and value[1:].isdigit()):
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        ns[key] = (ns[key] or []) + [value] if kw.get("action") == "append" else value
+    if any(kw.get("required") and ns[key] is None for key, kw in actions.values()):
+        return None         # a required flag has no default: None is its absence
+    return types.SimpleNamespace(**ns, func=func, own_defaults=defaults)
+
+
+def _add_commands(parser, rows, dest):
+    """Add ``rows`` to ``parser`` as positional ``dest``."""
     sub = parser.add_subparsers(dest=dest, required=True)
-    chosen = argv[0] if argv and argv[0] in [row[0] for row in rows] else None
     for name, help_text, func, flags, defaults in rows:
         p = sub.add_parser(name, help=help_text)
-        if chosen in (None, name) and func is None:
-            _add_commands(p, flags, f"{name}_command", argv[1:] if chosen else [])
-        elif chosen in (None, name):
-            for flag, kw in flags:
-                p.add_argument(flag, **kw)
-            p.set_defaults(func=func, own_defaults=defaults)
+        if func is None:
+            _add_commands(p, flags, f"{name}_command")
+            continue
+        for flag, kw in flags:
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=func, own_defaults=defaults)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The qacm parser.  Every command is listed, but when ``argv`` starts
-    with a command name only that command gets its arguments (and ``mf``
-    only the named subcommand's): the others are never parsed.  Otherwise
-    (no argv, ``-h``, an unknown name) all of them do."""
+def build_parser() -> argparse.ArgumentParser:
+    """The qacm parser, every command filled in.  main builds it only for a
+    call _table_args declines: help, usage errors and other syntax."""
+    import argparse  # imported here: a call the table reads needs neither it nor gettext
     ap = argparse.ArgumentParser(prog="qacm",
                                  description="Exact cohomology and aCM/Ulrich scans "
                                              "on the reducible quadric surface")
-    _add_commands(ap, COMMANDS, "command", argv)
+    _add_commands(ap, COMMANDS, "command")
     return ap
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _table_args(argv) or build_parser().parse_args(argv)
     try:
         args = _apply_config(args)
         check_twist_window(getattr(args, "tmin", None), getattr(args, "tmax", None))

@@ -1,13 +1,19 @@
 import argparse
+import contextlib
 import csv
 import fractions
 import hashlib
+import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qacm.cli as cli
 import qacm.mf
@@ -584,7 +590,7 @@ def test_points_descriptor_preserves_point_data():
 
 
 # ---------------------------------------------------------------------------
-# one-command parsers
+# the table reader and the argparse fallback
 
 
 def _subparser(parser, name):
@@ -597,15 +603,23 @@ _COMMAND_PATHS = [[name] for name, *_ in cli.COMMANDS] + \
     [["mf", name] for name, *_ in cli.MF_COMMANDS]
 
 
+def _main_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` when argparse ends it."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
 @pytest.mark.parametrize("path", _COMMAND_PATHS, ids=" ".join)
-def test_one_command_parser_has_the_full_help(path):
-    """A parser built for one command prints, for it and every parser on its
-    path, the help the parser with every command filled in prints."""
-    one, full = cli.build_parser(path), cli.build_parser()
-    assert one.format_help() == full.format_help()
-    for depth in range(1, len(path) + 1):
-        one, full = _subparser(one, path[depth - 1]), _subparser(full, path[depth - 1])
-        assert one.format_help() == full.format_help()
+def test_one_command_parser_has_the_full_help(capsys, path):
+    """``main`` prints, for a command and every parser on its path, the help
+    of the parser with every command filled in."""
+    parser = cli.build_parser()
+    for depth in range(len(path) + 1):
+        if depth:
+            parser = _subparser(parser, path[depth - 1])
+        assert _main_outcome(capsys, path[:depth] + ["--help"]) == (0, parser.format_help(), "")
 
 
 def _parse_outcome(capsys, parser, argv):
@@ -632,11 +646,11 @@ _USAGE = "usage: qacm [-h] {cohomology,classify,ulrich-scan,mf,gluing-report} ..
     (["--bogus", "cohomology"], "usage: qacm cohomology [-h] --sheaf SHEAF --tmin TMIN --tmax TMAX\n"),
 ], ids=repr)
 def test_help_and_usage_errors_match_the_full_parser(capsys, argv, usage):
-    """Help and usage errors of ``qacm`` are those of the parser with every
+    """Help and usage errors of ``main`` are those of the parser with every
     command filled in, byte for byte, and a usage error exits 2.  Argparse
     prints the top-level usage for an argument the command leaves over, so
     every command must still be listed there."""
-    code, out, err = _parse_outcome(capsys, cli.build_parser(argv), argv)
+    code, out, err = _main_outcome(capsys, argv)
     assert (code, out, err) == _parse_outcome(capsys, cli.build_parser(), argv)
     assert code == (0 if argv == ["-h"] else 2)
     assert (out if code == 0 else err).startswith(usage)
@@ -645,9 +659,9 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, argv, usage):
 def test_usage_errors_name_the_command_argument(capsys):
     """The pinned bytes of two top-level usage errors: the command positional
     is named ``command`` and lists every command."""
-    assert _parse_outcome(capsys, cli.build_parser([]), []) == (
+    assert _main_outcome(capsys, []) == (
         2, "", _USAGE + "qacm: error: the following arguments are required: command\n")
-    assert _parse_outcome(capsys, cli.build_parser(["bogus"]), ["bogus"]) == (
+    assert _main_outcome(capsys, ["bogus"]) == (
         2, "", _USAGE + "qacm: error: argument command: invalid choice: 'bogus' (choose from "
                         "'cohomology', 'classify', 'ulrich-scan', 'mf', 'gluing-report')\n")
 
@@ -658,17 +672,166 @@ def test_usage_errors_name_the_command_argument(capsys):
     (["mf", "hilbert", "--tmax", "1", "--no-timestamp"], "mf"),
 ])
 def test_a_call_fills_in_only_its_own_command(monkeypatch, capsys, argv, command):
-    """``main`` adds the arguments of the named command only: with every other
-    command's flags raising when they are read, the call still runs."""
+    """``main`` reads a call from its own command's row of the table: with
+    every other command's flags raising when they are read, the call still
+    runs."""
     class Refuse:
         def __iter__(self):
-            raise AssertionError("arguments of another command were added")
+            raise AssertionError("arguments of another command were read")
 
     monkeypatch.setattr(cli, "COMMANDS", tuple(
         (name, help_text, func, flags if name == command else Refuse(), defaults)
         for name, help_text, func, flags, defaults in cli.COMMANDS))
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["rows"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--sheaf", "O(1)+O(0)@H1", "--tmin", "-1", "--tmax", "1", "--no-timestamp"],
+    ["classify", "--cmax", "2", "--seed", "3", "--format", "csv", "--no-timestamp"],
+    ["ulrich-scan", "--cmax", "2", "--margin", "8", "--no-timestamp"],
+    ["mf", "example", "--component", "2", "--no-timestamp"],
+    ["mf", "verify", "--file", "PAIR"],
+    ["mf", "hilbert", "--component", "1", "--tmin", "-1", "--tmax", "1", "--no-timestamp"],
+    ["gluing-report", "--sheaf", GLUING_DESC, "--e", "id", "--e", "diag(2,3)", "--tmin", "-1",
+     "--tmax", "0", "--no-timestamp"],
+], ids=lambda argv: " ".join(argv[:2]) if argv[0] == "mf" else argv[0])
+def test_a_call_the_table_reads_builds_no_parser(monkeypatch, tmp_path, capsys, argv):
+    """A call of full flag names runs on the command table alone: argparse is
+    built only for help, usage errors and syntax the table does not read."""
+    def refuse():
+        raise AssertionError("argparse built for a call the table reads")
+
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"q": "x*y", "A": [["x"]], "B": [["y"]]}))
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main([str(pair) if a == "PAIR" else a for a in argv]) == 0
+    assert capsys.readouterr().out
+
+
+def test_a_call_loads_no_argparse():
+    """Importing the CLI and running a call the table reads loads neither
+    argparse nor the gettext and locale modules it brings."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, qacm.cli; qacm.cli.main(['mf', 'hilbert', '--out', sys.argv[1]]); "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def _row(path):
+    """The command-table row of the command path ``path``, or None."""
+    rows, row = cli.COMMANDS, None
+    for name in path:
+        row = next((r for r in rows if r[0] == name), None)
+        if row is None:
+            return None
+        rows = row[3]
+    return row if row and row[2] else None
+
+
+_LEAVES = [path for path in _COMMAND_PATHS if _row(path)]
+_FLAGS = {flag: kw for path in _LEAVES for flag, kw in _row(path)[3]}
+_ODD = ["-40", "-x", "-²", "-١٢", "١٢", "", "-", "--", "-h", "--help", "-x y", " -x", "3"]
+
+
+def _value(kw):
+    """Values argparse accepts for a flag of keywords ``kw``."""
+    if "choices" in kw:
+        return st.sampled_from([str(c) for c in kw["choices"]])
+    if kw.get("type") is int:
+        return st.one_of(st.integers(-300, 300).map(str),
+                         st.sampled_from(["007", "-007", " 5", " -4", "١٢"]))
+    return st.one_of(st.sampled_from(["O(1)+O(0)@H1", "id", "-40", " -x", "a b", ""]),
+                     st.text(max_size=6).filter(lambda v: not v.startswith("-")))
+
+
+def _odd_values(kw):
+    """Values of a flag of keywords ``kw`` that argparse refuses, or reads by
+    rules the table does not follow."""
+    if "choices" in kw:
+        return ["xml", "0", "3", "-1", "01"]
+    if kw.get("type") is int:
+        return ["3.5", "x", "", "1e3", "-١٢", "-1_0", "-0x1"]
+    return _ODD
+
+
+@st.composite
+def _calls(draw, odd):
+    """An argv from the command table: a command path, its required flags and
+    some more (repeated flags, several --e), each with a valid value; with
+    ``odd``, also other paths, bad values, abbreviations, --flag=value, --,
+    help, flags of other commands, a flag with no value and dropped required
+    flags."""
+    path = draw(st.sampled_from(_LEAVES + [[], ["mf"], ["bogus"], ["mf", "bogus"],
+                                           ["hilbert"]] if odd else _LEAVES))
+    flags = _row(path)[3] if _row(path) else ()
+
+    def valid(flag, kw):
+        return [flag] if kw.get("action") == "store_false" else [flag, draw(_value(kw))]
+
+    def odd_item():
+        flag, kw = draw(st.sampled_from(list(flags) or sorted(_FLAGS.items())))
+        bad = [flag, draw(st.sampled_from(_odd_values(kw)))]
+        return draw(st.sampled_from([
+            bad, bad, bad, [flag[:draw(st.integers(3, max(3, len(flag) - 1)))], "1"],
+            [f"{flag}=1"], ["--"], [draw(st.sampled_from(_ODD))], ["-h"], [flag],
+            [draw(st.sampled_from(sorted(_FLAGS))), "1"]]))
+
+    items = [valid(f, kw) for f, kw in flags if kw.get("required")]
+    if odd and items and draw(st.booleans()):
+        items.pop(draw(st.integers(0, len(items) - 1)))
+    items += [valid(*draw(st.sampled_from(flags))) for _ in range(draw(st.integers(0, 5)))
+              if flags]
+    items += [odd_item() for _ in range(draw(st.integers(1, 2)) if odd else 0)]
+    return path + [token for item in draw(st.permutations(items)) for token in item]
+
+
+def _argparse_vars(argv):
+    """vars() of the full parser's namespace of argv; it must parse."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit as exc:
+        raise AssertionError(f"argparse refused {argv} with exit {exc.code}") from None
+
+
+@given(_calls(odd=False))
+@settings(max_examples=150, deadline=None)
+def test_the_table_reads_a_call_of_full_flag_names_as_argparse_does(argv):
+    args = cli._table_args(argv)
+    assert args is not None, argv
+    assert vars(args) == _argparse_vars(argv)
+
+
+@given(_calls(odd=True))
+@settings(max_examples=300, deadline=None)
+def test_whatever_the_table_reads_argparse_reads_alike(argv):
+    """The table reads a call exactly as argparse does or declines it, so
+    help, usage errors and other syntax stay argparse's."""
+    args = cli._table_args(argv)
+    if args is not None:
+        assert vars(args) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["cohomology", "--sheaf", "-²", "--tmin", "0", "--tmax", "0"], 2),
+    (["cohomology", "--sheaf", "x", "--tmin", "-١٢", "--tmax", "0"], None),
+    (["cohomology", "--sheaf=x", "--tmin", "0", "--tmax", "0"], None),
+    (["cohomology", "--sh", "x", "--tmin", "0", "--tmax", "0"], None),
+    (["cohomology", "--sheaf", "x", "--tmin", "0", "--tmax"], 2),
+    (["cohomology", "--sheaf", "x", "--tmin", "0", "--tmax", "1.0"], 2),
+    (["cohomology", "--tmin", "0", "--tmax", "0"], 2),
+    (["mf", "example", "--component", "3"], 2),
+    (["mf", "hilbert", "--", "--tmin", "0"], 2),
+    (["classify", "--format", "xml"], 2),
+], ids=repr)
+def test_the_table_declines_what_it_does_not_read(capsys, argv, code):
+    """Syntax past full flag names and values is argparse's: it refuses some
+    of these and reads others, as the full parser alone would."""
+    assert cli._table_args(argv) is None
+    assert _parse_outcome(capsys, cli.build_parser(), argv)[0] == code
 
 
 # sha256 of json.dumps([exit code, stdout, stderr]) of ``qacm PATH --help`` and
@@ -700,10 +863,10 @@ _HELP_PINS = {(3, 11): {
 @pytest.mark.parametrize("extra", ["--help", "--bogus"])
 def test_help_and_a_usage_error_are_pinned(monkeypatch, capsys, path, extra):
     """The help and one usage error of every command path, byte for byte: a
-    flag dropped, reordered or reworded in the one-command and the full
-    parser alike changes the digest.  Argparse's wording differs between
-    Python versions, so the bytes are pinned for the version they were
-    recorded under."""
+    flag dropped, reordered or reworded in the command table, which both the
+    table reader and the full parser read, changes the digest.  Argparse's
+    wording differs between Python versions, so the bytes are pinned for the
+    version they were recorded under."""
     pins = _HELP_PINS.get(sys.version_info[:2])
     if pins is None:
         pytest.skip("help bytes are pinned for CPython 3.11 only")
@@ -743,6 +906,33 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, argv + [str(path)])
     assert (code, out) == (2, "")
     assert err == f"error: {path}: JSON nested too deeply to read\n"
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["mf", "verify", "--file"], {"q": "x*y", "A": [["x"]], "B": [["y"]]}),
+    (["classify", "--config"], {"cmax": 2, "timestamp": False}),
+], ids=["mf-verify", "config"])
+def test_a_json_file_over_its_bound_is_refused_before_decoding(monkeypatch, tmp_path, capsys,
+                                                               argv, content):
+    """A file of MAX_JSON_BYTES is read; one byte more is refused, naming the
+    file and the limit, before any decoding, so a 4 MB file is refused at once."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    size = path.stat().st_size
+    monkeypatch.setattr(cli, "MAX_JSON_BYTES", size)
+    code, out, _ = run(capsys, argv + [str(path)])
+    assert code == 0 and out
+    monkeypatch.setattr(cli, "MAX_JSON_BYTES", size - 1)
+    monkeypatch.setattr(cli.json, "load", lambda fh: pytest.fail("decoded a file over the bound"))
+    code, out, err = run(capsys, argv + [str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: file is over MAX_JSON_BYTES = {size - 1} bytes\n"
+    monkeypatch.undo()
+    path.write_text(json.dumps({**content, "q": "+".join(["x*y"] * 1_000_000)}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv + [str(path)])
+    assert (code, out) == (2, "") and time.perf_counter() - start < 1
+    assert f"MAX_JSON_BYTES = {cli.MAX_JSON_BYTES} bytes" in err
 
 
 _LONG = "9" * 5000

@@ -19,8 +19,9 @@ of the cover and of the relation, and c for a kernel sheaf on the quadric), and
 ``degree_table`` alone turns it into rows.  For a plane sheaf, h0: the relation,
 a nonzero column, is injective on H0.  h1: the kernel of the relation on H2,
 Serre dual to (S/(p))_(-b-t-3) for the relation forms (p), a regular sequence
-(``ci_hilbert``).  h2: the cokernel there.  The kernel's vectors
-(``relation_h2_kernel``) serve only the checks of a kernel sheaf's table.
+(``ci_hilbert``).  h2: the cokernel there.  No kernel is eliminated: a kernel
+sheaf's table is checked through the Hilbert functions of A = S/(p), from the
+degrees, and of A/uA = Q[v, w]/(p|_L), from ranks on L (``line_hilbert``).
 """
 
 from __future__ import annotations
@@ -73,11 +74,21 @@ class CISubscheme:
                    for f, g in ((self.f1, self.f2), (self.f2, self.f1)))
 
 
-def _ideal_piece_matrix(forms, d: int) -> RatMatrix:
+def _ideal_piece_matrix(forms, d: int, space: str = P2) -> RatMatrix:
     """Columns spanning the degree-d piece of the ideal generated by the
-    nonzero ``forms`` inside the monomial coordinates of H0(P2, O(d))."""
-    return multiplication_matrix([forms], [basis(P2, 0, d - f.degree) for f in forms],
-                                 [basis(P2, 0, d)])
+    nonzero ``forms`` inside the monomial coordinates of H0(space, O(d)): plane
+    forms on P2, binary forms on P1 = L."""
+    return multiplication_matrix([forms], [basis(space, 0, d - f.degree) for f in forms],
+                                 [basis(space, 0, d)])
+
+
+def u_in_ideal(forms) -> bool:
+    """u lies in the ideal of the nonzero plane ``forms``: its degree-1 piece holds u
+    exactly when a form is a nonzero constant, or u is in the span of the linear ones."""
+    if any(f.degree == 0 for f in forms):
+        return True
+    linear = [f for f in forms if f.degree == 1]
+    return rank(_ideal_piece_matrix(linear + [U], 1)) == rank(_ideal_piece_matrix(linear, 1))
 
 
 def ci_from_forms(f1: Form, f2: Form, points=None) -> CISubscheme:
@@ -179,12 +190,6 @@ class _Presented:
         """The number of target summands less the number of relations."""
         pres = self.presentation
         return len(pres.target_twists) - (pres.relation_twist is not None)
-
-    @cached_property
-    def h2_depth(self):
-        """1 when a relation form is c*u, else None: the rows of ``relation_h2_kernel``
-        are the dual monomials of u-exponent -1 to -depth, or all of them for None."""
-        return 1 if any(is_u(f) for f in self.presentation.relation) else None
 
     @cached_property
     def line_presentation(self) -> Presentation:
@@ -342,68 +347,6 @@ def make_extension_bundle(c: int, k: int, ci: CISubscheme, h="auto", side: int =
 # cohomology from the presentation
 
 
-def _relation_matrix(space: str, i: int, pres: Presentation, t: int) -> RatMatrix:
-    """H^i-level matrix of the relation of ``pres``: H^i(O(b+t)) -> sum H^i(O(a+t));
-    without a relation it has no columns, and no basis is built."""
-    b = pres.relation_twist
-    if b is None:
-        return RatMatrix.zero(sum(cohomology_dim(space, i, a + t) for a in pres.target_twists), 0)
-    return multiplication_matrix([(f,) for f in pres.relation], [basis(space, i, b + t)],
-                                 [basis(space, i, a + t) for a in pres.target_twists])
-
-
-def relation_h2_matrix(sheaf, t: int) -> RatMatrix:
-    """H2-level (dual monomial) matrix of the relation at twist t."""
-    return _relation_matrix(P2, 2, sheaf.presentation, t)
-
-
-def _socle_bound(forms, count: int):
-    """sum(deg) - count + 1 when exactly ``count`` of the forms (count = number
-    of variables) are nonzero, else None.  If those forms have no common zero
-    they are a regular sequence, S/(forms) is an Artinian complete intersection
-    of socle degree sum(deg) - count, and the ideal holds every form of degree
-    >= the bound (Eisenbud, Commutative Algebra, 21.2)."""
-    forms = [f for f in forms if not f.is_zero]
-    return sum(f.degree for f in forms) - count + 1 if len(forms) == count else None
-
-
-def relation_h2_kernel(sheaf, t: int) -> RatMatrix:
-    """The kernel of ``relation_h2_matrix(sheaf, t)``.  Its rows run over the whole
-    dual basis of H2(O(b + t)), unless a relation form is c*u (``h2_depth`` 1): then
-    every kernel vector vanishes off the dual monomials of u-exponent -1, which the
-    reverse-lex basis lists first, and the rows run over those alone:
-
-    * Exact.  If form i is c*u, a dual monomial (a, v, w) with a <= -2 maps
-      to c*(a+1, v, w) in summand i, a row no other monomial reaches; the
-      singleton row makes the column a pivot, zero in every kernel vector.  On
-      the u-exponent -1 columns each form acts by its restriction to L (u
-      contracts them to zero) into u-exponent -1 rows: the block is the
-      H1-level relation on L at t + 1, i.e. 0 -> F(-1) -> F -> F|_L -> 0.
-    * Bit-identical.  The reduced-echelon basis of ``kernel_basis`` depends
-      only on the pivot columns, j being one when it is no combination of
-      the columns before it.  The columns before a u-exponent -1 column are of
-      u-exponent -1 too, so it is a pivot of the block exactly when it is one of
-      the whole matrix, and every later column is a pivot.  The block kernel,
-      padded with zeros, is the whole kernel vector for vector.
-    * Zero below degree 0 and past the socle, with no matrix built.  By Serre
-      duality the kernel is the orthogonal of the degree-n piece of the ideal
-      of the forms that act, n = -(b+t) - 3: the restrictions to L on the
-      u-exponent -1 monomials, the relation itself on the whole basis.  For
-      n < 0 the source is empty; once n reaches ``_socle_bound`` and the forms
-      have no common zero (decided once per sheaf) that piece is everything.
-    """
-    b = sheaf.presentation.relation_twist
-    on_line = sheaf.h2_depth
-    pres = sheaf.line_presentation if on_line else sheaf.presentation
-    n, bound = -(b + t) - 3, _socle_bound(pres.relation, 3 - bool(on_line))
-    if n < 0 or bound is not None and n >= bound and (
-            sheaf.line_relation_coprime if on_line else sheaf.relation_common_zero_free):
-        return RatMatrix.zero(cohomology_dim(P1, 1, b + t + 1) if on_line
-                              else cohomology_dim(P2, 2, b + t), 0)
-    return kernel_basis(line_relation_matrix(sheaf, t + 1, 1) if on_line
-                        else relation_h2_matrix(sheaf, t))
-
-
 def ci_hilbert(degrees, n: int) -> int:
     """dim (S/(p))_n, S = Q[u, v, w], (p) a regular sequence of forms of the given
     degrees: the z^n coefficient of prod(1 - z^d) / (1 - z)^3 (Eisenbud, Commutative
@@ -415,6 +358,19 @@ def ci_hilbert(degrees, n: int) -> int:
     for d in degrees:
         terms += [(m - d, -s) for m, s in terms]
     return sum(s * (m + 1) * (m + 2) // 2 for m, s in terms if m >= 0)
+
+
+def line_hilbert(forms, lo: int, hi: int) -> tuple:
+    """dim (Q[v, w]/(forms))_d for d = lo..hi, ``forms`` binary, one rank of the
+    degree-d piece of their ideal per degree from lo up to the first d where the
+    quotient is 0.  It is 0 from there on: the quotient is generated in degree 1."""
+    forms = [f for f in forms if not f.is_zero]
+    dims = []
+    for d in range(lo, hi + 1):
+        dims.append(d + 1 - rank(_ideal_piece_matrix(forms, d, P1)))
+        if not dims[-1]:
+            break
+    return tuple(dims) + (0,) * (hi + 1 - lo - len(dims))
 
 
 def euler_char(sheaf, t: int) -> int:
@@ -432,16 +388,6 @@ def h2_kernel_dim(d: DegreeData, t: int) -> int:
     if b is None:
         return 0
     return ci_hilbert([a - b for a in d.cover], -b - t - 3)
-
-
-def check_h2_kernel(sheaf, t: int, ker: RatMatrix) -> None:
-    """Raise InternalCheckError unless ``ker``, the eliminated kernel of the H2-level
-    relation of ``sheaf`` (the other side of a kernel sheaf) at twist t, has
-    dimension ``h2_kernel_dim``."""
-    n = h2_kernel_dim(sheaf.degree_data, t)
-    if ker.cols != n:
-        raise InternalCheckError(f"H2 kernel of the other side at twist {t} has dimension "
-                                 f"{ker.cols}, its Hilbert function {n}")
 
 
 @record
@@ -557,11 +503,6 @@ class Trivialization:
 
     degrees: tuple
     rows: tuple
-
-
-def line_relation_matrix(sheaf, t: int, i: int) -> RatMatrix:
-    """H^i-level (i = 0 or 1) matrix of the restricted relation on L."""
-    return _relation_matrix(P1, i, sheaf.line_presentation, t)
 
 
 def _hom_row_candidates(sheaf, e: int) -> list:

@@ -12,35 +12,27 @@ O_L(c) + O_L (identity, diagonal, or upper triangular).
 The table of K(t) is a count of degrees: ``degree_table`` of its degree data,
 the other side's with c, reads h0, h1 and h2 off the long exact sequences of
 the plane sheaves.  No H0-level map is built and no row reads e, so a table
-does not depend on the gluing.  ``coh_table`` then checks every row against the
-built forms of F_other, 0 -> O(b) -> O(a_1) + ... -> F_other -> 0 with relation
-forms p_i = sum_j u^j p_(i,j), p_(i,j) free of u:
+does not depend on the gluing.  ``coh_table`` then checks h1 against the built
+forms of F_other, 0 -> O(b) -> O(a_1) + ... -> F_other -> 0 with relation forms
+(p) = (p_1, ..., p_n) of degrees a_i - b, once per table and with no kernel
+eliminated (``h1_from_forms``):
 
-* the H2-level kernel K of F_other at t, eliminated once, has the dimension
-  the Hilbert function of the relation forms gives;
-* h1, the kernel of the H1-level restriction H1(F_other(t)) -> H1(F_other|_L(t))
-  in 0 -> F_other(t-1) -> F_other(t) -> F_other|_L(t) -> 0, equals
-  dim ker (T_t Q K), all of it on L (the LES check).
+The relation forms of a locally free F_other are a regular sequence, so
+A = S/(p), S = Q[u, v, w], is an Artinian complete intersection, Gorenstein of
+socle degree s = sum(a_i - b) - 3.  H1(F_other(t)) is the kernel of the relation
+on H2, Serre dual to A_n, n = -(b+t) - 3: H1_*(F_other) is the graded dual of A.
+In 0 -> F_other(t-1) -> F_other(t) -> F_other|_L(t) -> 0, h1(K(t)) is the image
+of u on H1(F_other(t-1)), dual to u: A_n -> A_(n+1), so
+h1(K(t)) = dim A_n - dim (0 :_A u)_n.  Matlis duality holds in the Gorenstein
+ring A: 0 :_A u = Hom_A(A/uA, A) is the graded dual of A/uA shifted by s, and
+A/uA = B = Q[v, w]/(p|_L).  Hence
 
-The LES check is exact.  With P_t the H2-level relation at t and L_t the
-H1-level relation on L at t, the restriction H1(F_other(t)) = K ->
-H1(F_other|_L(t)) = coker L_t sends x to the class of P_(t-1) x', x' the lift of
-x along u (each u-exponent one lower).  Since u P_(t-1) x' = P_t x = 0, P_(t-1) x'
-lies in the u-exponent -1 rows of H2(O(a_i + t - 1)), which are H1(O_L(a_i + t)),
-and there it is sum_(j>=1) (p_(i,j)|_L) x_(-j), with x_(-j) the u-exponent -j
-slice of x, a vector on H1(O_L(b + t + j)).  That is Q x, Q the multiplication by
-the grid of the p_(i,j)|_L (``_u_coefficients``) from the slices K covers, so h1
-is dim {x in K : Q x in im L_t}.  On L, H1 is right exact:
+    h1(K(t)) = HF_A(n) - HF_B(s - n),
 
-    H1(O_L(b+t)) --L_t--> sum H1(O_L(a_i+t)) --T_t--> H1(O_L(c+t)) + H1(O_L(t)) -> 0
-
-with T_t the H1-level map of the other side's trivialization rows (hi, lo): they
-are a basis of the syzygies of the restricted relation (Hilbert-Burch, checked by
-``trivialize_on_line``) of type (c, 0) (checked by ``make_kernel_sheaf``), so
-they map sum O_L(a_i) onto F_other|_L = O_L(c) + O_L with kernel the relation.
-Hence im L_t = ker T_t, and h1 = dim ker (T_t Q K): T_t Q is multiplication by
-the 2 x J grid T q (``_les_grid``), so no L_t is built.  When a relation form is
-c*u, K lies in one slice and is the kernel of L_(t+1) (``relation_h2_kernel``).
+HF_A from the degrees (``ci_hilbert``), HF_B from ranks of the pieces of the
+ideal (p|_L) on L (``line_hilbert``).  The same argument decides the aCM
+verdict: K is aCM exactly when u kills A, that is when u lies in (p), which
+``acm_check`` reads off the forms (``u_in_ideal``) and holds the table to.
 
 chi = h0 - h1 + h2 holds identically (h1 enters h2 as well) and is not checked.
 
@@ -55,13 +47,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalCheckError
-from .linalg import QQ, RatMatrix, block_diag, hstack, kernel_basis, kernel_dim, rank
-from .monomials import (P1, P2, Form, basis, multiplication_matrix, restrict_to_line,
-                        restrict_to_plane, restriction_matrix)
-from .plane import (CohRow, CohTable, DegreeData, SplitBundle, check_h2_kernel, chern,
-                    ci_from_forms, ci_from_line_points, cohomology as plane_cohomology,
-                    degree_table, make_extension_bundle, make_split_bundle,
-                    relation_h2_kernel, trivialize_on_line)
+from .linalg import QQ, RatMatrix, block_diag, hstack, kernel_basis, rank
+from .monomials import (P1, P2, Form, basis, multiplication_matrix, restrict_to_plane,
+                        restriction_matrix)
+from .plane import (CohRow, CohTable, DegreeData, SplitBundle, chern, ci_from_forms,
+                    ci_from_line_points, ci_hilbert, cohomology as plane_cohomology,
+                    degree_table, line_hilbert, make_extension_bundle, make_split_bundle,
+                    trivialize_on_line, u_in_ideal)
 from .record import record
 
 AMBIENT_LINEAR = tuple(Form.variable(4, n) for n in ("x", "y", "z", "w"))
@@ -176,67 +168,34 @@ def _restriction(k: KernelSheaf, t: int) -> RatMatrix:
     return block_diag(*[restriction_matrix(a + t) for a in k.twists])
 
 
-def _u_coefficients(pres) -> tuple:
-    """The grid of p_(i,j)|_L, j = 1 up to the top power of u, one row per relation
-    form p_i = sum_j u^j p_(i,j): its coefficient of u^j, ``restrict_to_line(p_i, j)``,
-    a binary form of degree a_i - b - j."""
-    top = max((e[0] for f in pres.relation for e, _ in f.terms), default=0)
-    return tuple(tuple(restrict_to_line(f, j) for j in range(1, top + 1)) for f in pres.relation)
-
-
-def _les_grid(k: KernelSheaf) -> tuple:
-    """T q: the other side's trivialization rows (hi, lo), its columns of ``k.line_map``
-    (negated, which changes no kernel; e does not reach them), times the grid
-    ``_u_coefficients``; entry (e, j) has degree c_e - b - j, (c_0, c_1) = (c, 0)."""
-    q = _u_coefficients(k.other.presentation)
-    n = len(k.split.twists)
-    return tuple(tuple(Form.sum(2, (r * qi[j] for r, qi in zip(row[n:], q)))
-                       for j in range(len(q[0]))) for row in k.line_map)
-
-
-def _h1_kernel_on_line(k: KernelSheaf, t: int, ker: RatMatrix, grid: tuple) -> int:
-    """dim ker(H1(F_other(t)) -> H1(F_other|_L(t))) = dim ker (T_t Q K) (the module
-    docstring).  ``ker`` = K, the H2-level kernel of F_other at t, on the leading
-    u-exponent slices of H2(O(b+t)); T_t Q multiplies by ``grid`` (``_les_grid``)
-    from the slices H1(O_L(b+t+j)) that K's rows cover into H1(O_L(c+t)) + H1(O_L(t))."""
-    if not ker.cols:
-        return 0
-    srcs, n = [], 0
-    while n < ker.rows:
-        srcs.append(basis(P1, 1, k.other.presentation.relation_twist + t + len(srcs) + 1))
-        n += srcs[-1].dim
-    m = multiplication_matrix([row[:len(srcs)] for row in grid], srcs,
-                              [basis(P1, 1, k.c + t), basis(P1, 1, t)])
-    return kernel_dim(m @ ker)
-
-
-def _line_walk(k: KernelSheaf, tmin: int, tmax: int):
-    """The LES check's h1 of K(t), t = tmin..tmax, by ``_h1_kernel_on_line``: every
-    H2 kernel (``relation_h2_kernel``) is computed once and checked against its Hilbert
-    function (the relation forms of a glued other side are a regular sequence, as it
-    is locally free); T q is formed once, and a nonzero K_t costs one product and rank."""
-    other = k.other
-    grid = _les_grid(k)
-    for t in range(tmin, tmax + 1):
-        ker = relation_h2_kernel(other, t)
-        check_h2_kernel(other, t, ker)
-        yield _h1_kernel_on_line(k, t, ker, grid)
+def h1_from_forms(k: KernelSheaf, tmin: int, tmax: int) -> list:
+    """h1(K(t)) for t = tmin..tmax as HF_A(n) - HF_B(s - n), n = -(b+t) - 3 (the
+    module docstring): HF_A from the degrees (``ci_hilbert``), HF_B from ranks on L
+    (``line_hilbert``), taken once, at the degrees s - n the window reads with
+    0 <= n <= s, ascending with t; B is 0 outside them.  0 without a relation."""
+    pres = k.other.presentation
+    b = pres.relation_twist
+    if b is None:
+        return [0] * (tmax - tmin + 1)
+    degrees = [a - b for a in pres.target_twists]
+    s = sum(degrees) - 3
+    ns = [-(b + t) - 3 for t in range(tmin, tmax + 1)]
+    read = [s - n for n in ns if 0 <= n <= s]
+    forms = k.other.line_presentation.relation
+    hf_b = dict(zip(read, line_hilbert(forms, read[0], read[-1]))) if read else {}
+    return [ci_hilbert(degrees, n) - hf_b.get(s - n, 0) for n in ns]
 
 
 def coh_table(k: KernelSheaf, tmin: int, tmax: int) -> CohTable:
     """The rows of K(t) for t in [tmin, tmax]: ``degree_table`` of its degree
-    data, each row checked against the built forms (InternalCheckError): the H2
-    kernels of the other side by their Hilbert function and h1 by the LES check on
-    L, ``_line_walk``.  Without a relation no kernel is computed and h1 must be 0."""
+    data, its h1 checked against ``h1_from_forms`` on the built forms
+    (InternalCheckError)."""
     table = degree_table(k.degree_data, tmin, tmax)
-    if k.other.presentation.relation_twist is None:
-        walk = (0 for _ in table.rows)
-    else:
-        walk = _line_walk(k, tmin, tmax)
-    for row, full in zip(table.rows, walk):
-        if row.h1 != full:
+    for row, h1 in zip(table.rows, h1_from_forms(k, tmin, tmax)):
+        if row.h1 != h1:
             raise InternalCheckError(
-                f"LES inconsistency at twist {row.t}: degree count {row.h1}, LES route {full}")
+                f"h1 inconsistency at twist {row.t}: degree count {row.h1}, "
+                f"A/uA route {h1}")
     return table
 
 
@@ -276,17 +235,27 @@ def acm_window(k: KernelSheaf, margin: int = 8) -> tuple:
     the socle degree.  F_other|_L = O_L(c) + O_L gives sum(a_i) - b = c, so that is
     t in [b - c + 1, -b - 2].  For G from ``make_extension_bundle``,
     b = d1 d2 - d1 - d2 >= -1 and b - c + 1 = 1 - k - d1 - d2 >= -c: inside the
-    window.  A split other side has h1 = 0."""
+    window.  A split other side has h1 = 0.  ``acm_check`` holds the window's
+    verdict to u in (p), so a window that misses a twist with h1 != 0 is refused."""
     pres = k.other.presentation
     k_bound = max(0, *pres.target_twists)
     return (-k.c - k_bound - margin, 6)
 
 
 def acm_check(k: KernelSheaf, margin: int = 8) -> ACMReport:
-    """h1(K(t)) at every twist of ``acm_window``, outside of which it vanishes."""
+    """h1(K(t)) at every twist of ``acm_window``, outside of which it vanishes.
+    K is aCM exactly when u kills A = S/(p) (the module docstring), that is when
+    u lies in (p); a verdict of the table that disagrees raises InternalCheckError.
+    A split other side has no relation and no H1: K is aCM."""
     lo, hi = acm_window(k, margin)
     table = coh_table(k, lo, hi)
-    return ACMReport(all(r.h1 == 0 for r in table.rows), table, (lo, hi))
+    is_acm = all(r.h1 == 0 for r in table.rows)
+    pres = k.other.presentation
+    u_kills_a = pres.relation_twist is None or u_in_ideal(pres.relation)
+    if is_acm != u_kills_a:
+        raise InternalCheckError(f"aCM verdict of the table over [{lo}, {hi}] is {is_acm}, "
+                                 f"u in (p) is {u_kills_a}")
+    return ACMReport(is_acm, table, (lo, hi))
 
 
 @record
@@ -326,10 +295,10 @@ class GluingVariationRow:
     equal_to_identity: bool
 
 
-# Work bounds.  A plane table is a count; a kernel sheaf eliminates an H2 kernel of its other
-# side only between an empty source and the socle degree (the README sheaf over [-250, 9]:
-# 0.01 s, 17 MB, 2-vCPU Xeon, Python 3.11).  The deepest scan window [-2 c_max - margin, 6]
-# starts at -202.
+# Work bounds.  A plane table is a count; a kernel sheaf's table ranks B = A/uA on L once per
+# table, at no more than s + 1 degrees (over [-250, 9], 2-vCPU Xeon, Python 3.11: the README
+# sheaf 1 ms; G(c=598,k=298,Z=[u,v^300],h=auto), the largest B a descriptor admits, 249 ranks
+# in 0.15 s and 33 MB).  The deepest scan window [-2 c_max - margin, 6] starts at -202.
 MAX_ABS_TWIST = 250
 MAX_WINDOW = 260
 # A form of a descriptor has degree <= MAX_FORM_DEGREE, checked before any product is
@@ -354,7 +323,7 @@ def check_twist_window(tmin, tmax) -> None:
 def gluing_variation_report(k: KernelSheaf, gluings, tmin: int = None, tmax: int = None):
     """Cohomology tables of the same (F_split, F_other) pair under different
     gluings.  Each gluing is validated by ``check_gluing`` first, and the table is
-    computed once: no row reads e (h0 is a count of degrees and the LES check
+    computed once: no row reads e (h0 is a count of degrees and the h1 check
     reads only F_other), so every gluing has the identity's table and
     ``equal_to_identity`` holds.
     A missing bound of the twist window is taken from ``acm_window``."""

@@ -1,21 +1,118 @@
-"""Two references of the tests for a kernel sheaf's LES check.
+"""The H2-level route of the tests for a kernel sheaf's h1, and its references.
 
-h1 of K(t) is the kernel of the H1-level restriction H1(F_other(t)) ->
-H1(F_other|_L(t)).  ``h1_kernel_of_line_map_full`` computes it by the zig-zag
-through the presentation on P2: lift the H2-level kernel along u, push it
-through the relation at t - 1, and kill the image of the restricted relation.
+``relation_h2_kernel`` eliminates the kernel of the H2-level relation of a plane
+sheaf at one twist, on the u-exponent -1 dual monomials alone when a relation
+form is a multiple of u (``h2_depth``), and ``check_h2_kernel`` holds it to the
+Hilbert function of the relation forms.  h1 of K(t) is the kernel of the
+H1-level restriction H1(F_other(t)) -> H1(F_other|_L(t)).
+``h1_kernel_of_line_map_full`` computes it by the zig-zag through the
+presentation on P2: lift the H2-level kernel along u, push it through the
+relation at t - 1, and kill the image of the restricted relation.
 ``h1_kernel_stacked`` computes it on L, killing that image by eliminating the
-stacked matrix [Q K | L_t].  Neither shares code with the degree count, and
-neither reads a trivialization: ``quadric._h1_kernel_on_line`` computes the same
-as dim ker (T_t Q K), T_t the H1-level map of the trivialization rows.
+stacked matrix [Q K | L_t].  Neither shares code with the degree count or with
+``quadric.h1_from_forms``, and neither reads a trivialization.
 """
+
+from __future__ import annotations
 
 from functools import cache
 
-from qacm.linalg import hstack, kernel_dim
-from qacm.monomials import P1, P2, GradedPiece, basis, dual_exponents, multiplication_matrix
-from qacm.plane import line_relation_matrix
-from qacm.quadric import _u_coefficients
+from qacm.errors import InternalCheckError
+from qacm.linalg import RatMatrix, hstack, kernel_basis, kernel_dim
+from qacm.monomials import (P1, P2, GradedPiece, basis, cohomology_dim, dual_exponents,
+                            multiplication_matrix, restrict_to_line)
+from qacm.plane import Presentation, h2_kernel_dim, is_u
+
+
+def h2_depth(sheaf):
+    """1 when a relation form is c*u, else None: the rows of ``relation_h2_kernel``
+    are the dual monomials of u-exponent -1 to -depth, or all of them for None."""
+    return 1 if any(is_u(f) for f in sheaf.presentation.relation) else None
+
+
+def _relation_matrix(space: str, i: int, pres: Presentation, t: int) -> RatMatrix:
+    """H^i-level matrix of the relation of ``pres``: H^i(O(b+t)) -> sum H^i(O(a+t));
+    without a relation it has no columns, and no basis is built."""
+    b = pres.relation_twist
+    if b is None:
+        return RatMatrix.zero(sum(cohomology_dim(space, i, a + t) for a in pres.target_twists), 0)
+    return multiplication_matrix([(f,) for f in pres.relation], [basis(space, i, b + t)],
+                                 [basis(space, i, a + t) for a in pres.target_twists])
+
+
+def relation_h2_matrix(sheaf, t: int) -> RatMatrix:
+    """H2-level (dual monomial) matrix of the relation at twist t."""
+    return _relation_matrix(P2, 2, sheaf.presentation, t)
+
+
+def _socle_bound(forms, count: int):
+    """sum(deg) - count + 1 when exactly ``count`` of the forms (count = number
+    of variables) are nonzero, else None.  If those forms have no common zero
+    they are a regular sequence, S/(forms) is an Artinian complete intersection
+    of socle degree sum(deg) - count, and the ideal holds every form of degree
+    >= the bound (Eisenbud, Commutative Algebra, 21.2)."""
+    forms = [f for f in forms if not f.is_zero]
+    return sum(f.degree for f in forms) - count + 1 if len(forms) == count else None
+
+
+def relation_h2_kernel(sheaf, t: int) -> RatMatrix:
+    """The kernel of ``relation_h2_matrix(sheaf, t)``.  Its rows run over the whole
+    dual basis of H2(O(b + t)), unless a relation form is c*u (``h2_depth`` 1): then
+    every kernel vector vanishes off the dual monomials of u-exponent -1, which the
+    reverse-lex basis lists first, and the rows run over those alone:
+
+    * Exact.  If form i is c*u, a dual monomial (a, v, w) with a <= -2 maps
+      to c*(a+1, v, w) in summand i, a row no other monomial reaches; the
+      singleton row makes the column a pivot, zero in every kernel vector.  On
+      the u-exponent -1 columns each form acts by its restriction to L (u
+      contracts them to zero) into u-exponent -1 rows: the block is the
+      H1-level relation on L at t + 1, i.e. 0 -> F(-1) -> F -> F|_L -> 0.
+    * Bit-identical.  The reduced-echelon basis of ``kernel_basis`` depends
+      only on the pivot columns, j being one when it is no combination of
+      the columns before it.  The columns before a u-exponent -1 column are of
+      u-exponent -1 too, so it is a pivot of the block exactly when it is one of
+      the whole matrix, and every later column is a pivot.  The block kernel,
+      padded with zeros, is the whole kernel vector for vector.
+    * Zero below degree 0 and past the socle, with no matrix built.  By Serre
+      duality the kernel is the orthogonal of the degree-n piece of the ideal
+      of the forms that act, n = -(b+t) - 3: the restrictions to L on the
+      u-exponent -1 monomials, the relation itself on the whole basis.  For
+      n < 0 the source is empty; once n reaches ``_socle_bound`` and the forms
+      have no common zero (decided once per sheaf) that piece is everything.
+    """
+    b = sheaf.presentation.relation_twist
+    on_line = h2_depth(sheaf)
+    pres = sheaf.line_presentation if on_line else sheaf.presentation
+    n, bound = -(b + t) - 3, _socle_bound(pres.relation, 3 - bool(on_line))
+    if n < 0 or bound is not None and n >= bound and (
+            sheaf.line_relation_coprime if on_line else sheaf.relation_common_zero_free):
+        return RatMatrix.zero(cohomology_dim(P1, 1, b + t + 1) if on_line
+                              else cohomology_dim(P2, 2, b + t), 0)
+    return kernel_basis(line_relation_matrix(sheaf, t + 1, 1) if on_line
+                        else relation_h2_matrix(sheaf, t))
+
+
+def check_h2_kernel(sheaf, t: int, ker: RatMatrix) -> None:
+    """Raise InternalCheckError unless ``ker``, the eliminated kernel of the H2-level
+    relation of ``sheaf`` (the other side of a kernel sheaf) at twist t, has
+    dimension ``h2_kernel_dim``."""
+    n = h2_kernel_dim(sheaf.degree_data, t)
+    if ker.cols != n:
+        raise InternalCheckError(f"H2 kernel of the other side at twist {t} has dimension "
+                                 f"{ker.cols}, its Hilbert function {n}")
+
+
+def line_relation_matrix(sheaf, t: int, i: int) -> RatMatrix:
+    """H^i-level (i = 0 or 1) matrix of the restricted relation on L."""
+    return _relation_matrix(P1, i, sheaf.line_presentation, t)
+
+
+def _u_coefficients(pres) -> tuple:
+    """The grid of p_(i,j)|_L, j = 1 up to the top power of u, one row per relation
+    form p_i = sum_j u^j p_(i,j): its coefficient of u^j, ``restrict_to_line(p_i, j)``,
+    a binary form of degree a_i - b - j."""
+    top = max((e[0] for f in pres.relation for e, _ in f.terms), default=0)
+    return tuple(tuple(restrict_to_line(f, j) for j in range(1, top + 1)) for f in pres.relation)
 
 
 @cache
@@ -39,7 +136,7 @@ def relation_h2_prefix_matrix(pres, t: int, src: GradedPiece, depth):
 def h1_kernel_of_line_map_full(k, t: int, ker) -> int:
     """dim ker(H1(F_other(t)) -> H1(F_other|_L(t))) by the zig-zag on P2.  ``ker``
     is ``relation_h2_kernel(k.other, t)``, on the dual prefix of depth
-    ``k.other.h2_depth``.
+    ``h2_depth(k.other)``.
 
     The lift sends (a, v, w) to (a-1, v, w) and H1(O_L(b+t)) is the u-exponent
     -1 part of H2(O(b+t-1)), so the relation at t-1 is only applied to, and
@@ -48,7 +145,7 @@ def h1_kernel_of_line_map_full(k, t: int, ker) -> int:
         return 0
     pres = k.other.presentation
     b = pres.relation_twist
-    depth = k.other.h2_depth
+    depth = h2_depth(k.other)
     rows = None if depth is None else depth + 1
     lifted = GradedPiece(P2, 2, b + t - 1,
                          tuple((a - 1, v, w) for a, v, w in dual_prefix(b + t, depth).basis))

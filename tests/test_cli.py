@@ -569,8 +569,8 @@ def test_reports_off_the_benchmark_are_pinned(capsys, argv, digest):
     u-free H2 path builds whole dual P2 matrices (no relation form is a multiple
     of u alone), and c_max = 10 and 12 reach larger scan rows than the c_max = 8
     workload; c_max = 12 is the north-star scan and recovers Z on the most rows.
-    The two u-free kernel sheaves run the LES check on H2 kernels of the whole
-    dual basis (nonzero at t = -4..-2 and -3..-2); a relation form of the first,
+    The two u-free kernel sheaves have no relation form c*u (u lies in the span
+    of v and u + v instead, so both are aCM); a relation form of the first,
     -u^2 v - w^3, has a u^2 term."""
     code, out, _ = run(capsys, argv + ["--no-timestamp"])
     assert code == 0

@@ -8,8 +8,8 @@ import hashlib
 
 from qacm.descriptor import build, parse
 from qacm.linalg import kernel_basis
-from qacm.plane import relation_h2_matrix
 from qacm.quadric import _assembled_matrix, _restriction
+from p2_route import relation_h2_matrix
 from test_plane import relation_h0_matrix
 
 README_SHEAF = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)@H2,e=id)"

@@ -1,16 +1,21 @@
-"""The H2-level relation kernel on its u-exponent -1 prefix.
+"""The H2-level relation kernel of the tests, and the h1 route of a kernel sheaf.
 
-``relation_h2_kernel`` computes the kernel of the dual-monomial relation
-matrix on a prefix of its columns when a relation form is a multiple of u.
-Past the socle degree of the forms that act, when they have no common zero,
-it is zero and built from nothing.  These tests hold it to the whole-matrix
-kernel vector for vector, check that a deep twist builds nothing of size
-O(t^2), and compare h1 of the collinear extension bundles, read from the
-degrees and eliminated, with a closed form on L that shares no code with either.
+``p2_route.relation_h2_kernel`` computes the kernel of the dual-monomial
+relation matrix on a prefix of its columns when a relation form is a multiple
+of u.  Past the socle degree of the forms that act, when they have no common
+zero, it is zero and built from nothing.  These tests hold it to the
+whole-matrix kernel vector for vector, check that a deep twist builds nothing
+of size O(t^2), and compare h1 of the collinear extension bundles, read from
+the degrees and eliminated, with a closed form on L that shares no code with
+either.  On it, the zig-zag through the presentation on P2 is the reference
+that ``quadric.h1_from_forms``, HF_A(n) - HF_B(s - n), and the membership test
+u in (p) of ``acm_check`` are held to.
 """
 
 from fractions import Fraction
 from types import SimpleNamespace
+
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,14 +31,15 @@ from qacm.linalg import RatMatrix, kernel_basis
 from qacm.monomials import P1, P2, Form, cohomology_dim, h0_exponents
 from qacm.plane import (CIIdealSheaf, CISubscheme, ExtensionBundle, ci_from_forms,
                         ci_from_line_points, cohomology, degree_table, euler_char,
-                        make_extension_bundle, make_split_bundle, relation_h2_kernel,
-                        relation_h2_matrix, trivialize_on_line)
-from qacm.quadric import (_h1_kernel_on_line, _les_grid, _line_walk, acm_window, coh_table,
-                          collinear_extension_kernel, make_kernel_sheaf)
+                        h2_kernel_dim, make_extension_bundle, make_split_bundle, trivialize_on_line, u_in_ideal)
+from qacm.quadric import (acm_check, acm_window, coh_table, collinear_extension_kernel,
+                          h1_from_forms, make_kernel_sheaf)
 import p2_route
-from p2_route import dual_prefix, h1_kernel_of_line_map_full, h1_kernel_stacked
+from p2_route import (check_h2_kernel, dual_prefix, h1_kernel_of_line_map_full,
+                      h1_kernel_stacked, h2_depth, relation_h2_kernel, relation_h2_matrix)
 from test_linalg import vstack
 from test_plane import h1_restriction_kernel_dim
+from test_quadric import _not_acm_kernel, _unit_form_kernel
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 
@@ -92,13 +98,13 @@ def _u_free_presentations(draw, locally_free=False):
     else:
         h = draw(_form(deg_h, w_term=True))
     sheaf = ExtensionBundle(2, k + c_minus_k, k, ci, h)
-    assume(sheaf.h2_depth is None)      # h from (f1, f2) can be c*u: (v + w) + (u - v - w)
+    assume(h2_depth(sheaf) is None)      # h from (f1, f2) can be c*u: (v + w) + (u - v - w)
     assume(not locally_free or sheaf.relation_common_zero_free)
     return sheaf
 
 
 def _assert_prefix_kernel_is_whole_kernel(sheaf, t, depth):
-    assert sheaf.h2_depth == depth
+    assert h2_depth(sheaf) == depth
     ker = relation_h2_kernel(sheaf, t)
     b = sheaf.presentation.relation_twist
     n = cohomology_dim(P2, 2, b + t)
@@ -164,11 +170,11 @@ def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
     def forbidden(*args):
         raise AssertionError("relation_h2_matrix called on the u-path")
 
-    monkeypatch.setattr(qacm.plane, "relation_h2_matrix", forbidden)
+    monkeypatch.setattr(p2_route, "relation_h2_matrix", forbidden)
     _forbid_deep_plane_dual_bases(monkeypatch)
 
     ker = relation_h2_kernel(sheaf, t)
-    assert (sheaf.h2_depth, ker.cols) == (1, 20)
+    assert (h2_depth(sheaf), ker.cols) == (1, 20)
     with pytest.raises(ValueError, match="common zero"):
         cohomology(sheaf, 0, t)
     fast = h1_restriction_kernel_dim(sheaf, t, relation_h2_kernel(sheaf, t - 1))
@@ -190,7 +196,7 @@ def test_u_free_fast_route_equals_the_full_route(sheaf, total):
     g = build(parse(sheaf))
     c1, c2 = trivialize_on_line(g).degrees
     g = ExtensionBundle(g.side, g.c - 2 * c2, g.k - c2, g.ci, g.h)
-    assert g.h2_depth is None
+    assert h2_depth(g) is None
     k = make_kernel_sheaf(make_split_bundle(1, (c1 - c2, 0)), g)
     lo, hi = -14 + c2, 3 + c2
     kernels = {t: relation_h2_kernel(g, t) for t in range(lo - 1, hi + 1)}
@@ -223,39 +229,104 @@ def test_u_free_table_equals_the_p2_route(g):
     assert [r.h1 for r in coh_table(k, lo, hi).rows] == full
 
 
-def test_line_walk_equals_the_full_route_on_the_c14_scans():
-    """The collinear walk's LES route on L, the kernel of T_t Q on each H2 kernel,
-    equals the zig-zag of the full route on the dual prefixes of P2 at every twist of the aCM window widened by 5 on each side, for every
-    point-extension and collinear row of ``classify --cmax 14``, seeds 1 and 3."""
-    twists = nonzero = rows = 0
-    for seed in (1, 3):
-        for kind, _, text in scan_descriptors(ScanConfig(c_max=14, point_seed=seed)):
-            if kind == "split":
-                continue
-            k = build(parse(text))
-            lo, hi = acm_window(k)
-            window = range(lo - 5, hi + 6)
-            kernels = [relation_h2_kernel(k.other, t) for t in window]
-            full = [h1_kernel_of_line_map_full(k, t, ker) for t, ker in zip(window, kernels)]
-            assert list(_line_walk(k, lo - 5, hi + 5)) == full, text
-            rows, twists = rows + 1, twists + len(full)
-            nonzero += sum(ker.cols > 0 for ker in kernels)
-    assert (rows, twists, nonzero) == (128, 5162, 1178)
+def _full_route(k, lo: int, hi: int) -> list:
+    """h1 of K(t), t = lo..hi, by the zig-zag on P2 on each H2 kernel of the other
+    side, each held to its Hilbert function (``check_h2_kernel``); 0 on a split
+    other side, which has no relation."""
+    if k.other.presentation.relation_twist is None:
+        return [0] * (hi - lo + 1)
+    full = []
+    for t in range(lo, hi + 1):
+        ker = relation_h2_kernel(k.other, t)
+        check_h2_kernel(k.other, t, ker)
+        full.append(h1_kernel_of_line_map_full(k, t, ker))
+    return full
 
 
-@pytest.mark.parametrize("c, k", [(4, 2), (6, 2), (7, 3)])
-def test_line_walk_from_any_first_twist(c, k):
-    """A walk that starts inside the range of nonzero kernels gives the full
-    route's value at every twist, whatever its first twist: no step reads
-    anything from the step before it."""
-    kernel = collinear_extension_kernel(c, k, [((1, r), 1) for r in seeded_line_values(3, c - k)])
-    lo, hi = acm_window(kernel)
-    full = {t: h1_kernel_of_line_map_full(kernel, t, relation_h2_kernel(kernel.other, t))
-            for t in range(lo, hi + 1)}
-    starts = [t for t in range(lo, hi + 1) if relation_h2_kernel(kernel.other, t).cols]
-    assert len(starts) >= 3
-    for t0 in starts:
-        assert list(_line_walk(kernel, t0, hi)) == [full[t] for t in range(t0, hi + 1)]
+def _assert_routes_agree(k) -> bool:
+    """At every twist of ``acm_window`` the route of the table, ``h1_from_forms``,
+    equals the full route, and u in (p) equals the aCM verdict of the table and
+    of the full route.  Returns that verdict."""
+    lo, hi = acm_window(k)
+    full = _full_route(k, lo, hi)
+    assert h1_from_forms(k, lo, hi) == full
+    pres = k.other.presentation
+    u_kills_a = pres.relation_twist is None or u_in_ideal(pres.relation)
+    assert acm_check(k).is_acm == (not any(full)) == u_kills_a
+    return u_kills_a
+
+
+def test_h1_route_equals_the_full_route_on_the_c16_scan():
+    """Every row of ``classify --cmax 16``: the split pairs, both point extensions
+    and the collinear family, all aCM."""
+    rows = [build(parse(text)) for _, _, text in scan_descriptors(ScanConfig(c_max=16))]
+    assert len(rows) == 98 and all(_assert_routes_agree(k) for k in rows)
+
+
+U_FREE_KERNELS = ("K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)",
+                  "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=0,Z=[v,w^3+u^2*v],h=u+v)@H2,e=id)")
+
+
+@pytest.mark.parametrize("make, verdict", [
+    (lambda: build(parse(U_FREE_KERNELS[0])), True),
+    (lambda: build(parse(U_FREE_KERNELS[1])), True),
+    (_not_acm_kernel, False),
+    (_unit_form_kernel, True),
+], ids=["u-free-kernel", "u-free-kernel-u2", "not-acm", "unit-form"])
+def test_h1_route_and_membership_on_the_pinned_sheaves(make, verdict):
+    """The two u-free kernel sheaves of the CI steps (u lies in the span of v and
+    u + v), the sheaf that is not aCM (u is not in (v, w^3, u^2)) and a side with
+    the relation form 1 (A = 0)."""
+    assert _assert_routes_agree(make()) is verdict
+
+
+def _random_form(rng, d: int) -> Form:
+    return Form.from_dict(3, {m: rng.randint(-2, 2) for m in h0_exponents(3, d)})
+
+
+def _seeded_sheaves_off_l(count: int, seed: int = 20261022):
+    """``count`` kernel sheaves against a G from a random Z = V(f1, f2) off L (f1|_L
+    and f2|_L coprime), deg f_i in {1, 2, 3}, k up to 2 over its least value and h
+    random, as validated by ``make_extension_bundle``, then twisted by -c2 so that
+    G|_L is (c1 - c2, 0) (``_glued``).  Pairs the validation refuses are skipped."""
+    rng, sheaves = random.Random(seed), []
+    while len(sheaves) < count:
+        d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
+        f1, f2 = _random_form(rng, d1), _random_form(rng, d2)
+        k = max(0, d1 * d2 - d1 - d2) + rng.randint(0, 2)
+        try:
+            ci = ci_from_forms(f1, f2)
+            h = _random_form(rng, k - d1 * d2 + d1 + d2) if rng.random() < 0.9 else "auto"
+            g = make_extension_bundle(k + d1 * d2, k, ci, h=h)
+        except ValueError:
+            continue
+        if g.line_relation_coprime:
+            sheaves.append(_glued(g))
+    return sheaves
+
+
+def test_h1_route_and_membership_on_seeded_sheaves_off_l():
+    """On 300 seeded sheaves against a G from a random Z off L both routes agree at
+    every twist of the aCM window, and so do the two verdicts; both verdicts occur."""
+    verdicts = [_assert_routes_agree(k) for k in _seeded_sheaves_off_l(300)]
+    assert len(verdicts) == 300 and 0 < sum(verdicts) < 300
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _collinear_k(4, 2), lambda: _collinear_k(6, 2), lambda: _collinear_k(7, 3),
+    _not_acm_kernel], ids=["4-2", "6-2", "7-3", "not-acm"])
+def test_h1_route_from_any_first_twist(make):
+    """``h1_from_forms`` and the table over any window [t0, t1] inside the aCM window,
+    whose first degree of B is wherever t0 puts it, give the full route's value at
+    every twist."""
+    k = make()
+    lo, hi = acm_window(k)
+    full = dict(zip(range(lo, hi + 1), _full_route(k, lo, hi)))
+    for t0 in range(lo, hi + 1, 3):
+        for t1 in range(t0, hi + 1, 4):
+            want = [full[t] for t in range(t0, t1 + 1)]
+            assert h1_from_forms(k, t0, t1) == want, (t0, t1)
+            assert [r.h1 for r in coh_table(k, t0, t1).rows] == want, (t0, t1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -263,12 +334,12 @@ def test_line_walk_from_any_first_twist(c, k):
 def test_route_on_line_equals_the_full_route(sheaf, t):
     """On any extension bundle whose relation holds s*u, the u-coefficients of its
     forms drawn free or u-homogeneous, and whose restriction to L is a bundle (so
-    that it has a trivialization), ``_glued``, the kernel of T_t Q on K at t equals
-    the full route on the same H2 kernel."""
+    that it has a trivialization), ``_glued``, the route on L, HF_A(n) - HF_B(s - n)
+    with B ranked on L at the one degree s - n, equals the full route at t."""
     assume(isinstance(sheaf, ExtensionBundle) and sheaf.line_relation_coprime)
     k = _glued(sheaf)
     ker = relation_h2_kernel(k.other, t)
-    assert _h1_kernel_on_line(k, t, ker, _les_grid(k)) == h1_kernel_of_line_map_full(k, t, ker)
+    assert h1_from_forms(k, t, t) == [h1_kernel_of_line_map_full(k, t, ker)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,17 +347,16 @@ def test_route_on_line_equals_the_full_route(sheaf, t):
 def test_les_route_equals_the_stacked_route_and_the_full_route(g):
     """On extension bundles with a relation form s*u or without one (K then covers
     several u-exponent slices) whose restriction to L is a bundle, ``_glued``, three
-    routes agree at every twist of the aCM window widened by 3: the kernel of T_t Q
-    on K, the stacked route [Q K | L_t] that reads no trivialization, and the
-    zig-zag on P2."""
+    routes agree at every twist of the aCM window widened by 3: the table's route
+    HF_A(n) - HF_B(s - n), the stacked route [Q K | L_t] on L and the zig-zag on P2,
+    neither of which reads a trivialization."""
     assume(isinstance(g, ExtensionBundle) and g.line_relation_coprime)
     k = _glued(g)
-    grid = _les_grid(k)
     lo, hi = acm_window(k)
-    for t in range(lo - 3, hi + 4):
+    route = h1_from_forms(k, lo - 3, hi + 3)
+    for t, h1 in zip(range(lo - 3, hi + 4), route):
         ker = relation_h2_kernel(k.other, t)
-        assert _h1_kernel_on_line(k, t, ker, grid) == h1_kernel_stacked(k, t, ker) == \
-            h1_kernel_of_line_map_full(k, t, ker), t
+        assert h1 == h1_kernel_stacked(k, t, ker) == h1_kernel_of_line_map_full(k, t, ker), t
 
 
 def _u_free_g():
@@ -311,7 +381,7 @@ def test_deep_u_free_twist_builds_no_plane_dual_basis(monkeypatch):
     _forbid_deep_plane_dual_bases(monkeypatch)
     t = -250
     ker = relation_h2_kernel(sheaf, t)
-    assert sheaf.h2_depth is None and ker.cols == 0
+    assert h2_depth(sheaf) is None and ker.cols == 0
     assert ker.rows == cohomology_dim(P2, 2, sheaf.presentation.relation_twist + t)
     assert cohomology(sheaf, 1, t) == 0
     assert cohomology(sheaf, 2, t) == euler_char(sheaf, t)
@@ -332,8 +402,9 @@ def test_a_twist_past_the_bound_builds_and_eliminates_nothing(monkeypatch, make,
     def forbidden(*args, **kwargs):
         raise AssertionError("matrix built or eliminated past the bound")
 
-    monkeypatch.setattr(qacm.plane, "multiplication_matrix", forbidden)
-    monkeypatch.setattr(qacm.plane, "kernel_basis", forbidden)
+    for mod in (qacm.plane, p2_route):
+        monkeypatch.setattr(mod, "multiplication_matrix", forbidden)
+        monkeypatch.setattr(mod, "kernel_basis", forbidden)
     monkeypatch.setattr(qacm.plane, "rank", forbidden)
     for t in range(bound - 40, bound + 1):
         assert relation_h2_kernel(sheaf, t).cols == 0
@@ -354,8 +425,9 @@ def test_a_twist_with_an_empty_source_builds_nothing(monkeypatch, make):
     def forbidden(*args, **kwargs):
         raise AssertionError("matrix built or eliminated with an empty source")
 
-    monkeypatch.setattr(qacm.plane, "multiplication_matrix", forbidden)
-    monkeypatch.setattr(qacm.plane, "kernel_basis", forbidden)
+    for mod in (qacm.plane, p2_route):
+        monkeypatch.setattr(mod, "multiplication_matrix", forbidden)
+        monkeypatch.setattr(mod, "kernel_basis", forbidden)
     for t in range(top, top + 40):
         assert relation_h2_kernel(sheaf, t) == RatMatrix.zero(0, 0)
 
@@ -367,7 +439,7 @@ def test_a_u_free_common_zero_keeps_the_kernel_at_every_depth():
     sheaf = ExtensionBundle(2, 4, 1, ci_from_forms(v, w ** 3), v * w)
     for t in range(-30, -5):
         ker = relation_h2_kernel(sheaf, t)
-        assert sheaf.h2_depth is None and ker.cols == 3
+        assert h2_depth(sheaf) is None and ker.cols == 3
         assert ker == kernel_basis(relation_h2_matrix(sheaf, t))
 
 
@@ -387,72 +459,104 @@ def test_fewer_forms_than_variables_take_the_elimination(monkeypatch, sheaf):
     monkeypatch.setattr(qacm.plane, "binary_forms_common_zero_free", forbidden)
     for t in range(-30, 2):
         ker = relation_h2_kernel(sheaf, t)
-        if sheaf.h2_depth is None:
+        if h2_depth(sheaf) is None:
             assert ker == kernel_basis(relation_h2_matrix(sheaf, t))
         else:
-            assert ker == kernel_basis(qacm.plane.line_relation_matrix(sheaf, t + 1, 1))
+            assert ker == kernel_basis(p2_route.line_relation_matrix(sheaf, t + 1, 1))
     assert relation_h2_kernel(sheaf, -30).cols > 0
 
 
+def _collinear_k(c=4, k=2):
+    return collinear_extension_kernel(c, k, [((1, r), 1) for r in seeded_line_values(3, c - k)])
+
+
 def _kernel_twists(monkeypatch, k) -> tuple:
-    """The twists at which one table of K over its aCM window computes an H2
-    kernel, each checked to be of the other side, and the window."""
+    """The twists at which one table of K over its aCM window reads the dimension
+    of an H2 kernel of the other side (``h2_kernel_dim``), each read checked to
+    be of K's degree data, and the window."""
     calls = []
-    compute = qacm.plane.relation_h2_kernel
-
-    def counted(sheaf, t):
-        calls.append((sheaf, t))
-        return compute(sheaf, t)
-
-    for mod in (qacm.plane, qacm.quadric):
-        monkeypatch.setattr(mod, "relation_h2_kernel", counted)
+    count = qacm.plane.h2_kernel_dim
     lo, hi = acm_window(k)
+    monkeypatch.setattr(qacm.plane, "h2_kernel_dim",
+                        lambda d, t: calls.append((d, t)) or count(d, t))
     coh_table(k, lo, hi)
-    assert all(sheaf is k.other for sheaf, _ in calls)
+    assert all(d == k.degree_data for d, _ in calls)
     return [t for _, t in calls], lo, hi
 
 
-def _collinear_k():
-    return collinear_extension_kernel(4, 2, [((1, r), 1) for r in seeded_line_values(3, 2)])
-
-
 def test_collinear_table_walks_each_kernel_once(monkeypatch):
-    """The checks ask for the H2 kernel of the other side once at every twist t,
-    for the Hilbert check and the LES route on L; the rows are a count of degrees."""
+    """The degree count reads the H2 kernel of the other side once at every twist
+    it walks, upward from lo - 1 (h1 at t reads the other side at t - 1): no
+    kernel is read twice, none past the window."""
     twists, lo, hi = _kernel_twists(monkeypatch, _collinear_k())
-    assert twists == list(range(lo, hi + 1))
+    assert twists == list(range(lo - 1, hi + 1))
+
+
+def test_u_free_table_walks_each_kernel_once(monkeypatch):
+    """Without a relation form c*u the walk is the same: one H2 kernel read per
+    twist from lo - 1 to hi, each a count of degrees."""
+    twists, lo, hi = _kernel_twists(monkeypatch, build(parse(U_FREE_KERNELS[0])))
+    assert twists == list(range(lo - 1, hi + 1))
 
 
 def test_collinear_table_eliminates_once_per_nonzero_kernel(monkeypatch):
-    """A collinear table over its window builds no matrix on P2 and stacks none,
-    and its LES check ranks one matrix per twist whose H2 kernel is nonzero,
-    T_t Q K: no L_t is built or eliminated for it."""
+    """A collinear table over its window builds no matrix on P2, stacks none and
+    eliminates no kernel, and ranks one matrix per twist whose H2 kernel is
+    nonzero: that kernel is A_n, nonzero exactly for 0 <= n <= s, and the h1
+    check ranks B at s - n, which on a collinear side is A, 0 nowhere below s."""
     k = _collinear_k()
     lo, hi = acm_window(k)
-    nonzero = sum(relation_h2_kernel(k.other, t).cols > 0 for t in range(lo, hi + 1))
+    nonzero = sum(h2_kernel_dim(k.degree_data, t) > 0 for t in range(lo, hi + 1))
+    assert nonzero == sum(relation_h2_kernel(k.other, t).cols > 0 for t in range(lo, hi + 1))
     ranks = []
     real_rank, real_mult = qacm.linalg.rank, qacm.monomials.multiplication_matrix
 
     def on_line(grid, srcs, tgts):
-        assert all(p.space == P1 for p in srcs + tgts), "P2 matrix built on a collinear walk"
+        assert all(p.space == P1 for p in srcs + tgts), "P2 matrix built on a collinear table"
         return real_mult(grid, srcs, tgts)
 
     for mod in (qacm.plane, qacm.quadric):
         monkeypatch.setattr(mod, "multiplication_matrix", on_line)
     for mod in (qacm.linalg, qacm.plane, qacm.quadric):
         monkeypatch.setattr(mod, "rank", lambda m: ranks.append(m) or real_rank(m))
+        monkeypatch.setattr(mod, "kernel_basis", lambda m: pytest.fail("kernel on a table"))
     monkeypatch.setattr(qacm.quadric, "hstack", lambda *m: pytest.fail("hstack on a table"))
     coh_table(k, lo, hi)
     assert nonzero == 4 and len(ranks) == nonzero
 
 
-def test_u_free_table_walks_each_kernel_once(monkeypatch):
-    """Without a relation form c*u the degree count at t reads h1 of the other
-    side at t - 1, from the degrees even at lo - 1, so no kernel below the
-    window is computed."""
-    k = build(parse("K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)"))
-    twists, lo, hi = _kernel_twists(monkeypatch, k)
-    assert twists == list(range(lo, hi + 1))
+@pytest.mark.parametrize("make, ranked", [
+    (_collinear_k, [0, 1, 2, 3]),
+    (lambda: build(parse(U_FREE_KERNELS[0])), [0, 1]),
+    (lambda: _glued(build(parse("G(c=4,k=1,Z=[v,w^3],h=u^2+w^2)@H2"))), [0, 1, 2]),
+], ids=["collinear", "u-free", "b-reaches-0"])
+def test_a_table_ranks_b_once_per_degree_on_l(monkeypatch, make, ranked):
+    """A table over the aCM window builds only binary ideal pieces, one per degree
+    of B = Q[v, w]/(p|_L) it reads, 0 <= d <= s, from the lowest up to the first
+    where B is 0, and ranks each once: no kernel is eliminated, no matrix stacked.
+    The collinear B is A (s = 3), the u-free one is not 0 up to s = 1, and the
+    last is Q[v, w]/(w^3, v, w^2) = Q[w]/(w^2): 0 from degree 2 on, below s = 3."""
+    k = make()
+    lo, hi = acm_window(k)
+    expected = coh_table(k, lo, hi)
+    degrees, ranks = [], []
+    real_piece, real_rank = qacm.plane._ideal_piece_matrix, qacm.linalg.rank
+    real_mult = qacm.monomials.multiplication_matrix
+
+    def on_line(grid, srcs, tgts):
+        assert all(p.space == P1 for p in srcs + tgts), "a table built a plane matrix"
+        return real_mult(grid, srcs, tgts)
+
+    monkeypatch.setattr(qacm.plane, "_ideal_piece_matrix",
+                        lambda forms, d, space: degrees.append(d) or real_piece(forms, d, space))
+    for mod in (qacm.plane, qacm.quadric):
+        monkeypatch.setattr(mod, "multiplication_matrix", on_line)
+    for mod in (qacm.linalg, qacm.plane, qacm.quadric):
+        monkeypatch.setattr(mod, "rank", lambda m: ranks.append(m) or real_rank(m))
+        monkeypatch.setattr(mod, "kernel_basis", lambda m: pytest.fail("kernel on a table"))
+    monkeypatch.setattr(qacm.quadric, "hstack", lambda *m: pytest.fail("hstack on a table"))
+    assert coh_table(k, lo, hi) == expected
+    assert degrees == ranked and len(ranks) == len(ranked)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qacm.descriptor import build, parse
 from qacm.linalg import RatMatrix, kernel_basis, rank
-from qacm.plane import relation_h2_matrix
+from p2_route import relation_h2_matrix
 from test_linalg import vstack
 from test_plane import relation_h0_matrix
 

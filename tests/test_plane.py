@@ -21,14 +21,15 @@ from qacm.linalg import rank
 from qacm.monomials import (Form, P1, P2, basis, cohomology_dim, h0_exponents,
                             multiplication_matrix)
 from qacm.plane import (CISubscheme, CohRow, DegreeData, ExtensionBundle, Presentation,
-                        Trivialization, _ideal_piece_matrix, _is_syzygy_basis, _relation_matrix,
+                        Trivialization, _ideal_piece_matrix, _is_syzygy_basis,
                         cb_condition_check, chern,
                         ci_from_forms, ci_from_line_points, ci_hilbert, coh_table, cohomology,
                         degree_table, euler_char, h2_kernel_dim,
                         ideals_match, make_ci_ideal, make_extension_bundle,
                         make_split_bundle, no_common_zero, recover_subscheme,
-                        relation_h2_kernel, trivialize_on_line)
+                        trivialize_on_line)
 from qacm.quadric import acm_check, collinear_extension_kernel
+from p2_route import _relation_matrix, h2_depth, relation_h2_kernel
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 QQ = Fraction
@@ -53,7 +54,7 @@ def h1_restriction_kernel_dim(sheaf, t: int, below) -> int:
     is not read then and may be None.  A reference of the tests (the u-rank
     route): ``src/`` counts this kernel from the degrees."""
     b = sheaf.presentation.relation_twist
-    if b is None or sheaf.h2_depth or not below.cols:
+    if b is None or h2_depth(sheaf) or not below.cols:
         return 0
     u_mult = multiplication_matrix([[u]], [basis(P2, 2, b + t - 1)], [basis(P2, 2, b + t)])
     return rank(u_mult @ below)
@@ -603,8 +604,8 @@ def test_the_auto_class_of_a_multiple_of_u_is_that_of_u(ranks, c, swap):
 @_U_MULTIPLES
 def test_h2_depth_of_a_multiple_of_u_is_one(c, swap):
     ci = ci_from_forms(*_pair(c, G6, swap))
-    assert make_ci_ideal(ci.f1, ci.f2, 0).h2_depth == 1
-    assert make_extension_bundle(10, 4, ci, h="auto").h2_depth == 1
+    assert h2_depth(make_ci_ideal(ci.f1, ci.f2, 0)) == 1
+    assert h2_depth(make_extension_bundle(10, 4, ci, h="auto")) == 1
 
 
 @_U_MULTIPLES
@@ -762,7 +763,7 @@ def test_h1_restriction_kernel_builds_nothing_at_depth_one(monkeypatch):
     the kernel it is handed is not zero."""
     g = make_extension_bundle(3, 1, ci_from_forms(u, v * w), h="auto")
     below = {t: relation_h2_kernel(g, t - 1) for t in range(-12, 5)}
-    assert g.h2_depth == 1 and below[-3].cols > 0
+    assert h2_depth(g) == 1 and below[-3].cols > 0
 
     def forbidden(*args, **kwargs):
         raise AssertionError("matrix built or eliminated on the depth-1 u-rank route")

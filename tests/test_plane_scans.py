@@ -21,8 +21,9 @@ from qacm.monomials import P1, Form, basis, binary_forms_common_zero_free, cohom
     h0_exponents, multiplication_matrix
 from qacm.plane import (U, CISubscheme, ExtensionBundle, _auto_extension_form,
                         _hom_row_candidates, _koszul_rows, _mu_basis_rows, ci_from_forms,
-                        ci_from_line_points, line_relation_matrix, make_extension_bundle,
-                        make_split_bundle, no_common_zero, trivialize_on_line)
+                        ci_from_line_points, make_extension_bundle, make_split_bundle,
+                        no_common_zero, trivialize_on_line)
+from p2_route import line_relation_matrix
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 

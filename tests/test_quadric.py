@@ -18,6 +18,7 @@ from qacm.quadric import (RankOneSheaf, UlrichResult, acm_check, acm_window, coh
                           identity_gluing, make_kernel_sheaf,
                           point_extension_kernel, rank_one_cohomology, restriction_invariants,
                           split_pair_kernel, ulrich_check, upper_gluing)
+import p2_route
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 
@@ -210,8 +211,8 @@ def test_acm_invariant_under_twist():
 
 
 def test_les_cross_check_runs_at_every_twist():
-    # coh_table raises InternalCheckError if the count and the full route disagree; a full table
-    # exercises both routes at each twist.
+    # coh_table raises InternalCheckError if the count and the A/uA route disagree; a full
+    # table exercises both routes at each twist.
     table = coh_table(collinear_kernel(2, 1), -9, 5)
     assert all(r.h1 == 0 for r in table.rows)
 
@@ -221,77 +222,41 @@ SCAN_SHEAF = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:{}];[0:1:{}]),h=auto)
 
 
 def test_les_cross_check_fails_when_the_full_route_is_perturbed(monkeypatch, capsys):
-    """On the collinear family h1 is 0, so the degree count of the fast route
-    holds the full route to 0: one more in the route the collinear walk runs,
-    the zig-zag on L, must be refused, by coh_row and by ``qacm cohomology``
-    with exit 3."""
+    """On the collinear family h1 is 0, so the degree count holds the route the
+    table checks against, ``h1_from_forms``, to 0: one more in that route must be
+    refused, by coh_row and by ``qacm cohomology`` with exit 3."""
     k = build(parse(SCAN_SHEAF))
     t = -3
     assert acm_check(k).is_acm and coh_row(k, t).h1 == 0
-    real = qacm.quadric._h1_kernel_on_line
-    monkeypatch.setattr(qacm.quadric, "_h1_kernel_on_line", lambda *args: real(*args) + 1)
-    with pytest.raises(InternalCheckError, match="LES inconsistency"):
+    real = qacm.quadric.h1_from_forms
+    monkeypatch.setattr(qacm.quadric, "h1_from_forms",
+                        lambda *args: [h + 1 for h in real(*args)])
+    with pytest.raises(InternalCheckError, match="h1 inconsistency"):
         coh_row(k, t)
     code = main(["cohomology", "--sheaf", SCAN_SHEAF, "--tmin", str(t), "--tmax", str(t),
                  "--no-timestamp"])
-    assert code == 3 and "LES inconsistency" in capsys.readouterr().err
-
-
-def test_les_cross_check_fails_when_the_u_coefficients_are_zeroed(monkeypatch, capsys):
-    """The LES check on L reads the built forms: with the u-coefficients zeroed,
-    T_t Q is zero and the route gives dim K where the count gives 0, and ``qacm
-    cohomology`` of the collinear sheaf over its aCM window exits 3."""
-    k = build(parse(SCAN_SHEAF))
-    lo, hi = acm_window(k)
-    monkeypatch.setattr(qacm.quadric, "_u_coefficients",
-                        lambda pres: tuple((Form.zero(2),) for _ in pres.relation))
-    code = main(["cohomology", "--sheaf", SCAN_SHEAF, "--tmin", str(lo), "--tmax", str(hi),
-                 "--no-timestamp"])
-    assert code == 3 and "LES inconsistency" in capsys.readouterr().err
-
-
-def _zero_lo_row(grid):
-    """The grid T q with its lo row, the trivialization's O_L factor, zeroed."""
-    return grid[0], tuple(Form.zero(2) for _ in grid[1])
-
-
-def test_les_cross_check_fails_when_the_lo_row_is_zeroed(monkeypatch, capsys):
-    """The LES check reads the trivialization rows: with the lo row of T q zeroed,
-    T_t no longer maps onto H1(O_L(t)), its kernel grows past im L_t, and the
-    route is refused on the collinear sheaf over its aCM window (h1 = 0
-    everywhere; ``qacm cohomology`` exits 3) and on the sheaf that is not aCM
-    (h1 = 1 at t = -3, -2, -1)."""
-    real = qacm.quadric._les_grid
-    monkeypatch.setattr(qacm.quadric, "_les_grid", lambda k: _zero_lo_row(real(k)))
-    k = build(parse(SCAN_SHEAF))
-    lo, hi = acm_window(k)
-    with pytest.raises(InternalCheckError, match="LES inconsistency"):
-        coh_table(k, lo, hi)
-    code = main(["cohomology", "--sheaf", SCAN_SHEAF, "--tmin", str(lo), "--tmax", str(hi),
-                 "--no-timestamp"])
-    assert code == 3 and "LES inconsistency" in capsys.readouterr().err
-    with pytest.raises(InternalCheckError, match="LES inconsistency"):
-        acm_check(_not_acm_kernel())
+    assert code == 3 and "h1 inconsistency" in capsys.readouterr().err
 
 
 README_SHEAF = "K(F1=O(3)+O(0)@H1,F2=G(c=3,k=1,Z=points([0:1:1];[0:1:2]),h=auto)@H2,e=id)"
 
 
 def test_les_cross_check_fails_when_the_degree_count_is_perturbed(monkeypatch, capsys):
-    """h1 is a count of degrees (``degree_table``), so the LES check can fail
+    """h1 is a count of degrees (``degree_table``), so the h1 check can fail
     from that side too: one more in each row's h1 must be refused, by coh_row
-    and by ``qacm cohomology`` with exit 3."""
+    and by ``qacm cohomology`` with exit 3, naming both values."""
     k = build(parse(README_SHEAF))
     t = -3
     assert coh_row(k, t).h1 == 0
     real = qacm.quadric.degree_table
     monkeypatch.setattr(qacm.quadric, "degree_table", lambda d, lo, hi: CohTable(tuple(
         CohRow(r.t, r.h0, r.h1 + 1, r.h2) for r in real(d, lo, hi).rows)))
-    with pytest.raises(InternalCheckError, match="LES inconsistency"):
+    message = "h1 inconsistency at twist -3: degree count 1, A/uA route 0"
+    with pytest.raises(InternalCheckError, match=message):
         coh_row(k, t)
     code = main(["cohomology", "--sheaf", README_SHEAF, "--tmin", str(t), "--tmax", str(t),
                  "--no-timestamp"])
-    assert code == 3 and "LES inconsistency" in capsys.readouterr().err
+    assert code == 3 and message in capsys.readouterr().err
 
 
 def _not_acm_kernel(h=u ** 2):
@@ -299,6 +264,13 @@ def _not_acm_kernel(h=u ** 2):
     twist -2), which splits as O_L(2) + O_L on L for h = u^2, glued to O(2) + O(0)."""
     g = ExtensionBundle(2, 2, 0, ci_from_forms(v, w ** 3), h)
     return make_kernel_sheaf(make_split_bundle(1, (2, 0)), g)
+
+
+def _unit_form_kernel():
+    """A relation form 1: the other side is O(0) + O(0), presented by (-w^2, v^2, 1)
+    (G(c=0,k=-2,Z=[v^2,w^2],h=1)), glued to O(0) + O(0).  A = S/(p) is 0."""
+    g = ExtensionBundle(2, 0, -2, ci_from_forms(v ** 2, w ** 2), Form.constant(3, 1))
+    return make_kernel_sheaf(make_split_bundle(1, (0, 0)), g)
 
 
 def test_a_kernel_sheaf_that_is_not_acm():
@@ -327,45 +299,102 @@ def _add_one_at_the_corner(m):
 
 
 @pytest.mark.parametrize("target, name, mutate", [
-    pytest.param(qacm.quadric, "relation_h2_kernel", _drop_last_column, id="kernel-column"),
-    pytest.param(qacm.plane, "multiplication_matrix", _add_one_at_the_corner, id="builder-entry")])
-def test_hilbert_check_fails_when_an_h2_kernel_is_perturbed(monkeypatch, capsys, target, name,
-                                                            mutate):
-    """Each H2 kernel a kernel-sheaf row reads must have the dimension the
-    Hilbert function of the relation forms gives.  The README sheaf's kernel
-    has dimensions 1, 2, 1 at t = -4, -3, -2.  Dropping a column of the kernel
-    the table receives, or adding 1 to one entry of each matrix the plane
-    builds (at t = -3 the H1-level relation on L is a zero 1 x 2 matrix), must
-    be refused, by coh_row and by ``qacm cohomology`` with exit 3."""
-    k = build(parse(README_SHEAF))
+    pytest.param(p2_route, "relation_h2_kernel", _drop_last_column, id="kernel-column"),
+    pytest.param(p2_route, "multiplication_matrix", _add_one_at_the_corner, id="builder-entry")])
+def test_hilbert_check_fails_when_an_h2_kernel_is_perturbed(monkeypatch, target, name, mutate):
+    """Each H2 kernel the references of the tests read (``p2_route``) must have
+    the dimension the Hilbert function of the relation forms gives.  The README
+    sheaf's kernel has dimensions 1, 2, 1 at t = -4, -3, -2.  Dropping a column of
+    the kernel, or adding 1 to one entry of each matrix the route builds (at t = -3
+    the H1-level relation on L is a zero 1 x 2 matrix), must be refused by
+    ``check_h2_kernel``."""
+    other = build(parse(README_SHEAF)).other
     t = -3
-    assert coh_row(k, t) == CohRow(t, 0, 0, 1)
+    p2_route.check_h2_kernel(other, t, p2_route.relation_h2_kernel(other, t))
     real = getattr(target, name)
     monkeypatch.setattr(target, name, lambda *args: mutate(real(*args)))
     with pytest.raises(InternalCheckError, match="H2 kernel .* Hilbert function"):
-        coh_row(k, t)
-    code = main(["cohomology", "--sheaf", README_SHEAF, "--tmin", str(t), "--tmax", str(t),
-                 "--no-timestamp"])
-    assert code == 3 and "Hilbert function" in capsys.readouterr().err
+        p2_route.check_h2_kernel(other, t, p2_route.relation_h2_kernel(other, t))
+
+
+def _drop_a_form(real, k):
+    """B without its first nonzero restricted form."""
+    return lambda forms, lo, hi: real([f for f in forms if not f.is_zero][1:], lo, hi)
+
+
+def _read_at_n(real, k):
+    """B read at n in place of s - n: at degree d the value HF_B(s - d)."""
+    pres = k.other.presentation
+    s = sum(a - pres.relation_twist for a in pres.target_twists) - 3
+    return lambda forms, lo, hi: real(forms, s - hi, s - lo)[::-1]
+
+
+@pytest.mark.parametrize("mutate, make, text", [
+    pytest.param(_drop_a_form, lambda: build(parse(README_SHEAF)), README_SHEAF,
+                 id="dropped-form"),
+    pytest.param(_read_at_n, _not_acm_kernel, None, id="read-at-n")])
+def test_h1_check_fails_when_b_is_perturbed(monkeypatch, capsys, mutate, make, text):
+    """The h1 check reads B = Q[v, w]/(p|_L) from the built forms.  With one
+    restricted form dropped, B grows past A/uA on the collinear README sheaf (h1 = 0
+    everywhere); read at n in place of s - n, it gives HF_A(n) - HF_B(n), which a
+    c*u side cannot tell apart (B = A there, and HF_A is symmetric), but the sheaf
+    that is not aCM can: 0 at t = -1 where h1 = 1.  Each must be refused over the
+    aCM window, and by ``qacm cohomology`` with exit 3 where the sheaf has a
+    descriptor."""
+    k = make()
+    lo, hi = acm_window(k)
+    monkeypatch.setattr(qacm.quadric, "line_hilbert", mutate(qacm.quadric.line_hilbert, k))
+    with pytest.raises(InternalCheckError, match="h1 inconsistency"):
+        coh_table(k, lo, hi)
+    if text:
+        code = main(["cohomology", "--sheaf", text, "--tmin", str(lo), "--tmax", str(hi),
+                     "--no-timestamp"])
+        assert code == 3 and "h1 inconsistency" in capsys.readouterr().err
+
+
+def test_acm_check_fails_when_the_unit_case_is_dropped(monkeypatch):
+    """A relation form 1 makes A = 0, so h1 = 0 at every twist and u lies in (p).
+    Without the unit case the membership test finds u in the span of no linear
+    form, and ``acm_check`` refuses the verdict of the table."""
+    k = _unit_form_kernel()
+    assert acm_check(k).is_acm
+    real = qacm.quadric.u_in_ideal
+    monkeypatch.setattr(qacm.quadric, "u_in_ideal",
+                        lambda forms: real([f for f in forms if f.degree]))
+    with pytest.raises(InternalCheckError, match="aCM verdict"):
+        acm_check(k)
+
+
+def test_acm_check_fails_on_a_window_that_misses_h1(monkeypatch):
+    """h1 of the sheaf that is not aCM is nonzero only at t = -3..-1: a window of
+    [0, 6] sees none of it, and the membership test (u is not in (v, w^3, u^2))
+    refuses that window's verdict."""
+    k = _not_acm_kernel()
+    monkeypatch.setattr(qacm.quadric, "acm_window", lambda k, margin=8: (0, 6))
+    with pytest.raises(InternalCheckError,
+                       match=r"aCM verdict of the table over \[0, 6\] is True, u in \(p\) is False"):
+        acm_check(k)
 
 
 @pytest.mark.parametrize("sheaf", [
     README_SHEAF, "K(F1=O(2)+O(0)@H1,F2=G(c=2,k=0,Z=[v,w^2],h=u+v)@H2,e=id)"],
     ids=["collinear", "u-free"])
 def test_each_h2_kernel_is_hilbert_checked_once(monkeypatch, sheaf):
-    """A table checks each H2 kernel of the other side once, where it computes
-    it: the twists checked are the twists computed, each twist of the window
-    once and none below it, collinear (on L) or u-free."""
+    """A table checks h1 at each twist against the Hilbert function of the other
+    side's H2 kernel there, HF_A(n) with n = -(b + t) - 3, once: the twists
+    checked are each twist of the window once and none below it, and B is
+    ranked in one pass, collinear (on L) or u-free."""
     k = build(parse(sheaf))
-    computed, checked = [], []
-    compute, check = qacm.quadric.relation_h2_kernel, qacm.quadric.check_h2_kernel
-    monkeypatch.setattr(qacm.quadric, "relation_h2_kernel",
-                        lambda s, t: computed.append(t) or compute(s, t))
-    monkeypatch.setattr(qacm.quadric, "check_h2_kernel",
-                        lambda s, t, ker: checked.append(t) or check(s, t, ker))
     lo, hi = acm_window(k)
+    checked, passes = [], []
+    hf_a, hf_b = qacm.quadric.ci_hilbert, qacm.quadric.line_hilbert
+    monkeypatch.setattr(qacm.quadric, "ci_hilbert",
+                        lambda degrees, n: checked.append(n) or hf_a(degrees, n))
+    monkeypatch.setattr(qacm.quadric, "line_hilbert",
+                        lambda forms, lo, hi: passes.append((lo, hi)) or hf_b(forms, lo, hi))
     coh_table(k, lo, hi)
-    assert checked == computed == list(range(lo, hi + 1))
+    b = k.other.presentation.relation_twist
+    assert [-b - n - 3 for n in checked] == list(range(lo, hi + 1)) and len(passes) == 1
 
 
 def test_a_twist_without_sections_builds_no_h0_matrix(monkeypatch):

@@ -19,13 +19,14 @@ Rank and kernel are computed in two stages on the stored rows, which are
 never changed.  First a singleton peel (the first step of structured Gaussian
 elimination): a row with one nonzero, at column j, forces coordinate j of
 every kernel vector to zero, so j is a pivot column; j is dropped from every
-row and the peel repeats until no singleton is left.  The dual multiplication
-block of a monomial relation form has one nonzero per row, so on H2-level
-relation matrices most rows go this way.  Then fraction-free elimination of
-the remaining core (scaling rows changes neither rank nor kernel), with
-unpivoted rows indexed by their leading column.  Pivoting is deterministic:
-smallest unprocessed column, then the row with the fewest nonzeros, then the
-smallest row index.
+row and the peel repeats until no singleton is left.  It pays on the binary
+ideal pieces ``plane.line_hilbert`` ranks for the h1 check: there a restricted
+relation form of a scan sheaf is often a monomial, one nonzero per column, so
+an end row is reached by one product and each peeled column leaves a singleton
+next to it.  Then fraction-free elimination of the remaining core (scaling rows
+changes neither rank nor kernel), with unpivoted rows indexed by their leading
+column.  Pivoting is deterministic: smallest unprocessed column, then the row
+with the fewest nonzeros, then the smallest row index.
 
 ``kernel_basis`` returns the reduced-echelon basis: one primitive integer
 vector per non-pivot column, with 1 there and 0 in the other non-pivot
@@ -302,8 +303,4 @@ def kernel_basis(m: RatMatrix) -> RatMatrix:
             out[i][j] = x // g
         j += 1
     return RatMatrix(m.cols, j, tuple(out))
-
-
-def kernel_dim(m: RatMatrix) -> int:
-    return m.cols - rank(m)
 

@@ -1,4 +1,4 @@
-"""Monomial models for line-bundle cohomology on P1 and P2.
+"""The monomial model of line-bundle sections on P1 and P2.
 
 Coordinates, fixed once for the whole package: ambient P3 has (x, y, z, w)
 with the two planes H1 = {x = 0}, H2 = {y = 0}; each plane carries chart
@@ -6,12 +6,9 @@ coordinates (u, v, w) where u is the restriction of the *other* plane's
 equation and (v, w) = (z, w); the common line L = {u = 0} has coordinates
 (v, w).
 
-H0(O(d)) is spanned by ordinary monomials of degree d; the top cohomology
-(H2 on P2, H1 on P1) is spanned by "dual" Laurent monomials with every
-exponent <= -1 summing to d.  Multiplication by a form acts on dual bases by
-the contraction rule: a product monomial with any exponent >= 0 is zero.
-All bases are ordered reverse-lexicographically by exponent vector, so every
-matrix is reproducible bit for bit.
+H0(O(d)) is spanned by the monomials of degree d, ordered reverse-
+lexicographically by exponent vector, so every matrix is reproducible bit for
+bit.  Higher cohomology is counted by ``cohomology_dim`` and never built.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, gcd, lcm, prod
-from operator import add, le, sub
+from operator import add
 
 from .linalg import RatMatrix, as_ratio
 from .record import record
@@ -98,13 +95,11 @@ class Form:
     def _mult_terms(self) -> tuple:
         """The form as ``multiplication_matrix`` reads it: (den, terms).  With s_k
         the sum of the last k exponents of a term e in n variables, each term is
-        (its numerator, s_1, s_2, (s_k + k - 1 for k = 2..n-1), (-1 - s_k for
-        k = 2..n-1), (-1 - e_i for i < n - 2))."""
+        (its numerator, s_1, (s_k + k - 1 for k = 2..n-1))."""
         terms = []
         for e, c in self.terms:
             sums = _suffix_sums(e)
-            terms.append((c, sums[0], sums[1], tuple(s + k for k, s in enumerate(sums[1:-1], 1)),
-                          tuple(-1 - s for s in sums[1:-1]), tuple(-1 - x for x in e[:-2])))
+            terms.append((c, sums[0], tuple(s + k for k, s in enumerate(sums[1:-1], 1))))
         return self.den, tuple(terms)
 
     @property
@@ -202,12 +197,11 @@ class Form:
         return out
 
 
-def restrict_to_line(f: Form, j: int = 0) -> Form:
-    """The coefficient of u^j in a plane form (u, v, w), a binary form on L in
-    (v, w); j = 0 is the restriction u := 0."""
+def restrict_to_line(f: Form) -> Form:
+    """A plane form (u, v, w) restricted to L by u := 0, a binary form in (v, w)."""
     if f.num_vars != 3:
         raise ValueError("expected a plane form in (u, v, w)")
-    return Form.from_ints(2, {e[1:]: c for e, c in f.terms if e[0] == j}, f.den)
+    return Form.from_ints(2, {e[1:]: c for e, c in f.terms if e[0] == 0}, f.den)
 
 
 def restrict_to_plane(f: Form, side: int) -> Form:
@@ -292,7 +286,6 @@ def binary_forms_common_zero_free(forms) -> bool:
 
 P1 = "P1"
 P2 = "P2"
-_SPACE_DIM = {P1: 1, P2: 2}
 _SPACE_NVARS = {P1: 2, P2: 3}
 
 
@@ -313,13 +306,6 @@ def h0_exponents(num_vars: int, d: int) -> tuple:
     return tuple(sorted(rec(num_vars, d), reverse=True))
 
 
-@cache
-def dual_exponents(num_vars: int, d: int) -> tuple:
-    """Exponent vectors with every entry <= -1 summing to d, reverse-lex sorted."""
-    base = h0_exponents(num_vars, -d - num_vars)
-    return tuple(sorted((tuple(-1 - e for e in exp) for exp in base), reverse=True))
-
-
 def _suffix_sums(e) -> list:
     """[s_1, ..., s_n]: s_k is the sum of the last k exponents of e."""
     out, s = [], 0
@@ -331,13 +317,12 @@ def _suffix_sums(e) -> list:
 
 @record
 class GradedPiece:
-    """A cohomology group H^i(space, O(d)) with its ordered monomial basis, or
-    the span of a part of that basis.  As the target of ``multiplication_matrix``
-    a piece must be a prefix of its standard basis (``h0_exponents`` or
-    ``dual_exponents``); as a source it may be any list of monomials of degree d."""
+    """H0(space, O(d)) with its ordered monomial basis, or the span of a part of
+    that basis.  As the target of ``multiplication_matrix`` a piece must be a
+    prefix of its standard basis (``h0_exponents``); as a source it may be any
+    list of monomials of degree d."""
 
     space: str
-    i: int
     d: int
     basis: tuple
 
@@ -348,29 +333,27 @@ class GradedPiece:
     @cached_property
     def _runs(self) -> tuple:
         """The basis cut, in order, into maximal runs of monomials that agree in
-        all but their last two exponents.  A run is (head, s_2, (s_2, ..., s_(n-1)),
-        first column, [last exponent of each monomial]), with head the shared
-        exponents and s_k the sum of the last k exponents, shared by the run for k >= 2."""
+        all but their last two exponents.  A run is ((s_2, ..., s_(n-1)), first
+        column, [last exponent of each monomial]), with s_k the sum of the last k
+        exponents, shared by the run for k >= 2."""
         runs = []
         for col, m in enumerate(self.basis):
-            head = m[:-2]
-            if runs and runs[-1][0] == head:
-                runs[-1][4].append(m[-1])
+            if col and self.basis[col - 1][:-2] == m[:-2]:
+                runs[-1][2].append(m[-1])
             else:
-                sums = _suffix_sums(m)
-                runs.append((head, sums[1], tuple(sums[1:-1]), col, [m[-1]]))
+                runs.append((tuple(_suffix_sums(m)[1:-1]), col, [m[-1]]))
         return tuple(runs)
 
 
-def space_dim(space: str) -> int:
-    if space not in _SPACE_DIM:
+def _num_vars(space: str) -> int:
+    if space not in _SPACE_NVARS:
         raise ValueError(f"unknown space {space!r}")
-    return _SPACE_DIM[space]
+    return _SPACE_NVARS[space]
 
 
 def cohomology_dim(space: str, i: int, d: int) -> int:
     """Closed-form h^i(space, O(d)) for space in {P1, P2}."""
-    n = space_dim(space)
+    n = _num_vars(space) - 1
     if i > n or i < 0:
         raise ValueError(f"cohomology index {i} out of range for {space}")
     if space == P2:
@@ -385,21 +368,9 @@ def cohomology_dim(space: str, i: int, d: int) -> int:
 
 
 @cache
-def basis(space: str, i: int, d: int) -> GradedPiece:
-    """Monomial basis of H^i(space, O(d)); empty for the vanishing groups."""
-    n = space_dim(space)
-    if i > n or i < 0:
-        raise ValueError(f"cohomology index {i} out of range for {space}")
-    nv = _SPACE_NVARS[space]
-    if i == 0:
-        b = h0_exponents(nv, d)
-    elif i == n:
-        b = dual_exponents(nv, d)
-    else:
-        b = ()
-    piece = GradedPiece(space, i, d, b)
-    assert piece.dim == cohomology_dim(space, i, d)
-    return piece
+def basis(space: str, d: int) -> GradedPiece:
+    """Monomial basis of H0(space, O(d)); empty for d < 0."""
+    return GradedPiece(space, d, h0_exponents(_num_vars(space), d))
 
 
 def multiplication_matrix(grid, srcs, tgts) -> RatMatrix:
@@ -408,16 +379,13 @@ def multiplication_matrix(grid, srcs, tgts) -> RatMatrix:
     target, columns by source, blocks in order.  A piece is a ``GradedPiece``;
     each target is a prefix of its standard basis, so a product's row is its
     rank there, computed from its exponents.  The grid, and each of its rows,
-    may stop early: the forms left out are zero.  A target of positive
-    cohomology index is a top piece with a dual basis, on which a product
-    monomial with any exponent >= 0 contracts to zero.
+    may stop early: the forms left out are zero.
 
     The rank rule, with s_k the sum of the last k of the n exponents of p:
-    rank(p) = sum_(k=1..n-1) C(s_k + k - 1, k) in H0, and, on the top piece
-    of degree d, rank(p) = C(-d - 1, n - 1) - 1 - rank(-1 - p), the second
-    rank taken in H0.  The suffix sums of a product m * e are those of m plus
-    those of e, and the source monomials of one run (``GradedPiece._runs``)
-    share s_k for k >= 2, so along a run row = base + last exponent of m.
+    rank(p) = sum_(k=1..n-1) C(s_k + k - 1, k).  The suffix sums of a product
+    m * e are those of m plus those of e, and the source monomials of one run
+    (``GradedPiece._runs``) share s_k for k >= 2, so along a run
+    row = base + last exponent of m.
 
     Every product is written straight into one list of int rows over the
     common denominator of all coefficients; zero forms and empty pieces write
@@ -450,30 +418,14 @@ def multiplication_matrix(grid, srcs, tgts) -> RatMatrix:
         scale = den // fden
         rows = out[roff[i]:roff[i + 1]]     # a row past the target piece raises IndexError
         # distinct exponents of f give distinct products, so no entry is hit twice
-        n = len(tgts[i].basis[0])
-        ks = range(2, n)
+        ks = range(2, len(tgts[i].basis[0]))
         try:
-            if tgts[i].i:
-                full = comb(-tgts[i].d - 1, n - 1)
-                for c, s1, s2, _, shift, lim in terms:
-                    c *= scale
-                    for head, sigma, hi, first, lasts in runs:
-                        # the product's last two exponents, x + s1 and sigma + s2 - x - s1,
-                        # are both <= -1 iff lo < x < up, which needs sigma + s2 <= -2
-                        if sigma + s2 > -2 or not all(map(le, head, lim)):
-                            continue
-                        base = full + s1 - sum(map(comb, map(sub, shift, hi), ks)) if hi else full + s1
-                        lo, up = sigma + s2 - s1, -s1
-                        for col, x in enumerate(lasts, c0 + first):
-                            if lo < x < up:
-                                rows[base + x][col] = c
-            else:
-                for c, s1, _, shift, _, _ in terms:
-                    c *= scale
-                    for _, _, hi, first, lasts in runs:
-                        base = s1 + sum(map(comb, map(add, hi, shift), ks)) if hi else s1
-                        for col, x in enumerate(lasts, c0 + first):
-                            rows[base + x][col] = c
+            for c, s1, shift in terms:
+                c *= scale
+                for hi, first, lasts in runs:
+                    base = s1 + sum(map(comb, map(add, hi, shift), ks)) if hi else s1
+                    for col, x in enumerate(lasts, c0 + first):
+                        rows[base + x][col] = c
         except IndexError:
             raise ValueError("bookkeeping error: a product lies outside its target piece, "
                              "a prefix of its standard basis") from None
@@ -484,8 +436,8 @@ def multiplication_matrix(grid, srcs, tgts) -> RatMatrix:
 def restriction_matrix(d: int) -> RatMatrix:
     """H0(P2, O(d)) -> H0(L, O(d)) by u := 0 (monomials with positive
     u-exponent die); surjective for d >= 0, empty for d < 0."""
-    src = basis(P2, 0, d)
-    tgt = basis(P1, 0, d)
+    src = basis(P2, d)
+    tgt = basis(P1, d)
     out = [{} for _ in range(tgt.dim)]
     for col, (a, b, c) in enumerate(src.basis):
         if a == 0:

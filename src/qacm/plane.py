@@ -78,8 +78,8 @@ def _ideal_piece_matrix(forms, d: int, space: str = P2) -> RatMatrix:
     """Columns spanning the degree-d piece of the ideal generated by the
     nonzero ``forms`` inside the monomial coordinates of H0(space, O(d)): plane
     forms on P2, binary forms on P1 = L."""
-    return multiplication_matrix([forms], [basis(space, 0, d - f.degree) for f in forms],
-                                 [basis(space, 0, d)])
+    return multiplication_matrix([forms], [basis(space, d - f.degree) for f in forms],
+                                 [basis(space, d)])
 
 
 def u_in_ideal(forms) -> bool:
@@ -303,7 +303,7 @@ def _auto_extension_form(ci: CISubscheme, deg_h: int) -> Form:
     u is skipped: h|_L = 0 and gcd(g, 0) = g, so ``no_common_zero`` rejects it."""
     if deg_h == 0:
         return Form.constant(3, 1)
-    mons = basis(P2, 0, deg_h).basis
+    mons = basis(P2, deg_h).basis
     on_line = is_u(ci.f1) or is_u(ci.f2)
     for support in range(1, 4):
         for pos in itertools.combinations(range(len(mons)), support):
@@ -510,9 +510,9 @@ def _hom_row_candidates(sheaf, e: int) -> list:
     sum r_i * p_i = 0 for the restricted relation (p_i): the maps F|_L -> O_L(e),
     i.e. the degree-e syzygies of (p_i), one per vector of ``kernel_basis``."""
     pres = sheaf.line_presentation
-    srcs = [basis(P1, 0, e - a) for a in pres.target_twists]
+    srcs = [basis(P1, e - a) for a in pres.target_twists]
     ker = kernel_basis(multiplication_matrix([pres.relation], srcs,
-                                             [basis(P1, 0, e - pres.relation_twist)]))
+                                             [basis(P1, e - pres.relation_twist)]))
     # each coordinate, a row of the basis matrix, is a monomial of one piece
     parts = [[{} for _ in srcs] for _ in range(ker.cols)]
     coords = ((i, m) for i, src in enumerate(srcs) for m in src.basis)

@@ -159,8 +159,8 @@ def _assembled_matrix(k: KernelSheaf, t: int) -> RatMatrix:
     Exact: composed with ``_restriction(k, t)`` it is the gluing matrix times the
     trivialized restrictions entry for entry, as M_beta M_r = M_(beta r) on monomial
     bases; and the restriction u := 0 is a surjective selection, so rank(Phi R) = rank(Phi)."""
-    return multiplication_matrix(k.line_map, [basis(P1, 0, a + t) for a in k.twists],
-                                 [basis(P1, 0, k.c + t), basis(P1, 0, t)])
+    return multiplication_matrix(k.line_map, [basis(P1, a + t) for a in k.twists],
+                                 [basis(P1, k.c + t), basis(P1, t)])
 
 
 def _restriction(k: KernelSheaf, t: int) -> RatMatrix:
@@ -342,7 +342,7 @@ def gluing_variation_report(k: KernelSheaf, gluings, tmin: int = None, tmax: int
 
 def _cover_sections(k: KernelSheaf, t: int) -> list:
     """H0(O(a + t)) of every summand of the two free covers, split side first."""
-    return [basis(P2, 0, a + t) for a in k.twists]
+    return [basis(P2, a + t) for a in k.twists]
 
 
 def _linear_mult(k: KernelSheaf, linear: Form) -> RatMatrix:
@@ -372,7 +372,7 @@ def global_generation_surjective(k: KernelSheaf) -> bool:
     pres = k.other.presentation
     embedded = multiplication_matrix(
         [()] * len(k.split.twists) + [(f,) for f in pres.relation],
-        [] if pres.relation_twist is None else [basis(P2, 0, pres.relation_twist + 1)],
+        [] if pres.relation_twist is None else [basis(P2, pres.relation_twist + 1)],
         _cover_sections(k, 1))
     total = hstack(*columns, embedded)
     return rank(total) == target_dim

@@ -11,17 +11,67 @@ relation at t - 1, and kill the image of the restricted relation.
 ``h1_kernel_stacked`` computes it on L, killing that image by eliminating the
 stacked matrix [Q K | L_t].  Neither shares code with the degree count or with
 ``quadric.h1_from_forms``, and neither reads a trivialization.
+
+The program builds H0 pieces only.  Top cohomology (H2 on P2, H1 on P1) lives
+here: ``dual_basis`` spans it by the Laurent monomials with every exponent
+<= -1, and ``naive_multiplication_matrix`` multiplies on them entry by entry,
+contracting a product with an exponent >= 0 to zero.  A dual piece is a
+``GradedPiece`` whose basis holds such monomials.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate
+from math import lcm
+from operator import add
 
 from qacm.errors import InternalCheckError
-from qacm.linalg import RatMatrix, hstack, kernel_basis, kernel_dim
-from qacm.monomials import (P1, P2, GradedPiece, basis, cohomology_dim, dual_exponents,
-                            multiplication_matrix, restrict_to_line)
+from qacm.linalg import RatMatrix, hstack, kernel_basis, rank
+from qacm.monomials import (P1, P2, Form, GradedPiece, basis, cohomology_dim, h0_exponents,
+                            multiplication_matrix)
 from qacm.plane import Presentation, h2_kernel_dim, is_u
+
+
+def kernel_dim(m: RatMatrix) -> int:
+    return m.cols - rank(m)
+
+
+@cache
+def dual_basis(space: str, d: int) -> GradedPiece:
+    """The dual monomials of degree d on P1 or P2 (every exponent <= -1), reverse-lex
+    sorted: m is the Serre dual of the H0 monomial -1 - m of degree -d - n, n the
+    number of variables."""
+    n = {P1: 2, P2: 3}[space]
+    return GradedPiece(space, d, tuple(sorted((tuple(-1 - x for x in e)
+                                               for e in h0_exponents(n, -d - n)), reverse=True)))
+
+
+def naive_multiplication_matrix(grid, srcs, tgts, top: bool = True) -> RatMatrix:
+    """The map sum_j srcs[j] -> sum_i tgts[i] whose block (i, j) is multiplication
+    by ``grid[i][j]``, as ``multiplication_matrix`` lays it out, built entry by
+    entry: the term c x^e of a form sends source monomial m to row index[m + e] of
+    its target.  On top pieces (``top``) a product with an exponent >= 0
+    contracts to zero.  Entries are ints over the lcm of the forms' denominators.
+    A product missing from its target, a prefix of its basis, raises ValueError."""
+    den = lcm(1, *(f.den for row in grid for f in row))
+    offsets = list(accumulate((p.dim for p in srcs), initial=0))
+    out = []
+    for row, tgt in zip(grid, tgts, strict=True):
+        index = {m: r for r, m in enumerate(tgt.basis)}
+        block = [{} for _ in tgt.basis]
+        for f, src, c0 in zip(row, srcs, offsets):
+            for col, m in enumerate(src.basis, c0):
+                for e, c in f.terms:
+                    p = tuple(map(add, m, e))
+                    if top and max(p) >= 0:
+                        continue
+                    if p not in index:
+                        raise ValueError("bookkeeping error: a product lies outside its "
+                                         "target piece, a prefix of its standard basis")
+                    block[index[p]][col] = c * (den // f.den)
+        out += block
+    return RatMatrix.make(len(out), offsets[-1], out, den)
 
 
 def h2_depth(sheaf):
@@ -31,13 +81,16 @@ def h2_depth(sheaf):
 
 
 def _relation_matrix(space: str, i: int, pres: Presentation, t: int) -> RatMatrix:
-    """H^i-level matrix of the relation of ``pres``: H^i(O(b+t)) -> sum H^i(O(a+t));
+    """H^i-level matrix of the relation of ``pres``: H^i(O(b+t)) -> sum H^i(O(a+t)),
+    by the program's builder on H0 (i = 0) and the naive one on the top piece;
     without a relation it has no columns, and no basis is built."""
     b = pres.relation_twist
     if b is None:
         return RatMatrix.zero(sum(cohomology_dim(space, i, a + t) for a in pres.target_twists), 0)
-    return multiplication_matrix([(f,) for f in pres.relation], [basis(space, i, b + t)],
-                                 [basis(space, i, a + t) for a in pres.target_twists])
+    build, piece = ((multiplication_matrix, basis) if i == 0
+                    else (naive_multiplication_matrix, dual_basis))
+    return build([(f,) for f in pres.relation], [piece(space, b + t)],
+                 [piece(space, a + t) for a in pres.target_twists])
 
 
 def relation_h2_matrix(sheaf, t: int) -> RatMatrix:
@@ -109,10 +162,11 @@ def line_relation_matrix(sheaf, t: int, i: int) -> RatMatrix:
 
 def _u_coefficients(pres) -> tuple:
     """The grid of p_(i,j)|_L, j = 1 up to the top power of u, one row per relation
-    form p_i = sum_j u^j p_(i,j): its coefficient of u^j, ``restrict_to_line(p_i, j)``,
-    a binary form of degree a_i - b - j."""
+    form p_i = sum_j u^j p_(i,j): its coefficient of u^j, a binary form of degree
+    a_i - b - j."""
     top = max((e[0] for f in pres.relation for e, _ in f.terms), default=0)
-    return tuple(tuple(restrict_to_line(f, j) for j in range(1, top + 1)) for f in pres.relation)
+    return tuple(tuple(Form.from_ints(2, {e[1:]: c for e, c in f.terms if e[0] == j}, f.den)
+                       for j in range(1, top + 1)) for f in pres.relation)
 
 
 @cache
@@ -121,16 +175,16 @@ def dual_prefix(d: int, depth) -> GradedPiece:
     reverse-lex order lists first, in basis order; None means all of them.
     Built once per (d, depth), like ``basis``."""
     if depth is None:
-        return basis(P2, 2, d)
-    return GradedPiece(P2, 2, d, tuple((-j,) + e for j in range(1, depth + 1)
-                                       for e in dual_exponents(2, d + j)))
+        return dual_basis(P2, d)
+    return GradedPiece(P2, d, tuple((-j,) + e for j in range(1, depth + 1)
+                                    for e in dual_basis(P1, d + j).basis))
 
 
 def relation_h2_prefix_matrix(pres, t: int, src: GradedPiece, depth):
     """The H2-level relation at twist t on ``src``, dual monomials of degree
     b + t, into the depth prefix of each target summand, which holds every product."""
-    return multiplication_matrix([(f,) for f in pres.relation], [src],
-                                 [dual_prefix(a + t, depth) for a in pres.target_twists])
+    return naive_multiplication_matrix([(f,) for f in pres.relation], [src],
+                                       [dual_prefix(a + t, depth) for a in pres.target_twists])
 
 
 def h1_kernel_of_line_map_full(k, t: int, ker) -> int:
@@ -147,7 +201,7 @@ def h1_kernel_of_line_map_full(k, t: int, ker) -> int:
     b = pres.relation_twist
     depth = h2_depth(k.other)
     rows = None if depth is None else depth + 1
-    lifted = GradedPiece(P2, 2, b + t - 1,
+    lifted = GradedPiece(P2, b + t - 1,
                          tuple((a - 1, v, w) for a, v, w in dual_prefix(b + t, depth).basis))
     a_mat = relation_h2_prefix_matrix(pres, t - 1, lifted, rows) @ ker
     d_mat = relation_h2_prefix_matrix(pres, t - 1, dual_prefix(b + t - 1, 1), rows)
@@ -164,10 +218,10 @@ def h1_kernel_stacked(k, t: int, ker) -> int:
     pres = k.other.presentation
     srcs, n = [], 0
     while n < ker.rows:
-        srcs.append(basis(P1, 1, pres.relation_twist + t + len(srcs) + 1))
+        srcs.append(dual_basis(P1, pres.relation_twist + t + len(srcs) + 1))
         n += srcs[-1].dim
     q = _u_coefficients(pres)
-    u_map = multiplication_matrix([row[:len(srcs)] for row in q], srcs,
-                                  [basis(P1, 1, a + t) for a in pres.target_twists])
+    u_map = naive_multiplication_matrix([row[:len(srcs)] for row in q], srcs,
+                                        [dual_basis(P1, a + t) for a in pres.target_twists])
     line = line_relation_matrix(k.other, t, 1)
     return kernel_dim(hstack(u_map @ ker, line)) - kernel_dim(line)

@@ -30,10 +30,10 @@ vv, ww = Form.variable(2, "v"), Form.variable(2, "w")
 def _line_block(f: Form, a: int, e: int, t: int) -> RatMatrix:
     """Multiplication by f: H0(O_L(a + t)) -> H0(O_L(e + t)); zero forms mark
     impossible degrees."""
-    src = basis(P1, 0, a + t)
+    src = basis(P1, a + t)
     if f.is_zero:
         return RatMatrix.zero(cohomology_dim(P1, 0, e + t), src.dim)
-    return multiplication_matrix([[f]], [src], [basis(P1, 0, e + t)])
+    return multiplication_matrix([[f]], [src], [basis(P1, e + t)])
 
 
 def _restricted(sheaf, t: int) -> RatMatrix:
@@ -50,7 +50,7 @@ def oracle_matrix(k, t: int) -> RatMatrix:
     hi, lo = cohomology_dim(P1, 0, k.c + t), cohomology_dim(P1, 0, t)
     beta = k.e.beta
     m_beta = (RatMatrix.zero(hi, lo) if beta is None or beta.is_zero
-              else multiplication_matrix([[beta]], [basis(P1, 0, t)], [basis(P1, 0, k.c + t)]))
+              else multiplication_matrix([[beta]], [basis(P1, t)], [basis(P1, k.c + t)]))
     g = vstack(hstack(_scalar(hi, k.e.alpha), m_beta),
                hstack(RatMatrix.zero(lo, hi), _scalar(lo, k.e.delta)))
     return hstack(g @ _restricted(k.split, t), _scalar(hi + lo, -1) @ _restricted(k.other, t))

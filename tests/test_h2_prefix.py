@@ -140,20 +140,16 @@ def test_scan_sheaf_prefix_kernel_equals_whole_kernel(c, k):
 
 
 def _forbid_deep_plane_dual_bases(monkeypatch):
-    """Make every construction of a dual basis of H2(P2) below degree -200 fail."""
-    def guard(fn, deep):
-        def guarded(*args):
-            if deep(*args):
-                raise AssertionError(f"dual basis of P2 built at {args}")
-            return fn(*args)
-        return guarded
+    """Make every construction of a dual basis of H2(P2) below degree -200 fail;
+    the program builds no dual basis at all."""
+    real = p2_route.dual_basis
 
-    dual3 = lambda nv, d: nv == 3 and d < -200                  # noqa: E731
-    basis_p2 = lambda space, i, d: (space, i) == (P2, 2) and d < -200   # noqa: E731
-    for mod in (qacm.monomials, p2_route):
-        monkeypatch.setattr(mod, "dual_exponents", guard(mod.dual_exponents, dual3))
-    for mod in (qacm.monomials, qacm.plane, qacm.quadric, p2_route):
-        monkeypatch.setattr(mod, "basis", guard(mod.basis, basis_p2))
+    def guarded(space, d):
+        if space == P2 and d < -200:
+            raise AssertionError(f"dual basis of P2 built at degree {d}")
+        return real(space, d)
+
+    monkeypatch.setattr(p2_route, "dual_basis", guarded)
 
 
 def test_deep_twist_builds_no_plane_dual_basis(monkeypatch):
@@ -402,8 +398,8 @@ def test_a_twist_past_the_bound_builds_and_eliminates_nothing(monkeypatch, make,
     def forbidden(*args, **kwargs):
         raise AssertionError("matrix built or eliminated past the bound")
 
-    for mod in (qacm.plane, p2_route):
-        monkeypatch.setattr(mod, "multiplication_matrix", forbidden)
+    for mod, build in ((qacm.plane, "multiplication_matrix"), (p2_route, "naive_multiplication_matrix")):
+        monkeypatch.setattr(mod, build, forbidden)
         monkeypatch.setattr(mod, "kernel_basis", forbidden)
     monkeypatch.setattr(qacm.plane, "rank", forbidden)
     for t in range(bound - 40, bound + 1):
@@ -425,8 +421,8 @@ def test_a_twist_with_an_empty_source_builds_nothing(monkeypatch, make):
     def forbidden(*args, **kwargs):
         raise AssertionError("matrix built or eliminated with an empty source")
 
-    for mod in (qacm.plane, p2_route):
-        monkeypatch.setattr(mod, "multiplication_matrix", forbidden)
+    for mod, build in ((qacm.plane, "multiplication_matrix"), (p2_route, "naive_multiplication_matrix")):
+        monkeypatch.setattr(mod, build, forbidden)
         monkeypatch.setattr(mod, "kernel_basis", forbidden)
     for t in range(top, top + 40):
         assert relation_h2_kernel(sheaf, t) == RatMatrix.zero(0, 0)

@@ -129,7 +129,7 @@ def cokernel_hilbert_by_rank(a, t: int) -> int:
     a = form_matrix(a)
     if t < 0:
         return 0
-    src, tgt = (GradedPiece("P3", 0, d, h0_exponents(4, d)) for d in (t - 1, t))
+    src, tgt = (GradedPiece("P3", d, h0_exponents(4, d)) for d in (t - 1, t))
     return len(a) * tgt.dim - rank(multiplication_matrix(a, [src] * len(a), [tgt] * len(a)))
 
 

@@ -1,17 +1,18 @@
+import random
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qacm.linalg import QQ, RatMatrix, hstack, rank
+from qacm.linalg import QQ, RatMatrix, rank
 from qacm.monomials import (P1, P2, VAR_NAMES, Form, GradedPiece, basis,
                             binary_forms_common_zero_free,
-                            binary_gcd, cohomology_dim, dual_exponents, h0_exponents,
+                            binary_gcd, cohomology_dim, h0_exponents,
                             multiplication_matrix, restrict_to_line, restrict_to_plane,
                             restriction_matrix)
-from p2_route import dual_prefix
-from test_linalg import vstack
+from p2_route import _u_coefficients, dual_basis, dual_prefix, naive_multiplication_matrix
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 
@@ -32,7 +33,9 @@ def test_dim_index_out_of_range():
     with pytest.raises(ValueError):
         cohomology_dim(P1, 2, 0)
     with pytest.raises(ValueError):
-        basis(P2, 3, 0)
+        cohomology_dim(P2, 3, 0)
+    with pytest.raises(ValueError):
+        basis("P3", 0)
 
 
 @pytest.mark.parametrize("d", range(-12, 13))
@@ -44,67 +47,56 @@ def test_serre_dual_dimensions(d):
 # --- bases -------------------------------------------------------------------
 
 def test_basis_linear_forms():
-    assert basis(P2, 0, 1).basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert basis(P2, 1).basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_basis_top_one_dimensional():
-    assert basis(P2, 2, -3).basis == ((-1, -1, -1),)
+    assert dual_basis(P2, -3).basis == ((-1, -1, -1),)
 
 
 def test_basis_p1_dual():
-    assert basis(P1, 1, -3).basis == ((-1, -2), (-2, -1))
+    assert dual_basis(P1, -3).basis == ((-1, -2), (-2, -1))
 
 
 def test_basis_sizes_match_dims():
     for d in range(-8, 8):
         for space, top in ((P1, 1), (P2, 2)):
-            for i in range(top + 1):
-                assert basis(space, i, d).dim == cohomology_dim(space, i, d)
+            assert basis(space, d).dim == cohomology_dim(space, 0, d)
+            assert dual_basis(space, d).dim == cohomology_dim(space, top, d)
 
 
 # --- multiplication ----------------------------------------------------------
 
 def test_mult_embedding():
-    m = multiplication_matrix([[u]], [basis(P2, 0, 1)], [basis(P2, 0, 2)])
+    m = multiplication_matrix([[u]], [basis(P2, 1)], [basis(P2, 2)])
     # columns follow the source basis H0(O(1)), rows the target H0(O(2))
     assert (m.rows, m.cols) == (6, 3)
     assert rank(m) == 3
 
 
-def test_mult_contraction_rule():
-    src = basis(P2, 2, -4)
-    m = multiplication_matrix([[u]], [src], [basis(P2, 2, -3)])
-    cols = dict(zip(src.basis, m.transpose().data))
-    # u * u^-1 v^-2 w^-1 has a nonnegative exponent: dies
-    assert not cols[(-1, -2, -1)]
-    tgt = basis(P2, 2, -3)
-    j = tgt.basis.index((-1, -1, -1))
-    assert cols[(-2, -1, -1)] == {j: 1} and m.den == 1
-
-
 def test_mult_zero_form():
-    m = multiplication_matrix([[Form.zero(3)]], [basis(P2, 0, 1)], [basis(P2, 0, 1)])
+    m = multiplication_matrix([[Form.zero(3)]], [basis(P2, 1)], [basis(P2, 1)])
     assert m.is_zero()
 
 
 def test_mult_variable_mismatch():
     with pytest.raises(ValueError):
-        multiplication_matrix([[Form.variable(2, "v")]], [basis(P2, 0, 1)], [basis(P2, 0, 2)])
+        multiplication_matrix([[Form.variable(2, "v")]], [basis(P2, 1)], [basis(P2, 2)])
 
 
 def test_mult_degree_bookkeeping_error():
     with pytest.raises(ValueError, match="degree bookkeeping error"):
-        multiplication_matrix([[v]], [basis(P2, 0, 1)], [basis(P2, 0, 1)])
+        multiplication_matrix([[v]], [basis(P2, 1)], [basis(P2, 1)])
     # an empty block is checked as well
     with pytest.raises(ValueError, match="degree bookkeeping error"):
-        multiplication_matrix([[v]], [basis(P2, 0, -2)], [basis(P2, 0, -2)])
+        multiplication_matrix([[v]], [basis(P2, -2)], [basis(P2, -2)])
 
 
 def _lifted(d, depth):
     """The shape of ``lifted`` in ``p2_route.h1_kernel_of_line_map_full``: the
     depth prefix of H2(O(d)) moved one u-exponent down, a slice of H2(O(d - 1))
     that is not a prefix of it."""
-    return GradedPiece(P2, 2, d - 1, tuple((a - 1, b, c) for a, b, c in dual_prefix(d, depth).basis))
+    return GradedPiece(P2, d - 1, tuple((a - 1, b, c) for a, b, c in dual_prefix(d, depth).basis))
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -113,9 +105,9 @@ def test_dual_prefix_is_the_leading_part_built_once(depth):
     u-exponent >= -depth, which comes first in it; it is built once per
     (d, depth), and depth None is the cached basis itself."""
     for d in range(-12, 3):
-        piece, whole = dual_prefix(d, depth), basis(P2, 2, d)
+        piece, whole = dual_prefix(d, depth), dual_basis(P2, d)
         assert dual_prefix(d, depth) is piece
-        assert (piece.space, piece.i, piece.d) == (P2, 2, d)
+        assert (piece.space, piece.d) == (P2, d)
         assert piece.basis == whole.basis[:piece.dim]
         assert piece.basis == tuple(m for m in whole.basis if m[0] >= -depth)
         assert dual_prefix(d, None) is whole
@@ -123,33 +115,34 @@ def test_dual_prefix_is_the_leading_part_built_once(depth):
 
 def test_mult_product_outside_the_target_piece():
     """A target piece that does not hold every product is a bookkeeping error,
-    not a silent write into the next block or an IndexError."""
+    not a silent write into the next block or an IndexError, in the program's
+    builder and in the tests' dual one."""
+    dual = naive_multiplication_matrix
     with pytest.raises(ValueError, match="bookkeeping error.*outside its target piece"):
-        multiplication_matrix([[v]], [dual_prefix(-6, 2)], [dual_prefix(-5, 1)])
+        dual([[v]], [dual_prefix(-6, 2)], [dual_prefix(-5, 1)])
     # the lifted slice reaches u-exponent -2: a depth-1 target is one level too shallow
     with pytest.raises(ValueError, match="bookkeeping error.*outside its target piece"):
-        multiplication_matrix([[v]], [_lifted(-4, 1)], [dual_prefix(-4, 1)])
+        dual([[v]], [_lifted(-4, 1)], [dual_prefix(-4, 1)])
     # a second target block after the short one: the product must not land there
     with pytest.raises(ValueError, match="bookkeeping error.*outside its target piece"):
-        multiplication_matrix([[v], [Form.zero(3)]], [dual_prefix(-6, 2)],
-                              [dual_prefix(-5, 1), basis(P2, 2, -5)])
-    short = GradedPiece(P2, 0, 2, basis(P2, 0, 2).basis[:3])
+        dual([[v], [Form.zero(3)]], [dual_prefix(-6, 2)], [dual_prefix(-5, 1), dual_basis(P2, -5)])
+    short = GradedPiece(P2, 2, basis(P2, 2).basis[:3])
     with pytest.raises(ValueError, match="bookkeeping error.*outside its target piece"):
-        multiplication_matrix([[v]], [basis(P2, 0, 1)], [short])
+        multiplication_matrix([[v]], [basis(P2, 1)], [short])
+    with pytest.raises(ValueError, match="bookkeeping error.*outside its target piece"):
+        multiplication_matrix([[v], [Form.zero(3)]], [basis(P2, 1)], [short, basis(P2, 2)])
 
 
-@pytest.mark.parametrize("nv, top", [(2, False), (3, False), (4, False), (2, True), (3, True),
-                                     (4, True)])
-def test_rank_rule_places_each_monomial_at_its_position(nv, top):
+@pytest.mark.parametrize("nv", [2, 3, 4])
+def test_rank_rule_places_each_monomial_at_its_position(nv):
     """Multiplication by 1 on a whole basis is the identity, and on the basis
     reversed it is the reversal: the computed rank of every monomial is its
-    position in ``h0_exponents`` or ``dual_exponents``, every degree up to 8."""
+    position in ``h0_exponents``, every degree up to 8."""
     one = Form.constant(nv, 1)
-    space, i = {2: P1, 3: P2, 4: "P3"}[nv], nv - 1 if top else 0
-    for k in range(9):
-        d = -k - nv if top else k
-        piece = GradedPiece(space, i, d, (dual_exponents if top else h0_exponents)(nv, d))
-        flipped = GradedPiece(space, i, d, piece.basis[::-1])
+    space = {2: P1, 3: P2, 4: "P3"}[nv]
+    for d in range(9):
+        piece = GradedPiece(space, d, h0_exponents(nv, d))
+        flipped = GradedPiece(space, d, piece.basis[::-1])
         n = piece.dim
         assert multiplication_matrix([[one]], [piece], [piece]) == \
             RatMatrix(n, n, tuple({r: 1} for r in range(n)))
@@ -157,43 +150,57 @@ def test_rank_rule_places_each_monomial_at_its_position(nv, top):
             RatMatrix(n, n, tuple({n - 1 - r: 1} for r in range(n)))
 
 
+def _serre_adjoint(m):
+    """The matrix whose entry (i, j) is entry (m.rows - 1 - j, m.cols - 1 - i) of m."""
+    rows = [{m.rows - 1 - r: x for r, x in col.items()} for col in reversed(m.transpose().data)]
+    return RatMatrix(m.cols, m.rows, tuple(rows), m.den)
+
+
+@pytest.mark.parametrize("space", [P1, P2])
+def test_dual_builder_is_the_serre_adjoint_of_the_h0_builder(space):
+    """Multiplication by f from H^top(O(a)) to H^top(O(b)), built by the tests'
+    dual builder on whole bases, is the Serre dual of multiplication by f from
+    H0(O(-b - n)) to H0(O(-a - n)), n the number of variables, built by the
+    program: the dual monomial m pairs with the H0 monomial -1 - m, so entry
+    (i, j) of the one is entry (N_src - 1 - j, N_tgt - 1 - i) of the other.
+    Forms of degree 0 to 3 with Fraction coefficients, some zero, over every
+    dual degree a from -10 to -1."""
+    n = {P1: 2, P2: 3}[space]
+    rng = random.Random(7)
+    nonzero = 0
+    for a in range(-10, 0):
+        for k in range(4):
+            mons = h0_exponents(n, k)
+            f = Form.from_dict(n, {m: QQ(rng.randint(-4, 4), rng.randint(1, 6)) for m in mons})
+            b = a + k
+            dual = naive_multiplication_matrix([[f]], [dual_basis(space, a)], [dual_basis(space, b)])
+            h0 = multiplication_matrix([[f]], [basis(space, -b - n)], [basis(space, -a - n)])
+            assert dual == _serre_adjoint(h0), (space, a, k, str(f))
+            nonzero += not dual.is_zero()
+    assert nonzero > 20
+
+
 # --- one builder against blocks and stacks -------------------------------------
 
 
-def _reference_block(f, src, tgt, top):
-    """Multiplication by f from src to tgt, entry by entry in Fractions, each
-    coefficient read as its numerator over the form's ``den``."""
-    index = {m: i for i, m in enumerate(tgt.basis)}
-    rows = [{} for _ in tgt.basis]
-    for j, m in enumerate(src.basis):
-        for e, c in f.terms:
-            prod = tuple(a + b for a, b in zip(m, e))
-            if not top or max(prod) < 0:
-                rows[index[prod]][j] = QQ(c, f.den)
-    return RatMatrix.from_dicts(len(tgt.basis), len(src.basis), rows)
-
-
-def _reference(grid, srcs, tgts, top):
-    return vstack(*[hstack(*[_reference_block(f, src, tgt, top) for f, src in zip(row, srcs)])
-                    for row, tgt in zip(grid, tgts)])
-
-
-def _piece(space, i, d):
+def _piece(space, d):
     if space == "P3":
-        return GradedPiece(space, 0, d, h0_exponents(4, d))
-    return basis(space, i, d)
+        return GradedPiece(space, d, h0_exponents(4, d))
+    return basis(space, d)
 
 
-# (space, cohomology index, variables, degrees of the pieces); the degrees
-# include empty pieces: negative ones at H0, -1 and -2 at the top
-_SPACES = [(P1, 0, 2, range(-2, 5)), (P1, 1, 2, range(-6, 0)),
-           (P2, 0, 3, range(-2, 4)), (P2, 2, 3, range(-7, -1)), ("P3", 0, 4, range(-1, 4))]
+# (space, variables, degrees of the pieces); the degrees include empty pieces
+_SPACES = [(P1, 2, range(-2, 5)), (P2, 3, range(-2, 4)), ("P3", 4, range(-1, 4))]
 _coefficients = st.one_of(st.integers(-3, 3),
                           st.fractions(min_value=-3, max_value=3, max_denominator=6))
 
 
-def _draw_grid(draw, nv, srcs, tgts):
-    """Forms of nv variables from each source to each target degree, some zero."""
+@st.composite
+def _grids(draw):
+    """Forms from each source to each target degree, some zero."""
+    space, nv, degrees = draw(st.sampled_from(_SPACES))
+    srcs = [_piece(space, d) for d in draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=5))]
+    tgts = [_piece(space, e) for e in draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=3))]
     grid = []
     for tgt in tgts:
         row = []
@@ -202,43 +209,18 @@ def _draw_grid(draw, nv, srcs, tgts):
             cs = draw(st.lists(_coefficients, min_size=len(mons), max_size=len(mons)))
             row.append(Form.from_dict(nv, dict(zip(mons, cs))) if mons else Form.zero(nv))
         grid.append(row)
-    return grid
+    return grid, srcs, tgts
 
 
-@st.composite
-def _grids(draw):
-    space, i, nv, degrees = draw(st.sampled_from(_SPACES))
-    srcs = [_piece(space, i, d) for d in draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=5))]
-    tgts = [_piece(space, i, e) for e in draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=3))]
-    return _draw_grid(draw, nv, srcs, tgts), srcs, tgts, i > 0
-
-
-@st.composite
-def _prefix_grids(draw):
-    """Dual grids on P2 whose targets are ``dual_prefix(e, depth)``, depth 1 to
-    3, and whose sources hold every product there: prefixes no deeper, and
-    lifted slices one level less deep."""
-    depth = draw(st.integers(1, 3))
-    srcs = []
-    for d in draw(st.lists(st.integers(-8, -2), min_size=1, max_size=4)):
-        if depth > 1 and draw(st.booleans()):
-            srcs.append(_lifted(d + 1, draw(st.integers(1, depth - 1))))
-        else:
-            srcs.append(dual_prefix(d, draw(st.integers(1, depth))))
-    tgts = [dual_prefix(e, depth) for e in draw(st.lists(st.integers(-7, -1), min_size=1, max_size=3))]
-    return _draw_grid(draw, 3, srcs, tgts), srcs, tgts, True
-
-
-@given(st.one_of(_grids(), _prefix_grids()))
+@given(_grids())
 @settings(max_examples=300, deadline=None)
 def test_builder_equals_blocks_and_stacks(case):
-    """One pass over a grid of forms gives the matrix of the blocks built one
-    by one and stacked: zero forms and empty pieces, dual bases with
-    contraction, Fraction coefficients over different denominators, and the
-    pieces of the H2 relation prefixes, targets that are a prefix of their
-    basis and sources that are a prefix or a slice inside one."""
-    grid, srcs, tgts, top = case
-    assert multiplication_matrix(grid, srcs, tgts) == _reference(grid, srcs, tgts, top)
+    """One pass over a grid of forms by the rank rule gives the matrix the tests'
+    naive builder writes entry by entry: zero forms and empty pieces, and
+    Fraction coefficients over different denominators."""
+    grid, srcs, tgts = case
+    assert multiplication_matrix(grid, srcs, tgts) == \
+        naive_multiplication_matrix(grid, srcs, tgts, top=False)
 
 
 # --- restriction -------------------------------------------------------------
@@ -276,11 +258,14 @@ def forms3(degree, allow_zero=False):
 @given(forms3(1), forms3(2), st.sampled_from([(P2, 0, 0), (P2, 0, 2), (P2, 2, -7), (P2, 2, -4)]))
 @settings(max_examples=40, deadline=None)
 def test_multiplication_composes(f, g, where):
+    """In the program's H0 builder and in the tests' dual one."""
     space, i, d = where
-    piece = basis(space, i, d)
-    mid, tgt = basis(space, i, d + g.degree), basis(space, i, d + g.degree + f.degree)
-    lhs = multiplication_matrix([[f * g]], [piece], [tgt])
-    rhs = multiplication_matrix([[f]], [mid], [tgt]) @ multiplication_matrix([[g]], [piece], [mid])
+    build, pieces = ((multiplication_matrix, basis) if i == 0
+                     else (naive_multiplication_matrix, dual_basis))
+    piece = pieces(space, d)
+    mid, tgt = pieces(space, d + g.degree), pieces(space, d + g.degree + f.degree)
+    lhs = build([[f * g]], [piece], [tgt])
+    rhs = build([[f]], [mid], [tgt]) @ build([[g]], [piece], [mid])
     assert lhs == rhs
 
 
@@ -398,8 +383,10 @@ def test_form_accessors_and_restriction_agree_with_sympy(data):
     point = data.draw(st.lists(_rationals, min_size=f.num_vars, max_size=f.num_vars))
     assert f.evaluate(point) == p.eval(dict(zip(p.gens, point)))
     if f.num_vars == 3:
-        for j in range(4):
-            got = restrict_to_line(f, j)
+        # u := 0, then the coefficient of each u^j, j >= 1, that the tests read
+        coeffs = (restrict_to_line(f),) + _u_coefficients(SimpleNamespace(relation=(f,)))[0]
+        assert len(coeffs) == max(p.degree(p.gens[0]), 0) + 1
+        for j, got in enumerate(coeffs):
             assert _canonical(got) and got.num_vars == 2
             # compared by coefficients: the restriction renames (v, w)
             want = sympy.Poly(p.as_expr().coeff(p.gens[0], j), *p.gens[1:])

@@ -16,14 +16,14 @@ from hypothesis import given, settings
 from hypothesis import assume, strategies as st
 
 from qacm.cli import classify_pairs, seeded_line_values
-from qacm.linalg import kernel_dim, rank
+from qacm.linalg import rank
 from qacm.monomials import P1, Form, basis, binary_forms_common_zero_free, cohomology_dim, \
     h0_exponents, multiplication_matrix
 from qacm.plane import (U, CISubscheme, ExtensionBundle, _auto_extension_form,
                         _hom_row_candidates, _koszul_rows, _mu_basis_rows, ci_from_forms,
                         ci_from_line_points, make_extension_bundle, make_split_bundle,
                         no_common_zero, trivialize_on_line)
-from p2_route import line_relation_matrix
+from p2_route import kernel_dim, line_relation_matrix
 
 u, v, w = (Form.variable(3, n) for n in "uvw")
 
@@ -124,7 +124,7 @@ def reference_rows(sheaf, e: int) -> list:
         return _hom_row_candidates(sheaf, e)
     targets = sheaf.line_presentation.target_twists
     return [tuple(Form.from_dict(2, {m: 1}) if j == i else Form.zero(2) for j in range(len(targets)))
-            for i, a in enumerate(targets) for m in basis(P1, 0, e - a).basis]
+            for i, a in enumerate(targets) for m in basis(P1, e - a).basis]
 
 
 def reference_rows_surjective(r, s) -> bool:
@@ -160,13 +160,13 @@ def assert_same_split(sheaf):
     assert degrees == (c1, c2) and new_lo == lo
     if new_hi != hi:
         assert c1 > c2
-        tgts = [basis(P1, 0, c1 - a) for a in sheaf.line_presentation.target_twists]
+        tgts = [basis(P1, c1 - a) for a in sheaf.line_presentation.target_twists]
 
         def rank_with(*rows):
             """rank of lo * S_(c1 - c2) and the given rows, one column each"""
             return rank(multiplication_matrix([(f,) + tuple(r[i] for r in rows)
                                                for i, f in enumerate(lo)],
-                                              [basis(P1, 0, c1 - c2)] + [basis(P1, 0, 0)] * len(rows),
+                                              [basis(P1, c1 - c2)] + [basis(P1, 0)] * len(rows),
                                               tgts))
         assert rank_with(hi) == rank_with(new_hi) == rank_with(hi, new_hi) == rank_with() + 1
 

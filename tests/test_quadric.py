@@ -300,7 +300,8 @@ def _add_one_at_the_corner(m):
 
 @pytest.mark.parametrize("target, name, mutate", [
     pytest.param(p2_route, "relation_h2_kernel", _drop_last_column, id="kernel-column"),
-    pytest.param(p2_route, "multiplication_matrix", _add_one_at_the_corner, id="builder-entry")])
+    pytest.param(p2_route, "naive_multiplication_matrix", _add_one_at_the_corner,
+                 id="builder-entry")])
 def test_hilbert_check_fails_when_an_h2_kernel_is_perturbed(monkeypatch, target, name, mutate):
     """Each H2 kernel the references of the tests read (``p2_route``) must have
     the dimension the Hilbert function of the relation forms gives.  The README
